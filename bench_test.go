@@ -334,8 +334,8 @@ func BenchmarkIslandSearch(b *testing.B) {
 }
 
 // BenchmarkTableLookupHot exercises the online logic's hot path: a single
-// interpolated advisory query through the shared-weight scan (BestAdvisory
-// delegates to BestAdvisoryFast). CI gates on this benchmark reporting
+// interpolated advisory query through the shared-weight scan
+// (Table.BestAdvisory). CI gates on this benchmark reporting
 // 0 allocs/op; its ns/op trajectory is tracked in the BENCH_<date>.json
 // snapshots `make bench-json` records.
 func BenchmarkTableLookupHot(b *testing.B) {

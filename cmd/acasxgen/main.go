@@ -5,12 +5,7 @@
 //
 // Usage:
 //
-//	acasxgen -out table.acxt [-coarse] [-workers N] [-quantized]
-//
-// -quantized additionally fits the int16 fixed-point backend (per-slice
-// scale/offset, ~4x smaller working set) and marks the saved table so
-// loaders re-derive it; the exact float64 values are always stored, so the
-// file is lossless either way.
+//	acasxgen -out table.acxt [-coarse] [-workers N]
 package main
 
 import (
@@ -31,10 +26,9 @@ func main() {
 
 func run() error {
 	var (
-		out       = flag.String("out", "table.acxt", "output path for the generated logic table")
-		coarse    = flag.Bool("coarse", false, "build the reduced-resolution table")
-		workers   = flag.Int("workers", runtime.NumCPU(), "parallel solver workers")
-		quantized = flag.Bool("quantized", false, "fit the int16 quantized backend and mark the saved table quantized")
+		out     = flag.String("out", "table.acxt", "output path for the generated logic table")
+		coarse  = flag.Bool("coarse", false, "build the reduced-resolution table")
+		workers = flag.Int("workers", runtime.NumCPU(), "parallel solver workers")
 	)
 	flag.Parse()
 
@@ -43,7 +37,6 @@ func run() error {
 		cfg = acasx.CoarseConfig()
 	}
 	cfg.Workers = *workers
-	cfg.Quantized = *quantized
 
 	fmt.Printf("building logic table: h grid %d, rate grid %d, horizon %d s, %d workers\n",
 		cfg.Grid.NumH, cfg.Grid.NumRate, cfg.Grid.Horizon, cfg.Workers)
@@ -53,10 +46,6 @@ func run() error {
 	}
 	fmt.Printf("solved in %v: %d Q-value entries across %d tau slices\n",
 		table.BuildTime(), table.NumEntries(), table.Horizon()+1)
-	if table.Quantized() {
-		fmt.Printf("quantized backend: %d B vs %d B exact (exact slices retained for the margin-gate fallback)\n",
-			table.QuantBytes(), table.NumEntries()*8)
-	}
 	fmt.Printf("(paper footnote 2: the real ACAS XU value iteration takes < 5 minutes on a laptop)\n")
 
 	fmt.Println()

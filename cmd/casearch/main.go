@@ -94,7 +94,6 @@ func run() error {
 		threshold   = flag.Float64("threshold", -1, "island engine: archive fitness threshold (-1 = spec default)")
 		minDist     = flag.Float64("mindist", -1, "island engine: archive dedup distance in [0, 1] (-1 = spec default)")
 		epWorkers   = flag.Int("episode-workers", 0, "island engine: parallel episode workers per fitness evaluation (0 = NumCPU/islands; results are identical for any count)")
-		epBatch     = flag.Int("episode-batch", 0, "island engine: lockstep episode batch per worker, serving ACAS table queries cell-grouped (0 = per-episode loop; results are identical for any size)")
 
 		faultsFlag   = flag.String("faults", "", "fixed surveillance degradation preset for every evaluation: "+cli.FaultNames()+" (empty = clean)")
 		evolveFaults = flag.Bool("evolve-faults", false, "island engine: co-evolve the degradation profile with the encounter geometry")
@@ -122,9 +121,6 @@ func run() error {
 	}
 	if *epWorkers < 0 {
 		return fmt.Errorf("-episode-workers %d < 0", *epWorkers)
-	}
-	if *epBatch < 0 {
-		return fmt.Errorf("-episode-batch %d < 0", *epBatch)
 	}
 	if set["intruders"] && *intruders < 1 {
 		return fmt.Errorf("-intruders %d < 1", *intruders)
@@ -173,7 +169,7 @@ func run() error {
 			intruders:  *intruders,
 			checkpoint: *checkpoint, resume: *resume, seedSweep: *seedSweep,
 			archiveOut: *archiveOut, migEvery: *migEvery, migrants: *migrants,
-			threshold: *threshold, minDist: *minDist, epWorkers: *epWorkers, epBatch: *epBatch,
+			threshold: *threshold, minDist: *minDist, epWorkers: *epWorkers,
 			faults: *faultsFlag, evolveFaults: *evolveFaults, faultPenalty: *faultPenalty,
 		})
 	}
@@ -387,7 +383,6 @@ type islandArgs struct {
 	checkpoint, seedSweep, archiveOut string
 	resume                            bool
 	migEvery, migrants, epWorkers     int
-	epBatch                           int
 	threshold, minDist                float64
 	faults                            string
 	evolveFaults                      bool
@@ -487,7 +482,6 @@ func runIslands(a islandArgs) error {
 		CheckpointPath: a.checkpoint,
 		Resume:         a.resume,
 		EpisodeWorkers: a.epWorkers,
-		EpisodeBatch:   a.epBatch,
 		Observer: func(is search.IslandStats) {
 			if is.Stats.Generation != lastGen {
 				lastGen = is.Stats.Generation

@@ -57,7 +57,6 @@ func run() error {
 		stateDir    = flag.String("state", "caserve-state", "state directory: journal and per-job artifacts")
 		tablePath   = flag.String("table", "", "logic table path (built on the fly when a submitted job needs one)")
 		full        = flag.Bool("full", false, "build the full-resolution table instead of the coarse one")
-		quantized   = flag.Bool("quantized", false, "attach the int16 quantized backend to the logic table (bounded-error fast path, identical advisories)")
 		withTable   = flag.Bool("with-table", false, "build/load the logic table at startup so table-backed systems are accepted")
 		workers     = flag.Int("workers", 0, "concurrent campaign cells (0 = NumCPU)")
 		retries     = flag.Int("retries", 0, "attempts per cell before quarantine (0 = default 3)")
@@ -74,11 +73,6 @@ func run() error {
 		table, err := cli.LoadOrBuildTable(*tablePath, !*full, 0)
 		if err != nil {
 			return err
-		}
-		if *quantized {
-			if err := table.Quantize(); err != nil {
-				return err
-			}
 		}
 		systems = campaign.DefaultSystems(table)
 	}

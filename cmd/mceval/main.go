@@ -6,8 +6,7 @@
 //
 // Usage:
 //
-//	mceval [-samples 10000] [-seed 1] [-workers 0] [-batch 0] [-quantized]
-//	       [-table table.acxt]
+//	mceval [-samples 10000] [-seed 1] [-workers 0] [-table table.acxt]
 //	       [-coarse] [-systems acasx,belief,svo,none] [-faults <preset>]
 //	       [-estimator is|snis|split] [-archive-proposal danger.jsonl]
 //	       [-defensive 0.5] [-bandwidth 0.1] [-levels 450,250,160]
@@ -15,10 +14,6 @@
 // Episodes fan out over -workers parallel simulation worlds (0 = NumCPU).
 // Every episode's random streams derive counter-style from (seed, episode
 // index), so the reported estimates are bit-identical for any worker count.
-// -batch additionally advances that many episodes per worker in lockstep,
-// serving their table queries cell-grouped per decision cycle, and
-// -quantized attaches the int16 table backend — both are throughput knobs
-// whose estimates stay bit-identical to the defaults.
 //
 // -estimator selects a rare-event estimator instead of plain Monte Carlo:
 // importance sampling ("is", "snis") optionally steered by a danger
@@ -57,8 +52,6 @@ func run() error {
 		samples   = flag.Int("samples", 10000, "sampled encounters per system")
 		seed      = flag.Uint64("seed", 1, "sampling seed")
 		workers   = flag.Int("workers", 0, "parallel episode workers (0 = NumCPU; the estimate is identical for any count)")
-		batch     = flag.Int("batch", 0, "lockstep episode batch per worker, serving ACAS table queries cell-grouped (0 = per-episode loop; the estimate is identical for any size)")
-		quantized = flag.Bool("quantized", false, "attach the int16 quantized backend to the logic table (bounded-error fast path with exact argmax via the margin gate)")
 		tablePath = flag.String("table", "", "logic table path (built on the fly when absent)")
 		coarse    = flag.Bool("coarse", false, "use the reduced-resolution table when building")
 		systems   = flag.String("systems", "acasx,svo,none", "comma-separated systems to evaluate: "+cli.SystemNames())
@@ -74,9 +67,6 @@ func run() error {
 	if *workers < 0 {
 		return fmt.Errorf("-workers %d < 0", *workers)
 	}
-	if *batch < 0 {
-		return fmt.Errorf("-batch %d < 0", *batch)
-	}
 	spec, err := estimatorSpec(*estimator, *archive, *defensive, *bandwidth, *levels)
 	if err != nil {
 		return err
@@ -86,7 +76,6 @@ func run() error {
 	cfg.Samples = *samples
 	cfg.Seed = *seed
 	cfg.Parallelism = *workers
-	cfg.BatchSize = *batch
 	if cfg.Run.Faults, err = cli.FaultProfile(*faults); err != nil {
 		return err
 	}
@@ -116,12 +105,6 @@ func run() error {
 			t, err := cli.LoadOrBuildTable(*tablePath, *coarse, 0)
 			if err != nil {
 				return err
-			}
-			if *quantized {
-				if err := t.Quantize(); err != nil {
-					return err
-				}
-				fmt.Printf("quantized table backend: %d B (exact slices retained for the margin-gate fallback)\n", t.QuantBytes())
 			}
 			table = t
 		}

@@ -62,7 +62,6 @@ func run() (err error) {
 		samples   = flag.Int("samples", 0, "override the spec's per-cell sample count (0 keeps the spec value)")
 		tablePath = flag.String("table", "", "logic table path (built on the fly when absent)")
 		full      = flag.Bool("full", false, "build the full-resolution table instead of the coarse one")
-		quantized = flag.Bool("quantized", false, "attach the int16 quantized backend to the logic table (bounded-error fast path, identical advisories)")
 		extra     = flag.String("extra", "", "danger-archive JSONL whose entries join the scenario axis")
 		intruders = flag.Int("intruders", 0, "override the spec's model-draw intruder count K (0 keeps the spec value; presets and explicit scenarios carry their own K)")
 		faults    = flag.String("faults", "", "override the spec's fault axis: comma list of degradation presets ("+cli.FaultNames()+"), or \"all\"")
@@ -151,11 +150,6 @@ func run() (err error) {
 		table, err := cli.LoadOrBuildTable(*tablePath, !*full, 0)
 		if err != nil {
 			return err
-		}
-		if *quantized {
-			if err := table.Quantize(); err != nil {
-				return err
-			}
 		}
 		systems = campaign.DefaultSystems(table)
 		break

@@ -123,29 +123,6 @@
 // allocates nothing per episode (CI gates on the shipped
 // BenchmarkEvaluateSteadyState staying at 0 allocs/op).
 //
-// Two cache-footprint knobs sit under the engine, both result-preserving.
-// The lockstep batch kernel (MonteCarloConfig.BatchSize, campaign.batch,
-// SearchOptions.EpisodeBatch) advances B episodes in lockstep lanes and
-// gathers every lane's table queries per decision cycle into one
-// cell-grouped batch call: queries are sorted by interpolation cell so
-// the full-resolution table (38.8 MB, larger than any last-level cache)
-// is walked in near-sequential passes instead of random DRAM gathers.
-// Each lane keeps its own counter-seeded streams and per-episode path, so
-// estimates are bit-identical for any batch size — like Parallelism, the
-// knob is pure scheduling and is excluded from campaign cell hashes (the
-// adaptive rare-event estimators keep their per-episode loops and ignore
-// it). The quantized table backend (TableConfig.Quantized, or the
-// idempotent Table.Quantize post-build) stores Q-values as int16
-// fixed-point with per-tau-slice scale/offset — a quarter the bytes, LLC-
-// resident — while retaining the exact slices: the decode error bound is
-// known per slice, so a decision is served from the quantized mirror only
-// when the advisory margin exceeds twice the bound and falls back to the
-// exact table otherwise, making every advisory argmax-identical and
-// equipped estimates bit-identical on every shipped preset. Serialization
-// round-trips the backend exactly, and the BENCH_<date>.json trajectory
-// tracks both kernels (BenchmarkAllQValuesFast/Batch) with a CI tripwire
-// failing on regression.
-//
 // Quick start:
 //
 //	table, _ := acasxval.BuildLogicTable(acasxval.DefaultTableConfig())

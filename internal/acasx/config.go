@@ -86,25 +86,8 @@ type Config struct {
 	// is the model revision a developer would make after that discovery
 	// (see examples/modelrevision).
 	UseVerticalTau bool
-	// Quantized installs the int16 fixed-point table backend after the
-	// solve (or load): Q values are stored as per-slice affine-coded int16
-	// in a vertex-major, advisory-contiguous, tau-interleaved layout —
-	// about 4x smaller than the float64 slices, so the online working set
-	// becomes cache-resident instead of striding ~40 MB of DRAM. Every
-	// decision served from the quantized backend is guarded by a margin
-	// gate: when the top-two advisory values are closer than the
-	// quantization error bound, the executive re-queries the retained
-	// exact slices, so chosen advisories are identical to the exact path
-	// (see Table.Quantize).
-	Quantized bool
 	// Workers parallelizes the offline solve (default: serial).
 	Workers int
-	// LegacySweep disables the precomputed transition-projection cache and
-	// re-projects every sigma-outcome successor on every tau slice, as the
-	// original solver did. The generated table is bit-identical either way
-	// (the equivalence test asserts it); the flag exists to keep the
-	// reference path testable, not because the outputs differ.
-	LegacySweep bool
 }
 
 // DefaultConfig returns the full-resolution parameterization.

@@ -1,7 +1,13 @@
 package acasx
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash/crc32"
 	"math"
+	"sync"
 	"testing"
 
 	"acasxval/internal/stats"
@@ -23,7 +29,7 @@ func randomStates(table *Table, n int, seed uint64) []struct{ tau, h, dh0, dh1 f
 }
 
 // TestSharedWeightLookupGolden is the golden equivalence test for the
-// shared-weight lookup: AllQValues, BestAdvisoryFast and Value must agree
+// shared-weight lookup: AllQValues, BestAdvisory and Value must agree
 // bit for bit with the per-action QValue reference path across a seeded
 // random state sample, for every advisory state and mask.
 func TestSharedWeightLookupGolden(t *testing.T) {
@@ -63,7 +69,7 @@ func TestSharedWeightLookupGolden(t *testing.T) {
 						wantQ, wantBest, wantFound = ref, a, true
 					}
 				}
-				gotBest, gotFound := table.BestAdvisoryFast(s.tau, s.h, s.dh0, s.dh1, Advisory(ra), mask)
+				gotBest, gotFound := table.BestAdvisory(s.tau, s.h, s.dh0, s.dh1, Advisory(ra), mask)
 				if gotBest != wantBest || gotFound != wantFound {
 					t.Fatalf("state %+v ra=%d mask=%+v: fast (%v,%v) != reference (%v,%v)",
 						s, ra, mask, gotBest, gotFound, wantBest, wantFound)
@@ -84,8 +90,8 @@ func TestAllQValuesInvalidAdvisoryState(t *testing.T) {
 			t.Fatalf("a=%d: got %v, want -Inf", a, v)
 		}
 	}
-	if _, ok := table.BestAdvisoryFast(10, 0, 0, 0, Advisory(99), SenseMask{}); ok {
-		t.Fatal("BestAdvisoryFast accepted an invalid advisory state")
+	if _, ok := table.BestAdvisory(10, 0, 0, 0, Advisory(99), SenseMask{}); ok {
+		t.Fatal("BestAdvisory accepted an invalid advisory state")
 	}
 }
 
@@ -117,56 +123,84 @@ func TestBeliefExpectedAllQGolden(t *testing.T) {
 	}
 }
 
-// TestSweepEquivalenceBitIdentical: the precomputed-transition solve and
-// the legacy per-slice projection must produce bit-identical tables.
-func TestSweepEquivalenceBitIdentical(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		cfg := tinyConfig()
-		cfg.Workers = workers
-		cached, err := BuildTable(cfg)
-		if err != nil {
-			t.Fatal(err)
+// tableChecksum is the SHA-256 of a table's Q values: every slice in order,
+// every value as its little-endian IEEE-754 bits.
+func tableChecksum(table *Table) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, slice := range table.q {
+		for _, v := range slice {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
 		}
-		cfg.LegacySweep = true
-		legacy, err := BuildTable(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(cached.q) != len(legacy.q) {
-			t.Fatalf("workers=%d: slice count %d vs %d", workers, len(cached.q), len(legacy.q))
-		}
-		for k := range cached.q {
-			for i := range cached.q[k] {
-				if math.Float64bits(cached.q[k][i]) != math.Float64bits(legacy.q[k][i]) {
-					t.Fatalf("workers=%d: slice %d entry %d: cached %v != legacy %v",
-						workers, k, i, cached.q[k][i], legacy.q[k][i])
-				}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestTableChecksumGolden pins the offline solve bit for bit: the tiny and
+// coarse tables must hash to the checked-in digests at every worker count.
+// TestBuilderMatchesGenericSolver is the independent oracle for what the
+// values mean; this test catches any change to the floating-point operation
+// order of the sweep, which would move every downstream golden.
+func TestTableChecksumGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"tiny", tinyConfig(), "2aa3041fbce5c5d573180771d90b0e80ac24e7127223d881f141f171857f21e7"},
+		{"coarse", CoarseConfig(), "e84e162a121e2e1929b7ac61d675f7b5ec47062dbd8e2f1fcb481489ee7296b2"},
+	} {
+		for _, workers := range []int{1, 4} {
+			cfg := tc.cfg
+			cfg.Workers = workers
+			table, err := BuildTable(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := tableChecksum(table); got != tc.want {
+				t.Errorf("%s workers=%d: checksum %s, want %s", tc.name, workers, got, tc.want)
 			}
 		}
 	}
 }
 
-// TestSweepEquivalentAdvisories: belt and braces on top of the bit-identity
-// check — both solvers select the same advisory across a state sample.
-func TestSweepEquivalentAdvisories(t *testing.T) {
-	cfg := tinyConfig()
-	cached, err := BuildTable(cfg)
+// TestReadTableLegacyFlagBit2: files written by older builds with an int16
+// compressed copy set flag bit 2 and carry the full float64 payload. They
+// must load as plain tables, and re-serializing must clear the bit.
+func TestReadTableLegacyFlagBit2(t *testing.T) {
+	table, err := BuildTable(tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.LegacySweep = true
-	legacy, err := BuildTable(cfg)
-	if err != nil {
+	var buf bytes.Buffer
+	if _, err := table.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range randomStates(cached, 200, 3) {
-		for ra := 0; ra < NumAdvisories; ra++ {
-			a1, ok1 := cached.BestAdvisory(s.tau, s.h, s.dh0, s.dh1, Advisory(ra), SenseMask{})
-			a2, ok2 := legacy.BestAdvisory(s.tau, s.h, s.dh0, s.dh1, Advisory(ra), SenseMask{})
-			if a1 != a2 || ok1 != ok2 {
-				t.Fatalf("state %+v ra=%d: cached %v/%v vs legacy %v/%v", s, ra, a1, ok1, a2, ok2)
-			}
-		}
+	clean := buf.Bytes()
+	legacy := append([]byte(nil), clean...)
+	var cfg Config
+	flagsAt := len(tableMagic) + 4 + 8*len(configFields(&cfg)) + 8*len(configInts(&cfg))
+	if legacy[flagsAt]&2 != 0 {
+		t.Fatal("WriteTo set flag bit 2")
+	}
+	legacy[flagsAt] |= 2
+	body := len(legacy) - 4
+	binary.LittleEndian.PutUint32(legacy[body:], crc32.ChecksumIEEE(legacy[:body]))
+
+	loaded, err := ReadTable(bytes.NewReader(legacy))
+	if err != nil {
+		t.Fatalf("legacy file rejected: %v", err)
+	}
+	if got, want := tableChecksum(loaded), tableChecksum(table); got != want {
+		t.Fatalf("legacy file loaded different Q values: %s != %s", got, want)
+	}
+	var again bytes.Buffer
+	if _, err := loaded.WriteTo(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), clean) {
+		t.Fatal("re-serialized legacy table differs from the original file")
 	}
 }
 
@@ -177,10 +211,10 @@ func TestLookupHotPathZeroAlloc(t *testing.T) {
 	table := getCoarseTable(t)
 	var sink Advisory
 	allocs := testing.AllocsPerRun(200, func() {
-		sink, _ = table.BestAdvisoryFast(12.5, 30, 1.5, -2.5, COC, SenseMask{})
+		sink, _ = table.BestAdvisory(12.5, 30, 1.5, -2.5, COC, SenseMask{})
 	})
 	if allocs != 0 {
-		t.Fatalf("BestAdvisoryFast allocated %v times per run", allocs)
+		t.Fatalf("BestAdvisory allocated %v times per run", allocs)
 	}
 	var q [NumAdvisories]float64
 	allocs = testing.AllocsPerRun(200, func() {
@@ -190,4 +224,46 @@ func TestLookupHotPathZeroAlloc(t *testing.T) {
 		t.Fatalf("AllQValues allocated %v times per run", allocs)
 	}
 	_ = sink
+}
+
+// The lookup benchmark runs the full-resolution table (38.8 MB of float64
+// slices — larger than the last-level cache, so uncorrelated queries pay
+// DRAM latency). The coarse test table would hide that cost: it fits in L2.
+var (
+	fullTableOnce sync.Once
+	fullTable     *Table
+	fullTableErr  error
+)
+
+func getFullTable(tb testing.TB) *Table {
+	tb.Helper()
+	fullTableOnce.Do(func() {
+		cfg := DefaultConfig()
+		cfg.Workers = 8
+		fullTable, fullTableErr = BuildTable(cfg)
+	})
+	if fullTableErr != nil {
+		tb.Fatal(fullTableErr)
+	}
+	return fullTable
+}
+
+// BenchmarkAllQValuesFast measures one shared-weight advisory-vector lookup
+// per op on the full table — the innermost unit of every decision cycle —
+// over a domain-spanning random query stream (the worst case for locality;
+// an episode's own trajectory corridor is far more correlated). The name
+// and the exact sub-benchmark are kept so the checked-in BENCH snapshots
+// stay comparable.
+func BenchmarkAllQValuesFast(b *testing.B) {
+	b.Run("exact", func(b *testing.B) {
+		table := getFullTable(b)
+		states := randomStates(table, 4096, 51)
+		var qv [NumAdvisories]float64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s := states[i&4095]
+			table.AllQValues(&qv, s.tau, s.h, s.dh0, s.dh1, Advisory(i%NumAdvisories))
+		}
+	})
 }

@@ -45,9 +45,6 @@ type Logic struct {
 	// crosses the indirect query call of multiCycle, so a stack array
 	// would escape and allocate every decision cycle.
 	multiQ [NumAdvisories]float64
-	// pendTau/pendH stash the decision geometry between BeginDecide and
-	// FinishDecide so the split cycle recomputes nothing.
-	pendTau, pendH float64
 }
 
 // NewLogic creates an executive around a built or loaded table.
@@ -57,11 +54,6 @@ func NewLogic(table *Table) *Logic {
 
 // Advisory returns the currently active advisory.
 func (l *Logic) Advisory() Advisory { return l.advisory }
-
-// Table returns the logic table the executive queries, so a batched caller
-// splitting the cycle with BeginDecide can route the pending query to the
-// owning table's AllQValuesBatch.
-func (l *Logic) Table() *Table { return l.table }
 
 // Alerts returns the number of COC -> advisory transitions so far.
 func (l *Logic) Alerts() int { return l.alerts }
@@ -80,30 +72,7 @@ func (l *Logic) Reset() {
 // Decide runs one decision cycle. own is the aircraft's own state (assumed
 // perfectly known); intrPos/intrVel is the intruder track from surveillance
 // (possibly noisy/filtered); mask carries coordination constraints.
-//
-// Decide is exactly BeginDecide + one AllQValuesFast query + FinishDecide;
-// the split form exists so the batched episode kernel can gather the table
-// queries of many in-flight episodes and serve them grouped by grid cell
-// (Table.AllQValuesBatch) without perturbing a single decision.
 func (l *Logic) Decide(own uav.State, intrPos, intrVel geom.Vec3, mask SenseMask) Decision {
-	d, q, need := l.BeginDecide(own, intrPos, intrVel)
-	if !need {
-		return d
-	}
-	// The shared-weight scan keeps the per-decision table query
-	// allocation-free: one weight computation covers every advisory.
-	var qv [NumAdvisories]float64
-	bound := l.table.AllQValuesFast(&qv, q.Tau, q.H, q.DH0, q.DH1, q.RA)
-	return l.FinishDecide(&qv, bound, own, intrPos, intrVel, mask)
-}
-
-// BeginDecide starts one decision cycle: it derives the MDP state from the
-// track and either completes the cycle immediately (needQuery false — the
-// threat is outside the optimization horizon, the returned Decision is
-// final) or returns the pending table query (needQuery true — the caller
-// must evaluate it, e.g. via Table.AllQValuesBatch, and complete the cycle
-// with FinishDecide before this Logic decides anything else).
-func (l *Logic) BeginDecide(own uav.State, intrPos, intrVel geom.Vec3) (d Decision, q Query, needQuery bool) {
 	l.decisions++
 	ownVel := own.VelVec()
 	h := intrPos.Z - own.Pos.Z
@@ -112,6 +81,7 @@ func (l *Logic) BeginDecide(own uav.State, intrPos, intrVel geom.Vec3) (d Decisi
 	tau := effectiveTau(&l.table.cfg, own.Pos, ownVel, intrPos, intrVel, h, dh0, dh1)
 
 	prev := l.advisory
+	next := COC
 	if tau >= float64(l.table.Horizon()) {
 		// No horizontal conflict inside the optimization horizon. A fresh
 		// threat stays clear of conflict; an active advisory is maintained
@@ -119,51 +89,27 @@ func (l *Logic) BeginDecide(own uav.State, intrPos, intrVel geom.Vec3) (d Decisi
 		// the tau estimate can transiently exceed the horizon mid-conflict,
 		// and dropping the advisory would hand the aircraft back to its
 		// (conflicting) flight plan.
-		next := COC
 		if prev != COC && !clearOfConflict(own.Pos, ownVel, intrPos, intrVel, l.table.cfg.DMOD) {
 			next = prev
 		}
-		return l.commit(prev, next, tau, h), Query{}, false
-	}
-	l.pendTau, l.pendH = tau, h
-	return Decision{}, Query{Tau: tau, H: h, DH0: dh0, DH1: dh1, RA: prev}, true
-}
-
-// FinishDecide completes a cycle begun by BeginDecide from the evaluated
-// advisory values (qv, with the quantization error bound returned by the
-// evaluation — 0 for exact values). own/intrPos/intrVel must be the
-// arguments BeginDecide saw; they feed the clear-of-conflict hysteresis
-// and the margin-gate fallback.
-func (l *Logic) FinishDecide(qv *[NumAdvisories]float64, bound float64, own uav.State, intrPos, intrVel geom.Vec3, mask SenseMask) Decision {
-	prev := l.advisory
-	tau, h := l.pendTau, l.pendH
-	ownVel := own.VelVec()
-	var best Advisory
-	var ok bool
-	if bound == 0 {
-		best, ok = bestAllowed(qv, mask)
 	} else {
-		best, ok = l.table.bestAllowedGated(qv, bound, mask, tau, h, ownVel.Z, intrVel.Z, prev)
+		// The shared-weight scan keeps the per-decision table query
+		// allocation-free: one weight computation covers every advisory.
+		best, ok := l.table.BestAdvisory(tau, h, dh0, dh1, prev, mask)
+		if ok {
+			next = best
+		}
+		if next == COC && prev != COC &&
+			!clearOfConflict(own.Pos, ownVel, intrPos, intrVel, l.table.cfg.DMOD) {
+			// The table proposes terminating the advisory because the
+			// projected miss distance is adequate — but its clear-of-
+			// conflict model assumes the aircraft drift, whereas real
+			// aircraft resume their (conflicting) flight plans and
+			// re-converge. Hold the advisory until the threat is
+			// horizontally diverging, as fielded ACAS logic does.
+			next = prev
+		}
 	}
-	if !ok {
-		best = COC
-	}
-	if best == COC && prev != COC &&
-		!clearOfConflict(own.Pos, ownVel, intrPos, intrVel, l.table.cfg.DMOD) {
-		// The table proposes terminating the advisory because the
-		// projected miss distance is adequate — but its clear-of-
-		// conflict model assumes the aircraft drift, whereas real
-		// aircraft resume their (conflicting) flight plans and
-		// re-converge. Hold the advisory until the threat is
-		// horizontally diverging, as fielded ACAS logic does.
-		best = prev
-	}
-	return l.commit(prev, best, tau, h)
-}
-
-// commit installs the next advisory and assembles the Decision with its
-// transition bookkeeping (alert/reversal/strengthening counters).
-func (l *Logic) commit(prev, next Advisory, tau, h float64) Decision {
 	l.advisory = next
 	d := Decision{
 		Advisory: next,

@@ -156,9 +156,9 @@ const maxCorners = 8
 // (likewise weights); the stride wastes a few padding entries on boundary
 // states but lets one parallel pass fill disjoint ranges directly. The
 // per-outcome quadrature weight is kept separate (outcomeW) rather than
-// folded into the corner weights so the cached sweep performs exactly the
-// same floating-point operations as the legacy per-slice projection —
-// tables stay bit-identical.
+// folded into the corner weights: the sweep sums each outcome's corner
+// gather first and then scales it, which is the operation order the
+// checked-in table checksums pin.
 type transitions struct {
 	counts   []uint8
 	flats    []int32
@@ -209,28 +209,4 @@ func (m *model) buildTransitions(workers int) *transitions {
 	}
 	parallelRanges(m.contSize, workers, run)
 	return tr
-}
-
-// expectedNextValue integrates V(next) over the 3x3 joint sigma outcomes of
-// (own noise, intruder noise) for continuous state (h, dh0, dh1) under
-// advisory a, reading values from the prev slice at advisory-state a.
-// ws is a scratch buffer for interpolation weights.
-func (m *model) expectedNextValue(prev []float64, h, dh0, dh1 float64, a Advisory, ws []interp.VertexWeight) float64 {
-	base := int(a) * m.contSize
-	total := 0.0
-	var pt [3]float64
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			hn, dh0n, dh1n := m.successor(h, dh0, dh1, a, m.sigmaNodes[i], m.sigmaNodes[j])
-			pt[0], pt[1], pt[2] = hn, dh0n, dh1n
-			w := m.sigmaWeights[i] * m.sigmaWeights[j]
-			ws, _ = m.grid.WeightsAppend(ws[:0], pt[:])
-			v := 0.0
-			for _, vw := range ws {
-				v += vw.Weight * prev[base+vw.Flat]
-			}
-			total += w * v
-		}
-	}
-	return total
 }

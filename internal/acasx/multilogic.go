@@ -22,8 +22,8 @@ import (
 // bit-identical to the classic executive by construction.
 
 // bestAllowed returns the advisory maximizing q among those the mask
-// allows, scanning in advisory order exactly like BestAdvisoryFast (first
-// maximum wins). The boolean is false when the mask bans every action.
+// allows, scanning in advisory order (first maximum wins). The boolean is
+// false when the mask bans every action.
 func bestAllowed(q *[NumAdvisories]float64, mask SenseMask) (Advisory, bool) {
 	best := COC
 	bestQ := math.Inf(-1)
@@ -62,12 +62,10 @@ func clearOfAll(ownPos, ownVel geom.Vec3, tracks []geom.Track, dmod float64) boo
 // escape and allocate every cycle. query is called with the per-threat
 // (tau, h, intruder vertical speed); it must not retain q.
 func multiCycle(table *Table, prev Advisory, own uav.State, ownVel geom.Vec3, tracks []geom.Track, mask SenseMask,
-	q *[NumAdvisories]float64, query func(q *[NumAdvisories]float64, tau, h, intrVS float64) float64,
-	exactQuery func(q *[NumAdvisories]float64, tau, h, intrVS float64)) Decision {
+	q *[NumAdvisories]float64, query func(q *[NumAdvisories]float64, tau, h, intrVS float64)) Decision {
 	var fused [NumAdvisories]float64
 	threats := 0
 	minTau, minH := math.Inf(1), 0.0
-	maxBound := 0.0
 	horizon := float64(table.Horizon())
 	for _, tr := range tracks {
 		h := tr.Pos.Z - own.Pos.Z
@@ -78,9 +76,7 @@ func multiCycle(table *Table, prev Advisory, own uav.State, ownVel geom.Vec3, tr
 		if tau >= horizon {
 			continue
 		}
-		if b := query(q, tau, h, tr.Vel.Z); b > maxBound {
-			maxBound = b
-		}
+		query(q, tau, h, tr.Vel.Z)
 		if threats == 0 {
 			fused = *q
 		} else {
@@ -91,39 +87,6 @@ func multiCycle(table *Table, prev Advisory, own uav.State, ownVel geom.Vec3, tr
 			}
 		}
 		threats++
-	}
-
-	if threats > 0 && maxBound > 0 && exactQuery != nil {
-		// Fused margin gate: every fused value is within maxBound of its
-		// exact counterpart (min over per-threat values each within the
-		// bound), so a top-two margin above 2*maxBound proves the argmax
-		// matches the exact path. Inside the margin, redo the whole scan
-		// on the exact slices — the fallback is rare and the rescan is
-		// pure recomputation, so decisions stay identical to the exact
-		// executive in every case.
-		if best, ok := bestAllowed(&fused, mask); ok &&
-			fused[best]-allowedRunnerUp(&fused, mask, best) <= 2*maxBound {
-			table.fallbacks.Add(1)
-			threats = 0
-			for _, tr := range tracks {
-				h := tr.Pos.Z - own.Pos.Z
-				tau := effectiveTau(&table.cfg, own.Pos, ownVel, tr.Pos, tr.Vel, h, ownVel.Z, tr.Vel.Z)
-				if tau >= horizon {
-					continue
-				}
-				exactQuery(q, tau, h, tr.Vel.Z)
-				if threats == 0 {
-					fused = *q
-				} else {
-					for a := range fused {
-						if q[a] < fused[a] {
-							fused[a] = q[a]
-						}
-					}
-				}
-				threats++
-			}
-		}
 	}
 
 	var next Advisory
@@ -180,9 +143,6 @@ func (l *Logic) DecideMulti(own uav.State, tracks []geom.Track, mask SenseMask) 
 	ownVel := own.VelVec()
 	prev := l.advisory
 	d := multiCycle(l.table, prev, own, ownVel, tracks, mask, &l.multiQ,
-		func(q *[NumAdvisories]float64, tau, h, intrVS float64) float64 {
-			return l.table.AllQValuesFast(q, tau, h, ownVel.Z, intrVS, prev)
-		},
 		func(q *[NumAdvisories]float64, tau, h, intrVS float64) {
 			l.table.AllQValues(q, tau, h, ownVel.Z, intrVS, prev)
 		})
@@ -206,15 +166,10 @@ func (l *BeliefLogic) DecideMulti(own uav.State, tracks []geom.Track, mask Sense
 	}
 	ownVel := own.VelVec()
 	prev := l.advisory
-	// The belief executive integrates over state particles and is exact by
-	// design: the query wrapper reports a zero bound and the gate never
-	// engages (nil exact rescan).
 	d := multiCycle(l.table, prev, own, ownVel, tracks, mask, &l.multiQ,
-		func(q *[NumAdvisories]float64, tau, h, intrVS float64) float64 {
+		func(q *[NumAdvisories]float64, tau, h, intrVS float64) {
 			l.expectedAllQ(q, tau, h, ownVel.Z, intrVS, prev)
-			return 0
-		},
-		nil)
+		})
 	l.advisory = d.Advisory
 	if d.NewAlert {
 		l.alerts++

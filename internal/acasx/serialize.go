@@ -102,14 +102,6 @@ func (t *Table) WriteTo(w io.Writer) (int64, error) {
 	if cfg.UseVerticalTau {
 		flags |= 1
 	}
-	// The quantized backend is a pure function of the exact slices, so the
-	// file stores only the exact payload plus this marker; ReadTable
-	// re-derives the int16 codes, which round-trips the backend
-	// losslessly (and keeps the format readable by older parsers modulo
-	// the flag bit).
-	if cfg.Quantized {
-		flags |= 2
-	}
 	if err := put(flags); err != nil {
 		return written, err
 	}
@@ -184,7 +176,9 @@ func ReadTable(r io.Reader) (*Table, error) {
 		return nil, fmt.Errorf("%w: reading flags: %v", ErrBadTable, err)
 	}
 	cfg.UseVerticalTau = flags&1 != 0
-	cfg.Quantized = flags&2 != 0
+	// Bit 2 marked tables written by older builds that also carried an
+	// int16 compressed copy of the Q values. Such files still hold the full
+	// float64 payload, so they load as plain tables; WriteTo never sets it.
 	var slices, sliceLen uint32
 	if err := binary.Read(cr, binary.LittleEndian, &slices); err != nil {
 		return nil, fmt.Errorf("%w: reading slice count: %v", ErrBadTable, err)

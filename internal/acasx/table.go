@@ -5,7 +5,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"acasxval/internal/interp"
@@ -23,15 +22,6 @@ type Table struct {
 	// grid spans (h, dh0, dh1); kept for online interpolation.
 	grid     *interp.Grid
 	contSize int
-	// Quantized backend (nil when disabled): per-slice affine-coded int16
-	// Q values in vertex-major, advisory-contiguous, tau-interleaved
-	// order, with the per-slice codec and error bound alongside. See
-	// quantized.go.
-	qz           []int16
-	qscale, qoff []float64
-	qerr         []float64
-	// fallbacks counts margin-gate fallbacks to the exact slices.
-	fallbacks atomic.Uint64
 	// stats
 	buildTime  time.Duration
 	sweepCount int
@@ -44,10 +34,8 @@ type Table struct {
 // the serial solve.
 //
 // The successor projection (h, dh0, dh1, a) -> grid vertex weights does not
-// depend on tau, so by default it is computed once up front and every sweep
-// reduces to a sparse gather/dot-product over the previous slice
-// (Config.LegacySweep re-enables the original per-slice projection; the
-// resulting tables are bit-identical either way).
+// depend on tau, so it is computed once up front and every sweep reduces to
+// a sparse gather/dot-product over the previous slice.
 func BuildTable(cfg Config) (*Table, error) {
 	start := time.Now()
 	m, err := newModel(cfg)
@@ -78,30 +66,17 @@ func BuildTable(cfg Config) (*Table, error) {
 		workers = runtime.NumCPU()
 	}
 
-	var tr *transitions
-	if !cfg.LegacySweep {
-		tr = m.buildTransitions(workers)
-	}
-
+	tr := m.buildTransitions(workers)
 	prev := v
 	for k := 1; k <= horizon; k++ {
 		qk := make([]float64, m.stateSize*NumAdvisories)
 		next := make([]float64, m.stateSize)
-		if tr != nil {
-			sweepSliceCached(m, tr, prev, qk, next, workers)
-		} else {
-			sweepSlice(m, prev, qk, next, workers)
-		}
+		sweepSlice(m, tr, prev, qk, next, workers)
 		t.q[k] = qk
 		prev = next
 		t.sweepCount++
 	}
 	t.buildTime = time.Since(start)
-	if cfg.Quantized {
-		if err := t.Quantize(); err != nil {
-			return nil, err
-		}
-	}
 	return t, nil
 }
 
@@ -129,33 +104,10 @@ func parallelRanges(n, workers int, run func(lo, hi int)) {
 }
 
 // sweepSlice fills qk (Q values) and next (V values) for one tau slice from
-// the previous slice's V values, re-projecting every sigma-outcome successor
-// onto the grid. This is the original (pre-cache) sweep, kept behind
-// Config.LegacySweep so the equivalence test can prove the cached sweep
-// reproduces it bit for bit.
-func sweepSlice(m *model, prev, qk, next []float64, workers int) {
-	run := func(lo, hi int) {
-		var ws [16]interp.VertexWeight
-		var ptBuf [3]float64
-		for c := lo; c < hi; c++ {
-			pt := m.grid.PointAppend(ptBuf[:0], c)
-			h, dh0, dh1 := pt[0], pt[1], pt[2]
-			// The expected next value depends only on the chosen action,
-			// not on the current advisory state; compute once per action.
-			var ev [NumAdvisories]float64
-			for a := 0; a < NumAdvisories; a++ {
-				ev[a] = m.expectedNextValue(prev, h, dh0, dh1, Advisory(a), ws[:0])
-			}
-			fillSliceState(m, c, &ev, qk, next)
-		}
-	}
-	parallelRanges(m.contSize, workers, run)
-}
-
-// sweepSliceCached is sweepSlice with the successor projections read from
-// the precomputed transition table: a pure gather/dot-product per (state,
+// the previous slice's V values, reading the successor projections from the
+// precomputed transition table: a pure gather/dot-product per (state,
 // action), no geometry or interpolation work per slice.
-func sweepSliceCached(m *model, tr *transitions, prev, qk, next []float64, workers int) {
+func sweepSlice(m *model, tr *transitions, prev, qk, next []float64, workers int) {
 	run := func(lo, hi int) {
 		for c := lo; c < hi; c++ {
 			var ev [NumAdvisories]float64
@@ -239,7 +191,7 @@ func (t *Table) clampTau(tau float64) (lo int, frac float64) {
 //
 // This is the per-action reference path: one query computes the vertex
 // weights and reads a single (ra, a) pair. Scans over the whole action set
-// should use AllQValues/BestAdvisoryFast, which share one weight
+// should use AllQValues/BestAdvisory, which share one weight
 // computation across every advisory and both bracketing slices; the golden
 // equivalence test asserts both paths agree bit for bit.
 func (t *Table) QValue(tau, h, dh0, dh1 float64, ra, a Advisory) float64 {
@@ -289,54 +241,30 @@ func (t *Table) AllQValues(dst *[NumAdvisories]float64, tau, h, dh0, dh1 float64
 	pt := [3]float64{h, dh0, dh1}
 	ws, _ := t.grid.WeightsAppend(buf[:0], pt[:])
 	lo, frac := t.clampTau(tau)
-	t.gatherExact(dst, ws, lo, frac, ra)
-}
-
-// AllQValuesFast fills dst like AllQValues but serves the query from the
-// quantized int16 backend when one is installed, returning the worst-case
-// absolute error of the returned values versus the exact path (0 on the
-// exact path). Callers deciding an advisory from quantized values must
-// apply the margin gate (bestAllowedGated or the fused gate in
-// multiCycle) so the argmax stays identical to the exact path.
-func (t *Table) AllQValuesFast(dst *[NumAdvisories]float64, tau, h, dh0, dh1 float64, ra Advisory) float64 {
-	if t.qz == nil {
-		t.AllQValues(dst, tau, h, dh0, dh1, ra)
-		return 0
+	raOff := int(ra) * t.contSize
+	stateSize := t.stateSize()
+	qlo := t.q[lo]
+	for a := 0; a < NumAdvisories; a++ {
+		dst[a] = dotGather(ws, qlo, a*stateSize+raOff)
 	}
-	if !ra.Valid() {
-		for a := range dst {
-			dst[a] = math.Inf(-1)
+	if frac > 0 && lo+1 <= t.Horizon() {
+		qhi := t.q[lo+1]
+		for a := 0; a < NumAdvisories; a++ {
+			dst[a] = dst[a]*(1-frac) + frac*dotGather(ws, qhi, a*stateSize+raOff)
 		}
-		return 0
 	}
-	var buf [16]interp.VertexWeight
-	pt := [3]float64{h, dh0, dh1}
-	ws, _ := t.grid.WeightsAppend(buf[:0], pt[:])
-	lo, frac := t.clampTau(tau)
-	return t.gatherQuant(dst, ws, lo, frac, ra)
-}
-
-// BestAdvisoryFast returns the advisory maximizing the interpolated Q value
-// at the given state, considering only advisories allowed by the mask. It
-// is the allocation-free shared-weight scan the online executive uses on
-// every decision cycle; BestAdvisory delegates here. The boolean is false
-// when the mask bans every action (cannot happen with a default mask, which
-// always allows COC) or ra is invalid. On a quantized table the scan is
-// served from the int16 backend under the margin gate, so the returned
-// advisory is identical to the exact path's in every case.
-func (t *Table) BestAdvisoryFast(tau, h, dh0, dh1 float64, ra Advisory, mask SenseMask) (Advisory, bool) {
-	var q [NumAdvisories]float64
-	bound := t.AllQValuesFast(&q, tau, h, dh0, dh1, ra)
-	if bound == 0 {
-		return bestAllowed(&q, mask)
-	}
-	return t.bestAllowedGated(&q, bound, mask, tau, h, dh0, dh1, ra)
 }
 
 // BestAdvisory returns the advisory maximizing the interpolated Q value at
-// the given state, considering only advisories allowed by the mask.
+// the given state, considering only advisories allowed by the mask. It is
+// the allocation-free shared-weight scan the online executive uses on every
+// decision cycle. The boolean is false when the mask bans every action
+// (cannot happen with a default mask, which always allows COC) or ra is
+// invalid.
 func (t *Table) BestAdvisory(tau, h, dh0, dh1 float64, ra Advisory, mask SenseMask) (Advisory, bool) {
-	return t.BestAdvisoryFast(tau, h, dh0, dh1, ra, mask)
+	var q [NumAdvisories]float64
+	t.AllQValues(&q, tau, h, dh0, dh1, ra)
+	return bestAllowed(&q, mask)
 }
 
 // Value returns max_a Q at the state (the optimal state value).
@@ -369,11 +297,5 @@ func (t *Table) validateLoaded() error {
 	}
 	t.grid = m.grid
 	t.contSize = m.contSize
-	if t.cfg.Quantized && t.qz == nil {
-		// The file stores the exact slices; the int16 backend is a pure
-		// function of them, so re-deriving it here round-trips the
-		// quantized table losslessly.
-		return t.Quantize()
-	}
 	return nil
 }

@@ -210,7 +210,7 @@ func (s *System) DecideTracks(_ float64, own uav.State, tracks []geom.Track, c s
 	if h := desired.Horizontal(); h.NormSq() > 0 {
 		d.Cmd.HasHeading = true
 		hdg := geom.WrapAngle(math.Atan2(h.Y, h.X))
-		// Quantize the heading as well (3 degrees): a command that wobbles
+		// Round the heading to a 3-degree step as well: a command that wobbles
 		// with sensor noise is a command the vehicle never complies with.
 		const hq = 3 * math.Pi / 180
 		d.Cmd.TargetHeading = geom.WrapAngle(math.Round(hdg/hq) * hq)

@@ -480,7 +480,6 @@ func runCell(ctx context.Context, spec Spec, c Cell, factory montecarlo.SystemFa
 		Run:         c.Variant.apply(spec.Run),
 		Seed:        CellSeed(spec.Seed, c),
 		Parallelism: episodeWorkers,
-		BatchSize:   spec.BatchSize,
 	}
 	// The fault axis replaces whatever profile the base configuration
 	// carried: each point IS the cell's degradation condition.

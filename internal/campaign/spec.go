@@ -184,11 +184,6 @@ type Spec struct {
 	// CPU count are clamped to it, matching the offline solver's worker
 	// pool — campaign cells are CPU-bound, so extra workers only thrash).
 	Parallelism int
-	// BatchSize sets each cell evaluator's lockstep episode batch (0 =
-	// classic per-episode loop). Like Parallelism it is a scheduling-only
-	// knob: the batched kernel is bit-identical to the per-episode path,
-	// so the estimates cannot depend on it.
-	BatchSize int
 }
 
 // DefaultSpec returns a campaign skeleton: all named presets against the
@@ -264,10 +259,9 @@ func (s Spec) multiModel() montecarlo.MultiEncounterModel {
 // "default" variant, the implicit fault point, the default encounter
 // model, the pairwise intruder count, and the estimator tuning of a spec
 // with no estimator axis (which never executes and must not perturb the
-// identity). Parallelism and BatchSize are dropped because estimates are
-// worker-count and batch-size invariant — resubmitting a campaign with a
-// different scheduling budget must hit the completed-cell cache, not
-// recompute.
+// identity). Parallelism is dropped because estimates are worker-count
+// invariant — resubmitting a campaign with a different worker budget must
+// hit the completed-cell cache, not recompute.
 func (s Spec) Canonical() Spec {
 	s.Variants = append([]Variant(nil), s.variantsOrDefault()...)
 	s.Faults = append([]FaultPoint(nil), s.faultsOrDefault()...)
@@ -278,7 +272,6 @@ func (s Spec) Canonical() Spec {
 		s.EstimatorSpec = montecarlo.RareEventSpec{}
 	}
 	s.Parallelism = 0
-	s.BatchSize = 0
 	return s
 }
 
@@ -443,9 +436,6 @@ func (s Spec) Validate() error {
 //	campaign.samples            simulations per cell
 //	campaign.seed
 //	campaign.parallelism
-//	campaign.batch              lockstep episode batch per cell evaluator
-//	                            (0 = classic per-episode loop; results
-//	                            are batch-size invariant)
 //	run.decision.period         base run-config overrides
 //	run.overtime
 //	run.coordination
@@ -499,9 +489,6 @@ func FromConfig(c *config.Params) (Spec, error) {
 		return s, err
 	}
 	if s.Parallelism, err = c.IntOr("campaign.parallelism", 0); err != nil {
-		return s, err
-	}
-	if s.BatchSize, err = c.IntOr("campaign.batch", 0); err != nil {
 		return s, err
 	}
 	if s.Run.DecisionPeriod, err = c.FloatOr("run.decision.period", s.Run.DecisionPeriod); err != nil {

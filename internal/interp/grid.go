@@ -216,31 +216,6 @@ func (g *Grid) WeightsAppend(dst []VertexWeight, point []float64) ([]VertexWeigh
 	return dst, nil
 }
 
-// WeightsAppendBatch computes the interpolation weights of n query points
-// in one call: pts holds the points flattened dimension-major (len(pts) =
-// n * Dims()). Every point's weight records are appended to dst and the
-// end offset of its span to ends, so point i's weights are
-// dst[ends[i-1]:ends[i]] (with ends[-1] read as the initial len(dst)).
-// Each span is bit-identical to a WeightsAppend call on the same point; in
-// particular the first record of a span is the all-lower cell corner, whose
-// Flat index identifies the enclosing cell — batch consumers sort query
-// spans by it so gathers against a large table coalesce.
-func (g *Grid) WeightsAppendBatch(dst []VertexWeight, ends []int, pts []float64) ([]VertexWeight, []int, error) {
-	dims := len(g.axes)
-	if len(pts)%dims != 0 {
-		return dst, ends, fmt.Errorf("interp: %d flattened coordinates for %d-dim grid", len(pts), dims)
-	}
-	for off := 0; off < len(pts); off += dims {
-		var err error
-		dst, err = g.WeightsAppend(dst, pts[off:off+dims])
-		if err != nil {
-			return dst, ends, err
-		}
-		ends = append(ends, len(dst))
-	}
-	return dst, ends, nil
-}
-
 // Interpolate evaluates the multilinear interpolation of table at point.
 // The table must have exactly Size() entries.
 func (g *Grid) Interpolate(table []float64, point []float64) (float64, error) {

@@ -167,53 +167,3 @@ func TestPointAppendMatchesPoint(t *testing.T) {
 		t.Fatalf("PointAppend with capacity allocated %v times per run", allocs)
 	}
 }
-
-// TestWeightsAppendBatchGolden: every span of a batched weights call must
-// be bit-identical to a solo WeightsAppend on the same point, with correct
-// end offsets on top of a pre-existing prefix, and the span's first record
-// must be the all-lower cell corner.
-func TestWeightsAppendBatchGolden(t *testing.T) {
-	g := MustGrid(Uniform(0, 10, 11), Uniform(-5, 5, 5), Uniform(0, 1, 3))
-	pts := []float64{
-		3.7, 1.2, 0.4, // interior
-		0, -5, 0, // exact vertex
-		-2, 9.9, 1.7, // clamped outside
-		10, 5, 1, // far corner
-		3.7, 1.2, 0.4, // duplicate of the first
-	}
-	prefix := []VertexWeight{{Flat: -1, Weight: 42}}
-	dst, ends, err := g.WeightsAppendBatch(append([]VertexWeight(nil), prefix...), nil, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dst[0] != prefix[0] {
-		t.Fatal("batch clobbered the existing prefix")
-	}
-	if len(ends) != len(pts)/3 {
-		t.Fatalf("got %d spans for %d points", len(ends), len(pts)/3)
-	}
-	start := len(prefix)
-	for i := 0; i < len(pts)/3; i++ {
-		want, err := g.Weights(pts[3*i : 3*i+3])
-		if err != nil {
-			t.Fatal(err)
-		}
-		span := dst[start:ends[i]]
-		if len(span) != len(want) {
-			t.Fatalf("point %d: span has %d records, solo %d", i, len(span), len(want))
-		}
-		for j := range span {
-			if span[j].Flat != want[j].Flat || math.Float64bits(span[j].Weight) != math.Float64bits(want[j].Weight) {
-				t.Fatalf("point %d record %d: batch %+v != solo %+v", i, j, span[j], want[j])
-			}
-		}
-		if span[0].Flat != want[0].Flat {
-			t.Fatalf("point %d: first record %d is not the cell id %d", i, span[0].Flat, want[0].Flat)
-		}
-		start = ends[i]
-	}
-
-	if _, _, err := g.WeightsAppendBatch(nil, nil, []float64{1, 2}); err == nil {
-		t.Fatal("batch accepted a ragged coordinate slice")
-	}
-}

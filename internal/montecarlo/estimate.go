@@ -39,18 +39,6 @@ type Config struct {
 	Seed uint64
 	// Parallelism bounds concurrent simulations (0 = NumCPU).
 	Parallelism int
-	// BatchSize is the number of episodes each worker advances in lockstep
-	// through the batched SoA kernel (sim.Batch): every decision cycle, the
-	// pending ACAS table queries of all in-flight episodes are gathered and
-	// served in one cell-grouped batch lookup. 0 or 1 keeps the classic
-	// per-episode loop. Like Parallelism this is a scheduling knob — the
-	// estimate is bit-identical for any batch size, only throughput
-	// changes — so cell hashes and canonical specs must never include it.
-	// The system factory is called BatchSize times per worker (once per
-	// lockstep lane) instead of once, since concurrent lanes need
-	// independent system state. The rare-event estimators keep their
-	// adaptive per-episode loops and ignore the knob.
-	BatchSize int
 	// Confidence is the CI level for reported intervals (default 0.95).
 	Confidence float64
 }
@@ -72,9 +60,6 @@ func (c Config) Validate() error {
 	}
 	if c.Confidence != 0 && (c.Confidence <= 0 || c.Confidence >= 1) {
 		return fmt.Errorf("montecarlo: Confidence %v outside (0, 1)", c.Confidence)
-	}
-	if c.BatchSize < 0 {
-		return fmt.Errorf("montecarlo: negative BatchSize %d", c.BatchSize)
 	}
 	return c.Run.Validate()
 }
@@ -182,12 +167,6 @@ type world struct {
 	// chain's accepted state.
 	raw   []float64
 	chain []float64
-	// batch and laneSystems back the lockstep batched kernel when
-	// Config.BatchSize > 1: the lane pool and one independent system set
-	// per lane (lanes run concurrently in simulation time, so they must
-	// never share system state).
-	batch       *sim.Batch
-	laneSystems [][]sim.System
 }
 
 // prepare (re)wires the world for one Evaluate call over k-intruder
@@ -217,57 +196,6 @@ func (w *world) prepare(run sim.RunConfig, factory SystemFactory, k int) error {
 	w.raw = w.raw[:dim]
 	w.chain = w.chain[:dim]
 	return nil
-}
-
-// prepareBatch wires the world's lockstep batch kernel on top of prepare:
-// the lane pool and one system set per lane, each taken fresh from the
-// factory.
-func (w *world) prepareBatch(cfg *Config, factory SystemFactory, k int) error {
-	if w.batch == nil {
-		b, err := sim.NewBatch(cfg.Run, cfg.BatchSize)
-		if err != nil {
-			return err
-		}
-		w.batch = b
-	} else if err := w.batch.Reconfigure(cfg.Run, cfg.BatchSize); err != nil {
-		return err
-	}
-	for len(w.laneSystems) < cfg.BatchSize {
-		w.laneSystems = append(w.laneSystems, nil)
-	}
-	w.laneSystems = w.laneSystems[:cfg.BatchSize]
-	for lane := range w.laneSystems {
-		w.laneSystems[lane] = sim.AppendSystemsFromPair(w.laneSystems[lane][:0], factory, k)
-	}
-	return nil
-}
-
-// simulateBatch runs episodes [start, end) through the lockstep batch
-// kernel. Episode identity stays the global index — the identical sampling
-// and dynamics seed derivations as simulate — and the kernel itself is
-// bit-identical to solo runs, so the outcomes match the classic path
-// exactly for any batch size. The shared sampling buffers are safe: the
-// kernel consumes each episode's parameters before requesting the next.
-func (w *world) simulateBatch(model *MultiEncounterModel, cfg *Config, start, end int, out []outcome) {
-	w.batch.RunMulti(end-start,
-		func(rel, lane int) (encounter.MultiParams, []sim.System, uint64, error) {
-			i := start + rel
-			rng := w.rng.SeedChild(cfg.Seed, i)
-			m := model.SampleInto(rng, &w.buf, w.params)
-			return m, w.laneSystems[lane], stats.DeriveSeed(cfg.Seed^dynamicsSalt, i), nil
-		},
-		func(rel int, res sim.Result, err error) {
-			if err != nil {
-				out[start+rel] = outcome{err: err}
-				return
-			}
-			out[start+rel] = outcome{
-				nmac:    res.NMAC,
-				alerted: res.Alerted(),
-				alerts:  res.TotalAlerts(),
-				minSep:  res.MinSeparation,
-			}
-		})
 }
 
 // simulate runs episode i: sample the encounter and simulate it, both from
@@ -341,17 +269,17 @@ func EvaluateWithScratchContext(ctx context.Context, model EncounterModel, facto
 }
 
 // prepareWorlds wires one reusable simulation world per effective worker
-// for an evaluation over tasks work items claimed in chunks of chunk.
-// Worlds are prepared serially up front: world growth must not race, and a
-// mis-wired configuration should fail before any episode runs. Workers
-// beyond the chunk count could never claim work, so they are clamped away
-// (results are worker-count invariant, so clamping is free).
-func prepareWorlds(scratch *Scratch, cfg *Config, factory SystemFactory, intruders, tasks, chunk int) ([]*world, error) {
+// for an evaluation over tasks work items. Worlds are prepared serially up
+// front: world growth must not race, and a mis-wired configuration should
+// fail before any episode runs. Workers beyond the batch count could never
+// claim work, so they are clamped away (results are worker-count invariant,
+// so clamping is free).
+func prepareWorlds(scratch *Scratch, cfg *Config, factory SystemFactory, intruders, tasks int) ([]*world, error) {
 	workers := cfg.Parallelism
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if maxUseful := (tasks + chunk - 1) / chunk; workers > maxUseful {
+	if maxUseful := (tasks + episodeBatch - 1) / episodeBatch; workers > maxUseful {
 		workers = maxUseful
 	}
 	if workers < 1 {
@@ -423,52 +351,6 @@ func runEpisodes(ctx context.Context, worlds []*world, n int, run func(w *world,
 	wg.Wait()
 }
 
-// runEpisodeChunks distributes n work items over the worlds in contiguous
-// chunks, calling run(world, start, end) per chunk. Like runEpisodes, item
-// identity is the index — never the claiming order — so results are
-// bit-identical for any world count. Chunking serves the batched kernel,
-// which needs contiguous episode ranges to fill its lockstep lanes;
-// cancellation is checked between chunks rather than between episodes.
-func runEpisodeChunks(ctx context.Context, worlds []*world, n, chunk int, run func(w *world, start, end int)) {
-	if len(worlds) <= 1 {
-		w := worlds[0]
-		for start := 0; start < n; start += chunk {
-			if ctx.Err() != nil {
-				return
-			}
-			end := start + chunk
-			if end > n {
-				end = n
-			}
-			run(w, start, end)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(len(worlds))
-	for _, w := range worlds {
-		go func(w *world) {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				start := int(next.Add(int64(chunk))) - chunk
-				if start >= n {
-					return
-				}
-				end := start + chunk
-				if end > n {
-					end = n
-				}
-				run(w, start, end)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
 // EvaluateMultiWithScratch is EvaluateMulti with caller-owned state reuse
 // (see EvaluateWithScratch); at a steady intruder count the per-episode
 // steady state allocates nothing.
@@ -502,31 +384,13 @@ func EvaluateMultiWithScratchContext(ctx context.Context, model MultiEncounterMo
 	// Mixture cumulative weights are precomputed once per call, never per
 	// draw.
 	model = model.Prepared()
-	chunk := episodeBatch
-	if cfg.BatchSize > 1 {
-		// Claim whole lockstep waves: the smallest multiple of the batch
-		// size at or above the classic chunk keeps counter contention
-		// negligible without splitting waves across claims.
-		chunk = cfg.BatchSize * ((episodeBatch + cfg.BatchSize - 1) / cfg.BatchSize)
-	}
-	worlds, err := prepareWorlds(scratch, &cfg, factory, model.NumIntruders(), cfg.Samples, chunk)
+	worlds, err := prepareWorlds(scratch, &cfg, factory, model.NumIntruders(), cfg.Samples)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.BatchSize > 1 {
-		for _, w := range worlds {
-			if err := w.prepareBatch(&cfg, factory, model.NumIntruders()); err != nil {
-				return nil, err
-			}
-		}
-		runEpisodeChunks(ctx, worlds, cfg.Samples, chunk, func(w *world, start, end int) {
-			w.simulateBatch(&model, &cfg, start, end, outcomes)
-		})
-	} else {
-		runEpisodes(ctx, worlds, cfg.Samples, func(w *world, i int) {
-			w.simulate(&model, &cfg, i, outcomes)
-		})
-	}
+	runEpisodes(ctx, worlds, cfg.Samples, func(w *world, i int) {
+		w.simulate(&model, &cfg, i, outcomes)
+	})
 	// A cancelled run left part of the outcome buffer untouched; pooling
 	// it would silently average in zeros.
 	if err := ctx.Err(); err != nil {

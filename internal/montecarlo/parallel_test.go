@@ -171,6 +171,34 @@ func BenchmarkEvaluateSteadyState(b *testing.B) {
 	b.ReportMetric(est.PNMAC, "P-NMAC")
 }
 
+// BenchmarkEvaluateEquippedSteadyState is the table-bound counterpart of
+// BenchmarkEvaluateSteadyState: both aircraft run the ACAS executive over
+// the head-on conflict geometry (the point model keeps every decision cycle
+// inside the optimization horizon), so each episode pays the interpolated
+// table gathers that dominate equipped campaign and search workloads.
+// episodes/s is the headline metric the BENCH_<date>.json snapshots track
+// under the exact sub-benchmark name; allocs/op is per-episode steady state
+// and must stay ~0.
+func BenchmarkEvaluateEquippedSteadyState(b *testing.B) {
+	model := PointModel(encounter.PresetHeadOn())
+	b.Run("exact", func(b *testing.B) {
+		factory := acasFactory(b)
+		cfg := DefaultConfig()
+		cfg.Samples = b.N
+		cfg.Seed = 1
+		cfg.Parallelism = 1
+		scratch := &Scratch{}
+		b.ReportAllocs()
+		b.ResetTimer()
+		est, err := EvaluateWithScratch(model, factory, cfg, scratch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "episodes/s")
+		b.ReportMetric(est.PNMAC, "P-NMAC")
+	})
+}
+
 // BenchmarkEvaluateParallel reports wall-clock scaling of one estimate
 // across worker counts (episodes per second; the estimate itself is
 // invariant). The speedup tracks the physical core count — a single-core

@@ -393,7 +393,7 @@ func estimateIS(ctx context.Context, model MultiEncounterModel, factory SystemFa
 		return nil, err
 	}
 	outcomes := scratch.grow(cfg.Samples)
-	worlds, err := prepareWorlds(scratch, &cfg, factory, model.NumIntruders(), cfg.Samples, episodeBatch)
+	worlds, err := prepareWorlds(scratch, &cfg, factory, model.NumIntruders(), cfg.Samples)
 	if err != nil {
 		return nil, err
 	}
@@ -587,7 +587,7 @@ func estimateSplit(ctx context.Context, model MultiEncounterModel, factory Syste
 		}
 	}
 
-	worlds, err := prepareWorlds(scratch, &cfg, factory, k, n, episodeBatch)
+	worlds, err := prepareWorlds(scratch, &cfg, factory, k, n)
 	if err != nil {
 		return nil, err
 	}

@@ -63,11 +63,6 @@ type Options struct {
 	// byte-identical for any value, which is why it lives in Options rather
 	// than the reproducible Spec.
 	EpisodeWorkers int
-	// EpisodeBatch sets each evaluation's lockstep episode batch: episodes
-	// step together and their ACAS table queries are served cell-grouped
-	// per decision cycle (0 = classic per-episode loop). Bit-identical to
-	// the classic path — a scheduling knob like EpisodeWorkers.
-	EpisodeBatch int
 }
 
 // Best is the fittest encounter a search found.
@@ -131,7 +126,6 @@ type engine struct {
 	nextGen        int
 	evals          int
 	episodeWorkers int
-	episodeBatch   int
 }
 
 // Run executes the island-model search. With opts.Resume it continues from
@@ -185,7 +179,7 @@ func RunContext(ctx context.Context, spec Spec, factory core.SystemFactory, opts
 			epw = 1
 		}
 	}
-	e := &engine{spec: spec, bounds: bounds, geomLen: spec.geomLen(), episodeWorkers: epw, episodeBatch: opts.EpisodeBatch}
+	e := &engine{spec: spec, bounds: bounds, geomLen: spec.geomLen(), episodeWorkers: epw}
 	e.archive = NewArchive(spec.ArchiveThreshold, spec.ArchiveMinDistance, geomBounds)
 
 	start := time.Now()
@@ -396,7 +390,7 @@ func (e *engine) evaluateIsland(ctx context.Context, isl *island, gen int, facto
 			fit.Run.Faults = fp
 			faultGenes = fault.Genes(fp)
 		}
-		fitness, est, err := evaluateEncounter(ctx, m, seed, fit, factory, e.episodeWorkers, e.episodeBatch, &isl.scratch)
+		fitness, est, err := evaluateEncounter(ctx, m, seed, fit, factory, e.episodeWorkers, &isl.scratch)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -428,15 +422,13 @@ func (e *engine) evaluateIsland(ctx context.Context, isl *island, gen int, facto
 // the genome's fixed scenario replayed SimsPerEncounter times with
 // seed-derived stochastic dynamics and sensor noise, scored by the paper's
 // fitness = gain * mean(1 / (1 + d_k)). episodeWorkers is the per-batch
-// episode parallelism layered on top of the island goroutines;
-// episodeBatch is the lockstep episode batch within each worker.
-func evaluateEncounter(ctx context.Context, m encounter.MultiParams, seed uint64, fit core.FitnessConfig, factory core.SystemFactory, episodeWorkers, episodeBatch int, scratch *montecarlo.Scratch) (float64, *montecarlo.Estimate, error) {
+// episode parallelism layered on top of the island goroutines.
+func evaluateEncounter(ctx context.Context, m encounter.MultiParams, seed uint64, fit core.FitnessConfig, factory core.SystemFactory, episodeWorkers int, scratch *montecarlo.Scratch) (float64, *montecarlo.Estimate, error) {
 	cfg := montecarlo.Config{
 		Samples:     fit.SimsPerEncounter,
 		Run:         fit.Run,
 		Seed:        seed,
 		Parallelism: episodeWorkers,
-		BatchSize:   episodeBatch,
 	}
 	est, err := montecarlo.EvaluateMultiWithScratchContext(ctx, montecarlo.MultiPointModel(m), montecarlo.SystemFactory(factory), cfg, scratch)
 	if err != nil {

@@ -12,7 +12,7 @@ import (
 // Decide is on the innermost loop of every validation workload (Monte-Carlo
 // estimation, GA search, campaign sweeps): each call runs one decision
 // cycle through the executive's shared-weight table scan
-// (Table.BestAdvisoryFast), which performs no allocation.
+// (Table.BestAdvisory), which performs no allocation.
 type ACASXU struct {
 	logic *acasx.Logic
 }

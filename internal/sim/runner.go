@@ -471,48 +471,21 @@ func (r *Runner) Run(p encounter.Params, ownSys, intrSys System, seed uint64) (R
 // nearest threat otherwise); each intruder avoids the ownship only. A
 // single-intruder call is bit-identical to the classic pairwise Run.
 func (r *Runner) RunMulti(m encounter.MultiParams, systems []System, seed uint64) (Result, error) {
-	res, duration, err := r.beginMulti(m, systems, seed)
-	if err != nil {
-		return Result{}, err
-	}
-	nextDecision := 0.0
-	for r.clock.Now() < duration {
-		now := r.clock.Now()
-		if now >= nextDecision {
-			r.decideOwnship(now)
-			for j := 1; j <= r.k; j++ {
-				r.decideIntruder(now, j)
-			}
-			nextDecision += r.cfg.DecisionPeriod
-		}
-		r.stepOnce(now, &res)
-	}
-	r.finishMulti(&res)
-	return res, nil
-}
-
-// beginMulti validates an episode, resets the whole world in place for it
-// (fleet, monitors, clock, RNG streams) and performs the initial
-// observation, returning the initialized Result and the episode duration.
-// It is the front half of RunMulti, factored out so the lockstep Batch can
-// begin many episodes and interleave their stepping. The encounter
-// parameters are fully consumed before it returns.
-func (r *Runner) beginMulti(m encounter.MultiParams, systems []System, seed uint64) (Result, float64, error) {
 	if err := m.Validate(); err != nil {
-		return Result{}, 0, err
+		return Result{}, err
 	}
 	k := m.NumIntruders()
 	if len(systems) != k+1 {
-		return Result{}, 0, fmt.Errorf("sim: %d systems for %d aircraft (1 ownship + %d intruders)",
+		return Result{}, fmt.Errorf("sim: %d systems for %d aircraft (1 ownship + %d intruders)",
 			len(systems), k+1, k)
 	}
 	for i, s := range systems {
 		if s == nil {
-			return Result{}, 0, fmt.Errorf("sim: nil system for aircraft %d", i)
+			return Result{}, fmt.Errorf("sim: nil system for aircraft %d", i)
 		}
 	}
 	if err := r.ensureFleet(k + 1); err != nil {
-		return Result{}, 0, err
+		return Result{}, err
 	}
 	r.k = k
 	cfg := &r.cfg
@@ -542,43 +515,42 @@ func (r *Runner) beginMulti(m encounter.MultiParams, systems []System, seed uint
 	if cfg.RecordTrajectory {
 		res.Trajectory = append(res.Trajectory, r.trajectoryPoint(0))
 	}
-	return res, duration, nil
-}
 
-// stepOnce advances the episode one integration step from time now: capture
-// pre-step positions, step every vehicle, feed the monitors the sub-sampled
-// separations, tick the clock and record the trajectory when configured. It
-// is the loop body of RunMulti (decisions excluded), shared with the
-// lockstep Batch.
-func (r *Runner) stepOnce(now float64, res *Result) {
-	for i := 0; i <= r.k; i++ {
-		r.posBefore[i] = r.fleet[i].vehicle.State().Pos
+	nextDecision := 0.0
+	for r.clock.Now() < duration {
+		now := r.clock.Now()
+		if now >= nextDecision {
+			r.decideOwnship(now)
+			for j := 1; j <= k; j++ {
+				r.decideIntruder(now, j)
+			}
+			nextDecision += cfg.DecisionPeriod
+		}
+		for i := 0; i <= k; i++ {
+			r.posBefore[i] = r.fleet[i].vehicle.State().Pos
+		}
+		for i := 0; i <= k; i++ {
+			r.fleet[i].vehicle.Step(cfg.Dt, r.dynR[i])
+		}
+		r.sampleSeparationFine(now)
+		r.clock.Tick()
+		if cfg.RecordTrajectory {
+			res.Trajectory = append(res.Trajectory, r.trajectoryPoint(r.clock.Now()))
+		}
 	}
-	for i := 0; i <= r.k; i++ {
-		r.fleet[i].vehicle.Step(r.cfg.Dt, r.dynR[i])
-	}
-	r.sampleSeparationFine(now)
-	r.clock.Tick()
-	if r.cfg.RecordTrajectory {
-		res.Trajectory = append(res.Trajectory, r.trajectoryPoint(r.clock.Now()))
-	}
-}
 
-// finishMulti assembles the episode's summary into res: the back half of
-// RunMulti, shared with the lockstep Batch. res.AlertCounts aliases
-// runner-owned storage overwritten by the next run (see Result.AlertCounts).
-func (r *Runner) finishMulti(res *Result) {
 	res.NMAC, res.NMACTime = r.accident.NMAC()
 	res.MinSeparation, res.MinSeparationAt = r.prox.Min3D()
 	res.MinHorizontal = r.prox.MinHorizontal()
 	res.MinVertical = r.prox.MinVertical()
-	r.alertCounts = r.alertCounts[:r.k+1]
-	for i := 0; i <= r.k; i++ {
+	r.alertCounts = r.alertCounts[:k+1]
+	for i := 0; i <= k; i++ {
 		r.alertCounts[i] = r.fleet[i].alerts
 	}
 	res.AlertCounts = r.alertCounts
 	res.OwnAlertTime = r.fleet[0].firstAlertAt
 	res.Duration = r.clock.Now()
+	return res, nil
 }
 
 // observe feeds one ownship-intruder position pair to both monitors,
@@ -763,22 +735,6 @@ func (a *aircraft) applyDecision(d Decision, now float64) {
 // adapter, so a single-track cycle is bit-identical to the historical
 // pairwise engine.
 func (r *Runner) decideOwnship(now float64) {
-	tracks, constraint := r.ownSurveil(now)
-	if len(tracks) == 0 {
-		// No surveillance: keep flying the current command.
-		return
-	}
-	a := r.fleet[0]
-	d := a.system.DecideTracks(now, a.vehicle.State(), tracks, constraint)
-	a.applyDecision(d, now)
-}
-
-// ownSurveil runs the ownship half of a decision cycle up to (but not
-// including) the system query: surveil every intruder from the ownship's
-// sensor stream and derive the coordination constraint. An empty track
-// slice means no decision runs this cycle. The returned slice aliases the
-// runner's track scratch and is valid until the next surveillance.
-func (r *Runner) ownSurveil(now float64) ([]geom.Track, Constraint) {
 	a := r.fleet[0]
 	sensorRNG := r.sensorR[0]
 	tracks := r.trackBuf[:0]
@@ -788,8 +744,13 @@ func (r *Runner) ownSurveil(now float64) ([]geom.Track, Constraint) {
 		}
 	}
 	r.trackBuf = tracks[:0]
+	if len(tracks) == 0 {
+		// No surveillance: keep flying the current command.
+		return
+	}
+
 	var constraint Constraint
-	if len(tracks) > 0 && r.coordinated(now) {
+	if r.coordinated(now) {
 		for j := 1; j <= r.k; j++ {
 			switch r.fleet[j].lastDecision.Sense {
 			case SenseUp:
@@ -799,7 +760,9 @@ func (r *Runner) ownSurveil(now float64) ([]geom.Track, Constraint) {
 			}
 		}
 	}
-	return tracks, constraint
+
+	d := a.system.DecideTracks(now, a.vehicle.State(), tracks, constraint)
+	a.applyDecision(d, now)
 }
 
 // nearestTrack returns the index of the track closest to pos in 3-D (first
@@ -820,35 +783,24 @@ func nearestTrack(pos geom.Vec3, tracks []geom.Track) int {
 // pairwise Decide, bit-identical to the classic engine), coordination
 // constrained by the ownship's current claimed sense.
 func (r *Runner) decideIntruder(now float64, j int) {
-	tr, constraint, ok := r.intruderSurveil(now, j)
+	a := r.fleet[j]
+	pos, vel, ok := r.surveil(a, 0, r.fleet[0], now, r.sensorR[j], r.fltR[j])
 	if !ok {
 		// No surveillance: keep flying the current command.
 		return
 	}
-	a := r.fleet[j]
-	r.pairTrack[0] = tr
-	d := a.system.DecideTracks(now, a.vehicle.State(), r.pairTrack[:], constraint)
-	a.applyDecision(d, now)
-}
 
-// intruderSurveil runs intruder j's half of a decision cycle up to the
-// system query: one surveillance observation of the ownship from the
-// intruder's own sensor stream, and the coordination constraint from the
-// ownship's current claimed sense. ok is false when no usable track exists
-// this cycle (no decision runs).
-func (r *Runner) intruderSurveil(now float64, j int) (tr geom.Track, c Constraint, ok bool) {
-	a := r.fleet[j]
-	pos, vel, ok := r.surveil(a, 0, r.fleet[0], now, r.sensorR[j], r.fltR[j])
-	if !ok {
-		return geom.Track{}, Constraint{}, false
-	}
+	var constraint Constraint
 	if r.coordinated(now) {
 		switch r.fleet[0].lastDecision.Sense {
 		case SenseUp:
-			c.BanUp = true
+			constraint.BanUp = true
 		case SenseDown:
-			c.BanDown = true
+			constraint.BanDown = true
 		}
 	}
-	return geom.Track{Pos: pos, Vel: vel}, c, true
+
+	r.pairTrack[0] = geom.Track{Pos: pos, Vel: vel}
+	d := a.system.DecideTracks(now, a.vehicle.State(), r.pairTrack[:], constraint)
+	a.applyDecision(d, now)
 }

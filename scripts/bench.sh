@@ -12,9 +12,8 @@
 #	OUT                output file   (default BENCH_<today>.json)
 #	BENCHTIME          -benchtime for the E1-E8 harness (default 1x)
 #	LOOKUP_BENCHTIME   -benchtime for the lookup hot path (default 100000x)
-#	QUERY_BENCHTIME    -benchtime for the full-table query kernels
-#	                   (default 20000x; the batch benchmark serves 256
-#	                   queries per op)
+#	QUERY_BENCHTIME    -benchtime for the full-table query benchmark
+#	                   (default 20000x)
 #	EPISODE_BENCHTIME  -benchtime for the steady-state episode benchmark
 #	                   (default 2000x; allocs/op is per episode)
 #	PARALLEL_BENCHTIME -benchtime for the worker-scaling benchmark
@@ -72,24 +71,20 @@ run_bench -run '^$' -bench '^Benchmark(MPC|APF)Decide$' \
 run_bench -run '^$' -bench '^BenchmarkTableLookupHot$' \
   -benchtime "$LOOKUP_BENCHTIME" -benchmem .
 
-# The table-query kernels on the full-resolution (DRAM-resident) table:
-# one shared-weight lookup per op on the exact and int16 quantized
-# backends, and the cell-grouped batch serve (256 gathered queries per op,
-# reported as lookups/s) the lockstep episode batch leans on. CI's
-# regression tripwire gates on these staying fast and allocation-free.
-run_bench -run '^$' -bench '^BenchmarkAllQValues(Fast|Batch)$' \
+# The table query on the full-resolution (DRAM-resident) table: one
+# shared-weight lookup per op over an uncorrelated query stream. CI's
+# regression tripwire gates on it staying fast and allocation-free.
+run_bench -run '^$' -bench '^BenchmarkAllQValuesFast$' \
   -benchtime "$QUERY_BENCHTIME" -benchmem ./internal/acasx
 
 # The Monte-Carlo episode engine: steady-state per-episode cost for the
 # pairwise engine, the two-intruder engine, the degraded-surveillance
 # path, the importance-sampling rare-event estimator (b.N is the
 # episode count, so allocs/op must stay ~0 — CI gates on the first four)
-# and the equipped head-on grid sweeping the quantized-table and
-# lockstep-batch knobs (episodes/s is the headline metric; the estimates
-# are bit-identical across the grid), plus worker-count wall-clock
-# scaling (512-episode estimates per op). The rare-event benchmark also
-# reports the measured variance-reduction factor (VRF) as a custom
-# metric, captured into the snapshot.
+# and the equipped head-on episode (episodes/s is the headline metric),
+# plus worker-count wall-clock scaling (512-episode estimates per op). The
+# rare-event benchmark also reports the measured variance-reduction factor
+# (VRF) as a custom metric, captured into the snapshot.
 run_bench -run '^$' -bench '^Benchmark(Evaluate(MultiIntruder|Faulted|Equipped)?|RareEvent)SteadyState$' \
   -benchtime "$EPISODE_BENCHTIME" -benchmem ./internal/montecarlo
 run_bench -run '^$' -bench '^BenchmarkEvaluateParallel$' \
