@@ -9,8 +9,6 @@ package acasxval
 import (
 	"testing"
 
-	"acasxval/internal/core"
-	"acasxval/internal/encounter"
 	"acasxval/internal/ga"
 	"acasxval/internal/sim"
 	"acasxval/internal/stats"
@@ -151,18 +149,19 @@ func BenchmarkAblationGAOperators(b *testing.B) {
 		return NewACASXU(table), NewACASXU(table)
 	}
 	run := func(op ga.CrossoverOp, seed uint64) float64 {
-		cfg := DefaultSearchConfig()
-		cfg.GA.PopulationSize = 16
-		cfg.GA.Generations = 3
-		cfg.GA.Crossover = op
-		cfg.GA.Seed = seed
-		cfg.GA.RecordEvaluations = false
-		cfg.Fitness.SimsPerEncounter = 6
-		res, err := Search(cfg, factory, 1, nil)
+		spec := DefaultSearchSpec()
+		spec.Islands = 1
+		spec.GA.PopulationSize = 16
+		spec.GA.Generations = 3
+		spec.GA.Crossover = op
+		spec.Seed = seed
+		spec.Fitness.SimsPerEncounter = 6
+		res, err := RunSearch(spec, factory, SearchOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		return res.PerGeneration[len(res.PerGeneration)-1].Mean
+		history := res.Islands[0]
+		return history[len(history)-1].Mean
 	}
 	var onePoint, uniform, blend float64
 	for i := 0; i < b.N; i++ {
@@ -244,19 +243,17 @@ func BenchmarkAblationFitnessSims(b *testing.B) {
 	factory := func() (sim.System, sim.System) {
 		return NewACASXU(table), NewACASXU(table)
 	}
-	p := PresetTailApproach()
+	model := PointEncounterModel(PresetTailApproach())
+	gain := DefaultSearchSpec().Fitness.CollisionGain
 	measure := func(k int, seed uint64) float64 {
-		cfg := DefaultSearchConfig().Fitness
-		cfg.SimsPerEncounter = k
-		ev, err := core.NewEvaluator(encounter.DefaultRanges(), factory, cfg)
+		cfg := DefaultMonteCarloConfig()
+		cfg.Samples = k
+		cfg.Seed = seed
+		est, err := EstimateRisk(model, factory, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		out, err := ev.EvaluateEncounter(p, seed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return out.Fitness
+		return gain * est.MeanInverseSeparation
 	}
 	// Spread of the fitness estimate across seeds for K=5 vs K=50.
 	var sd5, sd50 float64

@@ -19,15 +19,14 @@ package acasxval
 // numbers alongside the timings.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
 
-	"acasxval/internal/core"
-	"acasxval/internal/encounter"
-	"acasxval/internal/ga"
 	"acasxval/internal/grid2d"
 	"acasxval/internal/montecarlo"
+	"acasxval/internal/search"
 	"acasxval/internal/sim"
 	"acasxval/internal/stats"
 )
@@ -93,21 +92,23 @@ func BenchmarkFig6GASearch(b *testing.B) {
 	factory := func() (sim.System, sim.System) {
 		return NewACASXU(table), NewACASXU(table)
 	}
-	cfg := DefaultSearchConfig()
-	cfg.GA.PopulationSize = 20
-	cfg.GA.Generations = 3
-	cfg.Fitness.SimsPerEncounter = 10
+	spec := DefaultSearchSpec()
+	spec.Islands = 1
+	spec.GA.PopulationSize = 20
+	spec.GA.Generations = 3
+	spec.Fitness.SimsPerEncounter = 10
 	var firstMean, lastMean, best float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg.GA.Seed = uint64(i + 1)
-		res, err := Search(cfg, factory, 3, nil)
+		spec.Seed = uint64(i + 1)
+		res, err := RunSearch(spec, factory, SearchOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		firstMean = res.PerGeneration[0].Mean
-		lastMean = res.PerGeneration[len(res.PerGeneration)-1].Mean
+		history := res.Islands[0]
+		firstMean = history[0].Mean
+		lastMean = history[len(history)-1].Mean
 		best = res.Best.Fitness
 	}
 	b.ReportMetric(firstMean, "gen0-mean-fitness")
@@ -123,25 +124,24 @@ func BenchmarkFig7Fig8TailApproach(b *testing.B) {
 	factory := func() (sim.System, sim.System) {
 		return NewACASXU(table), NewACASXU(table)
 	}
-	fit := core.DefaultFitnessConfig()
-	fit.SimsPerEncounter = 100
-	ev, err := core.NewEvaluator(encounter.DefaultRanges(), factory, fit)
-	if err != nil {
-		b.Fatal(err)
-	}
+	cfg := DefaultMonteCarloConfig()
+	cfg.Samples = 100
+	tailModel := PointEncounterModel(PresetTailApproach())
+	headModel := PointEncounterModel(PresetHeadOn())
 	var tailRate, headRate float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tail, err := ev.EvaluateEncounter(PresetTailApproach(), uint64(i+1))
+		cfg.Seed = uint64(i + 1)
+		tail, err := EstimateRisk(tailModel, factory, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		head, err := ev.EvaluateEncounter(PresetHeadOn(), uint64(i+1))
+		head, err := EstimateRisk(headModel, factory, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		tailRate = tail.NMACRate()
-		headRate = head.NMACRate()
+		tailRate = tail.PNMAC
+		headRate = head.PNMAC
 	}
 	b.ReportMetric(tailRate*100, "tail-NMACs-per-100")
 	b.ReportMetric(headRate*100, "headon-NMACs-per-100")
@@ -189,43 +189,31 @@ func BenchmarkValueIterationFullTable(b *testing.B) {
 	}
 }
 
-// BenchmarkGAVersusRandomSearch (E7) compares, at equal evaluation budget,
-// the best fitness found by the GA and by uniform random search (the
-// comparison of the authors' earlier SOSP/SAFECOMP study, reference [7]).
+// BenchmarkGAVersusRandomSearch (E7) compares, at an equal simulated
+// budget, the challenging encounters found by the GA and by uniform random
+// search (the comparison of the authors' earlier SOSP/SAFECOMP study,
+// reference [7]). Both arms count fresh evaluations only.
 func BenchmarkGAVersusRandomSearch(b *testing.B) {
 	table := benchLogicTable(b)
 	factory := func() (sim.System, sim.System) {
 		return NewACASXU(table), NewACASXU(table)
 	}
-	cfg := DefaultSearchConfig()
-	cfg.GA.PopulationSize = 15
-	cfg.GA.Generations = 4
-	cfg.Fitness.SimsPerEncounter = 8
-	budget := cfg.GA.PopulationSize * cfg.GA.Generations
+	spec := DefaultSearchSpec()
+	spec.Islands = 1
+	spec.GA.PopulationSize = 15
+	spec.GA.Generations = 4
+	spec.Fitness.SimsPerEncounter = 8
 	var gaHits, rndHits stats.Accumulator
 	const threshold = 9000
-	countAbove := func(evals []ga.Evaluation) int {
-		n := 0
-		for _, e := range evals {
-			if e.Fitness >= threshold {
-				n++
-			}
-		}
-		return n
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg.GA.Seed = uint64(i + 1)
-		gaRes, err := Search(cfg, factory, 1, nil)
+		spec.Seed = uint64(i + 1)
+		cmp, err := search.CompareSearch(context.Background(), spec, factory, 1, threshold)
 		if err != nil {
 			b.Fatal(err)
 		}
-		rndRes, err := RandomSearch(cfg, factory, budget, true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gaHits.Add(float64(countAbove(gaRes.Evaluations)))
-		rndHits.Add(float64(countAbove(rndRes.Evaluations)))
+		gaHits.Add(cmp.GAHits[0])
+		rndHits.Add(cmp.RandomHits[0])
 	}
 	b.ReportMetric(gaHits.Mean(), "ga-cases-per-budget")
 	b.ReportMetric(rndHits.Mean(), "random-cases-per-budget")

@@ -1,52 +1,58 @@
 // Command casearch runs the paper's section VII experiment: the GA-based
 // search for challenging situations where ACAS XU behaves poorly. With the
-// default settings it reproduces the paper-scale workload — population 200
-// evolved for 5 generations, every encounter scored by 100 stochastic
-// simulations — and reports the Fig. 6 fitness series, the wall-clock time
-// (paper footnote 5: ~300 s), and the geometry analysis of the discovered
-// encounters (Figs. 7-8: tail approaches dominate).
+// default settings it reproduces the paper-scale workload — one population
+// of 200 evolved for 5 generations, every encounter scored by 100
+// stochastic simulations — and reports the Fig. 6 fitness series, the
+// wall-clock time (paper footnote 5: ~300 s), and the geometry analysis of
+// the discovered encounters (Figs. 7-8: tail approaches dominate).
 //
-// With -islands N (N >= 2) the search runs on the island-model engine
-// instead: N concurrently evolving populations (-pop is then the per-island
-// population) exchanging elites via ring migration, accumulating a
-// deduplicated danger archive (-archive), checkpointing after every
-// generation (-checkpoint) so a killed run resumes bit-identically
-// (-resume), and optionally seeding its initial populations from the worst
-// cells of a prior sweep's JSONL output (-seed-from-sweep). The classic
-// single-population serial path is preserved behind -islands 1 (the
-// default when no spec file sets search.islands).
+// Every run goes through the island-model engine (internal/search); the
+// paper's GA is its one-island case. With -islands N (N >= 2), N
+// populations (-pop is per island) evolve concurrently and exchange elites
+// via ring migration. Every run accumulates a deduplicated danger archive
+// (-archive), can checkpoint after every generation (-checkpoint) so a
+// killed run resumes bit-identically (-resume), and can seed its initial
+// populations from the worst cells of a prior sweep's JSONL output
+// (-seed-from-sweep). -intruders K evolves K-intruder encounters.
 //
 // Usage:
 //
 //	casearch [-table table.acxt] [-pop 200] [-gens 5] [-sims 100]
 //	         [-seed 1] [-top 10] [-system <name>]
 //	         [-params ecj.params] [-fitness-csv fig6.csv]
-//	         [-baseline] [-clusters 3]
+//	         [-found-csv top.csv] [-baseline] [-clusters 3]
 //	         [-islands N] [-intruders K] [-checkpoint state.json] [-resume]
 //	         [-seed-from-sweep results.jsonl] [-archive danger.jsonl]
 //	         [-migrate-every K] [-migrants M] [-threshold F] [-mindist D]
 //	         [-episode-workers W] [-faults <preset>]
 //	         [-evolve-faults] [-fault-penalty F]
 //
+// The reports built from the evaluation log (-top, -fitness-csv,
+// -found-csv, -clusters) list each fresh evaluation once: elites and
+// migrants carried into a later generation are not simulated again. On a
+// resumed run the log covers this invocation's generations. Encounters
+// with more than one intruder are tabulated by their first intruder block;
+// the danger archive keeps all K. -baseline runs the uniform random search
+// over exactly the GA's evaluation count.
+//
 // -faults fixes a surveillance degradation preset on every fitness
-// evaluation (both engines). -evolve-faults (island engine only) instead
-// appends the degradation profile to each genome, so the GA searches for
-// the combination of geometry and sensor faults that defeats avoidance;
-// -fault-penalty F subtracts F x severity from fitness so mild
-// degradations that still produce NMACs outrank brute-force blackouts.
+// evaluation. -evolve-faults instead appends the degradation profile to
+// each genome, so the GA searches for the combination of geometry and
+// sensor faults that defeats avoidance; -fault-penalty F subtracts F x
+// severity from fitness so mild degradations that still produce NMACs
+// outrank brute-force blackouts.
 //
 // -islands 0 (the default) takes the island count from -params'
-// search.islands key (1 when no file is given), so a spec file declaring
-// an island search runs as one without repeating the count.
+// search.islands key (1 when the key or the file is absent).
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
-	"sort"
 	"syscall"
 
 	"acasxval/internal/acasx"
@@ -54,7 +60,6 @@ import (
 	"acasxval/internal/cli"
 	"acasxval/internal/config"
 	"acasxval/internal/core"
-	"acasxval/internal/fault"
 	"acasxval/internal/ga"
 	"acasxval/internal/search"
 	"acasxval/internal/viz"
@@ -72,32 +77,32 @@ func run() error {
 		tablePath  = flag.String("table", "", "logic table path (built on the fly when absent)")
 		coarse     = flag.Bool("coarse", false, "use the reduced-resolution table when building")
 		system     = flag.String("system", "acasx", "system under test: "+cli.SystemNames())
-		pop        = flag.Int("pop", 200, "GA population size (paper: 200; per island when -islands >= 2)")
+		pop        = flag.Int("pop", 200, "GA population size per island (paper: 200)")
 		gens       = flag.Int("gens", 5, "GA generations (paper: 5)")
 		sims       = flag.Int("sims", 100, "simulations per encounter (paper: 100)")
 		seed       = flag.Uint64("seed", 1, "search seed")
 		topK       = flag.Int("top", 10, "number of top encounters to report")
 		paramsFile = flag.String("params", "", "ECJ-style parameter file overriding GA/search settings")
-		fitnessCSV = flag.String("fitness-csv", "", "write the Fig. 6 evaluation log as CSV (serial path only)")
-		foundCSV   = flag.String("found-csv", "", "write the top encounters as CSV (serial path only)")
-		baseline   = flag.Bool("baseline", false, "also run the random-search baseline at equal budget (serial path only)")
-		clusters   = flag.Int("clusters", 0, "cluster the high-fitness encounters into K groups (serial path only)")
+		fitnessCSV = flag.String("fitness-csv", "", "write the Fig. 6 evaluation log as CSV")
+		foundCSV   = flag.String("found-csv", "", "write the top encounters as CSV")
+		baseline   = flag.Bool("baseline", false, "also run the random-search baseline at equal budget")
+		clusters   = flag.Int("clusters", 0, "cluster the high-fitness encounters into K groups")
 
-		islandsFlag = flag.Int("islands", 0, "island count: 1 runs the classic serial search, >= 2 the island engine, 0 takes -params' search.islands (default 1)")
-		intruders   = flag.Int("intruders", 0, "island engine: intruders K per evolved encounter (genome length K*9; 0 = spec default, i.e. pairwise)")
-		checkpoint  = flag.String("checkpoint", "", "island engine: checkpoint file written after every generation")
-		resume      = flag.Bool("resume", false, "island engine: resume from -checkpoint instead of starting fresh")
-		seedSweep   = flag.String("seed-from-sweep", "", "island engine: seed initial populations from this sweep JSONL")
-		archiveOut  = flag.String("archive", "", "island engine: write the danger archive as JSONL to this file")
-		migEvery    = flag.Int("migrate-every", 0, "island engine: generations between ring migrations (0 = spec default)")
-		migrants    = flag.Int("migrants", 0, "island engine: elites migrated to the ring successor (0 = spec default)")
-		threshold   = flag.Float64("threshold", -1, "island engine: archive fitness threshold (-1 = spec default)")
-		minDist     = flag.Float64("mindist", -1, "island engine: archive dedup distance in [0, 1] (-1 = spec default)")
-		epWorkers   = flag.Int("episode-workers", 0, "island engine: parallel episode workers per fitness evaluation (0 = NumCPU/islands; results are identical for any count)")
+		islandsFlag = flag.Int("islands", 0, "island count (0 = -params' search.islands, default 1: the paper's single population)")
+		intruders   = flag.Int("intruders", 0, "intruders K per evolved encounter (genome length K*9; 0 = spec default, i.e. pairwise)")
+		checkpoint  = flag.String("checkpoint", "", "checkpoint file written after every generation")
+		resume      = flag.Bool("resume", false, "resume from -checkpoint instead of starting fresh")
+		seedSweep   = flag.String("seed-from-sweep", "", "seed initial populations from this sweep JSONL")
+		archiveOut  = flag.String("archive", "", "write the danger archive as JSONL to this file")
+		migEvery    = flag.Int("migrate-every", 0, "generations between ring migrations (0 = spec default)")
+		migrants    = flag.Int("migrants", 0, "elites migrated to the ring successor (0 = spec default)")
+		threshold   = flag.Float64("threshold", -1, "archive fitness threshold (-1 = spec default)")
+		minDist     = flag.Float64("mindist", -1, "archive dedup distance in [0, 1] (-1 = spec default)")
+		epWorkers   = flag.Int("episode-workers", 0, "parallel episode workers per fitness evaluation (0 = NumCPU/islands; results are identical for any count)")
 
 		faultsFlag   = flag.String("faults", "", "fixed surveillance degradation preset for every evaluation: "+cli.FaultNames()+" (empty = clean)")
-		evolveFaults = flag.Bool("evolve-faults", false, "island engine: co-evolve the degradation profile with the encounter geometry")
-		faultPenalty = flag.Float64("fault-penalty", 0, "island engine: severity parsimony weight subtracted from co-evolved fitness")
+		evolveFaults = flag.Bool("evolve-faults", false, "co-evolve the degradation profile with the encounter geometry")
+		faultPenalty = flag.Float64("fault-penalty", 0, "severity parsimony weight subtracted from co-evolved fitness")
 	)
 	flag.Parse()
 
@@ -105,8 +110,8 @@ func run() error {
 		return fmt.Errorf("-islands %d < 0", *islandsFlag)
 	}
 	set := setFlags()
-	// Out-of-range values for the island-engine tuning flags must error,
-	// not silently fall back to the spec defaults their sentinels encode.
+	// Out-of-range values for the tuning flags must error, not silently
+	// fall back to the spec defaults their sentinels encode.
 	if set["migrate-every"] && *migEvery < 1 {
 		return fmt.Errorf("-migrate-every %d < 1", *migEvery)
 	}
@@ -128,129 +133,74 @@ func run() error {
 	if set["fault-penalty"] && *faultPenalty < 0 {
 		return fmt.Errorf("-fault-penalty %v < 0", *faultPenalty)
 	}
-	// The params file is loaded once here and shared by both paths.
-	var params *config.Params
-	if *paramsFile != "" {
-		loaded, err := config.Load(*paramsFile)
-		if err != nil {
-			return err
-		}
-		params = loaded
-	}
-	// -islands 0 (the default) defers to the -params file's search.islands
-	// key, so a spec file declaring an island search runs as one without
-	// repeating the count on the command line.
-	islands := *islandsFlag
-	if islands == 0 {
-		islands = 1
-		if params != nil {
-			var err error
-			if islands, err = params.IntOr("search.islands", 1); err != nil {
-				return err
-			}
-			if islands < 1 {
-				return fmt.Errorf("%s: search.islands %d < 1", *paramsFile, islands)
-			}
-		}
-	}
-	if islands >= 2 {
-		if err := rejectFlags("requires the serial search (-islands 1)", []flagUse{
-			{"fitness-csv", *fitnessCSV != ""},
-			{"found-csv", *foundCSV != ""},
-			{"baseline", *baseline},
-			{"clusters", *clusters > 0},
-		}); err != nil {
-			return err
-		}
-		return runIslands(islandArgs{
-			tablePath: *tablePath, coarse: *coarse, system: *system,
-			pop: *pop, gens: *gens, sims: *sims, seed: *seed, topK: *topK,
-			params: params, paramsFile: *paramsFile, set: set, islands: islands,
-			intruders:  *intruders,
-			checkpoint: *checkpoint, resume: *resume, seedSweep: *seedSweep,
-			archiveOut: *archiveOut, migEvery: *migEvery, migrants: *migrants,
-			threshold: *threshold, minDist: *minDist, epWorkers: *epWorkers,
-			faults: *faultsFlag, evolveFaults: *evolveFaults, faultPenalty: *faultPenalty,
-		})
-	}
-	if err := rejectFlags("requires the island engine (-islands >= 2)", []flagUse{
-		{"checkpoint", *checkpoint != ""},
-		{"resume", *resume},
-		{"seed-from-sweep", *seedSweep != ""},
-		{"archive", *archiveOut != ""},
-		{"migrate-every", set["migrate-every"]},
-		{"migrants", set["migrants"]},
-		{"threshold", set["threshold"]},
-		{"mindist", set["mindist"]},
-		{"episode-workers", set["episode-workers"]},
-		{"intruders", set["intruders"] && *intruders > 1},
-		{"evolve-faults", *evolveFaults},
-		{"fault-penalty", set["fault-penalty"]},
-	}); err != nil {
-		return err
-	}
-	// The serial path evolves the classic pairwise genome only; a spec file
-	// declaring a K-intruder or fault-co-evolving search must run on the
-	// island engine.
-	if params != nil {
-		k, err := params.IntOr("search.intruders", 0)
-		if err != nil {
-			return err
-		}
-		if k > 1 {
-			return fmt.Errorf("%s: search.intruders %d requires the island engine (-islands >= 2, or a search.islands key)", *paramsFile, k)
-		}
-		evolve, err := params.BoolOr("search.faults.evolve", false)
-		if err != nil {
-			return err
-		}
-		if evolve {
-			return fmt.Errorf("%s: search.faults.evolve requires the island engine (-islands >= 2, or a search.islands key)", *paramsFile)
-		}
-	}
 
-	cfg := core.DefaultSearchConfig()
-	cfg.GA.PopulationSize = *pop
-	cfg.GA.Generations = *gens
-	cfg.GA.Seed = *seed
-	cfg.Fitness.SimsPerEncounter = *sims
-	if params != nil {
-		gaParams, err := ga.FromConfig(params)
+	spec := search.DefaultSpec()
+	islands := 1
+	if *paramsFile != "" {
+		params, err := config.Load(*paramsFile)
 		if err != nil {
 			return err
 		}
-		cfg.GA = gaParams
-		// search.sims means the same per-encounter budget on both paths.
-		if cfg.Fitness.SimsPerEncounter, err = params.IntOr("search.sims", cfg.Fitness.SimsPerEncounter); err != nil {
-			return err
-		}
-		// Explicitly-set flags override the file, same precedence as the
-		// island path.
-		if set["pop"] {
-			cfg.GA.PopulationSize = *pop
-		}
-		if set["gens"] {
-			cfg.GA.Generations = *gens
-		}
-		if set["sims"] {
-			cfg.Fitness.SimsPerEncounter = *sims
-		}
-		if set["seed"] {
-			cfg.GA.Seed = *seed
-		}
-		// A fixed degradation profile from the file applies to the serial
-		// path too; the flag below overrides it.
-		if cfg.Fitness.Run.Faults, err = fault.FromConfig(params, "search.faults."); err != nil {
+		if spec, err = search.FromConfig(params); err != nil {
 			return fmt.Errorf("%s: %w", *paramsFile, err)
 		}
+		if islands, err = params.IntOr("search.islands", 1); err != nil {
+			return err
+		}
+	}
+	if *islandsFlag > 0 {
+		islands = *islandsFlag
+	}
+	spec.Islands = islands
+	// Without a spec file the flags (at their defaults or not) define the
+	// search; with one, only explicitly-set flags override it.
+	if *paramsFile == "" || set["pop"] {
+		spec.GA.PopulationSize = *pop
+	}
+	if *paramsFile == "" || set["gens"] {
+		spec.GA.Generations = *gens
+	}
+	if *paramsFile == "" || set["sims"] {
+		spec.Fitness.SimsPerEncounter = *sims
+	}
+	if *paramsFile == "" || set["seed"] {
+		spec.Seed = *seed
+	}
+	if set["intruders"] {
+		spec.Intruders = *intruders
+	}
+	if set["migrate-every"] {
+		spec.MigrationInterval = *migEvery
+	}
+	if set["migrants"] {
+		spec.MigrationSize = *migrants
+	}
+	if set["threshold"] {
+		spec.ArchiveThreshold = *threshold
+	}
+	if set["mindist"] {
+		spec.ArchiveMinDistance = *minDist
 	}
 	if *faultsFlag != "" {
 		p, err := cli.FaultProfile(*faultsFlag)
 		if err != nil {
 			return err
 		}
-		cfg.Fitness.Run.Faults = p
-		fmt.Printf("degraded surveillance: %s profile on every evaluation\n", *faultsFlag)
+		spec.Fitness.Run.Faults = p
+	}
+	if set["evolve-faults"] {
+		spec.EvolveFaults = *evolveFaults
+	}
+	if set["fault-penalty"] {
+		spec.FaultPenalty = *faultPenalty
+	}
+	if *seedSweep != "" {
+		seeds, err := search.SweepSeedsFile(*seedSweep, spec.Islands*spec.GA.PopulationSize)
+		if err != nil {
+			return err
+		}
+		spec.SeedGenomes = seeds
+		fmt.Printf("seeded %d genomes from %s\n", len(seeds), *seedSweep)
 	}
 
 	table, err := maybeTable(*system, *tablePath, *coarse)
@@ -262,62 +212,101 @@ func run() error {
 		return err
 	}
 
-	fmt.Printf("GA search: system=%s pop=%d gens=%d sims/encounter=%d seed=%d\n",
-		*system, cfg.GA.PopulationSize, cfg.GA.Generations, cfg.Fitness.SimsPerEncounter, cfg.GA.Seed)
+	fmt.Printf("GA search: system=%s islands=%d intruders=%d pop/island=%d gens=%d sims/encounter=%d seed=%d\n",
+		*system, spec.Islands, spec.NumIntruders(), spec.GA.PopulationSize, spec.GA.Generations,
+		spec.Fitness.SimsPerEncounter, spec.Seed)
+	if spec.Islands > 1 {
+		fmt.Printf("ring migration: %d elites every %d generations\n", spec.MigrationSize, spec.MigrationInterval)
+	}
+	if spec.EvolveFaults {
+		fmt.Printf("co-evolving surveillance degradation (severity penalty %g)\n", spec.FaultPenalty)
+	} else if spec.Fitness.Run.Faults.Enabled() {
+		fmt.Printf("degraded surveillance on every evaluation (severity %.2f)\n", spec.Fitness.Run.Faults.Severity())
+	}
 
-	res, err := core.Search(cfg, sysFactory, *topK, func(gs ga.GenerationStats) {
-		fmt.Printf("  generation %d: fitness min %.1f mean %.1f max %.1f\n",
-			gs.Generation, gs.Min, gs.Mean, gs.Max)
+	// SIGINT/SIGTERM interrupt the search at the next evaluation boundary;
+	// the partial result below still reports the best-so-far, flushes the
+	// archive, and points at the checkpoint to resume from.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
+	var log []ga.Evaluation
+	res, err := search.RunContext(ctx, spec, sysFactory, search.Options{
+		CheckpointPath: *checkpoint,
+		Resume:         *resume,
+		EpisodeWorkers: *epWorkers,
+		Observer: func(is search.IslandStats) {
+			log = append(log, is.Evaluations...)
+			label := fmt.Sprintf("  generation %d", is.Stats.Generation)
+			if spec.Islands > 1 {
+				label += fmt.Sprintf(" island %d", is.Island)
+			}
+			fmt.Printf("%s: fitness min %.1f mean %.1f max %.1f\n", label, is.Stats.Min, is.Stats.Mean, is.Stats.Max)
+		},
 	})
 	if err != nil {
+		if res == nil {
+			return err
+		}
+		fmt.Printf("\ninterrupted after %d generations (%d evaluations); best fitness so far %.1f\n",
+			res.GenerationsRun, res.NumEvaluations, res.Best.Fitness)
+		if *checkpoint != "" {
+			fmt.Printf("resume with -resume -checkpoint %s\n", *checkpoint)
+		}
+		if *archiveOut != "" {
+			if aerr := writeArchiveOut(*archiveOut, res, spec.ArchiveThreshold); aerr != nil {
+				return aerr
+			}
+		}
 		return err
 	}
 
-	fmt.Printf("\nsearch time: %v over %d encounter evaluations (paper footnote 5: ~300 s)\n",
-		res.Elapsed.Round(1e7), res.NumEvaluations)
+	if res.Resumed {
+		fmt.Printf("resumed from %s\n", *checkpoint)
+	}
+	// NumEvaluations includes pre-checkpoint work on resumed runs, so
+	// label the wall clock as this invocation's alone.
+	fmt.Printf("\nsearch time: %v this run; %d encounter evaluations total (%d generations; paper footnote 5: ~300 s)\n",
+		res.Elapsed.Round(1e7), res.NumEvaluations, res.GenerationsRun)
+	fmt.Printf("best encounter: island %d generation %d fitness %.1f %s class %s\n",
+		res.Best.Island, res.Best.Generation, res.Best.Fitness,
+		res.Best.Params, res.Best.Geometry.Category)
+	if spec.EvolveFaults {
+		fmt.Printf("best co-evolved degradation: %+v (severity %.2f)\n", res.Best.Fault, res.Best.Fault.Severity())
+	}
 
 	fmt.Println("\nFig. 6 — fitness per encounter over the search:")
-	fmt.Print(viz.RenderFitnessSeries(res.Evaluations, cfg.GA.PopulationSize, 100, 18))
+	fmt.Print(viz.RenderFitnessSeries(log, 100, 18))
 
-	fmt.Printf("\ntop %d challenging encounters:\n%s", len(res.Top), core.ReportTop(res.Top))
-	tally := core.Tally(res.Top)
+	top := core.TopEncounters(spec.Ranges, log, *topK)
+	fmt.Printf("\ntop %d challenging encounters:\n%s", len(top), core.ReportTop(top))
+	tally := core.Tally(top)
 	fmt.Printf("geometry tally: %s\n", tally)
 	fmt.Printf("dominant class: %s (paper: \"most of them are tail approach situations\")\n",
 		tally.Dominant())
+	fmt.Printf("\ndanger archive: %d distinct encounters at fitness >= %.0f\n",
+		res.Archive.Len(), spec.ArchiveThreshold)
 
 	if *fitnessCSV != "" {
-		f, err := os.Create(*fitnessCSV)
-		if err != nil {
-			return err
-		}
-		if err := viz.WriteFitnessCSV(f, res.Evaluations); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(*fitnessCSV, func(w io.Writer) error { return viz.WriteFitnessCSV(w, log) }); err != nil {
 			return err
 		}
 		fmt.Printf("wrote evaluation log to %s\n", *fitnessCSV)
 	}
-
 	if *foundCSV != "" {
-		f, err := os.Create(*foundCSV)
-		if err != nil {
-			return err
-		}
-		if err := core.WriteFound(f, res.Top); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(*foundCSV, func(w io.Writer) error { return core.WriteFound(w, top) }); err != nil {
 			return err
 		}
 		fmt.Printf("wrote top encounters to %s\n", *foundCSV)
 	}
+	if *archiveOut != "" {
+		if err := writeArchiveOut(*archiveOut, res, spec.ArchiveThreshold); err != nil {
+			return err
+		}
+	}
 
 	if *clusters > 0 {
-		cs, err := core.ClusterEvaluations(cfg.Ranges, res.Evaluations, *clusters,
-			res.Best.Fitness/2, cfg.GA.Seed)
+		cs, err := core.ClusterEvaluations(spec.Ranges, log, *clusters, res.Best.Fitness/2, spec.Seed)
 		if err != nil {
 			fmt.Printf("clustering skipped: %v\n", err)
 		} else {
@@ -331,34 +320,16 @@ func run() error {
 
 	if *baseline {
 		fmt.Printf("\nrandom-search baseline (%d evaluations):\n", res.NumEvaluations)
-		rnd, err := core.RandomSearch(cfg, sysFactory, res.NumEvaluations, true)
+		rnd, err := search.RandomSearch(ctx, spec, sysFactory, res.NumEvaluations)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("  GA best fitness:     %.1f\n", res.Best.Fitness)
 		fmt.Printf("  random best fitness: %.1f (in %v)\n", rnd.Best.Fitness, rnd.Elapsed.Round(1e7))
 		threshold := res.Best.Fitness * 0.9
-		gaAt := core.EvaluationsToReach(res.Evaluations, threshold)
-		rndAt := core.EvaluationsToReach(rnd.Evaluations, threshold)
-		fmt.Printf("  evaluations to reach fitness %.0f: GA %s, random %s\n",
-			threshold, fmtEvals(gaAt), fmtEvals(rndAt))
-	}
-	return nil
-}
-
-// flagUse pairs a flag name with whether it was meaningfully set.
-type flagUse struct {
-	name string
-	set  bool
-}
-
-// rejectFlags errors on the first (declaration-ordered, so deterministic)
-// flag that does not apply to the selected search path.
-func rejectFlags(why string, flags []flagUse) error {
-	for _, f := range flags {
-		if f.set {
-			return fmt.Errorf("-%s %s", f.name, why)
-		}
+		fmt.Printf("  evaluations to reach fitness %.0f: GA %s, random %s\n", threshold,
+			fmtEvals(search.EvaluationsToReach(log, threshold)),
+			fmtEvals(search.EvaluationsToReach(rnd.Evaluations, threshold)))
 	}
 	return nil
 }
@@ -370,180 +341,17 @@ func setFlags() map[string]bool {
 	return set
 }
 
-// islandArgs carries the resolved flag values (and the already-loaded
-// params file, when given) into the island-engine path.
-type islandArgs struct {
-	tablePath, system, paramsFile     string
-	params                            *config.Params
-	set                               map[string]bool
-	coarse                            bool
-	pop, gens, sims, topK, islands    int
-	intruders                         int
-	seed                              uint64
-	checkpoint, seedSweep, archiveOut string
-	resume                            bool
-	migEvery, migrants, epWorkers     int
-	threshold, minDist                float64
-	faults                            string
-	evolveFaults                      bool
-	faultPenalty                      float64
-}
-
-// runIslands drives the island-model engine: spec from defaults or -params,
-// explicit flags overriding, optional sweep seeding, checkpoint/resume, and
-// the danger archive written as JSONL.
-func runIslands(a islandArgs) error {
-	spec := search.DefaultSpec()
-	if a.params != nil {
-		loaded, err := search.FromConfig(a.params)
-		if err != nil {
-			return fmt.Errorf("%s: %w", a.paramsFile, err)
-		}
-		spec = loaded
-	}
-	// Without a spec file the flags (at their defaults or not) define the
-	// search; with one, only explicitly-set flags override it.
-	if a.params == nil || a.set["pop"] {
-		spec.GA.PopulationSize = a.pop
-	}
-	if a.params == nil || a.set["gens"] {
-		spec.GA.Generations = a.gens
-	}
-	if a.params == nil || a.set["sims"] {
-		spec.Fitness.SimsPerEncounter = a.sims
-	}
-	if a.params == nil || a.set["seed"] {
-		spec.Seed = a.seed
-	}
-	spec.Islands = a.islands
-	if a.set["intruders"] {
-		spec.Intruders = a.intruders
-	}
-	if a.set["migrate-every"] {
-		spec.MigrationInterval = a.migEvery
-	}
-	if a.set["migrants"] {
-		spec.MigrationSize = a.migrants
-	}
-	if a.set["threshold"] {
-		spec.ArchiveThreshold = a.threshold
-	}
-	if a.set["mindist"] {
-		spec.ArchiveMinDistance = a.minDist
-	}
-	if a.faults != "" {
-		p, err := cli.FaultProfile(a.faults)
-		if err != nil {
-			return err
-		}
-		spec.Fitness.Run.Faults = p
-	}
-	if a.set["evolve-faults"] {
-		spec.EvolveFaults = a.evolveFaults
-	}
-	if a.set["fault-penalty"] {
-		spec.FaultPenalty = a.faultPenalty
-	}
-	if a.seedSweep != "" {
-		seeds, err := search.SweepSeedsFile(a.seedSweep, spec.Islands*spec.GA.PopulationSize)
-		if err != nil {
-			return err
-		}
-		spec.SeedGenomes = seeds
-		fmt.Printf("seeded %d genomes from %s\n", len(seeds), a.seedSweep)
-	}
-
-	table, err := maybeTable(a.system, a.tablePath, a.coarse)
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	sysFactory, err := cli.SystemFactory(a.system, table)
-	if err != nil {
+	if err := write(f); err != nil {
+		f.Close()
 		return err
 	}
-
-	fmt.Printf("island search: system=%s islands=%d intruders=%d pop/island=%d gens=%d sims/encounter=%d seed=%d migration=%d every %d\n",
-		a.system, spec.Islands, spec.NumIntruders(), spec.GA.PopulationSize, spec.GA.Generations,
-		spec.Fitness.SimsPerEncounter, spec.Seed, spec.MigrationSize, spec.MigrationInterval)
-	if spec.EvolveFaults {
-		fmt.Printf("co-evolving surveillance degradation (severity penalty %g)\n", spec.FaultPenalty)
-	} else if spec.Fitness.Run.Faults.Enabled() {
-		fmt.Printf("degraded surveillance on every evaluation (severity %.2f)\n", spec.Fitness.Run.Faults.Severity())
-	}
-
-	// SIGINT/SIGTERM interrupt the search at the next evaluation boundary;
-	// the partial result below still reports the best-so-far, flushes the
-	// archive, and points at the checkpoint to resume from.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	lastGen := -1
-	res, err := search.RunContext(ctx, spec, sysFactory, search.Options{
-		CheckpointPath: a.checkpoint,
-		Resume:         a.resume,
-		EpisodeWorkers: a.epWorkers,
-		Observer: func(is search.IslandStats) {
-			if is.Stats.Generation != lastGen {
-				lastGen = is.Stats.Generation
-				fmt.Printf("  generation %d:\n", lastGen)
-			}
-			fmt.Printf("    island %d: fitness min %.1f mean %.1f max %.1f\n",
-				is.Island, is.Stats.Min, is.Stats.Mean, is.Stats.Max)
-		},
-	})
-	if err != nil {
-		if res == nil {
-			return err
-		}
-		fmt.Printf("\ninterrupted after %d generations (%d evaluations); best fitness so far %.1f\n",
-			res.GenerationsRun, res.NumEvaluations, res.Best.Fitness)
-		if a.checkpoint != "" {
-			fmt.Printf("resume with -resume -checkpoint %s\n", a.checkpoint)
-		}
-		if a.archiveOut != "" {
-			if aerr := writeArchiveOut(a.archiveOut, res, spec.ArchiveThreshold); aerr != nil {
-				return aerr
-			}
-		}
-		return err
-	}
-
-	if res.Resumed {
-		fmt.Printf("resumed from %s\n", a.checkpoint)
-	}
-	// NumEvaluations includes pre-checkpoint work on resumed runs, so
-	// label the wall clock as this invocation's alone.
-	fmt.Printf("\nsearch time: %v this run; %d encounter evaluations total (%d generations)\n",
-		res.Elapsed.Round(1e7), res.NumEvaluations, res.GenerationsRun)
-	fmt.Printf("best encounter: island %d generation %d fitness %.1f %s class %s\n",
-		res.Best.Island, res.Best.Generation, res.Best.Fitness,
-		res.Best.Params, res.Best.Geometry.Category)
-	if spec.EvolveFaults {
-		fmt.Printf("best co-evolved degradation: %+v (severity %.2f)\n", res.Best.Fault, res.Best.Fault.Severity())
-	}
-
-	archived := res.Archive.Len()
-	fmt.Printf("\ndanger archive: %d distinct encounters at fitness >= %.0f\n",
-		archived, spec.ArchiveThreshold)
-	ranked := res.Archive.Entries() // a copy; sorting cannot disturb the archive
-	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].Fitness > ranked[j].Fitness })
-	top := a.topK
-	if top < 0 {
-		top = 0
-	}
-	if top > len(ranked) {
-		top = len(ranked)
-	}
-	for _, e := range ranked[:top] {
-		fmt.Printf("  %s: fitness %.1f P(NMAC) %.2f %s\n", e.Name, e.Fitness, e.PNMAC, e.Geometry)
-	}
-
-	if a.archiveOut != "" {
-		if err := writeArchiveOut(a.archiveOut, res, spec.ArchiveThreshold); err != nil {
-			return err
-		}
-	}
-	return nil
+	return f.Close()
 }
 
 // writeArchiveOut flushes the danger archive as JSONL — after a complete
@@ -557,15 +365,7 @@ func writeArchiveOut(path string, res *search.Result, threshold float64) error {
 			threshold, path)
 		return nil
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := res.Archive.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeFile(path, res.Archive.WriteJSONL); err != nil {
 		return err
 	}
 	fmt.Printf("wrote danger archive to %s (replayable with sweep -extra)\n", path)

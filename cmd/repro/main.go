@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -24,6 +25,7 @@ import (
 	"acasxval/internal/ga"
 	"acasxval/internal/grid2d"
 	"acasxval/internal/montecarlo"
+	"acasxval/internal/search"
 	"acasxval/internal/sim"
 	"acasxval/internal/stats"
 	"acasxval/internal/viz"
@@ -122,61 +124,70 @@ func (h *harness) e1HeadOn() error {
 }
 
 // e2GASearch reproduces Fig. 6: fitness climbing over 5 generations x 200
-// population.
+// population, the paper's single population run as the one-island search.
 func (h *harness) e2GASearch() error {
 	fmt.Println("--- E2 / Fig. 6: GA fitness improvement over generations ---")
-	cfg := core.DefaultSearchConfig()
-	cfg.GA.Seed = h.seed
+	spec := paperSpec(h.seed)
 	if h.quick {
-		cfg.GA.PopulationSize = 40
-		cfg.GA.Generations = 5
-		cfg.Fitness.SimsPerEncounter = 20
+		spec.GA.PopulationSize = 40
+		spec.Fitness.SimsPerEncounter = 20
 	}
 	fmt.Printf("pop=%d gens=%d sims/encounter=%d\n",
-		cfg.GA.PopulationSize, cfg.GA.Generations, cfg.Fitness.SimsPerEncounter)
-	res, err := core.Search(cfg, h.factory, 20, func(gs ga.GenerationStats) {
+		spec.GA.PopulationSize, spec.GA.Generations, spec.Fitness.SimsPerEncounter)
+	var log []ga.Evaluation
+	res, err := search.Run(spec, h.factory, search.Options{Observer: func(is search.IslandStats) {
+		log = append(log, is.Evaluations...)
+		gs := is.Stats
 		fmt.Printf("  generation %d: min %.1f mean %.1f max %.1f\n", gs.Generation, gs.Min, gs.Mean, gs.Max)
-	})
+	}})
 	if err != nil {
 		return err
 	}
-	fmt.Print(viz.RenderFitnessSeries(res.Evaluations, cfg.GA.PopulationSize, 100, 16))
-	first := res.PerGeneration[0]
-	last := res.PerGeneration[len(res.PerGeneration)-1]
-	tally := core.Tally(res.Top)
+	fmt.Print(viz.RenderFitnessSeries(log, 100, 16))
+	history := res.Islands[0]
+	first, last := history[0], history[len(history)-1]
+	tally := core.Tally(core.TopEncounters(spec.Ranges, log, 20))
 	fmt.Printf("paper:    \"in the first generation most encounters are with low fitness, and over generations\n")
 	fmt.Printf("           more and more encounters get higher fitness\"; search took ~300 s (footnote 5)\n")
-	fmt.Printf("measured: gen0 mean %.1f -> final mean %.1f (max %.1f -> %.1f); %d evaluations in %v\n",
-		first.Mean, last.Mean, first.Max, last.Max, res.NumEvaluations, res.Elapsed.Round(10*time.Millisecond))
+	fmt.Printf("measured: gen0 mean %.1f -> final mean %.1f (max %.1f -> %.1f, best %.1f); %d evaluations in %v\n",
+		first.Mean, last.Mean, first.Max, last.Max, res.Best.Fitness, res.NumEvaluations, res.Elapsed.Round(10*time.Millisecond))
 	fmt.Printf("          top-%d geometry: %s; dominant: %s\n\n", tally.Total, tally, tally.Dominant())
 	return nil
+}
+
+// paperSpec is the section VII search: one population of 200 evolved for 5
+// generations, 100 simulations per encounter.
+func paperSpec(seed uint64) search.Spec {
+	spec := search.DefaultSpec()
+	spec.Islands = 1
+	spec.GA.PopulationSize = 200
+	spec.Seed = seed
+	return spec
 }
 
 // e3TailApproach reproduces Figs. 7-8 and the section VII accident-rate
 // contrast.
 func (h *harness) e3TailApproach() error {
 	fmt.Println("--- E3 / Figs. 7-8: tail-approach vs head-on accident rates ---")
-	fit := core.DefaultFitnessConfig()
+	cfg := montecarlo.DefaultConfig()
+	cfg.Samples = 100
 	if h.quick {
-		fit.SimsPerEncounter = 50
+		cfg.Samples = 50
 	}
-	ev, err := core.NewEvaluator(encounter.DefaultRanges(), h.factory, fit)
+	cfg.Seed = h.seed
+	tail, err := montecarlo.Evaluate(montecarlo.PointModel(encounter.PresetTailApproach()), h.factory, cfg)
 	if err != nil {
 		return err
 	}
-	tail, err := ev.EvaluateEncounter(encounter.PresetTailApproach(), h.seed)
-	if err != nil {
-		return err
-	}
-	head, err := ev.EvaluateEncounter(encounter.PresetHeadOn(), h.seed)
+	head, err := montecarlo.Evaluate(montecarlo.PointModel(encounter.PresetHeadOn()), h.factory, cfg)
 	if err != nil {
 		return err
 	}
 	// Render one tail-approach run (a Fig. 7/8 style trajectory).
-	cfg := fit.Run
-	cfg.RecordTrajectory = true
+	run := cfg.Run
+	run.RecordTrajectory = true
 	own, intr := h.factory()
-	res, err := sim.RunEncounter(encounter.PresetTailApproach(), own, intr, cfg, h.seed)
+	res, err := sim.RunEncounter(encounter.PresetTailApproach(), own, intr, run, h.seed)
 	if err != nil {
 		return err
 	}
@@ -189,7 +200,7 @@ func (h *harness) e3TailApproach() error {
 	fmt.Printf("          cause: \"in a tail approach situation the relative speed is very small, so ... the\n")
 	fmt.Printf("          ACAS XU logic still thinks the collision risk is low and does not emit commands\"\n")
 	fmt.Printf("measured: tail approach %d/%d NMACs (alert rate %.2f), head-on %d/%d NMACs (alert rate %.2f)\n\n",
-		tail.NMACCount, tail.Runs, tail.AlertRate, head.NMACCount, head.Runs, head.AlertRate)
+		tail.NMACs, tail.Samples, tail.AlertRate, head.NMACs, head.Samples, head.AlertRate)
 	return nil
 }
 
@@ -243,19 +254,16 @@ func (h *harness) e5ValueIteration() error {
 // e7GAvsRandom reproduces the section V / reference [7] efficiency claim.
 func (h *harness) e7GAvsRandom() error {
 	fmt.Println("--- E7 / section V: GA search vs uniform random search at equal budget ---")
-	cfg := core.DefaultSearchConfig()
-	cfg.GA.Seed = h.seed
-	cfg.GA.PopulationSize = 40
-	cfg.GA.Generations = 5
-	cfg.Fitness.SimsPerEncounter = 20
+	spec := paperSpec(h.seed)
+	spec.GA.PopulationSize = 40
+	spec.Fitness.SimsPerEncounter = 20
 	if h.quick {
-		cfg.GA.PopulationSize = 20
-		cfg.Fitness.SimsPerEncounter = 10
+		spec.GA.PopulationSize = 20
+		spec.Fitness.SimsPerEncounter = 10
 	}
 	const threshold = 9000 // "found a collision case": >= 90% of runs NMAC
 	const seeds = 3
-	cfg.GA.Seed = h.seed
-	cmp, err := core.CompareSearch(cfg, h.factory, seeds, threshold)
+	cmp, err := search.CompareSearch(context.Background(), spec, h.factory, seeds, threshold)
 	if err != nil {
 		return err
 	}
@@ -263,7 +271,7 @@ func (h *harness) e7GAvsRandom() error {
 	gaHits, rndHits := cmp.MedianHits()
 	fmt.Printf("paper:    \"the proposed approach can find some cases that a random-search-based approach\n")
 	fmt.Printf("          took a long time to find\" (shown for SVO in reference [7])\n")
-	fmt.Printf("measured: over %d seeds at %d evaluations each (fitness >= %d = collision case):\n",
+	fmt.Printf("measured: over %d seeds at %d fresh evaluations each (fitness >= %d = collision case):\n",
 		seeds, cmp.Budget, threshold)
 	fmt.Printf("          evaluations to first case: GA median %.0f, random median %.0f\n", gaFirst, rndFirst)
 	fmt.Printf("          collision cases found per budget: GA median %.0f, random median %.0f (%.1fx)\n",
@@ -337,7 +345,7 @@ func (h *harness) e8MonteCarlo() error {
 	if err != nil {
 		return err
 	}
-	equipped, err := montecarlo.Evaluate(model, montecarlo.SystemFactory(h.factory), cfg)
+	equipped, err := montecarlo.Evaluate(model, h.factory, cfg)
 	if err != nil {
 		return err
 	}

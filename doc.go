@@ -24,9 +24,10 @@
 //
 //   - The paper's contribution: a Genetic-Algorithm-based search for
 //     challenging encounter situations where the generated logic performs
-//     poorly (Search), with a uniform random search baseline (RandomSearch)
-//     and a Monte-Carlo risk estimation harness (EstimateRisk) for the
-//     validation path the GA approach complements.
+//     poorly (RunSearch at one island is the paper's single population),
+//     with a uniform random search baseline scored through the same
+//     fitness path (RandomSearch) and a Monte-Carlo risk estimation harness
+//     (EstimateRisk) for the validation path the GA approach complements.
 //
 // On top of both sits the campaign sweep engine, the batch validation
 // answer to the paper's insistence that single-scenario checks are not
@@ -49,8 +50,10 @@
 // byte-identically (SearchOptions), and every encounter crossing the risk
 // threshold lands in a deduplicated danger archive whose JSONL reloads as
 // explicit campaign scenarios (LoadDangerArchive, ArchiveCampaignScenarios)
-// — sweep -> search -> archive -> sweep. cmd/casearch drives the engine
-// with -islands N; examples/adversarial walks the loop end to end.
+// — sweep -> search -> archive -> sweep. The observer's IslandStats carry
+// each generation's fresh evaluations, the log behind Fig. 6. cmd/casearch
+// drives the engine (one island by default, -islands N for more);
+// examples/adversarial walks the loop end to end.
 //
 // Encounters are not limited to the paper's pairwise geometry: every
 // layer accepts one-ownship, K-intruder scenarios (MultiEncounterParams —

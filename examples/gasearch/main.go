@@ -25,27 +25,34 @@ func main() {
 		return acasxval.NewACASXU(table), acasxval.NewACASXU(table)
 	}
 
-	cfg := acasxval.DefaultSearchConfig()
-	// Example scale: the paper's full workload is pop=200, gens=5,
-	// sims=100 (see cmd/casearch).
-	cfg.GA.PopulationSize = 50
-	cfg.GA.Generations = 5
-	cfg.GA.Seed = 3
-	cfg.Fitness.SimsPerEncounter = 30
+	// The paper's GA is the one-island search. Example scale: the paper's
+	// full workload is pop=200, gens=5, sims=100 (see cmd/casearch).
+	spec := acasxval.DefaultSearchSpec()
+	spec.Islands = 1
+	spec.GA.PopulationSize = 50
+	spec.GA.Generations = 5
+	spec.Seed = 3
+	spec.Fitness.SimsPerEncounter = 30
 
-	res, err := acasxval.Search(cfg, factory, 10, func(gs acasxval.GenerationStats) {
-		fmt.Printf("generation %d: fitness min %8.1f mean %8.1f max %8.1f\n",
-			gs.Generation, gs.Min, gs.Mean, gs.Max)
+	var evals []acasxval.Evaluation
+	res, err := acasxval.RunSearch(spec, factory, acasxval.SearchOptions{
+		Observer: func(is acasxval.IslandStats) {
+			evals = append(evals, is.Evaluations...)
+			gs := is.Stats
+			fmt.Printf("generation %d: fitness min %8.1f mean %8.1f max %8.1f\n",
+				gs.Generation, gs.Min, gs.Mean, gs.Max)
+		},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println()
-	fmt.Print(viz.RenderFitnessSeries(res.Evaluations, cfg.GA.PopulationSize, 100, 16))
+	fmt.Print(viz.RenderFitnessSeries(evals, 100, 16))
 
-	fmt.Printf("\ntop discoveries:\n%s", core.ReportTop(res.Top))
-	tally := core.Tally(res.Top)
+	top := core.TopEncounters(spec.Ranges, evals, 10)
+	fmt.Printf("\ntop discoveries:\n%s", core.ReportTop(top))
+	tally := core.Tally(top)
 	fmt.Printf("geometry tally: %s\ndominant class: %s\n", tally, tally.Dominant())
 	fmt.Printf("search: %d evaluations in %v\n", res.NumEvaluations, res.Elapsed.Round(1e7))
 }

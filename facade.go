@@ -1,6 +1,7 @@
 package acasxval
 
 import (
+	"context"
 	"io"
 
 	"acasxval/internal/acasx"
@@ -77,16 +78,10 @@ type (
 	// Evaluation is one recorded fitness evaluation.
 	Evaluation = ga.Evaluation
 
-	// SearchConfig assembles a challenging-situation search.
-	SearchConfig = core.SearchConfig
-	// SearchResult is the outcome of a GA search.
-	SearchResult = core.SearchResult
 	// FitnessConfig parameterizes the paper's fitness function.
 	FitnessConfig = core.FitnessConfig
-	// Found is one discovered encounter.
-	Found = core.Found
 	// SystemFactory builds fresh systems for one evaluation.
-	SystemFactory = core.SystemFactory
+	SystemFactory = montecarlo.SystemFactory
 
 	// EncounterModel is a statistical encounter model for Monte-Carlo
 	// estimation.
@@ -152,6 +147,8 @@ type (
 	SearchOptions = search.Options
 	// IslandSearchResult is the outcome of an island-model search.
 	IslandSearchResult = search.Result
+	// RandomSearchResult is the outcome of the uniform random baseline.
+	RandomSearchResult = search.RandomResult
 	// IslandStats is one island's per-generation progress report.
 	IslandStats = search.IslandStats
 	// DangerArchive is the deduplicated store of discovered dangerous
@@ -247,11 +244,12 @@ func DefaultSVOConfig() SVOConfig { return svo.DefaultConfig() }
 // It is stateless, so one value can equip any number of aircraft.
 func NoAvoidance() System { return sim.NoSystem{} }
 
-// Unequipped returns systems for aircraft with no collision avoidance.
+// Unequipped is the SystemFactory for aircraft with no collision
+// avoidance.
 //
 // Deprecated: use NoAvoidance (one stateless value equips any aircraft) or
 // NewSystem(SystemContext{}, SystemSpec{Name: "none"}).
-func Unequipped() (System, System) { return sim.NoSystem{}, sim.NoSystem{} }
+var Unequipped = montecarlo.Unequipped
 
 // DefaultRunConfig returns the paper-style simulation configuration.
 func DefaultRunConfig() RunConfig { return sim.DefaultRunConfig() }
@@ -349,25 +347,6 @@ func Classify(p EncounterParams) Geometry { return encounter.Classify(p) }
 // initial closure) pairwise geometry.
 func ClassifyMulti(m MultiEncounterParams) Geometry { return encounter.ClassifyMulti(m) }
 
-// DefaultSearchConfig reproduces the paper's section VII search settings
-// (population 200, 5 generations, 100 simulations per encounter).
-func DefaultSearchConfig() SearchConfig { return core.DefaultSearchConfig() }
-
-// Search runs the GA-based challenging-situation search; the observer (may
-// be nil) receives per-generation progress.
-func Search(cfg SearchConfig, factory SystemFactory, topK int, obs func(GenerationStats)) (*SearchResult, error) {
-	var gaObs ga.Observer
-	if obs != nil {
-		gaObs = ga.Observer(obs)
-	}
-	return core.Search(cfg, factory, topK, gaObs)
-}
-
-// RandomSearch runs the uniform random baseline over n encounters.
-func RandomSearch(cfg SearchConfig, factory SystemFactory, n int, record bool) (*core.RandomSearchResult, error) {
-	return core.RandomSearch(cfg, factory, n, record)
-}
-
 // DefaultEncounterModel returns the parametric UAV airspace model used for
 // Monte-Carlo estimation.
 func DefaultEncounterModel() EncounterModel { return montecarlo.DefaultEncounterModel() }
@@ -386,7 +365,7 @@ func PointEncounterModel(p EncounterParams) EncounterModel { return montecarlo.P
 // random streams derive counter-style from (cfg.Seed, episode index), so
 // the estimate is bit-identical for any worker count.
 func EstimateRisk(model EncounterModel, factory SystemFactory, cfg MonteCarloConfig) (*RiskEstimate, error) {
-	return montecarlo.Evaluate(model, montecarlo.SystemFactory(factory), cfg)
+	return montecarlo.Evaluate(model, factory, cfg)
 }
 
 // DefaultMultiEncounterModel returns k independent copies of the default
@@ -400,7 +379,7 @@ func DefaultMultiEncounterModel(k int) MultiEncounterModel {
 // pairwise conflicts in one closed-loop world. A single-intruder model
 // produces the exact estimate of EstimateRisk.
 func EstimateMultiRisk(model MultiEncounterModel, factory SystemFactory, cfg MonteCarloConfig) (*RiskEstimate, error) {
-	return montecarlo.EvaluateMulti(model, montecarlo.SystemFactory(factory), cfg)
+	return montecarlo.EvaluateMulti(model, factory, cfg)
 }
 
 // RiskRatio is P(NMAC | equipped) / P(NMAC | unequipped).
@@ -433,13 +412,13 @@ func ArchiveProposalKernels(entries []DangerArchiveEntry) ([][]float64, error) {
 // size and the measured variance-reduction factor against a brute-force run
 // of the same episode budget, and are bit-identical for any worker count.
 func EstimateRareRisk(model EncounterModel, factory SystemFactory, cfg MonteCarloConfig, spec RareEventSpec) (*RiskEstimate, error) {
-	return montecarlo.EstimateRare(model, montecarlo.SystemFactory(factory), cfg, spec)
+	return montecarlo.EstimateRare(model, factory, cfg, spec)
 }
 
 // EstimateMultiRareRisk is EstimateRareRisk against a K-intruder encounter
 // model.
 func EstimateMultiRareRisk(model MultiEncounterModel, factory SystemFactory, cfg MonteCarloConfig, spec RareEventSpec) (*RiskEstimate, error) {
-	return montecarlo.EstimateRareMulti(model, montecarlo.SystemFactory(factory), cfg, spec)
+	return montecarlo.EstimateRareMulti(model, factory, cfg, spec)
 }
 
 // DefaultCampaignSpec returns a campaign skeleton: every named preset
@@ -483,7 +462,14 @@ func LoadSearchSpec(path string) (SearchSpec, error) { return search.Load(path) 
 // opts.CheckpointPath is set — the state checkpoints after every generation
 // so a killed run resumes bit-identically (opts.Resume).
 func RunSearch(spec SearchSpec, factory SystemFactory, opts SearchOptions) (*IslandSearchResult, error) {
-	return search.Run(spec, core.SystemFactory(factory), opts)
+	return search.Run(spec, factory, opts)
+}
+
+// RandomSearch is the uniform random baseline of the search: n genomes
+// drawn from spec's full genome bounds on a stream salted from spec.Seed,
+// each scored through the same fitness path as RunSearch.
+func RandomSearch(ctx context.Context, spec SearchSpec, factory SystemFactory, n int) (*RandomSearchResult, error) {
+	return search.RandomSearch(ctx, spec, factory, n)
 }
 
 // LoadDangerArchive reads a danger-archive JSONL file written by a search.

@@ -87,24 +87,29 @@ func TestTableSaveLoadThroughFacade(t *testing.T) {
 }
 
 // TestEndToEndSearchFindsTailApproaches is the integration version of the
-// paper's section VII experiment at reduced scale: the GA search against
-// the equipped system should surface high-fitness encounters, and the
-// fitness should climb across generations.
+// paper's section VII experiment at reduced scale: the one-island GA search
+// against the equipped system should surface high-fitness encounters, and
+// the fitness should climb across generations.
 func TestEndToEndSearchFindsTailApproaches(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end search is slow")
 	}
-	cfg := DefaultSearchConfig()
-	cfg.GA.PopulationSize = 30
-	cfg.GA.Generations = 4
-	cfg.GA.Seed = 20
-	cfg.Fitness.SimsPerEncounter = 10
-	res, err := Search(cfg, facadeFactory(t), 10, nil)
+	spec := DefaultSearchSpec()
+	spec.Islands = 1
+	spec.GA.PopulationSize = 30
+	spec.GA.Generations = 4
+	spec.Seed = 20
+	spec.Fitness.SimsPerEncounter = 10
+	var evals []Evaluation
+	res, err := RunSearch(spec, facadeFactory(t), SearchOptions{Observer: func(is IslandStats) {
+		evals = append(evals, is.Evaluations...)
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := res.PerGeneration[0]
-	last := res.PerGeneration[len(res.PerGeneration)-1]
+	history := res.Islands[0]
+	first := history[0]
+	last := history[len(history)-1]
 	if last.Mean <= first.Mean {
 		t.Errorf("fitness did not climb: gen0 mean %v, final mean %v", first.Mean, last.Mean)
 	}
@@ -114,7 +119,7 @@ func TestEndToEndSearchFindsTailApproaches(t *testing.T) {
 	// Among the top discoveries, tail approaches dominate (the paper's
 	// "most of them are tail approach situations"). The remainder are
 	// high-vertical-rate convergences, the other genuine weak spot.
-	tally := core.Tally(res.Top)
+	tally := core.Tally(core.TopEncounters(spec.Ranges, evals, 10))
 	if tally.Dominant() != encounter.TailApproach {
 		t.Errorf("dominant discovered class = %v (%s), want tail-approach",
 			tally.Dominant(), tally)

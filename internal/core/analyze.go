@@ -11,6 +11,52 @@ import (
 	"acasxval/internal/stats"
 )
 
+// Found is one discovered encounter with its evaluation.
+type Found struct {
+	Params  encounter.Params
+	Fitness float64
+	// Geometry classifies the encounter (head-on / tail approach /
+	// crossing), the analysis step of section VII.
+	Geometry encounter.Geometry
+	// Generation and Index locate the discovery in the search.
+	Generation int
+	Index      int
+}
+
+// TopEncounters decodes and ranks the k highest-fitness evaluations of a
+// search log. A genome longer than one pairwise block (a K-intruder or
+// fault-co-evolving search) is reported by its first block: the ownship
+// against its first intruder.
+func TopEncounters(ranges encounter.Ranges, evals []ga.Evaluation, k int) []Found {
+	if k <= 0 || len(evals) == 0 {
+		return nil
+	}
+	sorted := append([]ga.Evaluation(nil), evals...)
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Fitness > sorted[j].Fitness })
+	if k > len(sorted) {
+		k = len(sorted)
+	}
+	out := make([]Found, 0, k)
+	for _, e := range sorted[:k] {
+		if len(e.Genome) < encounter.NumParams {
+			continue
+		}
+		p, err := encounter.FromVector(e.Genome[:encounter.NumParams])
+		if err != nil {
+			continue
+		}
+		p = ranges.Clamp(p)
+		out = append(out, Found{
+			Params:     p,
+			Fitness:    e.Fitness,
+			Geometry:   encounter.Classify(p),
+			Generation: e.Generation,
+			Index:      e.Index,
+		})
+	}
+	return out
+}
+
 // CategoryTally counts discovered encounters by geometry class — the
 // analysis that revealed "most of them are tail approach situations"
 // (section VII).
@@ -78,15 +124,16 @@ type Cluster struct {
 
 // ClusterEvaluations groups high-fitness evaluations into k clusters with
 // k-means over range-normalized genomes (Lloyd's algorithm, deterministic
-// under the seed). Evaluations below minFitness are ignored.
+// under the seed). Evaluations below minFitness are ignored; longer genomes
+// cluster on their first pairwise block, as in TopEncounters.
 func ClusterEvaluations(ranges encounter.Ranges, evals []ga.Evaluation, k int, minFitness float64, seed uint64) ([]Cluster, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: k %d < 1", k)
 	}
 	lo, hi := ranges.Bounds()
 	normalize := func(g []float64) []float64 {
-		n := make([]float64, len(g))
-		for i := range g {
+		n := make([]float64, len(lo))
+		for i := range n {
 			w := hi[i] - lo[i]
 			if w <= 0 {
 				continue
@@ -98,7 +145,7 @@ func ClusterEvaluations(ranges encounter.Ranges, evals []ga.Evaluation, k int, m
 	var points [][]float64
 	var fitness []float64
 	for _, e := range evals {
-		if e.Fitness < minFitness || len(e.Genome) != len(lo) {
+		if e.Fitness < minFitness || len(e.Genome) < len(lo) {
 			continue
 		}
 		points = append(points, normalize(e.Genome))

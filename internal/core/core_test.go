@@ -2,42 +2,11 @@ package core
 
 import (
 	"math"
-	"sync"
 	"testing"
 
-	"acasxval/internal/acasx"
 	"acasxval/internal/encounter"
 	"acasxval/internal/ga"
-	"acasxval/internal/sim"
 )
-
-var (
-	tableOnce sync.Once
-	testTable *acasx.Table
-	tableErr  error
-)
-
-func acasFactory(tb testing.TB) SystemFactory {
-	tb.Helper()
-	tableOnce.Do(func() {
-		cfg := acasx.DefaultConfig()
-		cfg.Workers = 8
-		testTable, tableErr = acasx.BuildTable(cfg)
-	})
-	if tableErr != nil {
-		tb.Fatal(tableErr)
-	}
-	return func() (sim.System, sim.System) {
-		return sim.NewACASXU(testTable), sim.NewACASXU(testTable)
-	}
-}
-
-// quickFitness keeps unit tests fast: few sims per encounter.
-func quickFitness() FitnessConfig {
-	cfg := DefaultFitnessConfig()
-	cfg.SimsPerEncounter = 8
-	return cfg
-}
 
 func TestFitnessConfigValidation(t *testing.T) {
 	if err := DefaultFitnessConfig().Validate(); err != nil {
@@ -60,208 +29,26 @@ func TestFitnessConfigValidation(t *testing.T) {
 	}
 }
 
-func TestNewEvaluatorValidation(t *testing.T) {
-	if _, err := NewEvaluator(encounter.DefaultRanges(), nil, quickFitness()); err == nil {
-		t.Error("nil factory accepted")
-	}
-	badRanges := encounter.DefaultRanges()
-	badRanges.TimeToCPA = encounter.Range{Min: 5, Max: 1}
-	if _, err := NewEvaluator(badRanges, Unequipped, quickFitness()); err == nil {
-		t.Error("bad ranges accepted")
-	}
-	bad := quickFitness()
-	bad.SimsPerEncounter = -1
-	if _, err := NewEvaluator(encounter.DefaultRanges(), Unequipped, bad); err == nil {
-		t.Error("bad fitness config accepted")
-	}
-}
-
-// TestUnequippedHeadOnFitnessNearMax: without avoidance the head-on preset
-// collides in (almost) every run, so the fitness approaches the collision
-// gain.
-func TestUnequippedHeadOnFitnessNearMax(t *testing.T) {
-	ev, err := NewEvaluator(encounter.DefaultRanges(), Unequipped, quickFitness())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := ev.EvaluateEncounter(encounter.PresetHeadOn(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.NMACCount < out.Runs-1 {
-		t.Errorf("unequipped head-on NMACs: %d/%d", out.NMACCount, out.Runs)
-	}
-	if out.Fitness < 9000 {
-		t.Errorf("fitness = %v, want ~10000", out.Fitness)
-	}
-	if out.AlertRate != 0 {
-		t.Errorf("unequipped aircraft alerted (rate %v)", out.AlertRate)
-	}
-}
-
-// TestEquippedFitnessMuchLower: the working system drives the fitness far
-// down on the same encounter — the signal the GA climbs against.
-func TestEquippedFitnessMuchLower(t *testing.T) {
-	factory := acasFactory(t)
-	ev, err := NewEvaluator(encounter.DefaultRanges(), factory, quickFitness())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := ev.EvaluateEncounter(encounter.PresetHeadOn(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.NMACCount != 0 {
-		t.Errorf("equipped head-on NMACs: %d/%d", out.NMACCount, out.Runs)
-	}
-	if out.Fitness > 500 {
-		t.Errorf("equipped fitness = %v, want small", out.Fitness)
-	}
-	if out.AlertRate == 0 {
-		t.Error("equipped system never alerted")
-	}
-	if out.NMACRate() != 0 {
-		t.Error("NMACRate inconsistent")
-	}
-}
-
-// TestTailApproachBeatsHeadOnFitness reproduces the paper's core finding at
-// unit-test scale: the tail-approach preset scores (much) higher fitness
-// against the equipped system than the head-on preset.
-func TestTailApproachBeatsHeadOnFitness(t *testing.T) {
-	factory := acasFactory(t)
-	cfg := quickFitness()
-	cfg.SimsPerEncounter = 20
-	ev, err := NewEvaluator(encounter.DefaultRanges(), factory, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	headOn, err := ev.EvaluateEncounter(encounter.PresetHeadOn(), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tail, err := ev.EvaluateEncounter(encounter.PresetTailApproach(), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tail.Fitness <= headOn.Fitness {
-		t.Errorf("tail fitness %v <= head-on fitness %v", tail.Fitness, headOn.Fitness)
-	}
-	if tail.NMACRate() <= headOn.NMACRate() {
-		t.Errorf("tail NMAC rate %v <= head-on %v", tail.NMACRate(), headOn.NMACRate())
-	}
-}
-
-func TestEvaluateDeterministicPerSeed(t *testing.T) {
-	ev, err := NewEvaluator(encounter.DefaultRanges(), Unequipped, quickFitness())
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := encounter.PresetCrossing().Vector()
-	ctx := ga.EvalContext{Seed: 77}
-	a := ev.Evaluate(g, ctx)
-	b := ev.Evaluate(g, ctx)
-	if a != b {
-		t.Errorf("same seed, different fitness: %v vs %v", a, b)
-	}
-}
-
-func TestEvaluateBadGenome(t *testing.T) {
-	ev, err := NewEvaluator(encounter.DefaultRanges(), Unequipped, quickFitness())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ev.Evaluate([]float64{1, 2}, ga.EvalContext{}); got != 0 {
-		t.Errorf("bad genome fitness = %v, want 0", got)
-	}
-}
-
-// TestSearchPipeline runs a miniature end-to-end GA search against the
-// unequipped baseline (cheap and guaranteed to find collisions) and checks
-// the structure of the result.
-func TestSearchPipeline(t *testing.T) {
-	cfg := DefaultSearchConfig()
-	cfg.GA.PopulationSize = 10
-	cfg.GA.Generations = 3
-	cfg.GA.Seed = 42
-	cfg.Fitness.SimsPerEncounter = 4
-	var gens []int
-	res, err := Search(cfg, Unequipped, 5, func(gs ga.GenerationStats) {
-		gens = append(gens, gs.Generation)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NumEvaluations != 30 {
-		t.Errorf("evaluations = %d, want 30", res.NumEvaluations)
-	}
-	if len(res.PerGeneration) != 3 {
-		t.Errorf("per-generation stats = %d, want 3", len(res.PerGeneration))
-	}
-	if len(res.Top) != 5 {
-		t.Errorf("top list = %d, want 5", len(res.Top))
-	}
-	// Top list is sorted descending.
-	for i := 1; i < len(res.Top); i++ {
-		if res.Top[i].Fitness > res.Top[i-1].Fitness {
-			t.Fatal("top list not sorted")
-		}
-	}
-	if res.Best.Fitness != res.Top[0].Fitness {
-		t.Error("best does not match top of list")
-	}
-	if len(gens) != 3 {
-		t.Errorf("observer called %d times", len(gens))
-	}
-	if res.Elapsed <= 0 {
-		t.Error("elapsed not recorded")
-	}
-	// Against unequipped aircraft the search space is full of collisions:
-	// the best must be near the maximum gain.
-	if res.Best.Fitness < 5000 {
-		t.Errorf("best fitness %v suspiciously low for unequipped search", res.Best.Fitness)
-	}
-}
-
-func TestRandomSearch(t *testing.T) {
-	cfg := DefaultSearchConfig()
-	cfg.GA.Seed = 7
-	cfg.Fitness.SimsPerEncounter = 4
-	res, err := RandomSearch(cfg, Unequipped, 12, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NumEvaluations != 12 || len(res.Evaluations) != 12 {
-		t.Errorf("evaluations = %d/%d, want 12", res.NumEvaluations, len(res.Evaluations))
-	}
-	if res.Best.Fitness <= 0 {
-		t.Errorf("best fitness = %v", res.Best.Fitness)
-	}
-	if _, err := RandomSearch(cfg, Unequipped, 0, false); err == nil {
-		t.Error("n=0 accepted")
-	}
-	// Unrecorded mode keeps no log.
-	res2, err := RandomSearch(cfg, Unequipped, 3, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Evaluations != nil {
-		t.Error("unrecorded search kept a log")
-	}
-}
-
-func TestEvaluationsToReach(t *testing.T) {
+// TestTopEncounters: the top list is sorted by decreasing fitness, keeps
+// provenance, reports a longer genome by its first pairwise block, and
+// skips genomes too short to decode.
+func TestTopEncounters(t *testing.T) {
+	head := encounter.PresetHeadOn().Vector()
+	tail := encounter.PresetTailApproach().Vector()
 	evals := []ga.Evaluation{
-		{Fitness: 10}, {Fitness: 50}, {Fitness: 200}, {Fitness: 100},
+		{Generation: 0, Index: 0, Genome: head, Fitness: 10},
+		{Generation: 1, Index: 3, Genome: append(append([]float64(nil), tail...), head...), Fitness: 900},
+		{Generation: 1, Index: 4, Genome: []float64{1, 2}, Fitness: 5000},
 	}
-	if got := EvaluationsToReach(evals, 100); got != 3 {
-		t.Errorf("EvaluationsToReach = %d, want 3", got)
+	top := TopEncounters(encounter.DefaultRanges(), evals, 3)
+	if len(top) != 2 || top[0].Fitness != 900 || top[1].Fitness != 10 {
+		t.Fatalf("top list = %+v, want the fitness-900 then fitness-10 evaluations", top)
 	}
-	if got := EvaluationsToReach(evals, 1e9); got != -1 {
-		t.Errorf("unreachable threshold = %d, want -1", got)
+	if top[0].Generation != 1 || top[0].Index != 3 || top[0].Params != encounter.PresetTailApproach() {
+		t.Errorf("top[0] = %+v, want generation 1 index 3 decoded to its first block", top[0])
 	}
-	if got := EvaluationsToReach(nil, 0); got != -1 {
-		t.Errorf("empty log = %d, want -1", got)
+	if got := TopEncounters(encounter.DefaultRanges(), evals, 0); got != nil {
+		t.Errorf("k=0 top list = %v, want nil", got)
 	}
 }
 

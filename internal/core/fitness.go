@@ -1,40 +1,24 @@
-// Package core implements the paper's contribution: a Genetic-Algorithm-
-// based approach to efficiently searching the space of two-UAV encounters
-// for challenging situations where a collision avoidance system behaves
-// poorly (section V-VII).
+// Package core holds the paper's contribution shared by every search path:
+// the fitness of an encounter and the analysis of what a search found
+// (section V-VII).
 //
-// Encounters are encoded as 9-gene genomes (internal/encounter); each
-// genome is evaluated by running a batch of stochastic closed-loop
-// simulations, and the paper's fitness
+// Encounters are encoded as 9-gene genomes (internal/encounter); the GA
+// (internal/search) scores each genome by running a batch of stochastic
+// closed-loop simulations, and the paper's fitness
 //
 //	fitness = (1/K) * sum_k 10000 / (1 + d_k)
 //
 // (d_k the minimum separation of run k; a mid-air collision gives the
-// maximum gain 10000) steers the GA toward encounters the system cannot
-// resolve. A uniform random search over the same space is provided as the
-// baseline the approach was compared against in the authors' earlier study
-// (reference [7]).
+// maximum gain 10000) steers the search toward encounters the system cannot
+// resolve. The helpers here rank, classify, cluster and persist the
+// evaluations such a search logs.
 package core
 
 import (
 	"fmt"
-	"sync"
 
-	"acasxval/internal/encounter"
-	"acasxval/internal/ga"
 	"acasxval/internal/sim"
-	"acasxval/internal/stats"
 )
-
-// SystemFactory builds fresh collision avoidance systems for the two
-// aircraft of one simulation. Factories are called per evaluation (possibly
-// concurrently), so the returned systems need not be shareable.
-type SystemFactory func() (own, intruder sim.System)
-
-// Unequipped is the factory for aircraft with no collision avoidance.
-func Unequipped() (own, intruder sim.System) {
-	return sim.NoSystem{}, sim.NoSystem{}
-}
 
 // FitnessConfig parameterizes the paper's fitness function.
 type FitnessConfig struct {
@@ -66,115 +50,4 @@ func (c FitnessConfig) Validate() error {
 		return fmt.Errorf("core: CollisionGain %v <= 0", c.CollisionGain)
 	}
 	return c.Run.Validate()
-}
-
-// EncounterOutcome aggregates the K simulations of one encounter.
-type EncounterOutcome struct {
-	// Fitness is the paper's fitness value.
-	Fitness float64
-	// NMACCount is how many of the K runs ended in a mid-air collision.
-	NMACCount int
-	// Runs is K.
-	Runs int
-	// MeanMinSeparation averages the per-run minimum separations.
-	MeanMinSeparation float64
-	// AlertRate is the fraction of runs in which either aircraft alerted.
-	AlertRate float64
-}
-
-// NMACRate returns NMACCount/Runs.
-func (o EncounterOutcome) NMACRate() float64 {
-	if o.Runs == 0 {
-		return 0
-	}
-	return float64(o.NMACCount) / float64(o.Runs)
-}
-
-// Evaluator computes the paper's fitness for encounter genomes. It
-// implements ga.Evaluator and is safe for concurrent use (each evaluation
-// creates its own systems via the factory and borrows a reusable
-// simulation world from an internal pool).
-type Evaluator struct {
-	ranges  encounter.Ranges
-	factory SystemFactory
-	cfg     FitnessConfig
-	// runners pools reusable simulation worlds so the K simulations of an
-	// encounter — and successive encounters — run allocation-free. Runner
-	// state is fully reset per run, so pooling cannot leak one episode
-	// into the next.
-	runners sync.Pool
-}
-
-var _ ga.Evaluator = (*Evaluator)(nil)
-
-// NewEvaluator builds a fitness evaluator.
-func NewEvaluator(ranges encounter.Ranges, factory SystemFactory, cfg FitnessConfig) (*Evaluator, error) {
-	if err := ranges.Validate(); err != nil {
-		return nil, err
-	}
-	if factory == nil {
-		return nil, fmt.Errorf("core: nil system factory")
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &Evaluator{ranges: ranges, factory: factory, cfg: cfg}, nil
-}
-
-// EvaluateEncounter runs the K stochastic simulations of one encounter and
-// aggregates the outcome. Run k uses a seed derived from seed and k, so an
-// encounter's evaluation is reproducible.
-func (e *Evaluator) EvaluateEncounter(p encounter.Params, seed uint64) (EncounterOutcome, error) {
-	runner, _ := e.runners.Get().(*sim.Runner)
-	if runner == nil {
-		r, err := sim.NewRunner(e.cfg.Run)
-		if err != nil {
-			return EncounterOutcome{}, err
-		}
-		runner = r
-	}
-	defer e.runners.Put(runner)
-	own, intr := e.factory()
-	out := EncounterOutcome{Runs: e.cfg.SimsPerEncounter}
-	var sep stats.Accumulator
-	total := 0.0
-	alerted := 0
-	for k := 0; k < e.cfg.SimsPerEncounter; k++ {
-		res, err := runner.Run(p, own, intr, stats.DeriveSeed(seed, k))
-		if err != nil {
-			return EncounterOutcome{}, err
-		}
-		d := res.MinSeparation
-		if res.NMAC {
-			// A mid-air collision gains the full collision value: d_k = 0.
-			d = 0
-			out.NMACCount++
-		}
-		total += e.cfg.CollisionGain / (1 + d)
-		sep.Add(res.MinSeparation)
-		if res.Alerted() {
-			alerted++
-		}
-	}
-	out.Fitness = total / float64(e.cfg.SimsPerEncounter)
-	out.MeanMinSeparation = sep.Mean()
-	out.AlertRate = float64(alerted) / float64(e.cfg.SimsPerEncounter)
-	return out, nil
-}
-
-// Evaluate implements ga.Evaluator: decode the genome (clamping into the
-// search ranges), run the batch, return the fitness. Simulation errors
-// cannot occur for validated configurations; if one does, the genome is
-// scored with fitness 0 so a single bad decode cannot halt a long search.
-func (e *Evaluator) Evaluate(genome []float64, ctx ga.EvalContext) float64 {
-	p, err := encounter.FromVector(genome)
-	if err != nil {
-		return 0
-	}
-	p = e.ranges.Clamp(p)
-	out, err := e.EvaluateEncounter(p, ctx.Seed)
-	if err != nil {
-		return 0
-	}
-	return out.Fitness
 }

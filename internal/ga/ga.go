@@ -3,38 +3,13 @@ package ga
 import (
 	"fmt"
 	"math/rand/v2"
-	"runtime"
-	"sync"
 
 	"acasxval/internal/config"
 	"acasxval/internal/stats"
 )
 
-// EvalContext identifies one fitness evaluation. The seed is derived
-// deterministically from (run seed, generation, index), so a run is
-// reproducible regardless of evaluation parallelism, and stochastic fitness
-// functions (the paper's averages over 100 noisy simulations) stay
-// comparable.
-type EvalContext struct {
-	Generation int
-	Index      int
-	Seed       uint64
-}
-
-// Evaluator computes the fitness of a genome (higher is fitter). It must be
-// safe for concurrent use: evaluations run on a worker pool.
-type Evaluator interface {
-	Evaluate(genome []float64, ctx EvalContext) float64
-}
-
-// EvaluatorFunc adapts a function to the Evaluator interface.
-type EvaluatorFunc func(genome []float64, ctx EvalContext) float64
-
-// Evaluate implements Evaluator.
-func (f EvaluatorFunc) Evaluate(genome []float64, ctx EvalContext) float64 { return f(genome, ctx) }
-
-// Params configures a GA run (the knobs ECJ exposes through its parameter
-// files).
+// Params configures the evolutionary operators (the knobs ECJ exposes
+// through its parameter files).
 type Params struct {
 	// PopulationSize is the number of individuals per generation
 	// (paper: 200).
@@ -57,13 +32,6 @@ type Params struct {
 	// Elites is the number of best individuals copied unchanged into the
 	// next generation.
 	Elites int
-	// Parallelism bounds concurrent fitness evaluations (0 = NumCPU).
-	Parallelism int
-	// Seed makes the run deterministic.
-	Seed uint64
-	// RecordEvaluations retains every (generation, index, genome, fitness)
-	// tuple in the result — the series Fig. 6 plots.
-	RecordEvaluations bool
 }
 
 // DefaultParams returns the paper's search settings: population 200
@@ -79,8 +47,6 @@ func DefaultParams() Params {
 		MutationProb:      0.15,
 		MutationSigmaFrac: 0.1,
 		Elites:            2,
-		Seed:              1,
-		RecordEvaluations: true,
 	}
 }
 
@@ -113,7 +79,7 @@ func (p Params) Validate() error {
 // FromConfig reads Params from an ECJ-style parameter set. Recognized keys
 // (all optional, defaults from DefaultParams): pop.size, generations,
 // select, select.tournament.size, crossover, crossover.prob, mutation.prob,
-// mutation.sigma, elites, parallelism, seed.
+// mutation.sigma, elites.
 func FromConfig(c *config.Params) (Params, error) {
 	p := DefaultParams()
 	var err error
@@ -148,14 +114,6 @@ func FromConfig(c *config.Params) (Params, error) {
 	if p.Elites, err = c.IntOr("elites", p.Elites); err != nil {
 		return p, err
 	}
-	if p.Parallelism, err = c.IntOr("parallelism", p.Parallelism); err != nil {
-		return p, err
-	}
-	seed, err := c.IntOr("seed", int(p.Seed))
-	if err != nil {
-		return p, err
-	}
-	p.Seed = uint64(seed)
 	return p, p.Validate()
 }
 
@@ -177,126 +135,9 @@ type GenerationStats struct {
 	Best Individual
 }
 
-// Result is the outcome of a GA run.
-type Result struct {
-	// Best is the fittest individual seen across all generations.
-	Best Individual
-	// PerGeneration holds one stats record per generation.
-	PerGeneration []GenerationStats
-	// Evaluations is the full evaluation log in evaluation order when
-	// Params.RecordEvaluations is set.
-	Evaluations []Evaluation
-	// NumEvaluations counts fitness evaluations performed.
-	NumEvaluations int
-}
-
-// Observer receives per-generation progress callbacks. It runs on the
-// search goroutine; keep it fast.
-type Observer func(GenerationStats)
-
-// Run executes the generational GA: initialize uniformly inside bounds,
-// evaluate (in parallel), then repeat select -> crossover -> mutate ->
-// (elitism) -> evaluate for the configured number of generations.
-func Run(ev Evaluator, bounds Bounds, p Params, obs Observer) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if bounds.Len() == 0 {
-		return nil, fmt.Errorf("ga: empty bounds")
-	}
-	rng := stats.NewRNG(p.Seed)
-	pop := make(Population, p.PopulationSize)
-	for i := range pop {
-		pop[i] = Individual{Genome: bounds.Random(rng)}
-	}
-
-	res := &Result{}
-	for gen := 0; gen < p.Generations; gen++ {
-		evaluatePopulation(ev, pop, gen, p, res)
-
-		gs := summarize(pop, gen)
-		res.PerGeneration = append(res.PerGeneration, gs)
-		if !res.Best.Evaluated || gs.Best.Fitness > res.Best.Fitness {
-			res.Best = gs.Best.Clone()
-			res.Best.Evaluated = true
-		}
-		if obs != nil {
-			obs(gs)
-		}
-		if gen == p.Generations-1 {
-			break
-		}
-		pop = nextGeneration(pop, bounds, p, rng)
-	}
-	return res, nil
-}
-
-// evaluatePopulation evaluates all unevaluated individuals on a worker
-// pool; results are deterministic because each slot's seed depends only on
-// (run seed, generation, slot).
-func evaluatePopulation(ev Evaluator, pop Population, gen int, p Params, res *Result) {
-	workers := p.Parallelism
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(pop) {
-		workers = len(pop)
-	}
-	var wg sync.WaitGroup
-	idxCh := make(chan int)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range idxCh {
-				ctx := EvalContext{
-					Generation: gen,
-					Index:      i,
-					Seed:       stats.DeriveSeed(p.Seed, gen*p.PopulationSize+i),
-				}
-				pop[i].Fitness = ev.Evaluate(pop[i].Genome, ctx)
-				pop[i].Evaluated = true
-			}
-		}()
-	}
-	for i := range pop {
-		if !pop[i].Evaluated {
-			idxCh <- i
-		}
-	}
-	close(idxCh)
-	wg.Wait()
-
-	for i := range pop {
-		res.NumEvaluations++
-		if p.RecordEvaluations {
-			res.Evaluations = append(res.Evaluations, Evaluation{
-				Generation: gen,
-				Index:      i,
-				Genome:     append([]float64(nil), pop[i].Genome...),
-				Fitness:    pop[i].Fitness,
-			})
-		}
-	}
-}
-
 // Summarize computes the per-generation statistics of an evaluated
-// population. Exported for engines that drive their own generational loop
-// (the island-model search) but want Run-identical reporting.
+// population.
 func Summarize(pop Population, gen int) GenerationStats {
-	return summarize(pop, gen)
-}
-
-// Breed produces the successor population from an evaluated one using the
-// configured operators: elites survive unchanged (keeping their fitness),
-// the rest come from selection + crossover + mutation and are marked
-// unevaluated. The input population is not modified. Exported for engines
-// that drive their own generational loop.
-func Breed(pop Population, bounds Bounds, p Params, rng *rand.Rand) Population {
-	return nextGeneration(pop, bounds, p, rng)
-}
-
-func summarize(pop Population, gen int) GenerationStats {
 	gs := GenerationStats{Generation: gen}
 	var acc stats.Accumulator
 	best := pop.Best()
@@ -312,9 +153,11 @@ func summarize(pop Population, gen int) GenerationStats {
 	return gs
 }
 
-// nextGeneration breeds the successor population: elites survive
-// unchanged, the rest come from selection + crossover + mutation.
-func nextGeneration(pop Population, bounds Bounds, p Params, rng *rand.Rand) Population {
+// Breed produces the successor population from an evaluated one using the
+// configured operators: elites survive unchanged (keeping their fitness),
+// the rest come from selection + crossover + mutation and are marked
+// unevaluated. The input population is not modified.
+func Breed(pop Population, bounds Bounds, p Params, rng *rand.Rand) Population {
 	next := make(Population, 0, len(pop))
 
 	// Elitism: copy the top-k individuals.

@@ -9,8 +9,8 @@ import (
 )
 
 // sphere is a classic easy maximization target: peak 0 at the center c.
-func sphere(center []float64) EvaluatorFunc {
-	return func(g []float64, _ EvalContext) float64 {
+func sphere(center []float64) func([]float64) float64 {
+	return func(g []float64) float64 {
 		s := 0.0
 		for i := range g {
 			d := g[i] - center[i]
@@ -18,6 +18,31 @@ func sphere(center []float64) EvaluatorFunc {
 		}
 		return -s
 	}
+}
+
+// run evolves a population for p.Generations from the exported operators
+// the search engine drives (Breed, Summarize) and returns the per-generation
+// statistics and the final population.
+func run(fitness func([]float64) float64, b Bounds, p Params, seed uint64) ([]GenerationStats, Population) {
+	rng := stats.NewRNG(seed)
+	pop := make(Population, p.PopulationSize)
+	for i := range pop {
+		pop[i] = Individual{Genome: b.Random(rng)}
+	}
+	var history []GenerationStats
+	for gen := 0; gen < p.Generations; gen++ {
+		for i := range pop {
+			if !pop[i].Evaluated {
+				pop[i].Fitness = fitness(pop[i].Genome)
+				pop[i].Evaluated = true
+			}
+		}
+		history = append(history, Summarize(pop, gen))
+		if gen < p.Generations-1 {
+			pop = Breed(pop, b, p, rng)
+		}
+	}
+	return history, pop
 }
 
 func testBounds(t *testing.T, dims int) Bounds {
@@ -111,48 +136,19 @@ func TestRunOptimizesSphere(t *testing.T) {
 	p := DefaultParams()
 	p.PopulationSize = 60
 	p.Generations = 40
-	p.Seed = 11
-	p.RecordEvaluations = false
-	res, err := Run(sphere(center), b, p, nil)
-	if err != nil {
-		t.Fatal(err)
+	history, _ := run(sphere(center), b, p, 11)
+	best := history[0].Best
+	for _, gs := range history {
+		if gs.Best.Fitness > best.Fitness {
+			best = gs.Best
+		}
 	}
-	if res.Best.Fitness < -1.0 {
-		t.Errorf("GA failed to approach optimum: best fitness %v", res.Best.Fitness)
+	if best.Fitness < -1.0 {
+		t.Errorf("GA failed to approach optimum: best fitness %v", best.Fitness)
 	}
 	for i := range center {
-		if math.Abs(res.Best.Genome[i]-center[i]) > 1.0 {
-			t.Errorf("gene %d = %v, want ~%v", i, res.Best.Genome[i], center[i])
-		}
-	}
-	if res.NumEvaluations != 60*40 {
-		t.Errorf("evaluations = %d, want %d", res.NumEvaluations, 60*40)
-	}
-}
-
-func TestRunDeterministicAcrossParallelism(t *testing.T) {
-	b := testBounds(t, 4)
-	ev := sphere([]float64{1, 2, 3, 4})
-	mk := func(par int) *Result {
-		p := DefaultParams()
-		p.PopulationSize = 30
-		p.Generations = 10
-		p.Seed = 5
-		p.Parallelism = par
-		res, err := Run(ev, b, p, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	serial := mk(1)
-	parallel := mk(8)
-	if serial.Best.Fitness != parallel.Best.Fitness {
-		t.Errorf("parallelism changed the result: %v vs %v", serial.Best.Fitness, parallel.Best.Fitness)
-	}
-	for g := range serial.PerGeneration {
-		if serial.PerGeneration[g].Mean != parallel.PerGeneration[g].Mean {
-			t.Fatalf("generation %d means differ", g)
+		if math.Abs(best.Genome[i]-center[i]) > 1.0 {
+			t.Errorf("gene %d = %v, want ~%v", i, best.Genome[i], center[i])
 		}
 	}
 }
@@ -163,13 +159,9 @@ func TestRunFitnessImprovesOverGenerations(t *testing.T) {
 	p := DefaultParams()
 	p.PopulationSize = 50
 	p.Generations = 15
-	p.Seed = 3
-	res, err := Run(sphere(make([]float64, 6)), b, p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := res.PerGeneration[0]
-	last := res.PerGeneration[len(res.PerGeneration)-1]
+	history, _ := run(sphere(make([]float64, 6)), b, p, 3)
+	first := history[0]
+	last := history[len(history)-1]
 	if last.Mean <= first.Mean {
 		t.Errorf("mean fitness did not improve: %v -> %v", first.Mean, last.Mean)
 	}
@@ -184,60 +176,15 @@ func TestElitismPreservesBest(t *testing.T) {
 	p.PopulationSize = 20
 	p.Generations = 12
 	p.Elites = 2
-	p.Seed = 9
-	res, err := Run(sphere([]float64{0, 0, 0}), b, p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	history, _ := run(sphere([]float64{0, 0, 0}), b, p, 9)
 	// With elitism and a deterministic fitness, the per-generation best
 	// must be non-decreasing.
 	prev := math.Inf(-1)
-	for _, gs := range res.PerGeneration {
+	for _, gs := range history {
 		if gs.Max < prev-1e-9 {
 			t.Fatalf("best fitness dropped from %v to %v at generation %d", prev, gs.Max, gs.Generation)
 		}
 		prev = gs.Max
-	}
-}
-
-func TestEvaluationLog(t *testing.T) {
-	b := testBounds(t, 2)
-	p := DefaultParams()
-	p.PopulationSize = 10
-	p.Generations = 3
-	p.RecordEvaluations = true
-	res, err := Run(sphere([]float64{0, 0}), b, p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Evaluations) != 30 {
-		t.Fatalf("evaluation log has %d entries, want 30", len(res.Evaluations))
-	}
-	for i, e := range res.Evaluations {
-		wantGen := i / 10
-		if e.Generation != wantGen {
-			t.Fatalf("entry %d generation = %d, want %d", i, e.Generation, wantGen)
-		}
-		if len(e.Genome) != 2 {
-			t.Fatal("genome not recorded")
-		}
-	}
-}
-
-func TestObserverCallback(t *testing.T) {
-	b := testBounds(t, 2)
-	p := DefaultParams()
-	p.PopulationSize = 8
-	p.Generations = 4
-	var gens []int
-	_, err := Run(sphere([]float64{0, 0}), b, p, func(gs GenerationStats) {
-		gens = append(gens, gs.Generation)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gens) != 4 || gens[0] != 0 || gens[3] != 3 {
-		t.Errorf("observer generations = %v", gens)
 	}
 }
 
@@ -417,7 +364,6 @@ crossover.prob = 0.8
 mutation.prob = 0.2
 mutation.sigma = 0.05
 elites = 3
-seed = 123
 `)
 	if err != nil {
 		t.Fatal(err)
@@ -428,7 +374,7 @@ seed = 123
 	}
 	if p.PopulationSize != 40 || p.Generations != 7 || p.Selection != Roulette ||
 		p.Crossover != Blend || p.CrossoverProb != 0.8 || p.MutationProb != 0.2 ||
-		p.MutationSigmaFrac != 0.05 || p.Elites != 3 || p.Seed != 123 {
+		p.MutationSigmaFrac != 0.05 || p.Elites != 3 {
 		t.Errorf("parsed params = %+v", p)
 	}
 }
@@ -448,45 +394,6 @@ func TestFromConfigErrors(t *testing.T) {
 	}
 }
 
-func TestRunErrors(t *testing.T) {
-	p := DefaultParams()
-	p.PopulationSize = 0
-	if _, err := Run(sphere([]float64{0}), Bounds{}, p, nil); err == nil {
-		t.Error("invalid params accepted")
-	}
-	p = DefaultParams()
-	if _, err := Run(sphere([]float64{0}), Bounds{}, p, nil); err == nil {
-		t.Error("empty bounds accepted")
-	}
-}
-
-// TestStochasticFitness exercises the noisy-fitness path the paper relies
-// on: the evaluation seed must differ between slots but be stable for a
-// given slot.
-func TestStochasticFitnessSeeds(t *testing.T) {
-	b := testBounds(t, 2)
-	seen := make(map[uint64]bool)
-	var mu chan struct{} = make(chan struct{}, 1)
-	mu <- struct{}{}
-	ev := EvaluatorFunc(func(g []float64, ctx EvalContext) float64 {
-		<-mu
-		seen[ctx.Seed] = true
-		mu <- struct{}{}
-		return 0
-	})
-	p := DefaultParams()
-	p.PopulationSize = 10
-	p.Generations = 2
-	if _, err := Run(ev, b, p, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Elites carry their fitness over, so at most 20 and at least 18
-	// distinct seeds.
-	if len(seen) < 18 {
-		t.Errorf("only %d distinct evaluation seeds", len(seen))
-	}
-}
-
 func BenchmarkGAGeneration(b *testing.B) {
 	bounds, err := NewBounds(make([]float64, 9), []float64{1, 1, 1, 1, 1, 1, 1, 1, 1})
 	if err != nil {
@@ -495,12 +402,9 @@ func BenchmarkGAGeneration(b *testing.B) {
 	p := DefaultParams()
 	p.PopulationSize = 50
 	p.Generations = 5
-	p.RecordEvaluations = false
-	ev := sphere(make([]float64, 9))
+	fitness := sphere(make([]float64, 9))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(ev, bounds, p, nil); err != nil {
-			b.Fatal(err)
-		}
+		run(fitness, bounds, p, 1)
 	}
 }

@@ -1,7 +1,8 @@
 // Package ga is a real-vector genetic algorithm framework filling the role
 // ECJ plays in the paper's tool chain: population-based evolutionary search
 // with configurable selection, crossover, mutation and elitism, driven by a
-// parameter file, with parallel fitness evaluation.
+// parameter file. The generational loop that evaluates and breeds
+// populations with these operators is internal/search.
 //
 // "GAs are population-based evolutionary search methods ... the initial
 // population is set up with n individuals ... each individual of the
@@ -109,13 +110,4 @@ func (p Population) Best() int {
 		}
 	}
 	return best
-}
-
-// Clone deep-copies the population.
-func (p Population) Clone() Population {
-	out := make(Population, len(p))
-	for i := range p {
-		out[i] = p[i].Clone()
-	}
-	return out
 }

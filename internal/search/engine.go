@@ -31,6 +31,11 @@ type IslandStats struct {
 	Island int
 	// Stats are the island's generation statistics.
 	Stats ga.GenerationStats
+	// Evaluations are the island's fresh evaluations of this generation in
+	// index order (the Fig. 6 points). Elites and migrants carried over
+	// without a new simulation are not repeated, so the reports of a fresh
+	// run append to a log of exactly Result.NumEvaluations entries.
+	Evaluations []ga.Evaluation
 }
 
 // Observer receives per-generation progress, islands in order. It runs on
@@ -115,7 +120,8 @@ type island struct {
 
 // engine holds the mutable search state between generations.
 type engine struct {
-	spec Spec
+	spec    Spec
+	factory montecarlo.SystemFactory
 	// bounds spans the full genome (geometry blocks plus, when the spec
 	// co-evolves faults, the fault-gene tail); geomLen is the length of
 	// the geometry prefix.
@@ -132,8 +138,9 @@ type engine struct {
 // opts.CheckpointPath; otherwise it initializes fresh populations (injecting
 // spec.SeedGenomes round-robin when present). The search is deterministic:
 // identical (spec, resume point) produce identical results and archives,
-// regardless of island scheduling.
-func Run(spec Spec, factory core.SystemFactory, opts Options) (*Result, error) {
+// regardless of island scheduling. One island is the paper's single
+// population GA.
+func Run(spec Spec, factory montecarlo.SystemFactory, opts Options) (*Result, error) {
 	return RunContext(context.Background(), spec, factory, opts)
 }
 
@@ -144,43 +151,11 @@ func Run(spec Spec, factory core.SystemFactory, opts Options) (*Result, error) {
 // from the last checkpoint (which only ever records completed
 // generations). Callers distinguish interruption (non-nil result and
 // error) from failure (nil result).
-func RunContext(ctx context.Context, spec Spec, factory core.SystemFactory, opts Options) (*Result, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if factory == nil {
-		return nil, fmt.Errorf("search: nil system factory")
-	}
-	lo, hi := spec.Ranges.MultiBounds(spec.NumIntruders())
-	// The archive's dedup distance is always over the geometry bounds:
-	// entry Params stay geometry-only vectors even when the genome grows
-	// a fault-gene tail, so archives from clean and co-evolving searches
-	// measure with the same yardstick.
-	geomBounds, err := ga.NewBounds(lo, hi)
+func RunContext(ctx context.Context, spec Spec, factory montecarlo.SystemFactory, opts Options) (*Result, error) {
+	e, err := newEngine(spec, factory, opts.EpisodeWorkers)
 	if err != nil {
 		return nil, err
 	}
-	bounds := geomBounds
-	if spec.EvolveFaults {
-		flo, fhi := fault.GeneBounds()
-		bounds, err = ga.NewBounds(append(append([]float64(nil), lo...), flo...),
-			append(append([]float64(nil), hi...), fhi...))
-		if err != nil {
-			return nil, err
-		}
-	}
-	// The islands are the primary parallelism; when they cannot fill the
-	// hardware, each fitness evaluation additionally fans its episodes over
-	// the idle cores (worker-count invariant, so determinism is unaffected).
-	epw := opts.EpisodeWorkers
-	if epw <= 0 {
-		epw = runtime.NumCPU() / spec.Islands
-		if epw < 1 {
-			epw = 1
-		}
-	}
-	e := &engine{spec: spec, bounds: bounds, geomLen: spec.geomLen(), episodeWorkers: epw}
-	e.archive = NewArchive(spec.ArchiveThreshold, spec.ArchiveMinDistance, geomBounds)
 
 	start := time.Now()
 	resumed := false
@@ -214,7 +189,7 @@ func RunContext(ctx context.Context, spec Spec, factory core.SystemFactory, opts
 			interrupted = err
 			break
 		}
-		if err := e.step(ctx, gen, factory, opts); err != nil {
+		if err := e.step(ctx, gen, opts); err != nil {
 			// A cancellation mid-step leaves the engine consistent at the
 			// last completed generation: histories, archive and evaluation
 			// counts merge only at the post-evaluation barrier, which a
@@ -243,6 +218,44 @@ func RunContext(ctx context.Context, spec Spec, factory core.SystemFactory, opts
 		return nil, err
 	}
 	return res, interrupted
+}
+
+// newEngine validates the spec and sizes the genome bounds: K geometry
+// blocks, plus the fault-gene tail when the spec co-evolves faults.
+func newEngine(spec Spec, factory montecarlo.SystemFactory, episodeWorkers int) (*engine, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	if factory == nil {
+		return nil, fmt.Errorf("search: nil system factory")
+	}
+	lo, hi := spec.Ranges.MultiBounds(spec.NumIntruders())
+	// The archive's dedup distance is always over the geometry bounds:
+	// entry Params stay geometry-only vectors even when the genome grows
+	// a fault-gene tail, so archives from clean and co-evolving searches
+	// measure with the same yardstick.
+	geomBounds, err := ga.NewBounds(lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	bounds := geomBounds
+	if spec.EvolveFaults {
+		flo, fhi := fault.GeneBounds()
+		bounds, err = ga.NewBounds(append(append([]float64(nil), lo...), flo...),
+			append(append([]float64(nil), hi...), fhi...))
+		if err != nil {
+			return nil, err
+		}
+	}
+	// The islands are the primary parallelism; when they cannot fill the
+	// hardware, each fitness evaluation additionally fans its episodes over
+	// the idle cores (worker-count invariant, so determinism is unaffected).
+	if episodeWorkers <= 0 {
+		episodeWorkers = max(runtime.NumCPU()/spec.Islands, 1)
+	}
+	e := &engine{spec: spec, factory: factory, bounds: bounds, geomLen: spec.geomLen(), episodeWorkers: episodeWorkers}
+	e.archive = NewArchive(spec.ArchiveThreshold, spec.ArchiveMinDistance, geomBounds)
+	return e, nil
 }
 
 // initialize builds the generation-0 populations: uniform random genomes
@@ -290,25 +303,21 @@ func (e *engine) initialize() {
 // step runs one lockstep generation: parallel island evaluation, a
 // deterministic barrier (stats, archive, observer), then — unless this was
 // the final generation — ring migration, breeding, and checkpointing.
-func (e *engine) step(ctx context.Context, gen int, factory core.SystemFactory, opts Options) error {
+func (e *engine) step(ctx context.Context, gen int, opts Options) error {
 	n := len(e.islands)
-	errs := make([]error, n)
-	// Archive candidates are collected per island during the parallel
-	// phase and merged in island order at the barrier.
-	cands := make([][]ArchiveEntry, n)
-	counts := make([]int, n)
+	outs := make([]islandOutput, n)
 	var wg sync.WaitGroup
 	wg.Add(n)
 	for i := 0; i < n; i++ {
 		go func(isl *island) {
 			defer wg.Done()
-			cands[isl.id], counts[isl.id], errs[isl.id] = e.evaluateIsland(ctx, isl, gen, factory)
+			outs[isl.id] = e.evaluateIsland(ctx, isl, gen, opts.Observer != nil)
 		}(e.islands[i])
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	for _, out := range outs {
+		if out.err != nil {
+			return out.err
 		}
 	}
 
@@ -318,12 +327,12 @@ func (e *engine) step(ctx context.Context, gen int, factory core.SystemFactory, 
 	for _, isl := range e.islands {
 		gs := ga.Summarize(isl.pop, gen)
 		isl.history = append(isl.history, gs)
-		for _, entry := range cands[isl.id] {
+		for _, entry := range outs[isl.id].cands {
 			e.archive.Add(entry)
 		}
-		e.evals += counts[isl.id]
+		e.evals += outs[isl.id].evals
 		if opts.Observer != nil {
-			opts.Observer(IslandStats{Island: isl.id, Stats: gs})
+			opts.Observer(IslandStats{Island: isl.id, Stats: gs, Evaluations: outs[isl.id].log})
 		}
 	}
 	e.nextGen = gen + 1
@@ -347,75 +356,103 @@ func (e *engine) step(ctx context.Context, gen int, factory core.SystemFactory, 
 	return nil
 }
 
+// islandOutput is one island's evaluation phase, merged at the barrier.
+type islandOutput struct {
+	// cands are the archive candidates and log the fresh evaluations
+	// (recorded only for an observer), both in index order.
+	cands []ArchiveEntry
+	log   []ga.Evaluation
+	evals int
+	err   error
+}
+
 // evaluateIsland scores the island's unevaluated individuals in index
 // order on the island goroutine, each score fanning its Monte-Carlo
-// episodes over the engine's episode workers; archive candidates collect
-// in index order. Per-individual seeds depend only on (island seed,
-// generation, index) and estimates are worker-count invariant, so results
-// are independent of scheduling at both levels.
-func (e *engine) evaluateIsland(ctx context.Context, isl *island, gen int, factory core.SystemFactory) ([]ArchiveEntry, int, error) {
-	var cands []ArchiveEntry
-	evals := 0
+// episodes over the engine's episode workers. Per-individual seeds depend
+// only on (island seed, generation, index) and estimates are worker-count
+// invariant, so results are independent of scheduling at both levels.
+func (e *engine) evaluateIsland(ctx context.Context, isl *island, gen int, record bool) islandOutput {
+	var out islandOutput
 	popSize := e.spec.GA.PopulationSize
 	for i := range isl.pop {
 		if isl.pop[i].Evaluated {
 			continue
 		}
-		evals++
-		seed := stats.DeriveSeed(isl.seed, gen*popSize+i)
-		genome := isl.pop[i].Genome
-		m, err := encounter.MultiFromVector(genome[:e.geomLen])
+		out.evals++
+		s, err := e.score(ctx, isl.pop[i].Genome, stats.DeriveSeed(isl.seed, gen*popSize+i), &isl.scratch)
 		if err != nil {
-			// A corrupt genome scores zero instead of halting a long
-			// search (mirrors core.Evaluator.Evaluate).
-			isl.pop[i].Fitness = 0
-			isl.pop[i].Evaluated = true
-			continue
+			return islandOutput{err: err}
 		}
-		m = e.spec.Ranges.ClampMulti(m)
-		fit := e.spec.Fitness
-		var fp fault.Profile
-		var faultGenes []float64
-		if e.spec.EvolveFaults {
-			// The co-evolved profile replaces any fixed one. Breeding
-			// clamps the tail into fault.GeneBounds, whose whole box
-			// decodes to valid profiles; a corrupt checkpoint tail scores
-			// zero like a corrupt geometry.
-			fp = fault.FromGenes(genome[e.geomLen:])
-			if fp.Validate() != nil {
-				isl.pop[i].Fitness = 0
-				isl.pop[i].Evaluated = true
-				continue
-			}
-			fit.Run.Faults = fp
-			faultGenes = fault.Genes(fp)
-		}
-		fitness, est, err := evaluateEncounter(ctx, m, seed, fit, factory, e.episodeWorkers, &isl.scratch)
-		if err != nil {
-			return nil, 0, err
-		}
-		if e.spec.EvolveFaults {
-			// Parsimony: prefer the mildest degradation that still breaks
-			// the system.
-			fitness -= e.spec.FaultPenalty * fp.Severity()
-		}
-		isl.pop[i].Fitness = fitness
+		isl.pop[i].Fitness = s.fitness
 		isl.pop[i].Evaluated = true
-		if fitness >= e.spec.ArchiveThreshold {
-			cands = append(cands, ArchiveEntry{
-				Fitness:    fitness,
-				PNMAC:      est.PNMAC,
-				MeanMinSep: est.MeanMinSeparation,
-				Geometry:   encounter.ClassifyMulti(m).Category.String(),
+		if record {
+			genome := append([]float64(nil), isl.pop[i].Genome...)
+			out.log = append(out.log, ga.Evaluation{Generation: gen, Index: i, Genome: genome, Fitness: s.fitness})
+		}
+		if s.est != nil && s.fitness >= e.spec.ArchiveThreshold {
+			var faultGenes []float64
+			if e.spec.EvolveFaults {
+				faultGenes = fault.Genes(s.fault)
+			}
+			out.cands = append(out.cands, ArchiveEntry{
+				Fitness:    s.fitness,
+				PNMAC:      s.est.PNMAC,
+				MeanMinSep: s.est.MeanMinSeparation,
+				Geometry:   encounter.ClassifyMulti(s.params).Category.String(),
 				Island:     isl.id,
 				Generation: gen,
 				Index:      i,
-				Params:     m.Vector(),
+				Params:     s.params.Vector(),
 				Fault:      faultGenes,
 			})
 		}
 	}
-	return cands, evals, nil
+	return out
+}
+
+// scored is one genome's evaluation.
+type scored struct {
+	fitness float64
+	// params is the decoded geometry, clamped into the ranges; fault the
+	// co-evolved degradation profile (zero unless the spec evolves faults).
+	params encounter.MultiParams
+	fault  fault.Profile
+	// est is the Monte-Carlo estimate behind the fitness, nil when the
+	// genome did not decode and scored zero without a simulation.
+	est *montecarlo.Estimate
+}
+
+// score is the one fitness path of the GA and the random baseline: decode
+// the genome, run its Monte-Carlo batch, apply the fault parsimony term. A
+// corrupt genome scores zero instead of halting a long search.
+func (e *engine) score(ctx context.Context, genome []float64, seed uint64, scratch *montecarlo.Scratch) (scored, error) {
+	m, err := encounter.MultiFromVector(genome[:e.geomLen])
+	if err != nil {
+		return scored{}, nil
+	}
+	s := scored{params: e.spec.Ranges.ClampMulti(m)}
+	fit := e.spec.Fitness
+	if e.spec.EvolveFaults {
+		// The co-evolved profile replaces any fixed one. Breeding clamps
+		// the tail into fault.GeneBounds, whose whole box decodes to valid
+		// profiles; a corrupt checkpoint tail scores zero like a corrupt
+		// geometry.
+		s.fault = fault.FromGenes(genome[e.geomLen:])
+		if s.fault.Validate() != nil {
+			return scored{}, nil
+		}
+		fit.Run.Faults = s.fault
+	}
+	s.fitness, s.est, err = evaluateEncounter(ctx, s.params, seed, fit, e.factory, e.episodeWorkers, scratch)
+	if err != nil {
+		return scored{}, err
+	}
+	if e.spec.EvolveFaults {
+		// Parsimony: prefer the mildest degradation that still breaks the
+		// system.
+		s.fitness -= e.spec.FaultPenalty * s.fault.Severity()
+	}
+	return s, nil
 }
 
 // evaluateEncounter scores one encounter through the Monte-Carlo harness:
@@ -423,14 +460,14 @@ func (e *engine) evaluateIsland(ctx context.Context, isl *island, gen int, facto
 // seed-derived stochastic dynamics and sensor noise, scored by the paper's
 // fitness = gain * mean(1 / (1 + d_k)). episodeWorkers is the per-batch
 // episode parallelism layered on top of the island goroutines.
-func evaluateEncounter(ctx context.Context, m encounter.MultiParams, seed uint64, fit core.FitnessConfig, factory core.SystemFactory, episodeWorkers int, scratch *montecarlo.Scratch) (float64, *montecarlo.Estimate, error) {
+func evaluateEncounter(ctx context.Context, m encounter.MultiParams, seed uint64, fit core.FitnessConfig, factory montecarlo.SystemFactory, episodeWorkers int, scratch *montecarlo.Scratch) (float64, *montecarlo.Estimate, error) {
 	cfg := montecarlo.Config{
 		Samples:     fit.SimsPerEncounter,
 		Run:         fit.Run,
 		Seed:        seed,
 		Parallelism: episodeWorkers,
 	}
-	est, err := montecarlo.EvaluateMultiWithScratchContext(ctx, montecarlo.MultiPointModel(m), montecarlo.SystemFactory(factory), cfg, scratch)
+	est, err := montecarlo.EvaluateMultiWithScratchContext(ctx, montecarlo.MultiPointModel(m), factory, cfg, scratch)
 	if err != nil {
 		return 0, nil, err
 	}

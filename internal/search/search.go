@@ -9,9 +9,11 @@
 //     on a dedicated goroutine (per-island seeds derive from the run seed
 //     the same way the campaign engine derives per-cell seeds), exchanging
 //     their best individuals via ring migration every K generations.
-//     Fitness evaluation reuses montecarlo.EvaluateWithScratch with a
-//     per-island scratch, so each genome is scored by the same Monte-Carlo
-//     harness the validation campaigns use.
+//     Fitness evaluation reuses montecarlo.EvaluateMultiWithScratchContext
+//     with a per-island scratch, so each genome is scored by the same
+//     Monte-Carlo harness the validation campaigns use. One island is the
+//     paper's single-population GA; RandomSearch and CompareSearch score
+//     the uniform random baseline through the same fitness path.
 //
 //   - Checkpoint/resume: after every completed generation the full search
 //     state (populations, generation counters, archive) serializes to a
@@ -67,9 +69,7 @@ type Spec struct {
 	// classic pairwise search, bit for bit.
 	Intruders int
 	// GA configures each island's evolutionary loop. PopulationSize is
-	// per island; Generations is the shared generation budget. The Seed
-	// and Parallelism fields are ignored — Spec.Seed drives all random
-	// streams and the island is the unit of parallelism.
+	// per island; Generations is the shared generation budget.
 	GA ga.Params
 	// Fitness configures the per-encounter Monte-Carlo batch (the paper's
 	// 100 stochastic simulations averaged into one fitness value). Its
@@ -118,7 +118,6 @@ type Spec struct {
 func DefaultSpec() Spec {
 	gaParams := ga.DefaultParams()
 	gaParams.PopulationSize = 50
-	gaParams.RecordEvaluations = false
 	return Spec{
 		Name:               "search",
 		Islands:            4,
@@ -216,6 +215,7 @@ func (s Spec) Validate() error {
 // keys are those of ga.FromConfig (pop.size is the per-island population);
 // the search-specific keys (defaults from DefaultSpec):
 //
+//	seed                      the run seed every random stream derives from
 //	search.name
 //	search.islands
 //	search.intruders          intruder count K per evolved encounter
@@ -236,13 +236,15 @@ func (s Spec) Validate() error {
 //	                          fitness
 func FromConfig(c *config.Params) (Spec, error) {
 	s := DefaultSpec()
-	gaParams, err := ga.FromConfig(c)
+	var err error
+	if s.GA, err = ga.FromConfig(c); err != nil {
+		return s, err
+	}
+	seed, err := c.IntOr("seed", int(s.Seed))
 	if err != nil {
 		return s, err
 	}
-	gaParams.RecordEvaluations = false
-	s.GA = gaParams
-	s.Seed = gaParams.Seed
+	s.Seed = uint64(seed)
 	s.Name = c.StringOr("search.name", s.Name)
 	if s.Islands, err = c.IntOr("search.islands", s.Islands); err != nil {
 		return s, err

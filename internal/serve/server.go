@@ -11,7 +11,6 @@ import (
 
 	"acasxval/internal/campaign"
 	"acasxval/internal/config"
-	"acasxval/internal/core"
 	"acasxval/internal/durable"
 	"acasxval/internal/montecarlo"
 	"acasxval/internal/search"
@@ -490,7 +489,7 @@ func (s *Server) runSearch(ctx context.Context, j *job) (string, string) {
 	var res *search.Result
 	sup := &Supervisor{Workers: 1, Policy: s.cfg.Policy, Clock: s.cfg.Clock, Seed: spec.Seed, Drain: s.drain}
 	reports, _ := sup.Run(ctx, 1, func(ctx context.Context, _, _ int) error {
-		r, rerr := search.RunContext(ctx, spec, core.SystemFactory(factory), opts)
+		r, rerr := search.RunContext(ctx, spec, factory, opts)
 		if rerr != nil {
 			return rerr
 		}

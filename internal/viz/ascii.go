@@ -160,10 +160,10 @@ func RenderTrajectories(traj []sim.TrajectoryPoint, plane Plane, width, height i
 }
 
 // RenderFitnessSeries draws the Fig. 6 scatter as ASCII: evaluation index
-// on the horizontal axis, fitness on the vertical, with generation
-// boundaries marked. Points from later generations visibly climb when the
-// GA is guiding the search.
-func RenderFitnessSeries(evals []ga.Evaluation, perGen int, width, height int) string {
+// on the horizontal axis, fitness on the vertical, with a boundary marked
+// wherever Evaluation.Generation changes. Points from later generations
+// visibly climb when the GA is guiding the search.
+func RenderFitnessSeries(evals []ga.Evaluation, width, height int) string {
 	if len(evals) == 0 {
 		return "(no evaluations)\n"
 	}
@@ -189,13 +189,14 @@ func RenderFitnessSeries(evals []ga.Evaluation, perGen int, width, height int) s
 		c.set(cx, height-1-cy, '+')
 	}
 	// Generation boundaries.
-	if perGen > 0 {
-		for g := perGen; g < len(evals); g += perGen {
-			cx := g * (width - 1) / max(len(evals)-1, 1)
-			for y := 0; y < height; y++ {
-				if c.cells[y][cx] == ' ' {
-					c.cells[y][cx] = '|'
-				}
+	for i := 1; i < len(evals); i++ {
+		if evals[i].Generation == evals[i-1].Generation {
+			continue
+		}
+		cx := i * (width - 1) / max(len(evals)-1, 1)
+		for y := 0; y < height; y++ {
+			if c.cells[y][cx] == ' ' {
+				c.cells[y][cx] = '|'
 			}
 		}
 	}

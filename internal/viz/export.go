@@ -52,12 +52,18 @@ func WriteTrajectoryCSV(w io.Writer, traj []sim.TrajectoryPoint) error {
 
 // WriteFitnessCSV exports the evaluation log as CSV: evaluation index,
 // generation, fitness, then the nine genome parameters — the data behind
-// Fig. 6.
+// Fig. 6. Longer genomes (further intruder blocks, fault genes) continue
+// with columns named by gene position.
 func WriteFitnessCSV(w io.Writer, evals []ga.Evaluation) error {
 	cw := csv.NewWriter(w)
 	header := []string{
 		"evaluation", "generation", "fitness",
 		"own_gs", "own_vs", "t_cpa", "r", "theta", "y", "intr_gs", "intr_psi", "intr_vs",
+	}
+	if len(evals) > 0 {
+		for g := len(header) - 3; g < len(evals[0].Genome); g++ {
+			header = append(header, "gene_"+strconv.Itoa(g))
+		}
 	}
 	if err := cw.Write(header); err != nil {
 		return fmt.Errorf("viz: csv: %w", err)

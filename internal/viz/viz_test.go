@@ -78,7 +78,7 @@ func TestRenderFitnessSeries(t *testing.T) {
 			})
 		}
 	}
-	out := RenderFitnessSeries(evals, 20, 80, 12)
+	out := RenderFitnessSeries(evals, 80, 12)
 	if !strings.Contains(out, "+") {
 		t.Error("no points plotted")
 	}
@@ -88,13 +88,17 @@ func TestRenderFitnessSeries(t *testing.T) {
 	if !strings.Contains(out, "100 evaluations") {
 		t.Errorf("header wrong:\n%s", out)
 	}
-	if out := RenderFitnessSeries(nil, 10, 80, 12); !strings.Contains(out, "no evaluations") {
+	if out := RenderFitnessSeries(nil, 80, 12); !strings.Contains(out, "no evaluations") {
 		t.Error("empty series output wrong")
 	}
-	// Constant fitness: no division by zero.
+	// Constant fitness: no division by zero; one generation: no boundary.
 	flat := []ga.Evaluation{{Fitness: 5}, {Fitness: 5}}
-	if out := RenderFitnessSeries(flat, 0, 20, 8); len(out) == 0 {
+	out = RenderFitnessSeries(flat, 20, 8)
+	if len(out) == 0 {
 		t.Error("no output for flat series")
+	}
+	if strings.Contains(out[strings.Index(out, "\n")+1:], "|") {
+		t.Errorf("single-generation series drew a boundary:\n%s", out)
 	}
 }
 
@@ -138,6 +142,21 @@ func TestWriteFitnessCSV(t *testing.T) {
 	}
 	if len(records[1]) != 12 {
 		t.Errorf("row width = %d, want 12", len(records[1]))
+	}
+
+	// A two-intruder log names its second block by gene position, so the
+	// file stays rectangular.
+	two := append(encounter.PresetHeadOn().Vector(), encounter.PresetCrossing().Vector()...)
+	buf.Reset()
+	if err := WriteFitnessCSV(&buf, []ga.Evaluation{{Genome: two, Fitness: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	records, err = csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records[0]) != 21 || records[0][20] != "gene_17" {
+		t.Errorf("two-intruder header = %v, want 21 columns ending gene_17", records[0])
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"acasxval/internal/campaign"
-	"acasxval/internal/core"
 	"acasxval/internal/montecarlo"
 	"acasxval/internal/search"
 	"acasxval/internal/serve"
@@ -32,20 +31,20 @@ func RunCampaignContext(ctx context.Context, spec CampaignSpec, systems Campaign
 // opts.CheckpointPath set the interrupted search resumes bit-identically
 // (opts.Resume).
 func RunSearchContext(ctx context.Context, spec SearchSpec, factory SystemFactory, opts SearchOptions) (*IslandSearchResult, error) {
-	return search.RunContext(ctx, spec, core.SystemFactory(factory), opts)
+	return search.RunContext(ctx, spec, factory, opts)
 }
 
 // EstimateRiskContext is EstimateRisk under a cancellation context: a
 // cancelled ctx stops the episode loop and returns ctx.Err() with no
 // estimate.
 func EstimateRiskContext(ctx context.Context, model EncounterModel, factory SystemFactory, cfg MonteCarloConfig) (*RiskEstimate, error) {
-	return montecarlo.EvaluateContext(ctx, model, montecarlo.SystemFactory(factory), cfg)
+	return montecarlo.EvaluateContext(ctx, model, factory, cfg)
 }
 
 // EstimateMultiRiskContext is EstimateMultiRisk under a cancellation
 // context.
 func EstimateMultiRiskContext(ctx context.Context, model MultiEncounterModel, factory SystemFactory, cfg MonteCarloConfig) (*RiskEstimate, error) {
-	return montecarlo.EvaluateMultiContext(ctx, model, montecarlo.SystemFactory(factory), cfg)
+	return montecarlo.EvaluateMultiContext(ctx, model, factory, cfg)
 }
 
 // EstimateRareRiskContext is EstimateRareRisk under a cancellation
@@ -54,13 +53,13 @@ func EstimateMultiRiskContext(ctx context.Context, model MultiEncounterModel, fa
 func EstimateRareRiskContext(ctx context.Context, model EncounterModel, factory SystemFactory, cfg MonteCarloConfig, spec RareEventSpec) (*RiskEstimate, error) {
 	return montecarlo.EstimateRareMultiWithScratchContext(ctx,
 		montecarlo.MultiEncounterModel{Intruders: []montecarlo.EncounterModel{model}},
-		montecarlo.SystemFactory(factory), cfg, spec, nil)
+		factory, cfg, spec, nil)
 }
 
 // EstimateMultiRareRiskContext is EstimateMultiRareRisk under a
 // cancellation context.
 func EstimateMultiRareRiskContext(ctx context.Context, model MultiEncounterModel, factory SystemFactory, cfg MonteCarloConfig, spec RareEventSpec) (*RiskEstimate, error) {
-	return montecarlo.EstimateRareMultiWithScratchContext(ctx, model, montecarlo.SystemFactory(factory), cfg, spec, nil)
+	return montecarlo.EstimateRareMultiWithScratchContext(ctx, model, factory, cfg, spec, nil)
 }
 
 // The validation service: a long-running, crash-safe server around the
