@@ -261,7 +261,9 @@ func TestObserverCallback(t *testing.T) {
 	}
 }
 
-func TestRunErrors(t *testing.T) {
+// TestEngineValidation: the engine refuses to build its fitness path from a
+// nil system factory, inverted encounter ranges or a bad fitness config.
+func TestEngineValidation(t *testing.T) {
 	if _, err := Run(onePopSpec(), nil, Options{}); err == nil {
 		t.Error("nil factory accepted")
 	}
@@ -269,9 +271,22 @@ func TestRunErrors(t *testing.T) {
 	badRanges.Ranges.TimeToCPA = encounter.Range{Min: 5, Max: 1}
 	badSims := onePopSpec()
 	badSims.Fitness.SimsPerEncounter = -1
+	for name, spec := range map[string]Spec{"ranges": badRanges, "sims": badSims} {
+		if _, err := Run(spec, testFactory, Options{}); err == nil {
+			t.Errorf("invalid %s accepted", name)
+		}
+	}
+}
+
+// TestRunErrors: invalid GA parameters stop a run before any evaluation.
+func TestRunErrors(t *testing.T) {
 	badPop := onePopSpec()
 	badPop.GA.PopulationSize = 0
-	for name, spec := range map[string]Spec{"ranges": badRanges, "sims": badSims, "population": badPop} {
+	badGens := onePopSpec()
+	badGens.GA.Generations = 0
+	badElites := onePopSpec()
+	badElites.GA.Elites = badElites.GA.PopulationSize
+	for name, spec := range map[string]Spec{"population": badPop, "generations": badGens, "elites": badElites} {
 		if _, err := Run(spec, testFactory, Options{}); err == nil {
 			t.Errorf("invalid %s accepted", name)
 		}
