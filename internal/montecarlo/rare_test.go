@@ -404,9 +404,11 @@ func TestProposalDensityNormalized(t *testing.T) {
 	}
 }
 
-// TestRareEventGolden pins one IS and one splitting estimate to golden
-// JSONL in testdata/, so any change to the episode streams, the weighting
-// or the level bookkeeping is a visible diff. Regenerate with -update-rare.
+// TestRareEventGolden pins one IS, one splitting and one brute-force
+// estimate to golden JSONL in testdata/, so any change to the episode
+// streams, the weighting or the level bookkeeping is a visible diff. The
+// brute-force row runs the pairwise hostile model as the K=1 case of the
+// kernel. Regenerate with -update-rare.
 func TestRareEventGolden(t *testing.T) {
 	model := hostileModel()
 	cfg := DefaultConfig()
@@ -417,7 +419,7 @@ func TestRareEventGolden(t *testing.T) {
 		Estimate
 	}
 	var rows []row
-	for _, spec := range []RareEventSpec{hostileISSpec(MethodIS), hostileSplitSpec()} {
+	for _, spec := range []RareEventSpec{hostileISSpec(MethodIS), hostileSplitSpec(), {Method: MethodBruteForce}} {
 		est, err := EstimateRare(model, Unequipped, cfg, spec)
 		if err != nil {
 			t.Fatal(err)
