@@ -11,6 +11,7 @@ build:
 
 test:
 	$(GO) test -race ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

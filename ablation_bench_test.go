@@ -7,8 +7,10 @@ package acasxval
 // `go test -bench=Ablation` prints a compact ablation table.
 
 import (
+	"context"
 	"testing"
 
+	"acasxval/internal/acasx"
 	"acasxval/internal/ga"
 	"acasxval/internal/sim"
 	"acasxval/internal/stats"
@@ -37,7 +39,7 @@ func nmacRate(b *testing.B, p EncounterParams, mk func() (System, System), cfg R
 // choices are the classic hazard.
 func BenchmarkAblationCoordination(b *testing.B) {
 	table := benchLogicTable(b)
-	mk := func() (System, System) { return NewACASXU(table), NewACASXU(table) }
+	mk := func() (System, System) { return sim.NewACASXU(table), sim.NewACASXU(table) }
 	p := PresetHeadOn()
 	const n = 60
 	var with, without float64
@@ -56,7 +58,7 @@ func BenchmarkAblationCoordination(b *testing.B) {
 // filtered tracks under heavy sensor noise.
 func BenchmarkAblationTracker(b *testing.B) {
 	table := benchLogicTable(b)
-	mk := func() (System, System) { return NewACASXU(table), NewACASXU(table) }
+	mk := func() (System, System) { return sim.NewACASXU(table), sim.NewACASXU(table) }
 	p := PresetHeadOn()
 	const n = 60
 	var filtered, raw float64
@@ -77,7 +79,7 @@ func BenchmarkAblationTracker(b *testing.B) {
 // reports the head-on NMAC rate at each.
 func BenchmarkAblationSensorNoise(b *testing.B) {
 	table := benchLogicTable(b)
-	mk := func() (System, System) { return NewACASXU(table), NewACASXU(table) }
+	mk := func() (System, System) { return sim.NewACASXU(table), sim.NewACASXU(table) }
 	p := PresetHeadOn()
 	const n = 50
 	var r0, r10, r50 float64
@@ -100,7 +102,7 @@ func BenchmarkAblationSensorNoise(b *testing.B) {
 // BenchmarkAblationResponseDelay sweeps the maneuver response delay.
 func BenchmarkAblationResponseDelay(b *testing.B) {
 	table := benchLogicTable(b)
-	mk := func() (System, System) { return NewACASXU(table), NewACASXU(table) }
+	mk := func() (System, System) { return sim.NewACASXU(table), sim.NewACASXU(table) }
 	p := PresetHeadOn()
 	const n = 50
 	var d0, d1, d5 float64
@@ -146,7 +148,7 @@ func BenchmarkAblationLookupMode(b *testing.B) {
 func BenchmarkAblationGAOperators(b *testing.B) {
 	table := benchLogicTable(b)
 	factory := func() (sim.System, sim.System) {
-		return NewACASXU(table), NewACASXU(table)
+		return sim.NewACASXU(table), sim.NewACASXU(table)
 	}
 	run := func(op ga.CrossoverOp, seed uint64) float64 {
 		spec := DefaultSearchSpec()
@@ -156,7 +158,7 @@ func BenchmarkAblationGAOperators(b *testing.B) {
 		spec.GA.Crossover = op
 		spec.Seed = seed
 		spec.Fitness.SimsPerEncounter = 6
-		res, err := RunSearch(spec, factory, SearchOptions{})
+		res, err := RunSearchContext(context.Background(), spec, factory, SearchOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -180,13 +182,13 @@ func BenchmarkAblationGAOperators(b *testing.B) {
 // (the paper's section IV POMDP question).
 func BenchmarkAblationBeliefExecutive(b *testing.B) {
 	table := benchLogicTable(b)
-	mkPoint := func() (System, System) { return NewACASXU(table), NewACASXU(table) }
+	mkPoint := func() (System, System) { return sim.NewACASXU(table), sim.NewACASXU(table) }
 	mkBelief := func() (System, System) {
-		a, err := NewACASXUBelief(table, DefaultBeliefSigmas())
+		a, err := sim.NewACASXUBelief(table, acasx.DefaultBeliefSigmas())
 		if err != nil {
 			b.Fatal(err)
 		}
-		c, err := NewACASXUBelief(table, DefaultBeliefSigmas())
+		c, err := sim.NewACASXUBelief(table, acasx.DefaultBeliefSigmas())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -226,10 +228,10 @@ func BenchmarkAblationModelRevision(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := DefaultRunConfig()
 		orig = nmacRate(b, p, func() (System, System) {
-			return NewACASXU(original), NewACASXU(original)
+			return sim.NewACASXU(original), sim.NewACASXU(original)
 		}, cfg, n, uint64(i)+1)
 		rev = nmacRate(b, p, func() (System, System) {
-			return NewACASXU(revised), NewACASXU(revised)
+			return sim.NewACASXU(revised), sim.NewACASXU(revised)
 		}, cfg, n, uint64(i)+1)
 	}
 	b.ReportMetric(orig, "tail-NMAC-original")
@@ -241,7 +243,7 @@ func BenchmarkAblationModelRevision(b *testing.B) {
 func BenchmarkAblationFitnessSims(b *testing.B) {
 	table := benchLogicTable(b)
 	factory := func() (sim.System, sim.System) {
-		return NewACASXU(table), NewACASXU(table)
+		return sim.NewACASXU(table), sim.NewACASXU(table)
 	}
 	model := PointEncounterModel(PresetTailApproach())
 	gain := DefaultSearchSpec().Fitness.CollisionGain
@@ -249,7 +251,7 @@ func BenchmarkAblationFitnessSims(b *testing.B) {
 		cfg := DefaultMonteCarloConfig()
 		cfg.Samples = k
 		cfg.Seed = seed
-		est, err := EstimateRisk(model, factory, cfg)
+		est, err := EstimateRiskContext(context.Background(), model, factory, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -25,7 +25,6 @@ import (
 	"testing"
 
 	"acasxval/internal/grid2d"
-	"acasxval/internal/montecarlo"
 	"acasxval/internal/search"
 	"acasxval/internal/sim"
 	"acasxval/internal/stats"
@@ -62,8 +61,8 @@ func BenchmarkFig5HeadOn(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := PresetHeadOn()
-	own := NewACASXU(table)
-	intr := NewACASXU(table)
+	own := sim.NewACASXU(table)
+	intr := sim.NewACASXU(table)
 	nmacs := 0
 	var sep stats.Accumulator
 	b.ReportAllocs()
@@ -90,7 +89,7 @@ func BenchmarkFig5HeadOn(b *testing.B) {
 func BenchmarkFig6GASearch(b *testing.B) {
 	table := benchLogicTable(b)
 	factory := func() (sim.System, sim.System) {
-		return NewACASXU(table), NewACASXU(table)
+		return sim.NewACASXU(table), sim.NewACASXU(table)
 	}
 	spec := DefaultSearchSpec()
 	spec.Islands = 1
@@ -102,7 +101,7 @@ func BenchmarkFig6GASearch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		spec.Seed = uint64(i + 1)
-		res, err := RunSearch(spec, factory, SearchOptions{})
+		res, err := RunSearchContext(context.Background(), spec, factory, SearchOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -122,7 +121,7 @@ func BenchmarkFig6GASearch(b *testing.B) {
 func BenchmarkFig7Fig8TailApproach(b *testing.B) {
 	table := benchLogicTable(b)
 	factory := func() (sim.System, sim.System) {
-		return NewACASXU(table), NewACASXU(table)
+		return sim.NewACASXU(table), sim.NewACASXU(table)
 	}
 	cfg := DefaultMonteCarloConfig()
 	cfg.Samples = 100
@@ -132,11 +131,11 @@ func BenchmarkFig7Fig8TailApproach(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = uint64(i + 1)
-		tail, err := EstimateRisk(tailModel, factory, cfg)
+		tail, err := EstimateRiskContext(context.Background(), tailModel, factory, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		head, err := EstimateRisk(headModel, factory, cfg)
+		head, err := EstimateRiskContext(context.Background(), headModel, factory, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -196,7 +195,7 @@ func BenchmarkValueIterationFullTable(b *testing.B) {
 func BenchmarkGAVersusRandomSearch(b *testing.B) {
 	table := benchLogicTable(b)
 	factory := func() (sim.System, sim.System) {
-		return NewACASXU(table), NewACASXU(table)
+		return sim.NewACASXU(table), sim.NewACASXU(table)
 	}
 	spec := DefaultSearchSpec()
 	spec.Islands = 1
@@ -228,17 +227,17 @@ func BenchmarkMonteCarloRiskRatio(b *testing.B) {
 	mcCfg := DefaultMonteCarloConfig()
 	mcCfg.Samples = 200
 	factory := func() (sim.System, sim.System) {
-		return NewACASXU(table), NewACASXU(table)
+		return sim.NewACASXU(table), sim.NewACASXU(table)
 	}
 	var ratio, pEquipped, pBase float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mcCfg.Seed = uint64(i + 1)
-		unequipped, err := montecarlo.Evaluate(model, montecarlo.Unequipped, mcCfg)
+		unequipped, err := EstimateRiskContext(context.Background(), model, Unequipped, mcCfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		equipped, err := EstimateRisk(model, factory, mcCfg)
+		equipped, err := EstimateRiskContext(context.Background(), model, factory, mcCfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -269,7 +268,7 @@ func BenchmarkCampaignSweep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		spec.Seed = uint64(i + 1)
-		res, err := RunCampaign(spec, systems, nil)
+		res, err := RunCampaignContext(context.Background(), spec, systems, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -292,7 +291,7 @@ func BenchmarkCampaignSweep(b *testing.B) {
 func BenchmarkIslandSearch(b *testing.B) {
 	table := benchLogicTable(b)
 	factory := func() (sim.System, sim.System) {
-		return NewACASXU(table), NewACASXU(table)
+		return sim.NewACASXU(table), sim.NewACASXU(table)
 	}
 	for _, islands := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("islands=%d", islands), func(b *testing.B) {
@@ -308,7 +307,7 @@ func BenchmarkIslandSearch(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				spec.Seed = uint64(i + 1)
-				res, err := RunSearch(spec, factory, SearchOptions{})
+				res, err := RunSearchContext(context.Background(), spec, factory, SearchOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -357,7 +356,7 @@ func BenchmarkBackendComparison(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			est, err := EstimateRisk(model, factory, cfg)
+			est, err := EstimateRiskContext(context.Background(), model, factory, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

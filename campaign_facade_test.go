@@ -6,6 +6,7 @@ package acasxval
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
@@ -40,7 +41,7 @@ func TestRunCampaignThroughFacade(t *testing.T) {
 	spec.Seed = 21
 
 	var jsonl bytes.Buffer
-	res, err := RunCampaign(spec, DefaultCampaignSystems(table), &jsonl)
+	res, err := RunCampaignContext(context.Background(), spec, DefaultCampaignSystems(table), &jsonl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,15 @@ func run() error {
 		return err
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	// Clients submit small JSON bodies and poll; a client that stalls in
+	// its headers or parks an idle keep-alive connection must not hold a
+	// connection open forever.
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           srv,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	errCh := make(chan error, 1)
 	go func() {
 		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {

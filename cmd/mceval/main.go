@@ -71,7 +71,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	model := montecarlo.DefaultEncounterModel()
+	// The pairwise airspace model is the one-intruder case of the
+	// estimator's K-intruder model; the zero spec is brute force.
+	model := montecarlo.MultiEncounterModel{Intruders: []montecarlo.EncounterModel{montecarlo.DefaultEncounterModel()}}
 	cfg := montecarlo.DefaultConfig()
 	cfg.Samples = *samples
 	cfg.Seed = *seed
@@ -113,14 +115,7 @@ func run() error {
 			return err
 		}
 		fmt.Printf("evaluating %s over %d sampled encounters...\n", name, cfg.Samples)
-		var est *montecarlo.Estimate
-		if *estimator != "" {
-			est, err = montecarlo.EstimateRareMultiWithScratchContext(ctx,
-				montecarlo.MultiEncounterModel{Intruders: []montecarlo.EncounterModel{model}},
-				factory, cfg, spec, &scratch)
-		} else {
-			est, err = montecarlo.EvaluateWithScratchContext(ctx, model, factory, cfg, &scratch)
-		}
+		est, err := montecarlo.EstimateRareMultiWithScratchContext(ctx, model, factory, cfg, spec, &scratch)
 		if err != nil {
 			if ctx.Err() != nil {
 				interrupted = err

@@ -135,7 +135,7 @@ func (h *harness) e2GASearch() error {
 	fmt.Printf("pop=%d gens=%d sims/encounter=%d\n",
 		spec.GA.PopulationSize, spec.GA.Generations, spec.Fitness.SimsPerEncounter)
 	var log []ga.Evaluation
-	res, err := search.Run(spec, h.factory, search.Options{Observer: func(is search.IslandStats) {
+	res, err := search.RunContext(context.Background(), spec, h.factory, search.Options{Observer: func(is search.IslandStats) {
 		log = append(log, is.Evaluations...)
 		gs := is.Stats
 		fmt.Printf("  generation %d: min %.1f mean %.1f max %.1f\n", gs.Generation, gs.Min, gs.Mean, gs.Max)
@@ -175,11 +175,14 @@ func (h *harness) e3TailApproach() error {
 		cfg.Samples = 50
 	}
 	cfg.Seed = h.seed
-	tail, err := montecarlo.Evaluate(montecarlo.PointModel(encounter.PresetTailApproach()), h.factory, cfg)
+	ctx := context.Background()
+	tailModel := montecarlo.MultiEncounterModel{Intruders: []montecarlo.EncounterModel{montecarlo.PointModel(encounter.PresetTailApproach())}}
+	tail, err := montecarlo.EvaluateMultiWithScratchContext(ctx, tailModel, h.factory, cfg, nil)
 	if err != nil {
 		return err
 	}
-	head, err := montecarlo.Evaluate(montecarlo.PointModel(encounter.PresetHeadOn()), h.factory, cfg)
+	headModel := montecarlo.MultiEncounterModel{Intruders: []montecarlo.EncounterModel{montecarlo.PointModel(encounter.PresetHeadOn())}}
+	head, err := montecarlo.EvaluateMultiWithScratchContext(ctx, headModel, h.factory, cfg, nil)
 	if err != nil {
 		return err
 	}
@@ -334,18 +337,19 @@ func (h *harness) e9ModelRevision() error {
 // e8MonteCarlo reproduces the Monte-Carlo validation path with risk ratios.
 func (h *harness) e8MonteCarlo() error {
 	fmt.Println("--- E8 / section IV: Monte-Carlo risk estimation over the encounter model ---")
-	model := montecarlo.DefaultEncounterModel()
+	model := montecarlo.MultiEncounterModel{Intruders: []montecarlo.EncounterModel{montecarlo.DefaultEncounterModel()}}
 	cfg := montecarlo.DefaultConfig()
 	cfg.Seed = h.seed
 	cfg.Samples = 2000
 	if h.quick {
 		cfg.Samples = 400
 	}
-	base, err := montecarlo.Evaluate(model, montecarlo.Unequipped, cfg)
+	ctx := context.Background()
+	base, err := montecarlo.EvaluateMultiWithScratchContext(ctx, model, montecarlo.Unequipped, cfg, nil)
 	if err != nil {
 		return err
 	}
-	equipped, err := montecarlo.Evaluate(model, h.factory, cfg)
+	equipped, err := montecarlo.EvaluateMultiWithScratchContext(ctx, model, h.factory, cfg, nil)
 	if err != nil {
 		return err
 	}

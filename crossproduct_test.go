@@ -9,12 +9,12 @@ package acasxval
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
 	"testing"
 
-	"acasxval/internal/montecarlo"
 	"acasxval/internal/search"
 )
 
@@ -65,8 +65,8 @@ func TestCrossProductSimulatesCleanly(t *testing.T) {
 
 					// The Monte-Carlo risk numbers for the same fixed
 					// scenario must be finite and in range too.
-					est, err := montecarlo.Evaluate(montecarlo.PointModel(preset),
-						montecarlo.SystemFactory(factory), montecarlo.Config{
+					est, err := EstimateRiskContext(context.Background(), PointEncounterModel(preset),
+						factory, MonteCarloConfig{
 							Samples: 4,
 							Run:     cfg,
 							Seed:    7,

@@ -24,25 +24,34 @@
 //
 //   - The paper's contribution: a Genetic-Algorithm-based search for
 //     challenging encounter situations where the generated logic performs
-//     poorly (RunSearch at one island is the paper's single population),
-//     with a uniform random search baseline scored through the same
-//     fitness path (RandomSearch) and a Monte-Carlo risk estimation harness
-//     (EstimateRisk) for the validation path the GA approach complements.
+//     poorly (RunSearchContext at one island is the paper's single
+//     population), with a uniform random search baseline scored through
+//     the same fitness path (RandomSearch) and a Monte-Carlo risk
+//     estimation harness (EstimateRiskContext) for the validation path the
+//     GA approach complements.
+//
+// Each engine has one entry point, and each takes a context first: pass
+// context.Background() to run to completion, or a cancellable context to
+// stop at the next episode, cell or evaluation boundary. A pairwise
+// encounter is the one-intruder case of the multi-intruder one, so
+// EstimateMultiRareRiskContext is the general risk estimate (K >= 1, any
+// estimator method, the zero RareEventSpec meaning brute force) and
+// EstimateRiskContext is its pairwise brute-force shorthand.
 //
 // On top of both sits the campaign sweep engine, the batch validation
 // answer to the paper's insistence that single-scenario checks are not
 // enough: a CampaignSpec declares a scenario x system x configuration
 // cross-product (named encounter presets, explicit scenarios and/or
 // statistical-model draws; any registered system backend;
-// run-config and sample-count variants), RunCampaign fans it out over a
-// deterministic seed-derived worker pool, streams one JSONL record per
+// run-config and sample-count variants), RunCampaignContext fans it out
+// over a deterministic seed-derived worker pool, streams one JSONL record per
 // cell, and ranks systems by risk ratio against the unequipped baseline.
 // Specs load from ECJ-style parameter files (LoadCampaignSpec), so
 // campaigns are checked-in, versioned artifacts; cmd/sweep is the
 // command-line driver.
 //
 // Sweeps and searches close into a loop. The island-model adversarial
-// search engine (RunSearch, SearchSpec, LoadSearchSpec) evolves N
+// search engine (RunSearchContext, SearchSpec, LoadSearchSpec) evolves N
 // concurrent island populations with ring migration, scoring every genome
 // through the same Monte-Carlo harness the campaigns use; its initial
 // populations can seed from a prior sweep's worst cells (SweepSeedGenomes),
@@ -65,8 +74,8 @@
 // every ownship-intruder pair. Three multi-intruder presets ship
 // (MultiPresetConvergingPair, MultiPresetCrossingStream,
 // MultiPresetSandwich; MultiEncounterPreset resolves them and every
-// pairwise preset by name), EstimateMultiRisk evaluates a K-intruder
-// statistical airspace (DefaultMultiEncounterModel), campaign specs mix
+// pairwise preset by name), EstimateMultiRareRiskContext evaluates a
+// K-intruder statistical airspace (DefaultMultiEncounterModel), campaign specs mix
 // pairwise and multi presets on one scenario axis (campaign.intruders
 // widens model draws), and the island search evolves K-block genomes
 // (search.intruders). examples/multithreat walks the stack end to end.
@@ -96,7 +105,8 @@
 //
 // Where brute-force Monte Carlo runs out — certifying probabilities far
 // smaller than 1/samples — a rare-event estimator family takes over
-// behind one switch (EstimateRareRisk, RareEventSpec, RareEventMethods):
+// behind one switch (EstimateMultiRareRiskContext, RareEventSpec,
+// RareEventMethods):
 // importance sampling from a defensive mixture whose kernels center on
 // danger-archive genomes (ArchiveProposalKernels turns the adversarial
 // search's failure region into the proposal; "is" is unbiased, "snis"
@@ -119,7 +129,7 @@
 // any worker count: MonteCarloConfig.Parallelism bounds the episode
 // workers of one estimate (0 = NumCPU), SearchOptions.EpisodeWorkers fans
 // each fitness batch of the island search out over idle cores, and
-// RunCampaign spills leftover pool capacity into per-cell episode
+// RunCampaignContext spills leftover pool capacity into per-cell episode
 // parallelism when the cell grid is smaller than the hardware — all three
 // knobs trade wall-clock only, never results. Each worker reuses one
 // fully-wired simulation world across its episodes, so the steady state
@@ -129,11 +139,15 @@
 // Quick start:
 //
 //	table, _ := acasxval.BuildLogicTable(acasxval.DefaultTableConfig())
-//	res, _ := acasxval.RunEncounter(
-//	    acasxval.PresetHeadOn(),
-//	    acasxval.NewACASXU(table), acasxval.NewACASXU(table),
+//	factory, _ := acasxval.NewSystemFactory(
+//	    acasxval.SystemContext{Table: table}, acasxval.SystemSpec{Name: "acasx"})
+//	own, intruder := factory()
+//	res, _ := acasxval.RunEncounter(acasxval.PresetHeadOn(), own, intruder,
 //	    acasxval.DefaultRunConfig(), 42)
 //	fmt.Println(res.NMAC, res.MinSeparation)
+//	est, _ := acasxval.EstimateRiskContext(context.Background(),
+//	    acasxval.DefaultEncounterModel(), factory, acasxval.DefaultMonteCarloConfig())
+//	fmt.Println(est.PNMAC, est.PNMACCI)
 //
 // See the examples directory for runnable programs and EXPERIMENTS.md for
 // the paper-versus-measured record of every reproduced figure and table.

@@ -15,6 +15,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -30,6 +31,8 @@ func main() {
 }
 
 func run() error {
+	ctx := context.Background()
+
 	// 1. Baseline sweep: every preset against the SVO baseline.
 	spec := acasxval.DefaultCampaignSpec()
 	spec.Name = "baseline"
@@ -39,7 +42,7 @@ func run() error {
 	systems := acasxval.DefaultCampaignSystems(nil)
 
 	var jsonl bytes.Buffer
-	res, err := acasxval.RunCampaign(spec, systems, &jsonl)
+	res, err := acasxval.RunCampaignContext(ctx, spec, systems, &jsonl)
 	if err != nil {
 		return err
 	}
@@ -73,21 +76,14 @@ func run() error {
 	search.Seed = 5
 	search.SeedGenomes = seeds
 
-	factory := func() (acasxval.System, acasxval.System) {
-		a, err := acasxval.NewSVO(acasxval.DefaultSVOConfig())
-		if err != nil {
-			panic(err) // default config is statically valid
-		}
-		b, err := acasxval.NewSVO(acasxval.DefaultSVOConfig())
-		if err != nil {
-			panic(err)
-		}
-		return a, b
+	factory, err := acasxval.NewSystemFactory(acasxval.SystemContext{}, acasxval.SystemSpec{Name: "svo"})
+	if err != nil {
+		return err
 	}
 
 	fmt.Printf("2. island search: %d islands x %d individuals, %d seed genomes from the sweep\n",
 		search.Islands, search.GA.PopulationSize, len(seeds))
-	sres, err := acasxval.RunSearch(search, factory, acasxval.SearchOptions{
+	sres, err := acasxval.RunSearchContext(ctx, search, factory, acasxval.SearchOptions{
 		CheckpointPath: filepath.Join(dir, "search.ckpt"),
 	})
 	if err != nil {
@@ -127,7 +123,7 @@ func run() error {
 	replay.Samples = 8
 	replay.Seed = 21
 
-	rres, err := acasxval.RunCampaign(replay, systems, nil)
+	rres, err := acasxval.RunCampaignContext(ctx, replay, systems, nil)
 	if err != nil {
 		return err
 	}

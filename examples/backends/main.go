@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -45,7 +46,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		est, err := acasxval.EstimateRisk(acasxval.PointEncounterModel(preset), factory, cfg)
+		est, err := acasxval.EstimateRiskContext(context.Background(), acasxval.PointEncounterModel(preset), factory, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -80,7 +81,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	est, err := acasxval.EstimateRisk(acasxval.PointEncounterModel(preset), wide, cfg)
+	est, err := acasxval.EstimateRiskContext(context.Background(), acasxval.PointEncounterModel(preset), wide, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

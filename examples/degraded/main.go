@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -29,6 +30,8 @@ func main() {
 }
 
 func run() error {
+	ctx := context.Background()
+
 	// 1. Degradation sweep: presets x {clean, moderate, severe} for the SVO
 	// baseline against the unequipped channel.
 	moderate, err := acasxval.FaultPreset("moderate")
@@ -51,7 +54,7 @@ func run() error {
 	}
 	systems := acasxval.DefaultCampaignSystems(nil)
 
-	res, err := acasxval.RunCampaign(spec, systems, nil)
+	res, err := acasxval.RunCampaignContext(ctx, spec, systems, nil)
 	if err != nil {
 		return err
 	}
@@ -74,21 +77,14 @@ func run() error {
 	search.EvolveFaults = true
 	search.FaultPenalty = 200
 
-	factory := func() (acasxval.System, acasxval.System) {
-		a, err := acasxval.NewSVO(acasxval.DefaultSVOConfig())
-		if err != nil {
-			panic(err) // default config is statically valid
-		}
-		b, err := acasxval.NewSVO(acasxval.DefaultSVOConfig())
-		if err != nil {
-			panic(err)
-		}
-		return a, b
+	factory, err := acasxval.NewSystemFactory(acasxval.SystemContext{}, acasxval.SystemSpec{Name: "svo"})
+	if err != nil {
+		return err
 	}
 
 	fmt.Printf("\n2. co-evolving search: %d islands x %d individuals, genome = geometry + %d fault genes\n",
 		search.Islands, search.GA.PopulationSize, search.GenomeLen()-9)
-	sres, err := acasxval.RunSearch(search, factory, acasxval.SearchOptions{})
+	sres, err := acasxval.RunSearchContext(ctx, search, factory, acasxval.SearchOptions{})
 	if err != nil {
 		return err
 	}
@@ -105,7 +101,7 @@ func run() error {
 		{Name: "none"},
 		{Name: "discovered", Profile: best.Fault},
 	}
-	rres, err := acasxval.RunCampaign(replay, systems, nil)
+	rres, err := acasxval.RunCampaignContext(ctx, replay, systems, nil)
 	if err != nil {
 		return err
 	}

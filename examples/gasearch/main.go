@@ -5,12 +5,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"acasxval"
 	"acasxval/internal/core"
-	"acasxval/internal/sim"
 	"acasxval/internal/viz"
 )
 
@@ -21,8 +21,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	factory := func() (sim.System, sim.System) {
-		return acasxval.NewACASXU(table), acasxval.NewACASXU(table)
+	factory, err := acasxval.NewSystemFactory(acasxval.SystemContext{Table: table}, acasxval.SystemSpec{Name: "acasx"})
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// The paper's GA is the one-island search. Example scale: the paper's
@@ -35,7 +36,7 @@ func main() {
 	spec.Fitness.SimsPerEncounter = 30
 
 	var evals []acasxval.Evaluation
-	res, err := acasxval.RunSearch(spec, factory, acasxval.SearchOptions{
+	res, err := acasxval.RunSearchContext(context.Background(), spec, factory, acasxval.SearchOptions{
 		Observer: func(is acasxval.IslandStats) {
 			evals = append(evals, is.Evaluations...)
 			gs := is.Stats

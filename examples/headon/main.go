@@ -24,10 +24,12 @@ func main() {
 
 	runCfg := acasxval.DefaultRunConfig()
 	runCfg.RecordTrajectory = true
-	res, err := acasxval.RunEncounter(
-		acasxval.PresetHeadOn(),
-		acasxval.NewACASXU(table), acasxval.NewACASXU(table),
-		runCfg, 7)
+	factory, err := acasxval.NewSystemFactory(acasxval.SystemContext{Table: table}, acasxval.SystemSpec{Name: "acasx"})
+	if err != nil {
+		log.Fatal(err)
+	}
+	own, intruder := factory()
+	res, err := acasxval.RunEncounter(acasxval.PresetHeadOn(), own, intruder, runCfg, 7)
 	if err != nil {
 		log.Fatal(err)
 	}

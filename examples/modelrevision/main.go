@@ -94,10 +94,13 @@ func evaluate(table *acasxval.Table, p acasxval.EncounterParams) outcome {
 	const runs = 100
 	out := outcome{runs: runs}
 	cfg := acasxval.DefaultRunConfig()
+	factory, err := acasxval.NewSystemFactory(acasxval.SystemContext{Table: table}, acasxval.SystemSpec{Name: "acasx"})
+	if err != nil {
+		log.Fatal(err)
+	}
 	for k := 0; k < runs; k++ {
-		res, err := acasxval.RunEncounter(p,
-			acasxval.NewACASXU(table), acasxval.NewACASXU(table),
-			cfg, stats.DeriveSeed(77, k))
+		own, intruder := factory()
+		res, err := acasxval.RunEncounter(p, own, intruder, cfg, stats.DeriveSeed(77, k))
 		if err != nil {
 			log.Fatal(err)
 		}

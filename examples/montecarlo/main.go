@@ -5,11 +5,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"acasxval"
-	"acasxval/internal/sim"
 )
 
 func main() {
@@ -24,42 +24,23 @@ func main() {
 	cfg := acasxval.DefaultMonteCarloConfig()
 	cfg.Samples = 1000 // example scale; cmd/mceval defaults to 10000
 
-	factories := []struct {
-		name    string
-		factory acasxval.SystemFactory
-	}{
-		{"acasxu", func() (sim.System, sim.System) {
-			return acasxval.NewACASXU(table), acasxval.NewACASXU(table)
-		}},
-		{"svo", func() (sim.System, sim.System) {
-			a, err := acasxval.NewSVO(acasxval.DefaultSVOConfig())
-			if err != nil {
-				log.Fatal(err)
-			}
-			b, err := acasxval.NewSVO(acasxval.DefaultSVOConfig())
-			if err != nil {
-				log.Fatal(err)
-			}
-			return a, b
-		}},
-		{"none", func() (sim.System, sim.System) {
-			return acasxval.NoAvoidance(), acasxval.NoAvoidance()
-		}},
-	}
-
 	estimates := map[string]*acasxval.RiskEstimate{}
 	fmt.Printf("%-8s %9s %20s %11s %13s\n", "system", "P(NMAC)", "95% CI", "alert rate", "mean min sep")
-	for _, f := range factories {
-		est, err := acasxval.EstimateRisk(model, f.factory, cfg)
+	for _, name := range []string{"acasx", "svo", "none"} {
+		factory, err := acasxval.NewSystemFactory(acasxval.SystemContext{Table: table}, acasxval.SystemSpec{Name: name})
 		if err != nil {
 			log.Fatal(err)
 		}
-		estimates[f.name] = est
+		est, err := acasxval.EstimateRiskContext(context.Background(), model, factory, cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		estimates[name] = est
 		fmt.Printf("%-8s %9.4f [%8.4f, %8.4f] %11.2f %11.1f m\n",
-			f.name, est.PNMAC, est.PNMACCI.Lo, est.PNMACCI.Hi, est.AlertRate, est.MeanMinSeparation)
+			name, est.PNMAC, est.PNMACCI.Lo, est.PNMACCI.Hi, est.AlertRate, est.MeanMinSeparation)
 	}
 
-	for _, name := range []string{"acasxu", "svo"} {
+	for _, name := range []string{"acasx", "svo"} {
 		if ratio, err := acasxval.RiskRatio(estimates[name], estimates["none"]); err == nil {
 			fmt.Printf("risk ratio %s vs unequipped: %.4f\n", name, ratio)
 		}

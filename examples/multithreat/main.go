@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,6 +24,8 @@ func main() {
 		log.Fatal(err)
 	}
 
+	acasxu := acasxval.SystemSpec{Name: "acasx"}
+	sysCtx := acasxval.SystemContext{Table: table}
 	cfg := acasxval.DefaultRunConfig()
 	for _, name := range acasxval.MultiEncounterPresetNames() {
 		m, err := acasxval.MultiEncounterPreset(name)
@@ -49,7 +52,9 @@ func main() {
 		// most-restrictive-first, so an escape that trades one conflict
 		// for another is vetoed by the second threat's action values.
 		equipped := make([]acasxval.System, k+1)
-		equipped[0] = acasxval.NewACASXU(table)
+		if equipped[0], err = acasxval.NewSystem(sysCtx, acasxu); err != nil {
+			log.Fatal(err)
+		}
 		for i := 1; i <= k; i++ {
 			equipped[i] = acasxval.NoAvoidance()
 		}
@@ -70,13 +75,16 @@ func main() {
 	mcCfg := acasxval.DefaultMonteCarloConfig()
 	mcCfg.Samples = 400
 	model := acasxval.DefaultMultiEncounterModel(2)
-	baseline, err := acasxval.EstimateMultiRisk(model, acasxval.Unequipped, mcCfg)
+	ctx := context.Background()
+	baseline, err := acasxval.EstimateMultiRareRiskContext(ctx, model, acasxval.Unequipped, mcCfg, acasxval.RareEventSpec{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	equippedEst, err := acasxval.EstimateMultiRisk(model, func() (acasxval.System, acasxval.System) {
-		return acasxval.NewACASXU(table), acasxval.NewACASXU(table)
-	}, mcCfg)
+	factory, err := acasxval.NewSystemFactory(sysCtx, acasxu)
+	if err != nil {
+		log.Fatal(err)
+	}
+	equippedEst, err := acasxval.EstimateMultiRareRiskContext(ctx, model, factory, mcCfg, acasxval.RareEventSpec{})
 	if err != nil {
 		log.Fatal(err)
 	}

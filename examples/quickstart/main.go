@@ -24,9 +24,12 @@ func main() {
 
 	// 2. Online: equip two UAVs with the generated logic and simulate the
 	//    paper's Fig. 5 head-on geometry.
-	res, err := acasxval.RunEncounter(
-		acasxval.PresetHeadOn(),
-		acasxval.NewACASXU(table), acasxval.NewACASXU(table),
+	factory, err := acasxval.NewSystemFactory(acasxval.SystemContext{Table: table}, acasxval.SystemSpec{Name: "acasx"})
+	if err != nil {
+		log.Fatal(err)
+	}
+	own, intruder := factory()
+	res, err := acasxval.RunEncounter(acasxval.PresetHeadOn(), own, intruder,
 		acasxval.DefaultRunConfig(), 42)
 	if err != nil {
 		log.Fatal(err)

@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -46,12 +47,13 @@ func main() {
 		{30, -4, 38, 1500, 5.8, -20, 50, 3.5, 4},
 	}
 
+	ctx := context.Background()
 	cfg := acasxval.DefaultMonteCarloConfig()
 	cfg.Seed = 1
 	cfg.Samples = 12000
 
 	// 2. Brute-force reference at the full budget.
-	brute, err := acasxval.EstimateRisk(model, acasxval.Unequipped, cfg)
+	brute, err := acasxval.EstimateRiskContext(ctx, model, acasxval.Unequipped, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,6 +67,7 @@ func main() {
 	// the brute-force variance (VRF is measured per episode, so any value
 	// above 1 means the estimator wins at equal budget).
 	cfg.Samples = 4000
+	multi := acasxval.MultiEncounterModel{Intruders: []acasxval.EncounterModel{model}}
 	for _, method := range []string{"is", "snis", "split"} {
 		spec := acasxval.DefaultRareEventSpec(method)
 		spec.Kernels = kernels
@@ -72,7 +75,7 @@ func main() {
 		spec.Bandwidth = 0.02
 		spec.Levels = []float64{800, 400, 160}
 		spec.Moves = 4
-		est, err := acasxval.EstimateRareRisk(model, acasxval.Unequipped, cfg, spec)
+		est, err := acasxval.EstimateMultiRareRiskContext(ctx, multi, acasxval.Unequipped, cfg, spec)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -25,7 +26,7 @@ func main() {
 	spec.Samples = 8
 	spec.Seed = 42
 
-	res, err := acasxval.RunCampaign(spec, acasxval.DefaultCampaignSystems(table), os.Stdout)
+	res, err := acasxval.RunCampaignContext(context.Background(), spec, acasxval.DefaultCampaignSystems(table), os.Stdout)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -23,6 +23,11 @@ func main() {
 		log.Fatal(err)
 	}
 
+	factory, err := acasxval.NewSystemFactory(acasxval.SystemContext{Table: table}, acasxval.SystemSpec{Name: "acasx"})
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	const runs = 100
 	for _, tc := range []struct {
 		name string
@@ -35,9 +40,8 @@ func main() {
 		nmacs, alerted := 0, 0
 		runCfg := acasxval.DefaultRunConfig()
 		for k := 0; k < runs; k++ {
-			res, err := acasxval.RunEncounter(tc.p,
-				acasxval.NewACASXU(table), acasxval.NewACASXU(table),
-				runCfg, stats.DeriveSeed(11, k))
+			own, intruder := factory()
+			res, err := acasxval.RunEncounter(tc.p, own, intruder, runCfg, stats.DeriveSeed(11, k))
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -56,8 +60,8 @@ func main() {
 	// Render one tail-approach run, profile view (compare Figs. 7-8).
 	runCfg := acasxval.DefaultRunConfig()
 	runCfg.RecordTrajectory = true
-	res, err := acasxval.RunEncounter(acasxval.PresetTailApproach(),
-		acasxval.NewACASXU(table), acasxval.NewACASXU(table), runCfg, 1)
+	own, intruder := factory()
+	res, err := acasxval.RunEncounter(acasxval.PresetTailApproach(), own, intruder, runCfg, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package acasxval
 
 import (
 	"context"
-	"io"
 
 	"acasxval/internal/acasx"
 	"acasxval/internal/campaign"
@@ -14,7 +13,6 @@ import (
 	"acasxval/internal/montecarlo"
 	"acasxval/internal/search"
 	"acasxval/internal/sim"
-	"acasxval/internal/svo"
 	"acasxval/internal/sys"
 )
 
@@ -33,8 +31,6 @@ type (
 	Logic = acasx.Logic
 	// SenseMask restricts advisory senses (coordination constraints).
 	SenseMask = acasx.SenseMask
-	// BeliefSigmas parameterize the QMDP belief-weighted executive.
-	BeliefSigmas = acasx.BeliefSigmas
 
 	// EncounterParams are the paper's nine encounter parameters.
 	EncounterParams = encounter.Params
@@ -105,9 +101,6 @@ type (
 	Grid2DModel = grid2d.Model
 	// Grid2DTable is the section III generated logic table.
 	Grid2DTable = grid2d.LogicTable
-
-	// SVOConfig parameterizes the Selective Velocity Obstacle baseline.
-	SVOConfig = svo.Config
 
 	// FaultProfile declares a deterministic surveillance degradation
 	// condition: Gilbert-Elliott burst dropout, a hard detection-range
@@ -213,42 +206,12 @@ func LookupSystem(name string) (SystemBackend, bool) { return sys.Lookup(name) }
 // AvoidanceSystem contract (systems already implementing it pass through).
 func AdaptSystem(s System) AvoidanceSystem { return sim.Adapt(s) }
 
-// NewACASXU equips an aircraft with the table-driven logic.
-//
-// Deprecated: use NewSystem(SystemContext{Table: table},
-// SystemSpec{Name: "acasx"}).
-func NewACASXU(table *Table) System { return sim.NewACASXU(table) }
-
-// NewACASXUBelief equips an aircraft with the QMDP belief-weighted
-// executive: advisory choice by expected Q value over a Gaussian state
-// belief (the paper's section IV POMDP question).
-//
-// Deprecated: use NewSystem(SystemContext{Table: table},
-// SystemSpec{Name: "belief"}) with sigma_h/sigma_rate/sigma_tau params.
-func NewACASXUBelief(table *Table, sigmas BeliefSigmas) (System, error) {
-	return sim.NewACASXUBelief(table, sigmas)
-}
-
-// DefaultBeliefSigmas matches the default filtered ADS-B error model.
-func DefaultBeliefSigmas() BeliefSigmas { return acasx.DefaultBeliefSigmas() }
-
-// NewSVO equips an aircraft with the Selective Velocity Obstacle baseline.
-//
-// Deprecated: use NewSystem(SystemContext{}, SystemSpec{Name: "svo"}).
-func NewSVO(cfg SVOConfig) (System, error) { return svo.New(cfg) }
-
-// DefaultSVOConfig returns the SVO baseline parameterization.
-func DefaultSVOConfig() SVOConfig { return svo.DefaultConfig() }
-
 // NoAvoidance returns the unequipped baseline system: it never commands.
 // It is stateless, so one value can equip any number of aircraft.
 func NoAvoidance() System { return sim.NoSystem{} }
 
 // Unequipped is the SystemFactory for aircraft with no collision
 // avoidance.
-//
-// Deprecated: use NoAvoidance (one stateless value equips any aircraft) or
-// NewSystem(SystemContext{}, SystemSpec{Name: "none"}).
 var Unequipped = montecarlo.Unequipped
 
 // DefaultRunConfig returns the paper-style simulation configuration.
@@ -359,27 +322,10 @@ func DefaultMonteCarloConfig() MonteCarloConfig { return montecarlo.DefaultConfi
 // dynamics and sensor noise — the campaign engine's per-cell view.
 func PointEncounterModel(p EncounterParams) EncounterModel { return montecarlo.PointModel(p) }
 
-// EstimateRisk runs a Monte-Carlo risk estimation of one system
-// configuration against the encounter model. Episodes fan out over
-// cfg.Parallelism reusable simulation worlds (0 = NumCPU); every episode's
-// random streams derive counter-style from (cfg.Seed, episode index), so
-// the estimate is bit-identical for any worker count.
-func EstimateRisk(model EncounterModel, factory SystemFactory, cfg MonteCarloConfig) (*RiskEstimate, error) {
-	return montecarlo.Evaluate(model, factory, cfg)
-}
-
 // DefaultMultiEncounterModel returns k independent copies of the default
 // airspace model sampled onto a shared ownship state per episode.
 func DefaultMultiEncounterModel(k int) MultiEncounterModel {
 	return montecarlo.DefaultMultiEncounterModel(k)
-}
-
-// EstimateMultiRisk is EstimateRisk against a K-intruder encounter model:
-// every episode samples one ownship plus K intruders and simulates all
-// pairwise conflicts in one closed-loop world. A single-intruder model
-// produces the exact estimate of EstimateRisk.
-func EstimateMultiRisk(model MultiEncounterModel, factory SystemFactory, cfg MonteCarloConfig) (*RiskEstimate, error) {
-	return montecarlo.EvaluateMulti(model, factory, cfg)
 }
 
 // RiskRatio is P(NMAC | equipped) / P(NMAC | unequipped).
@@ -404,23 +350,6 @@ func ArchiveProposalKernels(entries []DangerArchiveEntry) ([][]float64, error) {
 	return search.ProposalKernels(entries)
 }
 
-// EstimateRareRisk estimates P(NMAC) with the rare-event estimator the spec
-// selects — importance sampling ("is", "snis") against a defensive mixture
-// of the model and the spec's kernels, or multi-level splitting ("split")
-// down a decreasing separation-level ladder. A brute-force (or empty)
-// method is exactly EstimateRisk. Estimates report the effective sample
-// size and the measured variance-reduction factor against a brute-force run
-// of the same episode budget, and are bit-identical for any worker count.
-func EstimateRareRisk(model EncounterModel, factory SystemFactory, cfg MonteCarloConfig, spec RareEventSpec) (*RiskEstimate, error) {
-	return montecarlo.EstimateRare(model, factory, cfg, spec)
-}
-
-// EstimateMultiRareRisk is EstimateRareRisk against a K-intruder encounter
-// model.
-func EstimateMultiRareRisk(model MultiEncounterModel, factory SystemFactory, cfg MonteCarloConfig, spec RareEventSpec) (*RiskEstimate, error) {
-	return montecarlo.EstimateRareMulti(model, factory, cfg, spec)
-}
-
 // DefaultCampaignSpec returns a campaign skeleton: every named preset
 // against the unequipped baseline.
 func DefaultCampaignSpec() CampaignSpec { return campaign.DefaultSpec() }
@@ -435,17 +364,6 @@ func LoadCampaignSpec(path string) (CampaignSpec, error) { return campaign.Load(
 // added with RegisterSystem).
 func DefaultCampaignSystems(table *Table) CampaignSystems { return campaign.DefaultSystems(table) }
 
-// RunCampaign executes a validation campaign: the scenario x system x
-// variant cross-product fans out over a deterministic worker pool (when
-// the grid is smaller than the pool, the leftover cores run each cell's
-// episodes in parallel instead of idling), each cell streams one JSON
-// record to jsonl (may be nil), and the result ranks systems by risk ratio
-// against the unequipped baseline. Output is byte-identical across runs
-// with the same spec, regardless of how the work was scheduled.
-func RunCampaign(spec CampaignSpec, systems CampaignSystems, jsonl io.Writer) (*CampaignResult, error) {
-	return campaign.Run(spec, systems, jsonl)
-}
-
 // DefaultSearchSpec returns the paper-scale island search: 4 islands of 50
 // individuals (the paper's total population of 200) for 5 generations.
 func DefaultSearchSpec() SearchSpec { return search.DefaultSpec() }
@@ -454,20 +372,9 @@ func DefaultSearchSpec() SearchSpec { return search.DefaultSpec() }
 // parameter file (see search.FromConfig for the recognized keys).
 func LoadSearchSpec(path string) (SearchSpec, error) { return search.Load(path) }
 
-// RunSearch executes the island-model adversarial search: N islands evolve
-// concurrently with ring migration, every evaluation runs through the
-// Monte-Carlo harness (fanning its episodes over opts.EpisodeWorkers
-// workers without affecting a single result byte), dangerous encounters
-// accumulate in the result's deduplicated archive, and — when
-// opts.CheckpointPath is set — the state checkpoints after every generation
-// so a killed run resumes bit-identically (opts.Resume).
-func RunSearch(spec SearchSpec, factory SystemFactory, opts SearchOptions) (*IslandSearchResult, error) {
-	return search.Run(spec, factory, opts)
-}
-
 // RandomSearch is the uniform random baseline of the search: n genomes
 // drawn from spec's full genome bounds on a stream salted from spec.Seed,
-// each scored through the same fitness path as RunSearch.
+// each scored through the same fitness path as RunSearchContext.
 func RandomSearch(ctx context.Context, spec SearchSpec, factory SystemFactory, n int) (*RandomSearchResult, error) {
 	return search.RandomSearch(ctx, spec, factory, n)
 }

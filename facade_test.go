@@ -5,6 +5,7 @@ package acasxval
 // -> analysis, plus the Monte-Carlo and grid2d paths.
 
 import (
+	"context"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -38,13 +39,13 @@ func facadeLogicTable(tb testing.TB) *Table {
 func facadeFactory(tb testing.TB) SystemFactory {
 	table := facadeLogicTable(tb)
 	return func() (sim.System, sim.System) {
-		return NewACASXU(table), NewACASXU(table)
+		return sim.NewACASXU(table), sim.NewACASXU(table)
 	}
 }
 
 func TestQuickstartFlow(t *testing.T) {
 	table := facadeLogicTable(t)
-	res, err := RunEncounter(PresetHeadOn(), NewACASXU(table), NewACASXU(table), DefaultRunConfig(), 42)
+	res, err := RunEncounter(PresetHeadOn(), sim.NewACASXU(table), sim.NewACASXU(table), DefaultRunConfig(), 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +74,11 @@ func TestTableSaveLoadThroughFacade(t *testing.T) {
 	}
 	// A loaded table must drive the logic identically.
 	p := PresetHeadOn()
-	a, err := RunEncounter(p, NewACASXU(table), NewACASXU(table), DefaultRunConfig(), 9)
+	a, err := RunEncounter(p, sim.NewACASXU(table), sim.NewACASXU(table), DefaultRunConfig(), 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunEncounter(p, NewACASXU(loaded), NewACASXU(loaded), DefaultRunConfig(), 9)
+	b, err := RunEncounter(p, sim.NewACASXU(loaded), sim.NewACASXU(loaded), DefaultRunConfig(), 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestEndToEndSearchFindsTailApproaches(t *testing.T) {
 	spec.Seed = 20
 	spec.Fitness.SimsPerEncounter = 10
 	var evals []Evaluation
-	res, err := RunSearch(spec, facadeFactory(t), SearchOptions{Observer: func(is IslandStats) {
+	res, err := RunSearchContext(context.Background(), spec, facadeFactory(t), SearchOptions{Observer: func(is IslandStats) {
 		evals = append(evals, is.Evaluations...)
 	}})
 	if err != nil {
@@ -127,11 +128,11 @@ func TestEndToEndSearchFindsTailApproaches(t *testing.T) {
 }
 
 func TestSVOThroughFacade(t *testing.T) {
-	svoSys, err := NewSVO(DefaultSVOConfig())
+	svoSys, err := NewSystem(SystemContext{}, SystemSpec{Name: "svo"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	svoSys2, err := NewSVO(DefaultSVOConfig())
+	svoSys2, err := NewSystem(SystemContext{}, SystemSpec{Name: "svo"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestSVOThroughFacade(t *testing.T) {
 func TestMonteCarloThroughFacade(t *testing.T) {
 	cfg := DefaultMonteCarloConfig()
 	cfg.Samples = 60
-	est, err := EstimateRisk(DefaultEncounterModel(), facadeFactory(t), cfg)
+	est, err := EstimateRiskContext(context.Background(), DefaultEncounterModel(), facadeFactory(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestNewSystemFactoryMatchesDeprecatedConstructors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldRes, err := RunEncounter(PresetHeadOn(), NewACASXU(table), NewACASXU(table), DefaultRunConfig(), 9)
+	oldRes, err := RunEncounter(PresetHeadOn(), sim.NewACASXU(table), sim.NewACASXU(table), DefaultRunConfig(), 9)
 	if err != nil {
 		t.Fatal(err)
 	}

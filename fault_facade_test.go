@@ -6,8 +6,11 @@ package acasxval
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
+
+	"acasxval/internal/sim"
 )
 
 func TestFaultPresetsThroughFacade(t *testing.T) {
@@ -50,11 +53,11 @@ func TestFaultedEncounterThroughFacade(t *testing.T) {
 	cfg.Faults = severe
 
 	// Deterministic: same profile, same seed, same bytes.
-	a, err := RunEncounter(PresetHeadOn(), NewACASXU(table), NewACASXU(table), cfg, 42)
+	a, err := RunEncounter(PresetHeadOn(), sim.NewACASXU(table), sim.NewACASXU(table), cfg, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunEncounter(PresetHeadOn(), NewACASXU(table), NewACASXU(table), cfg, 42)
+	b, err := RunEncounter(PresetHeadOn(), sim.NewACASXU(table), sim.NewACASXU(table), cfg, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +67,7 @@ func TestFaultedEncounterThroughFacade(t *testing.T) {
 
 	// The degradation must actually reach the closed loop: a clean run of
 	// the same encounter under the same seed behaves differently.
-	clean, err := RunEncounter(PresetHeadOn(), NewACASXU(table), NewACASXU(table), DefaultRunConfig(), 42)
+	clean, err := RunEncounter(PresetHeadOn(), sim.NewACASXU(table), sim.NewACASXU(table), DefaultRunConfig(), 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,12 +87,12 @@ func TestFaultedRiskEstimateThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Run.Faults = severe
-	faulted, err := EstimateRisk(DefaultEncounterModel(), factory, cfg)
+	faulted, err := EstimateRiskContext(context.Background(), DefaultEncounterModel(), factory, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Run.Faults = FaultProfile{}
-	clean, err := EstimateRisk(DefaultEncounterModel(), factory, cfg)
+	clean, err := EstimateRiskContext(context.Background(), DefaultEncounterModel(), factory, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +119,7 @@ func TestCampaignFaultAxisThroughFacade(t *testing.T) {
 	}
 
 	var jsonl bytes.Buffer
-	res, err := RunCampaign(spec, DefaultCampaignSystems(nil), &jsonl)
+	res, err := RunCampaignContext(context.Background(), spec, DefaultCampaignSystems(nil), &jsonl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -30,11 +31,11 @@ func testSpec() Spec {
 func TestRunDeterministic(t *testing.T) {
 	systems := DefaultSystems(nil)
 	var out1, out2 bytes.Buffer
-	res1, err := Run(testSpec(), systems, &out1)
+	res1, err := RunContext(context.Background(), testSpec(), systems, &out1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := Run(testSpec(), systems, &out2)
+	res2, err := RunContext(context.Background(), testSpec(), systems, &out2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,10 +75,10 @@ func TestRunDeterministicAcrossParallelism(t *testing.T) {
 	parallel := testSpec()
 	parallel.Parallelism = 8
 	var out1, out2 bytes.Buffer
-	if _, err := Run(serial, systems, &out1); err != nil {
+	if _, err := RunContext(context.Background(), serial, systems, &out1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(parallel, systems, &out2); err != nil {
+	if _, err := RunContext(context.Background(), parallel, systems, &out2); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(out1.Bytes(), out2.Bytes()) {
@@ -95,10 +96,10 @@ func TestRunClampsOversizedParallelism(t *testing.T) {
 	huge := testSpec()
 	huge.Parallelism = 1 << 20
 	var out1, out2 bytes.Buffer
-	if _, err := Run(serial, systems, &out1); err != nil {
+	if _, err := RunContext(context.Background(), serial, systems, &out1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(huge, systems, &out2); err != nil {
+	if _, err := RunContext(context.Background(), huge, systems, &out2); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(out1.Bytes(), out2.Bytes()) {
@@ -107,7 +108,7 @@ func TestRunClampsOversizedParallelism(t *testing.T) {
 }
 
 func TestSummariesRankedByRiskRatio(t *testing.T) {
-	res, err := Run(testSpec(), DefaultSystems(nil), nil)
+	res, err := RunContext(context.Background(), testSpec(), DefaultSystems(nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestSummariesRankedByRiskRatio(t *testing.T) {
 func TestRunRejectsUnknownSystem(t *testing.T) {
 	s := testSpec()
 	s.Systems = []string{"none", "acasx"} // needs a table
-	if _, err := Run(s, DefaultSystems(nil), nil); err == nil {
+	if _, err := RunContext(context.Background(), s, DefaultSystems(nil), nil); err == nil {
 		t.Fatal("expected error for system missing from the set")
 	}
 }
@@ -241,7 +242,7 @@ func TestCampaignSeparatesSystems(t *testing.T) {
 	s.Systems = []string{"none", "svo"}
 	s.Samples = 8
 	s.Seed = 3
-	res, err := Run(s, DefaultSystems(nil), nil)
+	res, err := RunContext(context.Background(), s, DefaultSystems(nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

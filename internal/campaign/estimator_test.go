@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -51,7 +52,7 @@ func TestEstimatorAxis(t *testing.T) {
 		t.Fatalf("decoded %d kernels, want 2", len(spec.EstimatorSpec.Kernels))
 	}
 	var out bytes.Buffer
-	res, err := Run(spec, DefaultSystems(nil), &out)
+	res, err := RunContext(context.Background(), spec, DefaultSystems(nil), &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestEstimatorAxisDeterministic(t *testing.T) {
 		spec := estimatorSpec(t)
 		spec.Parallelism = par
 		var out bytes.Buffer
-		if _, err := Run(spec, systems, &out); err != nil {
+		if _, err := RunContext(context.Background(), spec, systems, &out); err != nil {
 			t.Fatal(err)
 		}
 		streams = append(streams, out.String())

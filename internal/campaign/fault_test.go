@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -31,11 +32,11 @@ func faultSpec(t *testing.T) Spec {
 // scenario vector as its clean sibling.
 func TestFaultAxisPairsCellsWithCleanRun(t *testing.T) {
 	systems := DefaultSystems(nil)
-	base, err := Run(testSpec(), systems, nil)
+	base, err := RunContext(context.Background(), testSpec(), systems, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulted, err := Run(faultSpec(t), systems, nil)
+	faulted, err := RunContext(context.Background(), faultSpec(t), systems, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestFaultAxisCellOrder(t *testing.T) {
 // fault column only when a named fault point ran.
 func TestFaultAxisSummaries(t *testing.T) {
 	systems := DefaultSystems(nil)
-	res, err := Run(faultSpec(t), systems, nil)
+	res, err := RunContext(context.Background(), faultSpec(t), systems, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestFaultAxisSummaries(t *testing.T) {
 	if !strings.Contains(header, "fault") || !strings.Contains(table, "moderate") {
 		t.Errorf("faulted summary table lacks the fault column:\n%s", table)
 	}
-	cleanRes, err := Run(testSpec(), systems, nil)
+	cleanRes, err := RunContext(context.Background(), testSpec(), systems, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +317,7 @@ func TestFaultedCampaignRiskRatioOrdering(t *testing.T) {
 		{Name: "none"},
 		{Name: "severe", Profile: severe},
 	}
-	res, err := Run(s, DefaultSystems(nil), nil)
+	res, err := RunContext(context.Background(), s, DefaultSystems(nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

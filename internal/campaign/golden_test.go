@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"math"
 	"os"
@@ -34,7 +35,7 @@ func goldenSpec() Spec {
 // format or trajectory change.
 func TestGoldenCells(t *testing.T) {
 	var out bytes.Buffer
-	if _, err := Run(goldenSpec(), DefaultSystems(nil), &out); err != nil {
+	if _, err := RunContext(context.Background(), goldenSpec(), DefaultSystems(nil), &out); err != nil {
 		t.Fatal(err)
 	}
 	got := out.Bytes()
@@ -65,11 +66,11 @@ func TestAxisGrowthKeepsCellResults(t *testing.T) {
 	grown.Scenarios = append(grown.Scenarios,
 		Scenario{Name: "appended", Params: encounter.PresetOvertake().Multi()})
 
-	baseRes, err := Run(base, DefaultSystems(nil), nil)
+	baseRes, err := RunContext(context.Background(), base, DefaultSystems(nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grownRes, err := Run(grown, DefaultSystems(nil), nil)
+	grownRes, err := RunContext(context.Background(), grown, DefaultSystems(nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestAxisGrowthKeepsCellResults(t *testing.T) {
 
 func TestExplicitScenarios(t *testing.T) {
 	s := goldenSpec()
-	res, err := Run(s, DefaultSystems(nil), nil)
+	res, err := RunContext(context.Background(), s, DefaultSystems(nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

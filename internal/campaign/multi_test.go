@@ -4,6 +4,7 @@ package campaign
 // campaign.intruders model-draw knob, and the K-block cell records.
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -19,7 +20,7 @@ func TestMultiPresetAxisMixesPairwiseAndMulti(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(s, DefaultSystems(nil), nil)
+	res, err := RunContext(context.Background(), s, DefaultSystems(nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ campaign.seed = 4
 	if s.Intruders != 3 {
 		t.Fatalf("intruders = %d, want 3", s.Intruders)
 	}
-	res, err := Run(s, DefaultSystems(nil), nil)
+	res, err := RunContext(context.Background(), s, DefaultSystems(nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

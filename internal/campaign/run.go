@@ -255,21 +255,18 @@ func (s Spec) Cells() ([]Cell, error) {
 	return cells, nil
 }
 
-// Run executes the campaign: every cell replays its fixed scenario through
-// the Monte-Carlo harness on a worker pool, cells stream to jsonl (may be
-// nil) as one JSON record per line in deterministic cell order, and the
-// aggregate summaries rank systems by risk ratio. The result — including
+// RunContext executes the campaign: every cell replays its fixed scenario
+// through the Monte-Carlo harness on a worker pool, cells stream to jsonl
+// (may be nil) as one JSON record per line in deterministic cell order, and
+// the aggregate summaries rank systems by risk ratio. The result — including
 // the JSONL byte stream — is identical for identical (spec, systems).
-func Run(spec Spec, systems SystemSet, jsonl io.Writer) (*Result, error) {
-	return RunContext(context.Background(), spec, systems, jsonl)
-}
-
-// RunContext is Run under a cancellation context. A cancelled ctx stops
-// the cell pool promptly without corrupting the stream: the JSONL writer
-// never emits a partial line, and the call returns the partial result —
-// exactly the completed prefix of the deterministic cell order, matching
-// the bytes already flushed — alongside ctx.Err(). Callers distinguish
-// interruption (non-nil result and error) from failure (nil result).
+//
+// A cancelled ctx stops the cell pool promptly without corrupting the
+// stream: the JSONL writer never emits a partial line, and the call returns
+// the partial result — exactly the completed prefix of the deterministic
+// cell order, matching the bytes already flushed — alongside ctx.Err().
+// Callers distinguish interruption (non-nil result and error) from failure
+// (nil result).
 func RunContext(ctx context.Context, spec Spec, systems SystemSet, jsonl io.Writer) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err

@@ -118,7 +118,7 @@ type outcome struct {
 // island search one per genome) can hold one Scratch per worker and avoid
 // re-allocating the per-sample outcome buffer and the per-worker simulation
 // worlds every call. A Scratch must not be shared between concurrent
-// Evaluate calls; the zero value is ready to use.
+// evaluations; the zero value is ready to use.
 type Scratch struct {
 	outcomes []outcome
 	worlds   []*world
@@ -136,7 +136,7 @@ func (s *Scratch) grow(n int) []outcome {
 }
 
 // world returns the i-th per-worker simulation world, growing the pool as
-// needed. Worlds persist across Evaluate calls so the campaign and search
+// needed. Worlds persist across evaluations so the campaign and search
 // steady states re-wire rather than rebuild them.
 func (s *Scratch) world(i int) *world {
 	for len(s.worlds) <= i {
@@ -169,7 +169,7 @@ type world struct {
 	chain []float64
 }
 
-// prepare (re)wires the world for one Evaluate call over k-intruder
+// prepare (re)wires the world for one evaluation over k-intruder
 // encounters. The runner is rebuilt only when the run configuration
 // changed; the systems are always taken fresh from the factory, since
 // factories may close over per-call state.
@@ -217,56 +217,10 @@ func (w *world) simulate(model *MultiEncounterModel, cfg *Config, i int, out []o
 	}
 }
 
-// Evaluate estimates event probabilities for one system configuration
-// against the encounter model. Episodes are distributed over a worker pool;
-// the result is deterministic for a given seed and bit-identical for any
-// worker count.
-func Evaluate(model EncounterModel, factory SystemFactory, cfg Config) (*Estimate, error) {
-	return EvaluateWithScratch(model, factory, cfg, nil)
-}
-
-// EvaluateContext is Evaluate under a cancellation context (see
-// EvaluateMultiWithScratchContext for the cancellation contract).
-func EvaluateContext(ctx context.Context, model EncounterModel, factory SystemFactory, cfg Config) (*Estimate, error) {
-	return EvaluateWithScratchContext(ctx, model, factory, cfg, nil)
-}
-
-// EvaluateMulti estimates event probabilities against a multi-intruder
-// encounter model: every episode samples one ownship + K intruders and
-// simulates all pairwise conflicts in one closed-loop world. Determinism
-// and worker-count invariance match Evaluate's.
-func EvaluateMulti(model MultiEncounterModel, factory SystemFactory, cfg Config) (*Estimate, error) {
-	return EvaluateMultiWithScratch(model, factory, cfg, nil)
-}
-
-// EvaluateMultiContext is EvaluateMulti under a cancellation context.
-func EvaluateMultiContext(ctx context.Context, model MultiEncounterModel, factory SystemFactory, cfg Config) (*Estimate, error) {
-	return EvaluateMultiWithScratchContext(ctx, model, factory, cfg, nil)
-}
-
 // episodeBatch is how many consecutive episodes a worker claims per
 // counter fetch: large enough to keep contention on the shared counter
 // negligible, small enough to balance uneven episode durations.
 const episodeBatch = 8
-
-// EvaluateWithScratch is Evaluate with caller-owned state reuse: scratch
-// (may be nil) supplies the per-sample outcome buffer and the per-worker
-// reusable simulation worlds, making the steady state allocation-free per
-// episode. The returned estimate is identical to Evaluate's: every
-// episode's RNG streams derive counter-style from (cfg.Seed, index), so the
-// estimate is bit-identical regardless of cfg.Parallelism and of which
-// worker runs which episode. It is the single-intruder case of
-// EvaluateMultiWithScratch; a one-model wrap samples and simulates the
-// exact classic stream.
-func EvaluateWithScratch(model EncounterModel, factory SystemFactory, cfg Config, scratch *Scratch) (*Estimate, error) {
-	return EvaluateMultiWithScratch(MultiEncounterModel{Intruders: []EncounterModel{model}}, factory, cfg, scratch)
-}
-
-// EvaluateWithScratchContext is EvaluateWithScratch under a cancellation
-// context.
-func EvaluateWithScratchContext(ctx context.Context, model EncounterModel, factory SystemFactory, cfg Config, scratch *Scratch) (*Estimate, error) {
-	return EvaluateMultiWithScratchContext(ctx, MultiEncounterModel{Intruders: []EncounterModel{model}}, factory, cfg, scratch)
-}
 
 // prepareWorlds wires one reusable simulation world per effective worker
 // for an evaluation over tasks work items. Worlds are prepared serially up
@@ -351,18 +305,25 @@ func runEpisodes(ctx context.Context, worlds []*world, n int, run func(w *world,
 	wg.Wait()
 }
 
-// EvaluateMultiWithScratch is EvaluateMulti with caller-owned state reuse
-// (see EvaluateWithScratch); at a steady intruder count the per-episode
-// steady state allocates nothing.
-func EvaluateMultiWithScratch(model MultiEncounterModel, factory SystemFactory, cfg Config, scratch *Scratch) (*Estimate, error) {
-	return EvaluateMultiWithScratchContext(context.Background(), model, factory, cfg, scratch)
-}
-
-// EvaluateMultiWithScratchContext is EvaluateMultiWithScratch under a
-// cancellation context: a cancelled ctx stops the episode loop between
-// episodes and returns ctx.Err() with no estimate. Cancellation never
-// corrupts state — episodes are idempotent functions of (cfg.Seed, index),
-// so re-running the same evaluation later reproduces the identical result.
+// EvaluateMultiWithScratchContext is the brute-force Monte-Carlo kernel: it
+// estimates event probabilities for one system configuration against a
+// K-intruder encounter model, every episode sampling one ownship plus K
+// intruders and simulating all pairwise conflicts in one closed-loop world.
+// A pairwise model is the K=1 case, MultiEncounterModel{Intruders:
+// []EncounterModel{model}}, and samples and simulates the exact classic
+// stream.
+//
+// Episodes are distributed over cfg.Parallelism reusable worlds; every
+// episode's RNG streams derive counter-style from (cfg.Seed, index), so the
+// estimate is deterministic for a given seed and bit-identical for any
+// worker count. scratch (may be nil) supplies the per-sample outcome buffer
+// and the per-worker simulation worlds; at a steady intruder count the
+// per-episode steady state allocates nothing.
+//
+// A cancelled ctx stops the episode loop between episodes and returns
+// ctx.Err() with no estimate. Cancellation never corrupts state — episodes
+// are idempotent functions of (cfg.Seed, index), so re-running the same
+// evaluation later reproduces the identical result.
 func EvaluateMultiWithScratchContext(ctx context.Context, model MultiEncounterModel, factory SystemFactory, cfg Config, scratch *Scratch) (*Estimate, error) {
 	if err := model.Validate(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -34,7 +35,7 @@ func TestEvaluateWorkerCountInvarianceFaulted(t *testing.T) {
 	var base *Estimate
 	for _, workers := range counts {
 		cfg.Parallelism = workers
-		est, err := Evaluate(model, Unequipped, cfg)
+		est, err := EvaluateMultiWithScratchContext(context.Background(), pairwise(model), Unequipped, cfg, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -68,11 +69,11 @@ func TestFaultedScratchReuse(t *testing.T) {
 	faulted.Parallelism = 2
 
 	for _, cfg := range []Config{clean, faulted, clean, faulted} {
-		got, err := EvaluateWithScratch(model, Unequipped, cfg, scratch)
+		got, err := EvaluateMultiWithScratchContext(context.Background(), pairwise(model), Unequipped, cfg, scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Evaluate(model, Unequipped, cfg)
+		want, err := EvaluateMultiWithScratchContext(context.Background(), pairwise(model), Unequipped, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,12 +91,12 @@ func TestFaultsDegradeEquippedPerformance(t *testing.T) {
 	clean := DefaultConfig()
 	clean.Samples = 200
 	clean.Seed = 31
-	cleanEst, err := Evaluate(model, Unequipped, clean)
+	cleanEst, err := EvaluateMultiWithScratchContext(context.Background(), pairwise(model), Unequipped, clean, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	faulted := faultedConfig(t, 200, 31)
-	faultEst, err := Evaluate(model, Unequipped, faulted)
+	faultEst, err := EvaluateMultiWithScratchContext(context.Background(), pairwise(model), Unequipped, faulted, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,12 +122,12 @@ func BenchmarkEvaluateFaultedSteadyState(b *testing.B) {
 	// size, exactly as the campaign's first cell would.
 	warm := cfg
 	warm.Samples = 2
-	if _, err := EvaluateWithScratch(model, Unequipped, warm, scratch); err != nil {
+	if _, err := EvaluateMultiWithScratchContext(context.Background(), pairwise(model), Unequipped, warm, scratch); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	est, err := EvaluateWithScratch(model, Unequipped, cfg, scratch)
+	est, err := EvaluateMultiWithScratchContext(context.Background(), pairwise(model), Unequipped, cfg, scratch)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -126,7 +126,7 @@ func NewMixture(components []Distribution, weights []float64) (Mixture, error) {
 
 // Prepared returns a copy of the mixture with cumulative weights
 // precomputed, recursively preparing nested mixtures. An already-prepared
-// mixture returns itself unchanged, so re-preparing (Evaluate prepares its
+// mixture returns itself unchanged, so re-preparing (every estimate prepares its
 // model on every call) is free.
 func (m Mixture) Prepared() Mixture {
 	if len(m.cum) == len(m.Weights) && len(m.Weights) > 0 {
@@ -307,7 +307,7 @@ func (m EncounterModel) all() []Distribution {
 
 // Prepared returns a copy of the model with every mixture's cumulative
 // weights precomputed, so per-episode draws never re-sum mixture weights.
-// Evaluate prepares its model once up front; callers sampling a model
+// Every estimate prepares its model once up front; callers sampling a model
 // directly in a loop should do the same.
 func (m EncounterModel) Prepared() EncounterModel {
 	m.OwnGroundSpeed = prepared(m.OwnGroundSpeed)

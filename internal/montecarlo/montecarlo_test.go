@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -15,6 +16,12 @@ var (
 	testTable *acasx.Table
 	tableErr  error
 )
+
+// pairwise wraps one encounter model as the K=1 multi-intruder model the
+// estimators take.
+func pairwise(m EncounterModel) MultiEncounterModel {
+	return MultiEncounterModel{Intruders: []EncounterModel{m}}
+}
 
 func acasFactory(tb testing.TB) SystemFactory {
 	tb.Helper()
@@ -153,17 +160,17 @@ func TestConfigValidation(t *testing.T) {
 
 func TestEvaluateErrors(t *testing.T) {
 	model := DefaultEncounterModel()
-	if _, err := Evaluate(model, nil, DefaultConfig()); err == nil {
+	if _, err := EvaluateMultiWithScratchContext(context.Background(), pairwise(model), nil, DefaultConfig(), nil); err == nil {
 		t.Error("nil factory accepted")
 	}
 	badModel := model
 	badModel.TimeToCPA = nil
-	if _, err := Evaluate(badModel, Unequipped, DefaultConfig()); err == nil {
+	if _, err := EvaluateMultiWithScratchContext(context.Background(), pairwise(badModel), Unequipped, DefaultConfig(), nil); err == nil {
 		t.Error("nil distribution accepted")
 	}
 	cfg := DefaultConfig()
 	cfg.Samples = -1
-	if _, err := Evaluate(model, Unequipped, cfg); err == nil {
+	if _, err := EvaluateMultiWithScratchContext(context.Background(), pairwise(model), Unequipped, cfg, nil); err == nil {
 		t.Error("bad config accepted")
 	}
 }
@@ -174,7 +181,7 @@ func TestUnequippedBaselineCollidesOften(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Samples = 300
 	cfg.Seed = 5
-	est, err := Evaluate(DefaultEncounterModel(), Unequipped, cfg)
+	est, err := EvaluateMultiWithScratchContext(context.Background(), pairwise(DefaultEncounterModel()), Unequipped, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,11 +203,11 @@ func TestEquippedRiskRatioWellBelowOne(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Samples = 300
 	cfg.Seed = 5
-	unequipped, err := Evaluate(DefaultEncounterModel(), Unequipped, cfg)
+	unequipped, err := EvaluateMultiWithScratchContext(context.Background(), pairwise(DefaultEncounterModel()), Unequipped, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	equipped, err := Evaluate(DefaultEncounterModel(), factory, cfg)
+	equipped, err := EvaluateMultiWithScratchContext(context.Background(), pairwise(DefaultEncounterModel()), factory, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +237,7 @@ func TestEvaluateDeterministicAcrossParallelism(t *testing.T) {
 		cfg.Samples = 100
 		cfg.Seed = 9
 		cfg.Parallelism = par
-		est, err := Evaluate(model, Unequipped, cfg)
+		est, err := EvaluateMultiWithScratchContext(context.Background(), pairwise(model), Unequipped, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +261,7 @@ func TestEvaluateWithScratchReuse(t *testing.T) {
 		cfg.Samples = samples
 		cfg.Seed = seed
 		cfg.Parallelism = 1
-		est, err := EvaluateWithScratch(model, Unequipped, cfg, scratch)
+		est, err := EvaluateMultiWithScratchContext(context.Background(), pairwise(model), Unequipped, cfg, scratch)
 		if err != nil {
 			t.Fatal(err)
 		}

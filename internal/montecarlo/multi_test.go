@@ -1,34 +1,13 @@
 package montecarlo
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
 	"acasxval/internal/encounter"
 	"acasxval/internal/stats"
 )
-
-// TestEvaluateMultiSingleIntruderMatchesPairwise: a one-model
-// MultiEncounterModel must produce the exact estimate of the pairwise
-// evaluator — same draws, same episodes, same numbers.
-func TestEvaluateMultiSingleIntruderMatchesPairwise(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Samples = 40
-	cfg.Seed = 7
-	want, err := Evaluate(DefaultEncounterModel(), Unequipped, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := EvaluateMulti(MultiEncounterModel{
-		Intruders: []EncounterModel{DefaultEncounterModel()},
-	}, Unequipped, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *got != *want {
-		t.Errorf("single-intruder multi estimate differs\n got: %+v\nwant: %+v", got, want)
-	}
-}
 
 // TestEvaluateMultiWorkerCountInvariance: the K>1 estimate must stay
 // bit-identical for any worker count — the acceptance criterion that lets
@@ -43,7 +22,7 @@ func TestEvaluateMultiWorkerCountInvariance(t *testing.T) {
 	var base *Estimate
 	for _, workers := range counts {
 		cfg.Parallelism = workers
-		est, err := EvaluateMulti(model, Unequipped, cfg)
+		est, err := EvaluateMultiWithScratchContext(context.Background(), model, Unequipped, cfg, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -72,11 +51,11 @@ func TestEvaluateMultiScratchAcrossIntruderCounts(t *testing.T) {
 	for i, k := range []int{2, 1, 3, 2} {
 		cfg.Seed = uint64(20 + i)
 		model := DefaultMultiEncounterModel(k)
-		got, err := EvaluateMultiWithScratch(model, Unequipped, cfg, scratch)
+		got, err := EvaluateMultiWithScratchContext(context.Background(), model, Unequipped, cfg, scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := EvaluateMulti(model, Unequipped, cfg)
+		want, err := EvaluateMultiWithScratchContext(context.Background(), model, Unequipped, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +126,7 @@ func BenchmarkEvaluateMultiIntruderSteadyState(b *testing.B) {
 	scratch := &Scratch{}
 	b.ReportAllocs()
 	b.ResetTimer()
-	est, err := EvaluateMultiWithScratch(model, Unequipped, cfg, scratch)
+	est, err := EvaluateMultiWithScratchContext(context.Background(), model, Unequipped, cfg, scratch)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -25,7 +26,7 @@ func TestEvaluateWorkerCountInvariance(t *testing.T) {
 	var base *Estimate
 	for _, workers := range counts {
 		cfg.Parallelism = workers
-		est, err := Evaluate(model, Unequipped, cfg)
+		est, err := EvaluateMultiWithScratchContext(context.Background(), pairwise(model), Unequipped, cfg, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -61,11 +62,11 @@ func TestEvaluateScratchWorldReuse(t *testing.T) {
 	cfgB.Seed = 8
 
 	for _, cfg := range []Config{cfgA, cfgB, cfgA} {
-		got, err := EvaluateWithScratch(model, Unequipped, cfg, scratch)
+		got, err := EvaluateMultiWithScratchContext(context.Background(), pairwise(model), Unequipped, cfg, scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Evaluate(model, Unequipped, cfg)
+		want, err := EvaluateMultiWithScratchContext(context.Background(), pairwise(model), Unequipped, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +165,7 @@ func BenchmarkEvaluateSteadyState(b *testing.B) {
 	scratch := &Scratch{}
 	b.ReportAllocs()
 	b.ResetTimer()
-	est, err := EvaluateWithScratch(model, Unequipped, cfg, scratch)
+	est, err := EvaluateMultiWithScratchContext(context.Background(), pairwise(model), Unequipped, cfg, scratch)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func BenchmarkEvaluateEquippedSteadyState(b *testing.B) {
 		scratch := &Scratch{}
 		b.ReportAllocs()
 		b.ResetTimer()
-		est, err := EvaluateWithScratch(model, factory, cfg, scratch)
+		est, err := EvaluateMultiWithScratchContext(context.Background(), pairwise(model), factory, cfg, scratch)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -219,7 +220,7 @@ func BenchmarkEvaluateParallel(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := EvaluateWithScratch(model, Unequipped, cfg, scratch); err != nil {
+				if _, err := EvaluateMultiWithScratchContext(context.Background(), pairwise(model), Unequipped, cfg, scratch); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"context"
 	"testing"
 
 	"acasxval/internal/encounter"
@@ -38,15 +39,16 @@ func TestPointModelReplaysScenario(t *testing.T) {
 	}
 }
 
-// A point model through Evaluate estimates one fixed scenario's stochastic
-// outcome distribution — the campaign engine's per-cell workload.
+// A point model through the brute-force kernel estimates one fixed
+// scenario's stochastic outcome distribution — the campaign engine's
+// per-cell workload.
 func TestEvaluatePointModel(t *testing.T) {
 	p, err := encounter.Preset("headon")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{Samples: 20, Run: sim.DefaultRunConfig(), Seed: 5, Parallelism: 2}
-	est, err := Evaluate(PointModel(p), Unequipped, cfg)
+	est, err := EvaluateMultiWithScratchContext(context.Background(), pairwise(PointModel(p)), Unequipped, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +57,7 @@ func TestEvaluatePointModel(t *testing.T) {
 		t.Errorf("P(NMAC) = %v for unequipped head-on point model, want >= 0.9", est.PNMAC)
 	}
 	// Determinism under the same seed.
-	est2, err := Evaluate(PointModel(p), Unequipped, cfg)
+	est2, err := EvaluateMultiWithScratchContext(context.Background(), pairwise(PointModel(p)), Unequipped, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

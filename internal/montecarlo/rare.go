@@ -15,7 +15,7 @@ import (
 
 // Rare-event estimation (ROADMAP item 2): realistic airspace P(NMAC) sits
 // far below what brute-force Monte-Carlo can resolve at any worker count.
-// This file adds two estimators that trade the iid sampling of Evaluate for
+// This file adds two estimators that trade the iid sampling of brute force for
 // variance reduction while keeping its contract — deterministic for a given
 // seed and bit-identical for any worker count:
 //
@@ -165,27 +165,12 @@ func (s RareEventSpec) Validate() error {
 	return nil
 }
 
-// EstimateRare estimates rare-event probabilities for one system
-// configuration against a pairwise encounter model using the estimator the
-// spec selects. MethodBruteForce (or an empty method) is exactly Evaluate.
-func EstimateRare(model EncounterModel, factory SystemFactory, cfg Config, spec RareEventSpec) (*Estimate, error) {
-	return EstimateRareMultiWithScratch(MultiEncounterModel{Intruders: []EncounterModel{model}}, factory, cfg, spec, nil)
-}
-
-// EstimateRareMulti is EstimateRare against a multi-intruder model.
-func EstimateRareMulti(model MultiEncounterModel, factory SystemFactory, cfg Config, spec RareEventSpec) (*Estimate, error) {
-	return EstimateRareMultiWithScratch(model, factory, cfg, spec, nil)
-}
-
-// EstimateRareMultiWithScratch is EstimateRareMulti with caller-owned state
-// reuse (see EvaluateWithScratch). Like Evaluate, the result is
-// deterministic for a given seed and bit-identical for any worker count.
-func EstimateRareMultiWithScratch(model MultiEncounterModel, factory SystemFactory, cfg Config, spec RareEventSpec, scratch *Scratch) (*Estimate, error) {
-	return EstimateRareMultiWithScratchContext(context.Background(), model, factory, cfg, spec, scratch)
-}
-
-// EstimateRareMultiWithScratchContext is EstimateRareMultiWithScratch under
-// a cancellation context: a cancelled ctx stops the episode loops (and, for
+// EstimateRareMultiWithScratchContext estimates event probabilities with
+// the estimator the spec selects. An empty method or MethodBruteForce is
+// exactly EvaluateMultiWithScratchContext; MethodIS and MethodSNIS sample a
+// defensive proposal mixture, MethodSplit walks a separation-level ladder.
+// Scratch reuse, determinism and worker-count invariance match the
+// brute-force kernel's. A cancelled ctx stops the episode loops (and, for
 // splitting, the stage ladder) and returns ctx.Err() with no estimate.
 func EstimateRareMultiWithScratchContext(ctx context.Context, model MultiEncounterModel, factory SystemFactory, cfg Config, spec RareEventSpec, scratch *Scratch) (*Estimate, error) {
 	if err := spec.Validate(); err != nil {

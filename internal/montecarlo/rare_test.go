@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"math"
@@ -100,23 +101,23 @@ func TestRareEventSpecValidate(t *testing.T) {
 }
 
 // TestBruteForceMethodMatchesEvaluate: the estimator dispatch's bruteforce
-// arm is exactly Evaluate.
+// arm (and the empty method) is exactly the brute-force kernel.
 func TestBruteForceMethodMatchesEvaluate(t *testing.T) {
 	model := DefaultEncounterModel()
 	cfg := DefaultConfig()
 	cfg.Samples = 40
 	cfg.Seed = 11
-	want, err := Evaluate(model, Unequipped, cfg)
+	want, err := EvaluateMultiWithScratchContext(context.Background(), pairwise(model), Unequipped, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, method := range []string{"", MethodBruteForce} {
-		got, err := EstimateRare(model, Unequipped, cfg, RareEventSpec{Method: method})
+		got, err := EstimateRareMultiWithScratchContext(context.Background(), pairwise(model), Unequipped, cfg, RareEventSpec{Method: method}, nil)
 		if err != nil {
 			t.Fatalf("method %q: %v", method, err)
 		}
 		if *got != *want {
-			t.Errorf("method %q differs from Evaluate\n got: %+v\nwant: %+v", method, got, want)
+			t.Errorf("method %q differs from the brute-force kernel\n got: %+v\nwant: %+v", method, got, want)
 		}
 	}
 	if want.ESS != float64(cfg.Samples) || want.VarianceReduction != 1 {
@@ -135,7 +136,7 @@ func TestISWithoutKernelsMatchesBruteForce(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Samples = 300
 	cfg.Seed = 4
-	brute, err := Evaluate(model, Unequipped, cfg)
+	brute, err := EvaluateMultiWithScratchContext(context.Background(), pairwise(model), Unequipped, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestISWithoutKernelsMatchesBruteForce(t *testing.T) {
 		return math.Abs(a-b) <= 1e-12*math.Max(math.Abs(a), math.Abs(b))
 	}
 	for _, method := range []string{MethodIS, MethodSNIS} {
-		is, err := EstimateRare(model, Unequipped, cfg, RareEventSpec{Method: method})
+		is, err := EstimateRareMultiWithScratchContext(context.Background(), pairwise(model), Unequipped, cfg, RareEventSpec{Method: method}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +174,7 @@ func TestRareEventCrossValidation(t *testing.T) {
 	cfg.Samples = 12000
 	cfg.Seed = 20260808
 
-	brute, err := Evaluate(model, Unequipped, cfg)
+	brute, err := EvaluateMultiWithScratchContext(context.Background(), pairwise(model), Unequipped, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestRareEventCrossValidation(t *testing.T) {
 
 	var cumVRF float64
 	for _, method := range []string{MethodIS, MethodSNIS} {
-		est, err := EstimateRareMulti(MultiEncounterModel{Intruders: []EncounterModel{model}}, Unequipped, cfg, hostileISSpec(method))
+		est, err := EstimateRareMultiWithScratchContext(context.Background(), pairwise(model), Unequipped, cfg, hostileISSpec(method), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +227,7 @@ func TestRareEventCrossValidation(t *testing.T) {
 
 	splitCfg := cfg
 	splitCfg.Samples = 2000
-	est, err := EstimateRareMulti(MultiEncounterModel{Intruders: []EncounterModel{model}}, Unequipped, splitCfg, hostileSplitSpec())
+	est, err := EstimateRareMultiWithScratchContext(context.Background(), pairwise(model), Unequipped, splitCfg, hostileSplitSpec(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func TestRareEventWorkerCountInvariance(t *testing.T) {
 				var base *Estimate
 				for _, workers := range []int{1, 2, 8} {
 					cfg.Parallelism = workers
-					est, err := EstimateRare(model, Unequipped, cfg, spec)
+					est, err := EstimateRareMultiWithScratchContext(context.Background(), pairwise(model), Unequipped, cfg, spec, nil)
 					if err != nil {
 						t.Fatalf("workers=%d: %v", workers, err)
 					}
@@ -290,7 +291,7 @@ func TestRareEventWorkerCountInvariance(t *testing.T) {
 // campaign steady state) must match scratch-free ones bit for bit, even
 // interleaved with brute-force evaluations.
 func TestRareEventScratchReuse(t *testing.T) {
-	model := MultiEncounterModel{Intruders: []EncounterModel{hostileModel()}}
+	model := pairwise(hostileModel())
 	cfg := DefaultConfig()
 	cfg.Samples = 120
 	cfg.Seed = 9
@@ -302,11 +303,11 @@ func TestRareEventScratchReuse(t *testing.T) {
 		hostileSplitSpec(),
 		hostileISSpec(MethodSNIS),
 	} {
-		got, err := EstimateRareMultiWithScratch(model, Unequipped, cfg, spec, scratch)
+		got, err := EstimateRareMultiWithScratchContext(context.Background(), model, Unequipped, cfg, spec, scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := EstimateRareMulti(model, Unequipped, cfg, spec)
+		want, err := EstimateRareMultiWithScratchContext(context.Background(), model, Unequipped, cfg, spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,7 +330,7 @@ func TestISZeroSuccessInterval(t *testing.T) {
 	cfg.Samples = 80
 	cfg.Seed = 3
 	spec := hostileISSpec(MethodIS)
-	est, err := EstimateRare(model, Unequipped, cfg, spec)
+	est, err := EstimateRareMultiWithScratchContext(context.Background(), pairwise(model), Unequipped, cfg, spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +349,7 @@ func TestISZeroSuccessInterval(t *testing.T) {
 // by 1/α, so the Kish effective sample size can never collapse below
 // N·α²... and in particular stays positive.
 func TestISWeightsBounded(t *testing.T) {
-	model := MultiEncounterModel{Intruders: []EncounterModel{hostileModel()}}.Prepared()
+	model := pairwise(hostileModel()).Prepared()
 	spec := hostileISSpec(MethodIS)
 	q, err := newProposal(model, spec)
 	if err != nil {
@@ -420,7 +421,7 @@ func TestRareEventGolden(t *testing.T) {
 	}
 	var rows []row
 	for _, spec := range []RareEventSpec{hostileISSpec(MethodIS), hostileSplitSpec(), {Method: MethodBruteForce}} {
-		est, err := EstimateRare(model, Unequipped, cfg, spec)
+		est, err := EstimateRareMultiWithScratchContext(context.Background(), pairwise(model), Unequipped, cfg, spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -498,7 +499,7 @@ func BenchmarkRareEventSteadyState(b *testing.B) {
 	scratch := &Scratch{}
 	b.ReportAllocs()
 	b.ResetTimer()
-	est, err := EstimateRareMultiWithScratch(MultiEncounterModel{Intruders: []EncounterModel{model}}, Unequipped, cfg, spec, scratch)
+	est, err := EstimateRareMultiWithScratchContext(context.Background(), pairwise(model), Unequipped, cfg, spec, scratch)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package search
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"reflect"
@@ -268,7 +269,7 @@ func TestSweepSeedsFromRealCampaign(t *testing.T) {
 	spec.Samples = 2
 	spec.Seed = 3
 	var buf bytes.Buffer
-	if _, err := campaign.Run(spec, campaign.DefaultSystems(nil), &buf); err != nil {
+	if _, err := campaign.RunContext(context.Background(), spec, campaign.DefaultSystems(nil), &buf); err != nil {
 		t.Fatal(err)
 	}
 	seeds, err := SweepSeeds(bytes.NewReader(buf.Bytes()), 0)

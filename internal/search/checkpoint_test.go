@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -9,7 +10,7 @@ import (
 func TestCheckpointRoundTrip(t *testing.T) {
 	spec := testSpec()
 	ckpt := filepath.Join(t.TempDir(), "search.ckpt")
-	if _, err := Run(spec, testFactory, Options{CheckpointPath: ckpt, StopAfter: 2}); err != nil {
+	if _, err := RunContext(context.Background(), spec, testFactory, Options{CheckpointPath: ckpt, StopAfter: 2}); err != nil {
 		t.Fatal(err)
 	}
 	c, err := LoadCheckpointFile(ckpt)
@@ -38,7 +39,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 func TestDecodeCheckpointRejectsMalformed(t *testing.T) {
 	spec := testSpec()
 	ckpt := filepath.Join(t.TempDir(), "search.ckpt")
-	if _, err := Run(spec, testFactory, Options{CheckpointPath: ckpt, StopAfter: 1}); err != nil {
+	if _, err := RunContext(context.Background(), spec, testFactory, Options{CheckpointPath: ckpt, StopAfter: 1}); err != nil {
 		t.Fatal(err)
 	}
 	good, err := LoadCheckpointFile(ckpt)
@@ -90,7 +91,7 @@ func TestDecodeCheckpointRejectsMalformed(t *testing.T) {
 func FuzzDecodeCheckpoint(f *testing.F) {
 	spec := testSpec()
 	ckpt := filepath.Join(f.TempDir(), "search.ckpt")
-	if _, err := Run(spec, testFactory, Options{CheckpointPath: ckpt, StopAfter: 1}); err != nil {
+	if _, err := RunContext(context.Background(), spec, testFactory, Options{CheckpointPath: ckpt, StopAfter: 1}); err != nil {
 		f.Fatal(err)
 	}
 	good, err := LoadCheckpointFile(ckpt)

@@ -134,23 +134,19 @@ type engine struct {
 	episodeWorkers int
 }
 
-// Run executes the island-model search. With opts.Resume it continues from
-// opts.CheckpointPath; otherwise it initializes fresh populations (injecting
-// spec.SeedGenomes round-robin when present). The search is deterministic:
-// identical (spec, resume point) produce identical results and archives,
-// regardless of island scheduling. One island is the paper's single
-// population GA.
-func Run(spec Spec, factory montecarlo.SystemFactory, opts Options) (*Result, error) {
-	return RunContext(context.Background(), spec, factory, opts)
-}
-
-// RunContext is Run under a cancellation context. A cancelled ctx halts
-// the search at the next evaluation boundary and returns the partial
-// result — every completed generation's statistics, archive and best —
-// alongside ctx.Err(), so callers can report progress and resume later
-// from the last checkpoint (which only ever records completed
-// generations). Callers distinguish interruption (non-nil result and
-// error) from failure (nil result).
+// RunContext executes the island-model search. With opts.Resume it
+// continues from opts.CheckpointPath; otherwise it initializes fresh
+// populations (injecting spec.SeedGenomes round-robin when present). The
+// search is deterministic: identical (spec, resume point) produce identical
+// results and archives, regardless of island scheduling. One island is the
+// paper's single population GA.
+//
+// A cancelled ctx halts the search at the next evaluation boundary and
+// returns the partial result — every completed generation's statistics,
+// archive and best — alongside ctx.Err(), so callers can report progress
+// and resume later from the last checkpoint (which only ever records
+// completed generations). Callers distinguish interruption (non-nil result
+// and error) from failure (nil result).
 func RunContext(ctx context.Context, spec Spec, factory montecarlo.SystemFactory, opts Options) (*Result, error) {
 	e, err := newEngine(spec, factory, opts.EpisodeWorkers)
 	if err != nil {

@@ -2,6 +2,7 @@ package search
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -55,11 +56,11 @@ func archiveJSONL(t *testing.T, res *Result) []byte {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	res1, err := Run(testSpec(), testFactory, Options{})
+	res1, err := RunContext(context.Background(), testSpec(), testFactory, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := Run(testSpec(), testFactory, Options{})
+	res2, err := RunContext(context.Background(), testSpec(), testFactory, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestRunDeterministic(t *testing.T) {
 // output byte-identical to an uninterrupted run with the same seed.
 func TestResumeBitIdentical(t *testing.T) {
 	spec := testSpec()
-	uninterrupted, err := Run(spec, testFactory, Options{})
+	uninterrupted, err := RunContext(context.Background(), spec, testFactory, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestResumeBitIdentical(t *testing.T) {
 
 	for stopAfter := 1; stopAfter < spec.GA.Generations; stopAfter++ {
 		ckpt := filepath.Join(t.TempDir(), "search.ckpt")
-		partial, err := Run(spec, testFactory, Options{CheckpointPath: ckpt, StopAfter: stopAfter})
+		partial, err := RunContext(context.Background(), spec, testFactory, Options{CheckpointPath: ckpt, StopAfter: stopAfter})
 		if err != nil {
 			t.Fatalf("stop after %d: %v", stopAfter, err)
 		}
@@ -118,7 +119,7 @@ func TestResumeBitIdentical(t *testing.T) {
 		if partial.GenerationsRun != stopAfter {
 			t.Fatalf("stop after %d: %d generations ran", stopAfter, partial.GenerationsRun)
 		}
-		resumed, err := Run(spec, testFactory, Options{CheckpointPath: ckpt, Resume: true})
+		resumed, err := RunContext(context.Background(), spec, testFactory, Options{CheckpointPath: ckpt, Resume: true})
 		if err != nil {
 			t.Fatalf("resume from generation %d: %v", stopAfter, err)
 		}
@@ -148,11 +149,11 @@ func TestResumeBitIdentical(t *testing.T) {
 func TestResumeCompletedRun(t *testing.T) {
 	spec := testSpec()
 	ckpt := filepath.Join(t.TempDir(), "search.ckpt")
-	done, err := Run(spec, testFactory, Options{CheckpointPath: ckpt})
+	done, err := RunContext(context.Background(), spec, testFactory, Options{CheckpointPath: ckpt})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := Run(spec, testFactory, Options{CheckpointPath: ckpt, Resume: true})
+	resumed, err := RunContext(context.Background(), spec, testFactory, Options{CheckpointPath: ckpt, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,15 +175,15 @@ func TestResumeCompletedRun(t *testing.T) {
 func TestResumeRejectsDifferentSpec(t *testing.T) {
 	spec := testSpec()
 	ckpt := filepath.Join(t.TempDir(), "search.ckpt")
-	if _, err := Run(spec, testFactory, Options{CheckpointPath: ckpt, StopAfter: 1}); err != nil {
+	if _, err := RunContext(context.Background(), spec, testFactory, Options{CheckpointPath: ckpt, StopAfter: 1}); err != nil {
 		t.Fatal(err)
 	}
 	other := spec
 	other.Seed = spec.Seed + 1
-	if _, err := Run(other, testFactory, Options{CheckpointPath: ckpt, Resume: true}); err == nil {
+	if _, err := RunContext(context.Background(), other, testFactory, Options{CheckpointPath: ckpt, Resume: true}); err == nil {
 		t.Error("resuming under a different seed succeeded, want fingerprint error")
 	}
-	if _, err := Run(spec, testFactory, Options{Resume: true}); err == nil {
+	if _, err := RunContext(context.Background(), spec, testFactory, Options{Resume: true}); err == nil {
 		t.Error("resume without a checkpoint path succeeded")
 	}
 }

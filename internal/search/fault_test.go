@@ -2,6 +2,7 @@ package search
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -40,11 +41,11 @@ func TestGenomeLenWithFaults(t *testing.T) {
 // reproducible as the clean one — identical archives, histories, and
 // best (scenario, fault) pairs for identical specs.
 func TestFaultEvolutionDeterministic(t *testing.T) {
-	res1, err := Run(faultEvolveSpec(), testFactory, Options{})
+	res1, err := RunContext(context.Background(), faultEvolveSpec(), testFactory, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := Run(faultEvolveSpec(), testFactory, Options{})
+	res2, err := RunContext(context.Background(), faultEvolveSpec(), testFactory, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +67,11 @@ func TestFaultEvolutionDeterministic(t *testing.T) {
 // change the trajectory — a co-evolving search that reproduces the clean
 // search bit for bit is not evolving anything.
 func TestFaultEvolutionDiffersFromClean(t *testing.T) {
-	clean, err := Run(testSpec(), testFactory, Options{})
+	clean, err := RunContext(context.Background(), testSpec(), testFactory, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	evolved, err := Run(faultEvolveSpec(), testFactory, Options{})
+	evolved, err := RunContext(context.Background(), faultEvolveSpec(), testFactory, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestFaultEvolutionDiffersFromClean(t *testing.T) {
 // valid; clean-search entries stay gene-free so their JSONL is
 // byte-stable.
 func TestFaultEvolutionArchiveCarriesGenes(t *testing.T) {
-	evolved, err := Run(faultEvolveSpec(), testFactory, Options{})
+	evolved, err := RunContext(context.Background(), faultEvolveSpec(), testFactory, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestFaultEvolutionArchiveCarriesGenes(t *testing.T) {
 		t.Error("archive with fault genes does not round-trip through JSONL")
 	}
 
-	clean, err := Run(testSpec(), testFactory, Options{})
+	clean, err := RunContext(context.Background(), testSpec(), testFactory, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,13 +136,13 @@ func TestFaultEvolutionArchiveCarriesGenes(t *testing.T) {
 func TestFaultPenaltyLowersFitness(t *testing.T) {
 	raw := faultEvolveSpec()
 	raw.FaultPenalty = 0
-	rawRes, err := Run(raw, testFactory, Options{})
+	rawRes, err := RunContext(context.Background(), raw, testFactory, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	penalized := faultEvolveSpec()
 	penalized.FaultPenalty = 1e6
-	penRes, err := Run(penalized, testFactory, Options{})
+	penRes, err := RunContext(context.Background(), penalized, testFactory, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +161,11 @@ func TestFixedFaultProfileSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Fitness.Run.Faults = p
-	res1, err := Run(s, testFactory, Options{})
+	res1, err := RunContext(context.Background(), s, testFactory, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := Run(s, testFactory, Options{})
+	res2, err := RunContext(context.Background(), s, testFactory, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestFixedFaultProfileSearch(t *testing.T) {
 			t.Errorf("fixed-profile entry %s carries fault genes (only co-evolution records them)", e.Name)
 		}
 	}
-	clean, err := Run(testSpec(), testFactory, Options{})
+	clean, err := RunContext(context.Background(), testSpec(), testFactory, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,14 +192,14 @@ func TestFixedFaultProfileSearch(t *testing.T) {
 func TestFaultEvolutionCheckpointResume(t *testing.T) {
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "faulted.ckpt")
-	full, err := Run(faultEvolveSpec(), testFactory, Options{})
+	full, err := RunContext(context.Background(), faultEvolveSpec(), testFactory, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(faultEvolveSpec(), testFactory, Options{CheckpointPath: ckpt, StopAfter: 2}); err != nil {
+	if _, err := RunContext(context.Background(), faultEvolveSpec(), testFactory, Options{CheckpointPath: ckpt, StopAfter: 2}); err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := Run(faultEvolveSpec(), testFactory, Options{CheckpointPath: ckpt, Resume: true})
+	resumed, err := RunContext(context.Background(), faultEvolveSpec(), testFactory, Options{CheckpointPath: ckpt, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestFaultEvolutionCheckpointResume(t *testing.T) {
 		t.Error("resumed best differs from the uninterrupted run")
 	}
 
-	if _, err := Run(testSpec(), testFactory, Options{CheckpointPath: ckpt, Resume: true}); err == nil {
+	if _, err := RunContext(context.Background(), testSpec(), testFactory, Options{CheckpointPath: ckpt, Resume: true}); err == nil {
 		t.Error("clean spec resumed a co-evolving checkpoint")
 	}
 }
@@ -228,7 +229,7 @@ func TestFaultSeedGenomes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := Run(spec, testFactory, Options{}); err != nil {
+	if _, err := RunContext(context.Background(), spec, testFactory, Options{}); err != nil {
 		t.Fatal(err)
 	}
 

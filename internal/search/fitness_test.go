@@ -63,7 +63,7 @@ func runLogged(t *testing.T, spec Spec, factory montecarlo.SystemFactory, opts O
 	t.Helper()
 	var log []ga.Evaluation
 	opts.Observer = func(is IslandStats) { log = append(log, is.Evaluations...) }
-	res, err := Run(spec, factory, opts)
+	res, err := RunContext(context.Background(), spec, factory, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestSearchPipeline(t *testing.T) {
 	spec := onePopSpec()
 	var gens []int
 	var log []ga.Evaluation
-	res, err := Run(spec, montecarlo.Unequipped, Options{Observer: func(is IslandStats) {
+	res, err := RunContext(context.Background(), spec, montecarlo.Unequipped, Options{Observer: func(is IslandStats) {
 		gens = append(gens, is.Stats.Generation)
 		log = append(log, is.Evaluations...)
 	}})
@@ -227,7 +227,7 @@ func TestFitnessClimbsAtOneIsland(t *testing.T) {
 	spec := onePopSpec()
 	spec.GA.PopulationSize = 16
 	spec.GA.Generations = 5
-	res, err := Run(spec, testFactory, Options{})
+	res, err := RunContext(context.Background(), spec, testFactory, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestFitnessClimbsAtOneIsland(t *testing.T) {
 func TestObserverCallback(t *testing.T) {
 	spec := testSpec()
 	var calls [][2]int
-	if _, err := Run(spec, testFactory, Options{Observer: func(is IslandStats) {
+	if _, err := RunContext(context.Background(), spec, testFactory, Options{Observer: func(is IslandStats) {
 		calls = append(calls, [2]int{is.Stats.Generation, is.Island})
 	}}); err != nil {
 		t.Fatal(err)
@@ -264,7 +264,7 @@ func TestObserverCallback(t *testing.T) {
 // TestEngineValidation: the engine refuses to build its fitness path from a
 // nil system factory, inverted encounter ranges or a bad fitness config.
 func TestEngineValidation(t *testing.T) {
-	if _, err := Run(onePopSpec(), nil, Options{}); err == nil {
+	if _, err := RunContext(context.Background(), onePopSpec(), nil, Options{}); err == nil {
 		t.Error("nil factory accepted")
 	}
 	badRanges := onePopSpec()
@@ -272,7 +272,7 @@ func TestEngineValidation(t *testing.T) {
 	badSims := onePopSpec()
 	badSims.Fitness.SimsPerEncounter = -1
 	for name, spec := range map[string]Spec{"ranges": badRanges, "sims": badSims} {
-		if _, err := Run(spec, testFactory, Options{}); err == nil {
+		if _, err := RunContext(context.Background(), spec, testFactory, Options{}); err == nil {
 			t.Errorf("invalid %s accepted", name)
 		}
 	}
@@ -287,7 +287,7 @@ func TestRunErrors(t *testing.T) {
 	badElites := onePopSpec()
 	badElites.GA.Elites = badElites.GA.PopulationSize
 	for name, spec := range map[string]Spec{"population": badPop, "generations": badGens, "elites": badElites} {
-		if _, err := Run(spec, testFactory, Options{}); err == nil {
+		if _, err := RunContext(context.Background(), spec, testFactory, Options{}); err == nil {
 			t.Errorf("invalid %s accepted", name)
 		}
 	}

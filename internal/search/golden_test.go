@@ -2,6 +2,7 @@ package search
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -34,7 +35,7 @@ func goldenSpec() Spec {
 // after an intentional trajectory change.
 func TestGoldenArchive(t *testing.T) {
 	spec := goldenSpec()
-	res, err := Run(spec, testFactory, Options{})
+	res, err := RunContext(context.Background(), spec, testFactory, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,10 +61,10 @@ func TestGoldenArchive(t *testing.T) {
 
 	// The resumed trajectory must hit the same bytes.
 	ckpt := filepath.Join(t.TempDir(), "golden.ckpt")
-	if _, err := Run(spec, testFactory, Options{CheckpointPath: ckpt, StopAfter: 1}); err != nil {
+	if _, err := RunContext(context.Background(), spec, testFactory, Options{CheckpointPath: ckpt, StopAfter: 1}); err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := Run(spec, testFactory, Options{CheckpointPath: ckpt, Resume: true})
+	resumed, err := RunContext(context.Background(), spec, testFactory, Options{CheckpointPath: ckpt, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}

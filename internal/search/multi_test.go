@@ -6,6 +6,7 @@ package search
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -36,11 +37,11 @@ func TestMultiSpecGenomeShape(t *testing.T) {
 }
 
 func TestMultiSearchDeterministicAndDecodable(t *testing.T) {
-	res1, err := Run(multiSpec(), testFactory, Options{})
+	res1, err := RunContext(context.Background(), multiSpec(), testFactory, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := Run(multiSpec(), testFactory, Options{})
+	res2, err := RunContext(context.Background(), multiSpec(), testFactory, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,15 +70,15 @@ func TestMultiSearchDeterministicAndDecodable(t *testing.T) {
 
 func TestMultiSearchResumeBitIdentical(t *testing.T) {
 	spec := multiSpec()
-	uninterrupted, err := Run(spec, testFactory, Options{})
+	uninterrupted, err := RunContext(context.Background(), spec, testFactory, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ckpt := filepath.Join(t.TempDir(), "multi.ckpt")
-	if _, err := Run(spec, testFactory, Options{CheckpointPath: ckpt, StopAfter: 2}); err != nil {
+	if _, err := RunContext(context.Background(), spec, testFactory, Options{CheckpointPath: ckpt, StopAfter: 2}); err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := Run(spec, testFactory, Options{CheckpointPath: ckpt, Resume: true})
+	resumed, err := RunContext(context.Background(), spec, testFactory, Options{CheckpointPath: ckpt, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestMultiSearchResumeBitIdentical(t *testing.T) {
 	// trajectory, different fingerprint).
 	pairwise := spec
 	pairwise.Intruders = 1
-	if _, err := Run(pairwise, testFactory, Options{CheckpointPath: ckpt, Resume: true}); err == nil {
+	if _, err := RunContext(context.Background(), pairwise, testFactory, Options{CheckpointPath: ckpt, Resume: true}); err == nil {
 		t.Error("pairwise spec resumed a K=2 checkpoint")
 	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -46,9 +47,20 @@ type SubmitRequest struct {
 	Params string `json:"params"`
 }
 
+// maxSubmitBytes caps a POST /jobs body. The shipped campaign specs are
+// a few hundred bytes to a few kilobytes of params text; the cap leaves
+// room for long explicit-scenario lists while bounding what one request
+// can make the server buffer.
+const maxSubmitBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", maxSubmitBytes), http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
 		return
 	}

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +17,7 @@ import (
 
 	"acasxval/internal/campaign"
 	"acasxval/internal/config"
+	"acasxval/internal/montecarlo"
 )
 
 // testCampaignParams is a small, fast campaign: 2 presets x 2 systems =
@@ -53,7 +56,7 @@ func reference(t *testing.T, params string) (string, string) {
 		t.Fatal(err)
 	}
 	var jsonl bytes.Buffer
-	res, err := campaign.Run(spec, campaign.DefaultSystems(nil), &jsonl)
+	res, err := campaign.RunContext(context.Background(), spec, campaign.DefaultSystems(nil), &jsonl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,5 +492,62 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 	}
 	if jobs := srv.Jobs(); len(jobs) != 0 {
 		t.Errorf("rejected submissions left %d jobs queued", len(jobs))
+	}
+}
+
+// TestServerSubmitBodyLimit: a POST /jobs body one byte over the cap is
+// refused with 413 before it is decoded, while every shipped campaign
+// spec still fits and is accepted. The server fails every cell attempt
+// through the fault hook, so the admitted jobs quarantine at once instead
+// of simulating.
+func TestServerSubmitBodyLimit(t *testing.T) {
+	systems := campaign.DefaultSystems(nil)
+	// Admission only checks names: the table-driven backends are stubbed,
+	// since no cell ever runs.
+	for _, name := range []string{"acasx", "belief"} {
+		systems[name] = montecarlo.Unequipped
+	}
+	srv, err := NewServer(Config{
+		StateDir: t.TempDir(),
+		Systems:  systems,
+		Workers:  1,
+		Policy:   RetryPolicy{MaxAttempts: 1},
+		Disrupt:  func(int, int) error { return errors.New("admission test: cells do not run") },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	post := func(body []byte) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	// A syntactically valid request whose closing brace is the first byte
+	// past the cap: the decoder must read over the limit to finish it.
+	prefix := `{"kind":"campaign","params":"`
+	suffix := `"}`
+	pad := strings.Repeat(" ", maxSubmitBytes+1-len(prefix)-len(suffix))
+	if code := post([]byte(prefix + pad + suffix)); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("body of %d bytes: status %d, want %d", maxSubmitBytes+1, code, http.StatusRequestEntityTooLarge)
+	}
+
+	for _, name := range []string{"sweep", "backends", "faults", "multi", "rare"} {
+		params, err := os.ReadFile(filepath.Join("..", "..", "params", name+"-demo.params"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := json.Marshal(SubmitRequest{Kind: KindCampaign, Params: string(params)})
+		if code := post(body); code != http.StatusAccepted {
+			t.Errorf("%s-demo.params: status %d, want %d", name, code, http.StatusAccepted)
+		}
 	}
 }

@@ -17,10 +17,7 @@ type ACASXU struct {
 	logic *acasx.Logic
 }
 
-var (
-	_ MultiSystem     = (*ACASXU)(nil)
-	_ AvoidanceSystem = (*ACASXU)(nil)
-)
+var _ AvoidanceSystem = (*ACASXU)(nil)
 
 // NewACASXU wraps a built or loaded logic table.
 func NewACASXU(table *acasx.Table) *ACASXU {
@@ -52,21 +49,16 @@ func (a *ACASXU) Decide(_ float64, own uav.State, intrPos, intrVel geom.Vec3, c 
 	return fromACASDecision(a.logic.Decide(own, intrPos, intrVel, mask))
 }
 
-// DecideMulti implements MultiSystem: per-intruder table queries fused
-// most-restrictive-first (acasx.Logic.DecideMulti).
-func (a *ACASXU) DecideMulti(_ float64, own uav.State, tracks []geom.Track, c Constraint) Decision {
-	mask := acasx.SenseMask{BanUp: c.BanUp, BanDown: c.BanDown}
-	return fromACASDecision(a.logic.DecideMulti(own, tracks, mask))
-}
-
 // DecideTracks implements AvoidanceSystem: the single-threat table query
-// for one track (the classic pairwise path, bit for bit), the
-// most-restrictive-first fusion for several.
+// for one track (the classic pairwise path, bit for bit), per-intruder
+// table queries fused most-restrictive-first for several
+// (acasx.Logic.DecideMulti).
 func (a *ACASXU) DecideTracks(now float64, own uav.State, tracks []geom.Track, c Constraint) Decision {
 	if len(tracks) == 1 {
 		return a.Decide(now, own, tracks[0].Pos, tracks[0].Vel, c)
 	}
-	return a.DecideMulti(now, own, tracks, c)
+	mask := acasx.SenseMask{BanUp: c.BanUp, BanDown: c.BanDown}
+	return fromACASDecision(a.logic.DecideMulti(own, tracks, mask))
 }
 
 // Reset implements System.
@@ -82,10 +74,7 @@ type ACASXUBelief struct {
 	logic *acasx.BeliefLogic
 }
 
-var (
-	_ MultiSystem     = (*ACASXUBelief)(nil)
-	_ AvoidanceSystem = (*ACASXUBelief)(nil)
-)
+var _ AvoidanceSystem = (*ACASXUBelief)(nil)
 
 // NewACASXUBelief wraps a table with a belief-weighted executive.
 func NewACASXUBelief(table *acasx.Table, sigmas acasx.BeliefSigmas) (*ACASXUBelief, error) {
@@ -102,21 +91,16 @@ func (a *ACASXUBelief) Decide(_ float64, own uav.State, intrPos, intrVel geom.Ve
 	return fromACASDecision(a.logic.Decide(own, intrPos, intrVel, mask))
 }
 
-// DecideMulti implements MultiSystem: per-intruder belief integrations
-// fused most-restrictive-first (acasx.BeliefLogic.DecideMulti).
-func (a *ACASXUBelief) DecideMulti(_ float64, own uav.State, tracks []geom.Track, c Constraint) Decision {
-	mask := acasx.SenseMask{BanUp: c.BanUp, BanDown: c.BanDown}
-	return fromACASDecision(a.logic.DecideMulti(own, tracks, mask))
-}
-
 // DecideTracks implements AvoidanceSystem: the single-threat belief query
-// for one track (the classic pairwise path, bit for bit), the
-// most-restrictive-first fusion for several.
+// for one track (the classic pairwise path, bit for bit), per-intruder
+// belief integrations fused most-restrictive-first for several
+// (acasx.BeliefLogic.DecideMulti).
 func (a *ACASXUBelief) DecideTracks(now float64, own uav.State, tracks []geom.Track, c Constraint) Decision {
 	if len(tracks) == 1 {
 		return a.Decide(now, own, tracks[0].Pos, tracks[0].Vel, c)
 	}
-	return a.DecideMulti(now, own, tracks, c)
+	mask := acasx.SenseMask{BanUp: c.BanUp, BanDown: c.BanDown}
+	return fromACASDecision(a.logic.DecideMulti(own, tracks, mask))
 }
 
 // Reset implements System.

@@ -67,22 +67,6 @@ type System interface {
 	Reset()
 }
 
-// MultiSystem is a System that can resolve several simultaneous threats in
-// one decision cycle: the engine hands it every currently-tracked intruder
-// and the system fuses the per-threat resolutions itself (the ACAS XU
-// executives fuse per-intruder table queries most-restrictive-first).
-// Systems that do not implement MultiSystem face only the nearest threat
-// in multi-intruder encounters. New backends should implement
-// AvoidanceSystem instead; MultiSystem survives as the compatibility
-// surface Adapt dispatches through.
-type MultiSystem interface {
-	System
-	// DecideMulti runs one decision cycle against every tracked intruder
-	// (tracks holds at least one entry; a single entry must behave exactly
-	// like Decide).
-	DecideMulti(now float64, own uav.State, tracks []geom.Track, c Constraint) Decision
-}
-
 // AppendSystemsFromPair fans a pairwise system factory out to the K+1
 // systems of a K-intruder encounter, appending to dst: the factory's first
 // pair equips the ownship and intruder 1, each further call contributes

@@ -467,8 +467,8 @@ func (r *Runner) Run(p encounter.Params, ownSys, intrSys System, seed uint64) (R
 // K intruders. systems holds one collision avoidance system per aircraft:
 // systems[0] equips the ownship, systems[j] intruder j (1 <= j <= K); use
 // NoSystem for unequipped aircraft. The ownship resolves all K threats in
-// one decision cycle (MultiSystem fusion when its system supports it, the
-// nearest threat otherwise); each intruder avoids the ownship only. A
+// one decision cycle (its AvoidanceSystem step, the nearest threat for an
+// adapted pairwise system); each intruder avoids the ownship only. A
 // single-intruder call is bit-identical to the classic pairwise Run.
 func (r *Runner) RunMulti(m encounter.MultiParams, systems []System, seed uint64) (Result, error) {
 	if err := m.Validate(); err != nil {
@@ -731,8 +731,7 @@ func (a *aircraft) applyDecision(d Decision, now float64) {
 // decideOwnship runs the ownship's decision cycle: surveil every intruder
 // (in encounter order, from the ownship's sensor stream), then hand the
 // surviving tracks to the system's AvoidanceSystem step in one call. The
-// classic pairwise/MultiSystem/nearest-threat dispatch lives in the Adapt
-// adapter, so a single-track cycle is bit-identical to the historical
+// classic pairwise/nearest-threat dispatch lives in the Adapt adapter, so a single-track cycle is bit-identical to the historical
 // pairwise engine.
 func (r *Runner) decideOwnship(now float64) {
 	a := r.fleet[0]

@@ -8,9 +8,8 @@ import (
 // AvoidanceSystem is the multi-intruder-first collision avoidance contract:
 // the engine hands the system every currently-tracked intruder once per
 // decision cycle and the system resolves them all in one step. It is the
-// interface the encounter runner actually consults — the pairwise System /
-// MultiSystem pair remains as the compatibility surface, lifted onto this
-// contract by Adapt.
+// interface the encounter runner actually consults — the pairwise System
+// remains as the compatibility surface, lifted onto this contract by Adapt.
 //
 // Implementations must perform no steady-state allocation in DecideTracks:
 // the method sits on the innermost loop of every validation workload
@@ -30,8 +29,7 @@ type AvoidanceSystem interface {
 // that already implement AvoidanceSystem are returned unchanged; everything
 // else is wrapped in an adapter reproducing the engine's classic dispatch —
 // a single track goes through Decide (bit-identical to the historical
-// pairwise path), several tracks go through DecideMulti when the system is
-// a MultiSystem and face only the nearest threat otherwise.
+// pairwise path), several tracks face only the nearest threat.
 //
 // The returned value also implements System, so an adapted system still
 // travels through pairwise plumbing (factories, AppendSystemsFromPair)
@@ -64,11 +62,8 @@ func (a *pairwiseAdapter) DecideTracks(now float64, own uav.State, tracks []geom
 	if len(tracks) == 1 {
 		return a.sys.Decide(now, own, tracks[0].Pos, tracks[0].Vel, c)
 	}
-	if ms, ok := a.sys.(MultiSystem); ok {
-		return ms.DecideMulti(now, own, tracks, c)
-	}
-	// Systems without a multi-threat step face the nearest intruder — the
-	// most immediately pressing conflict.
+	// A pairwise system faces the nearest intruder — the most immediately
+	// pressing conflict.
 	n := nearestTrack(own.Pos, tracks)
 	return a.sys.Decide(now, own, tracks[n].Pos, tracks[n].Vel, c)
 }

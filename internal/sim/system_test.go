@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"acasxval/internal/acasx"
 	"acasxval/internal/encounter"
 	"acasxval/internal/geom"
 	"acasxval/internal/uav"
@@ -11,8 +12,8 @@ import (
 
 // evader is a minimal pairwise-only test system: it climbs whenever the
 // intruder is within range. It deliberately does NOT implement
-// AvoidanceSystem or MultiSystem, so it exercises the Adapt wrapper and the
-// nearest-threat fallback.
+// AvoidanceSystem, so it exercises the Adapt wrapper and the nearest-threat
+// fallback.
 type evader struct {
 	rangeM   float64
 	alerting bool
@@ -178,7 +179,7 @@ func TestNoSystemDecideTracks(t *testing.T) {
 
 // TestACASXUDecideTracksMatchesDispatch: the native multi-track step of the
 // table executive must agree with the historical dispatch — Decide for one
-// track, DecideMulti for several.
+// track, the executive's own fusion (acasx.Logic.DecideMulti) for several.
 func TestACASXUDecideTracksMatchesDispatch(t *testing.T) {
 	table := getTable(t)
 	own := uav.State{Pos: geom.Vec3{Z: 300}, Vel: geom.Velocity{Gs: 30}}
@@ -187,13 +188,13 @@ func TestACASXUDecideTracksMatchesDispatch(t *testing.T) {
 		{Pos: geom.Vec3{X: -900, Z: 280}, Vel: geom.Vec3{X: 25}},
 	}
 	for _, n := range []int{1, 2} {
-		a, b := NewACASXU(table), NewACASXU(table)
+		a := NewACASXU(table)
 		got := a.DecideTracks(0, own, tracks[:n], Constraint{})
 		var want Decision
 		if n == 1 {
-			want = b.Decide(0, own, tracks[0].Pos, tracks[0].Vel, Constraint{})
+			want = NewACASXU(table).Decide(0, own, tracks[0].Pos, tracks[0].Vel, Constraint{})
 		} else {
-			want = b.DecideMulti(0, own, tracks[:n], Constraint{})
+			want = fromACASDecision(acasx.NewLogic(table).DecideMulti(own, tracks[:n], acasx.SenseMask{}))
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("n=%d: DecideTracks %+v, want %+v", n, got, want)

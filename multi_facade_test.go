@@ -8,8 +8,11 @@ package acasxval
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
+
+	"acasxval/internal/sim"
 )
 
 func TestMultiPresetsThroughFacade(t *testing.T) {
@@ -43,12 +46,12 @@ func TestRunMultiEncounterPairwiseIdentity(t *testing.T) {
 	table := facadeLogicTable(t)
 	cfg := DefaultRunConfig()
 	for _, seed := range []uint64{3, 99} {
-		want, err := RunEncounter(PresetCrossing(), NewACASXU(table), NewACASXU(table), cfg, seed)
+		want, err := RunEncounter(PresetCrossing(), sim.NewACASXU(table), sim.NewACASXU(table), cfg, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got, err := RunMultiEncounter(PresetCrossing().Multi(),
-			[]System{NewACASXU(table), NewACASXU(table)}, cfg, seed)
+			[]System{sim.NewACASXU(table), sim.NewACASXU(table)}, cfg, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,11 +104,11 @@ func TestMultiDemoEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf1, buf2 bytes.Buffer
-	res, err := RunCampaign(spec, DefaultCampaignSystems(nil), &buf1)
+	res, err := RunCampaignContext(context.Background(), spec, DefaultCampaignSystems(nil), &buf1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunCampaign(spec, DefaultCampaignSystems(nil), &buf2); err != nil {
+	if _, err := RunCampaignContext(context.Background(), spec, DefaultCampaignSystems(nil), &buf2); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf1.Bytes(), buf2.Bytes()) {
@@ -133,7 +136,7 @@ func TestMultiDemoEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sres, err := RunSearch(sspec, Unequipped, SearchOptions{})
+	sres, err := RunSearchContext(context.Background(), sspec, Unequipped, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +157,7 @@ func TestMultiDemoEndToEnd(t *testing.T) {
 	replay.ModelDraws = 0
 	replay.Scenarios = scenarios
 	replay.Samples = 2
-	rres, err := RunCampaign(replay, DefaultCampaignSystems(nil), nil)
+	rres, err := RunCampaignContext(context.Background(), replay, DefaultCampaignSystems(nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,11 +179,11 @@ func TestEstimateMultiRiskMatchesPairwiseForOneIntruder(t *testing.T) {
 	cfg := DefaultMonteCarloConfig()
 	cfg.Samples = 30
 	cfg.Seed = 13
-	want, err := EstimateRisk(DefaultEncounterModel(), Unequipped, cfg)
+	want, err := EstimateRiskContext(context.Background(), DefaultEncounterModel(), Unequipped, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := EstimateMultiRisk(DefaultMultiEncounterModel(1), Unequipped, cfg)
+	got, err := EstimateMultiRareRiskContext(context.Background(), DefaultMultiEncounterModel(1), Unequipped, cfg, RareEventSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,24 +1,25 @@
 package acasxval
 
 import (
+	"context"
 	"testing"
 )
 
 // TestEstimateRareRiskFacade drives every estimator method through the
 // facade against the default model and checks the brute-force arm matches
-// EstimateRisk exactly.
+// EstimateRiskContext exactly.
 func TestEstimateRareRiskFacade(t *testing.T) {
 	cfg := DefaultMonteCarloConfig()
 	cfg.Samples = 40
 	cfg.Seed = 9
 	model := DefaultEncounterModel()
-	brute, err := EstimateRisk(model, Unequipped, cfg)
+	brute, err := EstimateRiskContext(context.Background(), model, Unequipped, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, method := range RareEventMethods() {
 		spec := DefaultRareEventSpec(method)
-		est, err := EstimateRareRisk(model, Unequipped, cfg, spec)
+		est, err := EstimateMultiRareRiskContext(context.Background(), MultiEncounterModel{Intruders: []EncounterModel{model}}, Unequipped, cfg, spec)
 		if err != nil {
 			t.Fatalf("%s: %v", method, err)
 		}
@@ -26,7 +27,7 @@ func TestEstimateRareRiskFacade(t *testing.T) {
 			t.Errorf("%s: P(NMAC) = %v outside [0, 1]", method, est.PNMAC)
 		}
 		if method == "bruteforce" && *est != *brute {
-			t.Errorf("bruteforce estimator differs from EstimateRisk\n got: %+v\nwant: %+v", est, brute)
+			t.Errorf("bruteforce estimator differs from EstimateRiskContext\n got: %+v\nwant: %+v", est, brute)
 		}
 	}
 }
@@ -81,7 +82,7 @@ func TestArchiveProposalKernels(t *testing.T) {
 	cfg := DefaultMonteCarloConfig()
 	cfg.Samples = 40
 	cfg.Seed = 9
-	est, err := EstimateRareRisk(DefaultEncounterModel(), Unequipped, cfg, spec)
+	est, err := EstimateMultiRareRiskContext(context.Background(), MultiEncounterModel{Intruders: []EncounterModel{DefaultEncounterModel()}}, Unequipped, cfg, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,13 +10,18 @@ import (
 	"acasxval/internal/serve"
 )
 
-// Context-taking variants of the long-running entry points. The plain
-// signatures (RunCampaign, RunSearch, EstimateRisk, ...) are exactly these
-// under context.Background(); pass a real context to stop work promptly on
-// cancellation, deadline, or signal (signal.NotifyContext) instead of
-// killing the process mid-write.
+// The long-running entry points: one per engine. Each takes a context
+// first; pass context.Background() to run to completion, or a real
+// context to stop work promptly on cancellation, deadline, or signal
+// (signal.NotifyContext) instead of killing the process mid-write.
 
-// RunCampaignContext is RunCampaign under a cancellation context. A
+// RunCampaignContext executes a validation campaign: the scenario x system
+// x variant cross-product fans out over a deterministic worker pool (when
+// the grid is smaller than the pool, the leftover cores run each cell's
+// episodes in parallel instead of idling), each cell streams one JSON
+// record to jsonl (may be nil), and the result ranks systems by risk ratio
+// against the unequipped baseline. Output is byte-identical across runs
+// with the same spec, regardless of how the work was scheduled. A
 // cancelled ctx stops the campaign at the next cell boundary: the JSONL
 // stream holds exactly the completed deterministic cell prefix, and the
 // returned partial result (non-nil alongside the error) summarizes those
@@ -25,39 +30,44 @@ func RunCampaignContext(ctx context.Context, spec CampaignSpec, systems Campaign
 	return campaign.RunContext(ctx, spec, systems, jsonl)
 }
 
-// RunSearchContext is RunSearch under a cancellation context. A cancelled
-// ctx stops the islands at the next evaluation boundary and returns the
-// progress so far (non-nil alongside the error); with
-// opts.CheckpointPath set the interrupted search resumes bit-identically
-// (opts.Resume).
+// RunSearchContext executes the island-model adversarial search: N islands
+// evolve concurrently with ring migration (one island is the paper's single
+// population GA), every evaluation runs through the Monte-Carlo harness
+// (fanning its episodes over opts.EpisodeWorkers workers without affecting
+// a single result byte), and dangerous encounters accumulate in the
+// result's deduplicated archive. With opts.CheckpointPath set the state
+// checkpoints after every generation, so a killed or cancelled run resumes
+// bit-identically (opts.Resume). A cancelled ctx stops the islands at the
+// next evaluation boundary and returns the progress so far (non-nil
+// alongside the error).
 func RunSearchContext(ctx context.Context, spec SearchSpec, factory SystemFactory, opts SearchOptions) (*IslandSearchResult, error) {
 	return search.RunContext(ctx, spec, factory, opts)
 }
 
-// EstimateRiskContext is EstimateRisk under a cancellation context: a
-// cancelled ctx stops the episode loop and returns ctx.Err() with no
-// estimate.
+// EstimateRiskContext runs a brute-force Monte-Carlo risk estimation of one
+// system configuration against a pairwise encounter model: the one-intruder
+// case of EstimateMultiRareRiskContext under the zero RareEventSpec.
+// Episodes fan out over cfg.Parallelism reusable simulation worlds (0 =
+// NumCPU); every episode's random streams derive counter-style from
+// (cfg.Seed, episode index), so the estimate is bit-identical for any
+// worker count. A cancelled ctx stops the episode loop and returns
+// ctx.Err() with no estimate.
 func EstimateRiskContext(ctx context.Context, model EncounterModel, factory SystemFactory, cfg MonteCarloConfig) (*RiskEstimate, error) {
-	return montecarlo.EvaluateContext(ctx, model, factory, cfg)
+	return montecarlo.EvaluateMultiWithScratchContext(ctx,
+		MultiEncounterModel{Intruders: []EncounterModel{model}}, factory, cfg, nil)
 }
 
-// EstimateMultiRiskContext is EstimateMultiRisk under a cancellation
-// context.
-func EstimateMultiRiskContext(ctx context.Context, model MultiEncounterModel, factory SystemFactory, cfg MonteCarloConfig) (*RiskEstimate, error) {
-	return montecarlo.EvaluateMultiContext(ctx, model, factory, cfg)
-}
-
-// EstimateRareRiskContext is EstimateRareRisk under a cancellation
-// context: a cancelled ctx stops the episode loops (and, for splitting,
-// the stage ladder) and returns ctx.Err() with no estimate.
-func EstimateRareRiskContext(ctx context.Context, model EncounterModel, factory SystemFactory, cfg MonteCarloConfig, spec RareEventSpec) (*RiskEstimate, error) {
-	return montecarlo.EstimateRareMultiWithScratchContext(ctx,
-		montecarlo.MultiEncounterModel{Intruders: []montecarlo.EncounterModel{model}},
-		factory, cfg, spec, nil)
-}
-
-// EstimateMultiRareRiskContext is EstimateMultiRareRisk under a
-// cancellation context.
+// EstimateMultiRareRiskContext is the general risk estimate: P(NMAC) of one
+// system configuration against a K-intruder encounter model (K >= 1; wrap a
+// pairwise model as MultiEncounterModel{Intruders: []EncounterModel{m}})
+// with the estimator the spec selects. The zero spec (or "bruteforce") is
+// brute-force Monte-Carlo; "is" and "snis" importance-sample a defensive
+// mixture of the model and the spec's kernels; "split" runs multi-level
+// splitting down a decreasing separation-level ladder. Estimates report the
+// effective sample size and the variance-reduction factor against a
+// brute-force run of the same episode budget, and are bit-identical for any
+// worker count. A cancelled ctx stops the episode loops (and, for
+// splitting, the stage ladder) and returns ctx.Err() with no estimate.
 func EstimateMultiRareRiskContext(ctx context.Context, model MultiEncounterModel, factory SystemFactory, cfg MonteCarloConfig, spec RareEventSpec) (*RiskEstimate, error) {
 	return montecarlo.EstimateRareMultiWithScratchContext(ctx, model, factory, cfg, spec, nil)
 }
