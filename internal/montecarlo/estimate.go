@@ -121,7 +121,9 @@ type outcome struct {
 // evaluations; the zero value is ready to use.
 type Scratch struct {
 	outcomes []outcome
-	worlds   []*world
+	// worlds persist across evaluations so the campaign and search steady
+	// states re-wire rather than rebuild them.
+	worlds []*world
 }
 
 // grow returns a zeroed outcome buffer of length n backed by the scratch's
@@ -133,16 +135,6 @@ func (s *Scratch) grow(n int) []outcome {
 	s.outcomes = s.outcomes[:n]
 	clear(s.outcomes)
 	return s.outcomes
-}
-
-// world returns the i-th per-worker simulation world, growing the pool as
-// needed. Worlds persist across evaluations so the campaign and search
-// steady states re-wire rather than rebuild them.
-func (s *Scratch) world(i int) *world {
-	for len(s.worlds) <= i {
-		s.worlds = append(s.worlds, &world{})
-	}
-	return s.worlds[i]
 }
 
 // dynamicsSalt decorrelates an episode's simulation (dynamics + sensor)
@@ -198,18 +190,15 @@ func (w *world) prepare(run sim.RunConfig, factory SystemFactory, k int) error {
 	return nil
 }
 
-// simulate runs episode i: sample the encounter and simulate it, both from
-// RNG streams derived counter-style from (cfg.Seed, i) — fully reproducible
-// and independent of which worker runs which episode.
-func (w *world) simulate(model *MultiEncounterModel, cfg *Config, i int, out []outcome) {
-	rng := w.rng.SeedChild(cfg.Seed, i)
-	m := model.SampleInto(rng, &w.buf, w.params)
-	res, err := w.runner.RunMulti(m, w.systems, stats.DeriveSeed(cfg.Seed^dynamicsSalt, i))
+// episode simulates encounter m under dynamics seed seed. It is the
+// package's one call into the simulator: each estimator draws m and the
+// seed its own way and pools the outcomes its own way.
+func (w *world) episode(m encounter.MultiParams, seed uint64) outcome {
+	res, err := w.runner.RunMulti(m, w.systems, seed)
 	if err != nil {
-		out[i] = outcome{err: err}
-		return
+		return outcome{err: err}
 	}
-	out[i] = outcome{
+	return outcome{
 		nmac:    res.NMAC,
 		alerted: res.Alerted(),
 		alerts:  res.TotalAlerts(),
@@ -222,31 +211,47 @@ func (w *world) simulate(model *MultiEncounterModel, cfg *Config, i int, out []o
 // negligible, small enough to balance uneven episode durations.
 const episodeBatch = 8
 
-// prepareWorlds wires one reusable simulation world per effective worker
-// for an evaluation over tasks work items. Worlds are prepared serially up
-// front: world growth must not race, and a mis-wired configuration should
-// fail before any episode runs. Workers beyond the batch count could never
-// claim work, so they are clamped away (results are worker-count invariant,
-// so clamping is free).
-func prepareWorlds(scratch *Scratch, cfg *Config, factory SystemFactory, intruders, tasks int) ([]*world, error) {
+// setup is the preamble every estimator shares. It validates the model,
+// the factory and the config and defaults cfg.Confidence. It returns the
+// model with its mixture caches precomputed once per call (never per
+// draw), one wired world per effective worker and a zeroed outcome buffer
+// for n episodes, both taken from scratch (nil means a fresh one).
+//
+// Worlds are prepared serially up front: world growth must not race, and a
+// mis-wired configuration should fail before any episode runs. Workers
+// beyond the batch count could never claim work, so they are clamped away
+// (results are worker-count invariant, so clamping is free).
+func setup(model MultiEncounterModel, factory SystemFactory, cfg *Config, scratch *Scratch, n int) (MultiEncounterModel, []*world, []outcome, error) {
+	if err := model.Validate(); err != nil {
+		return model, nil, nil, err
+	}
+	if factory == nil {
+		return model, nil, nil, fmt.Errorf("montecarlo: nil system factory")
+	}
+	if err := cfg.Validate(); err != nil {
+		return model, nil, nil, err
+	}
+	if cfg.Confidence == 0 {
+		cfg.Confidence = 0.95
+	}
+	if scratch == nil {
+		scratch = &Scratch{}
+	}
 	workers := cfg.Parallelism
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if maxUseful := (tasks + episodeBatch - 1) / episodeBatch; workers > maxUseful {
-		workers = maxUseful
+	workers = max(1, min(workers, (n+episodeBatch-1)/episodeBatch))
+	for len(scratch.worlds) < workers {
+		scratch.worlds = append(scratch.worlds, &world{})
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	worlds := make([]*world, workers)
-	for i := range worlds {
-		worlds[i] = scratch.world(i)
-		if err := worlds[i].prepare(cfg.Run, factory, intruders); err != nil {
-			return nil, err
+	worlds := scratch.worlds[:workers]
+	for _, w := range worlds {
+		if err := w.prepare(cfg.Run, factory, model.NumIntruders()); err != nil {
+			return model, nil, nil, err
 		}
 	}
-	return worlds, nil
+	return model.Prepared(), worlds, scratch.grow(n), nil
 }
 
 // runEpisodes distributes n independent work items over the prepared
@@ -256,21 +261,17 @@ func prepareWorlds(scratch *Scratch, cfg *Config, factory SystemFactory, intrude
 // counter traffic — the campaign pool pins saturated sweeps' cells to one
 // worker each, so this is their steady state.
 //
-// A cancelled ctx stops the loops between episodes, leaving the rest of
-// the outcome buffer untouched; callers must check ctx.Err() before
-// pooling, since a partially-filled buffer would pool zeros. The
-// per-episode ctx.Err() call is allocation-free on both the background
-// context and cancel contexts, so the zero-alloc steady state holds.
-func runEpisodes(ctx context.Context, worlds []*world, n int, run func(w *world, i int)) {
-	if len(worlds) <= 1 {
-		w := worlds[0]
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return
-			}
-			run(w, i)
+// A cancelled ctx stops the loops between episodes and runEpisodes returns
+// ctx.Err(): the rest of the outcome buffer is untouched, and pooling it
+// would silently average in zeros. The per-episode ctx.Err() call is
+// allocation-free on both the background context and cancel contexts, so
+// the zero-alloc steady state holds.
+func runEpisodes(ctx context.Context, worlds []*world, n int, run func(w *world, i int)) error {
+	if len(worlds) == 1 {
+		for i := 0; i < n && ctx.Err() == nil; i++ {
+			run(worlds[0], i)
 		}
-		return
+		return ctx.Err()
 	}
 	// Items are claimed in batches off a shared atomic counter; the slot
 	// index carries the item's identity, so scheduling cannot perturb the
@@ -281,28 +282,19 @@ func runEpisodes(ctx context.Context, worlds []*world, n int, run func(w *world,
 	for _, w := range worlds {
 		go func(w *world) {
 			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
+			for ctx.Err() == nil {
 				start := int(next.Add(episodeBatch)) - episodeBatch
 				if start >= n {
 					return
 				}
-				end := start + episodeBatch
-				if end > n {
-					end = n
-				}
-				for i := start; i < end; i++ {
-					if ctx.Err() != nil {
-						return
-					}
+				for i := start; i < min(start+episodeBatch, n) && ctx.Err() == nil; i++ {
 					run(w, i)
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
+	return ctx.Err()
 }
 
 // EvaluateMultiWithScratchContext is the brute-force Monte-Carlo kernel: it
@@ -313,62 +305,52 @@ func runEpisodes(ctx context.Context, worlds []*world, n int, run func(w *world,
 // []EncounterModel{model}}, and samples and simulates the exact classic
 // stream.
 //
-// Episodes are distributed over cfg.Parallelism reusable worlds; every
-// episode's RNG streams derive counter-style from (cfg.Seed, index), so the
-// estimate is deterministic for a given seed and bit-identical for any
-// worker count. scratch (may be nil) supplies the per-sample outcome buffer
-// and the per-worker simulation worlds; at a steady intruder count the
-// per-episode steady state allocates nothing.
+// Episodes are distributed over cfg.Parallelism reusable worlds; episode
+// i's encounter and simulation RNG streams derive counter-style from
+// (cfg.Seed, i), so the estimate is deterministic for a given seed and
+// bit-identical for any worker count. scratch (may be nil) supplies the
+// per-sample outcome buffer and the per-worker simulation worlds; at a
+// steady intruder count the per-episode steady state allocates nothing.
 //
 // A cancelled ctx stops the episode loop between episodes and returns
 // ctx.Err() with no estimate. Cancellation never corrupts state — episodes
 // are idempotent functions of (cfg.Seed, index), so re-running the same
 // evaluation later reproduces the identical result.
 func EvaluateMultiWithScratchContext(ctx context.Context, model MultiEncounterModel, factory SystemFactory, cfg Config, scratch *Scratch) (*Estimate, error) {
-	if err := model.Validate(); err != nil {
-		return nil, err
-	}
-	if factory == nil {
-		return nil, fmt.Errorf("montecarlo: nil system factory")
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	confidence := cfg.Confidence
-	if confidence == 0 {
-		confidence = 0.95
-	}
-	if scratch == nil {
-		scratch = &Scratch{}
-	}
-	outcomes := scratch.grow(cfg.Samples)
-	// Mixture cumulative weights are precomputed once per call, never per
-	// draw.
-	model = model.Prepared()
-	worlds, err := prepareWorlds(scratch, &cfg, factory, model.NumIntruders(), cfg.Samples)
+	model, worlds, outcomes, err := setup(model, factory, &cfg, scratch, cfg.Samples)
 	if err != nil {
 		return nil, err
 	}
-	runEpisodes(ctx, worlds, cfg.Samples, func(w *world, i int) {
-		w.simulate(&model, &cfg, i, outcomes)
-	})
-	// A cancelled run left part of the outcome buffer untouched; pooling
-	// it would silently average in zeros.
-	if err := ctx.Err(); err != nil {
+	if err := runEpisodes(ctx, worlds, cfg.Samples, func(w *world, i int) {
+		rng := w.rng.SeedChild(cfg.Seed, i)
+		outcomes[i] = w.episode(model.SampleInto(rng, &w.buf, w.params), stats.DeriveSeed(cfg.Seed^dynamicsSalt, i))
+	}); err != nil {
 		return nil, err
 	}
+	// Brute force is its own variance baseline.
+	est := &Estimate{Samples: cfg.Samples, ESS: float64(cfg.Samples), VarianceReduction: 1}
+	if est.NMACs, err = poolMeans(outcomes, est); err != nil {
+		return nil, err
+	}
+	est.PNMAC = float64(est.NMACs) / float64(cfg.Samples)
+	est.PNMACCI = stats.WilsonCI(est.NMACs, cfg.Samples, cfg.Confidence)
+	return est, nil
+}
 
-	est := &Estimate{Samples: cfg.Samples}
+// poolMeans pools iid, unweighted outcomes into est's secondary metrics
+// and returns their NMAC count, or the first episode error. An NMAC scores
+// the full collision gain in MeanInverseSeparation: d_k = 0.
+func poolMeans(outcomes []outcome, est *Estimate) (int, error) {
 	var sep, alerts, invSep stats.Accumulator
-	alerted := 0
-	for _, o := range outcomes {
+	nmacs, alerted := 0, 0
+	for i := range outcomes {
+		o := &outcomes[i]
 		if o.err != nil {
-			return nil, o.err
+			return 0, o.err
 		}
 		d := o.minSep
 		if o.nmac {
-			est.NMACs++
-			// An NMAC scores the full collision gain: d_k = 0.
+			nmacs++
 			d = 0
 		}
 		if o.alerted {
@@ -378,16 +360,11 @@ func EvaluateMultiWithScratchContext(ctx context.Context, model MultiEncounterMo
 		alerts.Add(float64(o.alerts))
 		invSep.Add(1 / (1 + d))
 	}
-	est.PNMAC = float64(est.NMACs) / float64(cfg.Samples)
-	est.PNMACCI = stats.WilsonCI(est.NMACs, cfg.Samples, confidence)
-	est.AlertRate = float64(alerted) / float64(cfg.Samples)
+	est.AlertRate = float64(alerted) / float64(len(outcomes))
 	est.MeanMinSeparation = sep.Mean()
 	est.MeanAlerts = alerts.Mean()
 	est.MeanInverseSeparation = invSep.Mean()
-	// Brute force is its own variance baseline.
-	est.ESS = float64(cfg.Samples)
-	est.VarianceReduction = 1
-	return est, nil
+	return nmacs, nil
 }
 
 // RiskRatio compares an equipped estimate against an unequipped baseline:

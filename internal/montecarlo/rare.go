@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
 	"sync/atomic"
 
 	"acasxval/internal/encounter"
@@ -13,9 +12,9 @@ import (
 	"acasxval/internal/stats"
 )
 
-// Rare-event estimation (ROADMAP item 2): realistic airspace P(NMAC) sits
-// far below what brute-force Monte-Carlo can resolve at any worker count.
-// This file adds two estimators that trade the iid sampling of brute force for
+// RareEventSpec selects and tunes a rare-event estimator. Realistic
+// airspace P(NMAC) sits far below what brute-force Monte-Carlo can resolve
+// at any worker count, so two estimators trade its iid sampling for
 // variance reduction while keeping its contract — deterministic for a given
 // seed and bit-identical for any worker count:
 //
@@ -133,6 +132,15 @@ func (s RareEventSpec) Validate() error {
 	default:
 		return fmt.Errorf("montecarlo: unknown estimator method %q (want one of %v)", s.Method, Methods())
 	}
+	// NaN slips past every range check below, so non-finite values go first.
+	if !allFinite(s.Defensive, s.Bandwidth, s.Step) || !allFinite(s.Levels...) {
+		return fmt.Errorf("montecarlo: non-finite tuning value (defensive %v, bandwidth %v, step %v, levels %v)", s.Defensive, s.Bandwidth, s.Step, s.Levels)
+	}
+	for i, k := range s.Kernels {
+		if !allFinite(k...) {
+			return fmt.Errorf("montecarlo: kernel %d has a non-finite gene: %v", i, k)
+		}
+	}
 	if s.Defensive < 0 || s.Defensive > 1 {
 		return fmt.Errorf("montecarlo: defensive weight %v outside [0, 1]", s.Defensive)
 	}
@@ -165,6 +173,16 @@ func (s RareEventSpec) Validate() error {
 	return nil
 }
 
+// allFinite reports whether no value is NaN or infinite.
+func allFinite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // EstimateRareMultiWithScratchContext estimates event probabilities with
 // the estimator the spec selects. An empty method or MethodBruteForce is
 // exactly EvaluateMultiWithScratchContext; MethodIS and MethodSNIS sample a
@@ -177,14 +195,12 @@ func EstimateRareMultiWithScratchContext(ctx context.Context, model MultiEncount
 		return nil, err
 	}
 	switch spec.Method {
-	case "", MethodBruteForce:
-		return EvaluateMultiWithScratchContext(ctx, model, factory, cfg, scratch)
 	case MethodIS, MethodSNIS:
 		return estimateIS(ctx, model, factory, cfg, spec.withDefaults(), scratch)
 	case MethodSplit:
 		return estimateSplit(ctx, model, factory, cfg, spec.withDefaults(), scratch)
 	}
-	return nil, fmt.Errorf("montecarlo: unknown estimator method %q", spec.Method)
+	return EvaluateMultiWithScratchContext(ctx, model, factory, cfg, scratch)
 }
 
 // proposal is the prepared importance-sampling proposal: the defensive
@@ -356,50 +372,20 @@ func (q *proposal) logWeight(raw []float64) float64 {
 // estimateIS runs the importance-sampling estimator (plain or
 // self-normalized).
 func estimateIS(ctx context.Context, model MultiEncounterModel, factory SystemFactory, cfg Config, spec RareEventSpec, scratch *Scratch) (*Estimate, error) {
-	if err := model.Validate(); err != nil {
+	model, worlds, outcomes, err := setup(model, factory, &cfg, scratch, cfg.Samples)
+	if err != nil {
 		return nil, err
 	}
-	if factory == nil {
-		return nil, fmt.Errorf("montecarlo: nil system factory")
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	confidence := cfg.Confidence
-	if confidence == 0 {
-		confidence = 0.95
-	}
-	if scratch == nil {
-		scratch = &Scratch{}
-	}
-	model = model.Prepared()
 	q, err := newProposal(model, spec)
 	if err != nil {
 		return nil, err
 	}
-	outcomes := scratch.grow(cfg.Samples)
-	worlds, err := prepareWorlds(scratch, &cfg, factory, model.NumIntruders(), cfg.Samples)
-	if err != nil {
-		return nil, err
-	}
-	runEpisodes(ctx, worlds, cfg.Samples, func(w *world, i int) {
+	if err := runEpisodes(ctx, worlds, cfg.Samples, func(w *world, i int) {
 		rng := w.rng.SeedChild(cfg.Seed, i)
-		m := q.sampleInto(rng, &w.buf, w.raw, w.params)
-		lw := q.logWeight(w.raw)
-		res, err := w.runner.RunMulti(m, w.systems, stats.DeriveSeed(cfg.Seed^dynamicsSalt, i))
-		if err != nil {
-			outcomes[i] = outcome{err: err}
-			return
-		}
-		outcomes[i] = outcome{
-			nmac:    res.NMAC,
-			alerted: res.Alerted(),
-			alerts:  res.TotalAlerts(),
-			minSep:  res.MinSeparation,
-			logw:    lw,
-		}
-	})
-	if err := ctx.Err(); err != nil {
+		o := w.episode(q.sampleInto(rng, &w.buf, w.raw, w.params), stats.DeriveSeed(cfg.Seed^dynamicsSalt, i))
+		o.logw = q.logWeight(w.raw)
+		outcomes[i] = o
+	}); err != nil {
 		return nil, err
 	}
 
@@ -415,13 +401,11 @@ func estimateIS(ctx context.Context, model MultiEncounterModel, factory SystemFa
 		d := o.minSep
 		if o.nmac {
 			est.NMACs++
+			sumWZ += w
 			d = 0
 		}
 		sumW += w
 		sumW2 += w * w
-		if o.nmac {
-			sumWZ += w
-		}
 		if o.alerted {
 			sumWAlert += w
 		}
@@ -431,46 +415,34 @@ func estimateIS(ctx context.Context, model MultiEncounterModel, factory SystemFa
 	}
 
 	selfNorm := spec.Method == MethodSNIS
-	var pHat, se2 float64
-	if selfNorm {
-		if sumW > 0 {
-			pHat = sumWZ / sumW
-		}
-		// Delta-method variance: Σ w²(z-p̂)² / (Σw)².
-		var s float64
-		for i := range outcomes {
-			o := &outcomes[i]
-			w := math.Exp(o.logw)
-			z := 0.0
-			if o.nmac {
-				z = 1
-			}
-			u := w * (z - pHat)
-			s += u * u
-		}
-		if sumW > 0 {
-			se2 = s / (sumW * sumW)
-		}
-	} else {
+	var pHat, s, se2 float64
+	switch {
+	case !selfNorm:
 		pHat = sumWZ / n
-		// iid sample variance of the per-episode values w·z.
-		var s float64
-		for i := range outcomes {
-			o := &outcomes[i]
-			y := 0.0
-			if o.nmac {
-				y = math.Exp(o.logw)
-			}
-			dev := y - pHat
-			s += dev * dev
+	case sumW > 0:
+		pHat = sumWZ / sumW
+	}
+	// Second pass for the variance: IS takes the iid sample variance of the
+	// per-episode values w·z, SNIS the delta-method Σ w²(z-p̂)² / (Σw)².
+	for i := range outcomes {
+		w, z := math.Exp(outcomes[i].logw), 0.0
+		if outcomes[i].nmac {
+			z = 1
 		}
-		if cfg.Samples > 1 {
-			se2 = s / (n - 1) / n
+		u := w*z - pHat
+		if selfNorm {
+			u = w * (z - pHat)
 		}
+		s += u * u
+	}
+	if !selfNorm && cfg.Samples > 1 {
+		se2 = s / (n - 1) / n
+	} else if selfNorm && sumW > 0 {
+		se2 = s / (sumW * sumW)
 	}
 
 	est.PNMAC = pHat
-	est.PNMACCI = isInterval(pHat, se2, est.NMACs, cfg.Samples, q.alpha, confidence)
+	est.PNMACCI = isInterval(pHat, se2, est.NMACs, cfg.Samples, q.alpha, cfg.Confidence)
 	// Secondary metrics are always self-normalized: they are means, not
 	// tail probabilities, and the normalized form is well behaved for both
 	// variants.
@@ -533,32 +505,18 @@ type chainState struct {
 
 // estimateSplit runs fixed-level multi-level splitting (subset simulation).
 func estimateSplit(ctx context.Context, model MultiEncounterModel, factory SystemFactory, cfg Config, spec RareEventSpec, scratch *Scratch) (*Estimate, error) {
-	if err := model.Validate(); err != nil {
-		return nil, err
-	}
-	if factory == nil {
-		return nil, fmt.Errorf("montecarlo: nil system factory")
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	confidence := cfg.Confidence
-	if confidence == 0 {
-		confidence = 0.95
-	}
-	if scratch == nil {
-		scratch = &Scratch{}
-	}
-	model = model.Prepared()
-	if err := model.densitySupported(); err != nil {
-		return nil, fmt.Errorf("montecarlo: model unsuitable for splitting: %w", err)
-	}
 	n := spec.LevelSamples
 	if n <= 0 {
 		n = cfg.Samples
 	}
-	k := model.NumIntruders()
-	dim := k * encounter.NumParams
+	model, worlds, outcomes, err := setup(model, factory, &cfg, scratch, n)
+	if err != nil {
+		return nil, err
+	}
+	if err := model.densitySupported(); err != nil {
+		return nil, fmt.Errorf("montecarlo: model unsuitable for splitting: %w", err)
+	}
+	dim := model.NumIntruders() * encounter.NumParams
 
 	// Per-dimension random-walk sigmas, from the same effective bounds the
 	// IS kernels use. Zero width marks a degenerate dimension the walk
@@ -570,11 +528,6 @@ func estimateSplit(ctx context.Context, model MultiEncounterModel, factory Syste
 		if w := hi - lo; w > 0 {
 			sigma[d] = spec.Step * w
 		}
-	}
-
-	worlds, err := prepareWorlds(scratch, &cfg, factory, k, n)
-	if err != nil {
-		return nil, err
 	}
 
 	stages := len(spec.Levels) + 1 // level stages plus the final NMAC stage
@@ -589,52 +542,20 @@ func estimateSplit(ctx context.Context, model MultiEncounterModel, factory Syste
 	// Stage 0: iid target sampling, exactly the brute-force episode loop
 	// but retaining each episode's raw draws. Its outcomes double as the
 	// estimate's unconditional secondary metrics.
-	outcomes := scratch.grow(n)
 	stageSeed := stats.DeriveSeed(cfg.Seed^splitSalt, 0)
-	runEpisodes(ctx, worlds, n, func(w *world, i int) {
+	if err := runEpisodes(ctx, worlds, n, func(w *world, i int) {
 		rng := w.rng.SeedChild(stageSeed, i)
 		raw := curRaw[i*dim : (i+1)*dim]
-		m := model.sampleRawInto(rng, &w.buf, raw, w.params)
-		res, err := w.runner.RunMulti(m, w.systems, stats.DeriveSeed(stageSeed^dynamicsSalt, i))
-		if err != nil {
-			outcomes[i] = outcome{err: err}
-			return
-		}
-		outcomes[i] = outcome{
-			nmac:    res.NMAC,
-			alerted: res.Alerted(),
-			alerts:  res.TotalAlerts(),
-			minSep:  res.MinSeparation,
-		}
-		cur[i] = chainState{score: res.MinSeparation, logp: model.rawLogProb(raw), nmac: res.NMAC}
-	})
-	if err := ctx.Err(); err != nil {
+		o := w.episode(model.sampleRawInto(rng, &w.buf, raw, w.params), stats.DeriveSeed(stageSeed^dynamicsSalt, i))
+		outcomes[i] = o
+		cur[i] = chainState{score: o.minSep, logp: model.rawLogProb(raw), nmac: o.nmac}
+	}); err != nil {
 		return nil, err
 	}
-
 	est := &Estimate{}
-	var sep, alerts, invSep stats.Accumulator
-	alerted := 0
-	for i := range outcomes {
-		o := &outcomes[i]
-		if o.err != nil {
-			return nil, o.err
-		}
-		d := o.minSep
-		if o.nmac {
-			d = 0
-		}
-		if o.alerted {
-			alerted++
-		}
-		sep.Add(o.minSep)
-		alerts.Add(float64(o.alerts))
-		invSep.Add(1 / (1 + d))
+	if _, err := poolMeans(outcomes, est); err != nil {
+		return nil, err
 	}
-	est.AlertRate = float64(alerted) / float64(n)
-	est.MeanMinSeparation = sep.Mean()
-	est.MeanAlerts = alerts.Mean()
-	est.MeanInverseSeparation = invSep.Mean()
 
 	pHat := 1.0
 	relVar := 0.0
@@ -646,10 +567,9 @@ func estimateSplit(ctx context.Context, model MultiEncounterModel, factory Syste
 			// stage's survivors, advanced by Metropolis moves targeting the
 			// model restricted to {score < condition}.
 			condition := spec.Levels[stage-1]
-			seeds := append([]int(nil), survivors...)
 			stageSeed := stats.DeriveSeed(cfg.Seed^splitSalt, stage)
-			runEpisodes(ctx, worlds, n, func(w *world, c int) {
-				src := seeds[c%len(seeds)]
+			if err := runEpisodes(ctx, worlds, n, func(w *world, c int) {
+				src := survivors[c%len(survivors)]
 				st := cur[src]
 				copy(w.chain, curRaw[src*dim:(src+1)*dim])
 				rng := w.rng.SeedChild(stageSeed, c)
@@ -669,24 +589,21 @@ func estimateSplit(ctx context.Context, model MultiEncounterModel, factory Syste
 					if rng.Float64() >= math.Exp(lpNew-st.logp) {
 						continue
 					}
-					dynSeed := rng.Uint64()
-					m := model.paramsFromRaw(w.raw, w.params)
-					res, err := w.runner.RunMulti(m, w.systems, dynSeed)
+					o := w.episode(model.paramsFromRaw(w.raw, w.params), rng.Uint64())
 					sims++
-					if err != nil {
-						errs[c] = err
+					if o.err != nil {
+						errs[c] = o.err
 						return
 					}
-					if res.MinSeparation < condition {
+					if o.minSep < condition {
 						copy(w.chain, w.raw)
-						st = chainState{score: res.MinSeparation, logp: lpNew, nmac: res.NMAC}
+						st = chainState{score: o.minSep, logp: lpNew, nmac: o.nmac}
 					}
 				}
 				nxt[c] = st
 				copy(nxtRaw[c*dim:(c+1)*dim], w.chain)
 				simCount.Add(int64(sims))
-			})
-			if err := ctx.Err(); err != nil {
+			}); err != nil {
 				return nil, err
 			}
 			for _, err := range errs {
@@ -702,16 +619,11 @@ func estimateSplit(ctx context.Context, model MultiEncounterModel, factory Syste
 		// NMAC on the final stage.
 		final := stage == stages-1
 		survivors = survivors[:0]
-		for i := 0; i < n; i++ {
-			if final {
-				if cur[i].nmac {
-					survivors = append(survivors, i)
-				}
-			} else if cur[i].score < spec.Levels[stage] {
+		for i, st := range cur {
+			if final && st.nmac || !final && st.score < spec.Levels[stage] {
 				survivors = append(survivors, i)
 			}
 		}
-		sort.Ints(survivors)
 		p := float64(len(survivors)) / float64(n)
 		if final {
 			est.NMACs = len(survivors)
@@ -722,7 +634,7 @@ func estimateSplit(ctx context.Context, model MultiEncounterModel, factory Syste
 			// times Clopper–Pearson on the extinct stage's 0-of-n
 			// observation, with the remaining conditionals bounded by 1.
 			extinct = true
-			hi := pHat * stats.ClopperPearsonCI(0, n, confidence).Hi
+			hi := pHat * stats.ClopperPearsonCI(0, n, cfg.Confidence).Hi
 			est.PNMACCI = stats.Interval{Lo: 0, Hi: math.Min(1, hi)}
 			pHat = 0
 			break
@@ -741,7 +653,7 @@ func estimateSplit(ctx context.Context, model MultiEncounterModel, factory Syste
 		// the standard subset-simulation practice and is cross-validated
 		// against brute force in the test suite.
 		if relVar > 0 {
-			z := stats.ZForConfidence(confidence)
+			z := stats.ZForConfidence(cfg.Confidence)
 			sigmaLog := math.Sqrt(math.Log1p(relVar))
 			est.PNMACCI = stats.Interval{
 				Lo: pHat * math.Exp(-z*sigmaLog),

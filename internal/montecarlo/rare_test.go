@@ -3,17 +3,20 @@ package montecarlo
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"acasxval/internal/config"
 	"acasxval/internal/encounter"
 	"acasxval/internal/fault"
 	"acasxval/internal/geom"
+	"acasxval/internal/sim"
 	"acasxval/internal/stats"
 )
 
@@ -71,22 +74,36 @@ func hostileSplitSpec() RareEventSpec {
 	return s
 }
 
-// TestRareEventSpecValidate covers the spec's rejection paths.
+// TestRareEventSpecValidate covers the spec's rejection paths. The
+// non-finite rows hold Validate to rejecting NaN, which every range
+// comparison lets through.
 func TestRareEventSpecValidate(t *testing.T) {
-	if err := (RareEventSpec{Method: "tarot"}).Validate(); err == nil {
-		t.Error("unknown method accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	kernel := func(gene float64) [][]float64 {
+		return [][]float64{{28, 5, 25, 60, 1.0, -70, 30, 5.0, gene}}
 	}
-	if err := (RareEventSpec{Method: MethodIS, Defensive: 1.5}).Validate(); err == nil {
-		t.Error("defensive weight > 1 accepted")
-	}
-	if err := (RareEventSpec{Method: MethodSplit, Levels: []float64{200, 300}}).Validate(); err == nil {
-		t.Error("increasing levels accepted")
-	}
-	if err := (RareEventSpec{Method: MethodSplit, Levels: []float64{400, 100}}).Validate(); err == nil {
-		t.Error("final level below the NMAC diagonal accepted")
-	}
-	if err := (RareEventSpec{Method: MethodSplit, Moves: -1}).Validate(); err == nil {
-		t.Error("negative moves accepted")
+	for _, tc := range []struct {
+		name string
+		spec RareEventSpec
+	}{
+		{"unknown method", RareEventSpec{Method: "tarot"}},
+		{"defensive weight > 1", RareEventSpec{Method: MethodIS, Defensive: 1.5}},
+		{"increasing levels", RareEventSpec{Method: MethodSplit, Levels: []float64{200, 300}}},
+		{"final level below the NMAC diagonal", RareEventSpec{Method: MethodSplit, Levels: []float64{400, 100}}},
+		{"negative moves", RareEventSpec{Method: MethodSplit, Moves: -1}},
+		{"NaN defensive weight", RareEventSpec{Method: MethodIS, Defensive: nan}},
+		{"NaN bandwidth", RareEventSpec{Method: MethodIS, Bandwidth: nan}},
+		{"+Inf bandwidth", RareEventSpec{Method: MethodIS, Bandwidth: inf}},
+		{"NaN step", RareEventSpec{Method: MethodSplit, Step: nan}},
+		{"+Inf step", RareEventSpec{Method: MethodSplit, Step: inf}},
+		{"NaN level", RareEventSpec{Method: MethodSplit, Levels: []float64{450, nan}}},
+		{"+Inf level", RareEventSpec{Method: MethodSplit, Levels: []float64{inf, 450, 160}}},
+		{"NaN kernel gene", RareEventSpec{Method: MethodIS, Kernels: kernel(nan)}},
+		{"-Inf kernel gene", RareEventSpec{Method: MethodSNIS, Kernels: kernel(math.Inf(-1))}},
+	} {
+		if err := tc.spec.Validate(); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 	for _, m := range Methods() {
 		if err := DefaultRareEventSpec(m).Validate(); err != nil {
@@ -317,6 +334,69 @@ func TestRareEventScratchReuse(t *testing.T) {
 	}
 }
 
+// cancelAfter is an unequipped system that cancels a context once the
+// shared reset counter, bumped by every aircraft's system at the start of
+// every episode, reaches after — a cancellation that lands mid-run.
+type cancelAfter struct {
+	sim.NoSystem
+	resets *atomic.Int64
+	after  int64
+	cancel context.CancelFunc
+}
+
+func (s cancelAfter) Reset() {
+	if s.resets.Add(1) == s.after {
+		s.cancel()
+	}
+}
+
+// TestEstimatorCancellation holds every estimator to its cancellation
+// contract: a cancelled ctx, before or during the run, returns
+// context.Canceled and no estimate, and the scratch it ran on then
+// reproduces the scratch-free estimate exactly.
+func TestEstimatorCancellation(t *testing.T) {
+	model := pairwise(hostileModel())
+	cfg := DefaultConfig()
+	cfg.Samples = 120
+	cfg.Seed = 5
+	cfg.Parallelism = 2
+	for _, spec := range []RareEventSpec{
+		{Method: ""},
+		{Method: MethodBruteForce},
+		hostileISSpec(MethodIS),
+		hostileISSpec(MethodSNIS),
+		hostileSplitSpec(),
+	} {
+		want, err := EstimateRareMultiWithScratchContext(context.Background(), model, Unequipped, cfg, spec, nil)
+		if err != nil {
+			t.Fatalf("method %q: %v", spec.Method, err)
+		}
+		// after = 1 cancels before the first episode simulates; 2·40 resets
+		// are 40 two-aircraft episodes, a third of the way into the run.
+		for _, after := range []int64{1, 80} {
+			ctx, cancel := context.WithCancel(context.Background())
+			var resets atomic.Int64
+			factory := func() (sim.System, sim.System) {
+				s := cancelAfter{resets: &resets, after: after, cancel: cancel}
+				return s, s
+			}
+			scratch := &Scratch{}
+			est, err := EstimateRareMultiWithScratchContext(ctx, model, factory, cfg, spec, scratch)
+			cancel()
+			if est != nil || !errors.Is(err, context.Canceled) {
+				t.Errorf("method %q, cancel after %d resets: got (%v, %v), want (nil, context.Canceled)", spec.Method, after, est, err)
+			}
+			got, err := EstimateRareMultiWithScratchContext(context.Background(), model, Unequipped, cfg, spec, scratch)
+			if err != nil {
+				t.Fatalf("method %q: re-run: %v", spec.Method, err)
+			}
+			if *got != *want {
+				t.Errorf("method %q, cancel after %d resets: re-run on the cancelled scratch differs\n got: %+v\nwant: %+v", spec.Method, after, got, want)
+			}
+		}
+	}
+}
+
 // TestISZeroSuccessInterval: an IS stream that observes no NMACs must still
 // report a nonzero upper bound — the Clopper–Pearson bound on the
 // proposal's event rate, scaled by the 1/α weight cap.
@@ -455,13 +535,22 @@ func TestRareEventGolden(t *testing.T) {
 }
 
 // FuzzRareEventSpecParams round-trips the estimator config codec: any spec
-// that decodes from a params file must re-encode and decode to itself.
+// that decodes from a params file must be finite and must re-encode and
+// decode to itself.
 func FuzzRareEventSpecParams(f *testing.F) {
 	f.Add("estimator.method = is\nestimator.defensive = 0.3\nestimator.bandwidth = 0.02\nestimator.kernel.0 = 1,2,3,4,5,6,7,8,9\n")
 	f.Add("estimator.method = split\nestimator.levels = 800,400,160\nestimator.moves = 4\nestimator.step = 0.25\n")
 	f.Add("estimator.method = snis\nestimator.level.samples = 500\n")
 	f.Add("estimator.method = bruteforce\n")
 	f.Add("estimator.method = \n")
+	// Non-finite values reach the spec through the codec and must be
+	// rejected at decode: a NaN would otherwise break the round trip's
+	// DeepEqual and, worse, reach an estimator.
+	f.Add("estimator.method = is\nestimator.defensive = NaN\n")
+	f.Add("estimator.method = split\nestimator.levels = 450,NaN\n")
+	f.Add("estimator.method = split\nestimator.step = NaN\n")
+	f.Add("estimator.method = is\nestimator.bandwidth = +Inf\n")
+	f.Add("estimator.method = snis\nestimator.kernel.0 = 1,2,3,4,5,6,7,8,+Inf\n")
 	f.Fuzz(func(t *testing.T, text string) {
 		c, err := config.Parse(text)
 		if err != nil {
@@ -470,6 +559,13 @@ func FuzzRareEventSpecParams(f *testing.F) {
 		spec, err := SpecFromConfig(c, "estimator.")
 		if err != nil {
 			return
+		}
+		finite := allFinite(spec.Defensive, spec.Bandwidth, spec.Step) && allFinite(spec.Levels...)
+		for _, k := range spec.Kernels {
+			finite = finite && allFinite(k...)
+		}
+		if !finite {
+			t.Fatalf("decoded a non-finite spec: %+v", spec)
 		}
 		out := config.New()
 		SpecToConfig(spec, out, "estimator.")

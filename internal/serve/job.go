@@ -132,9 +132,6 @@ func rareFromConfig(c *config.Params, systems campaign.SystemSet) (montecarlo.Ra
 	if err != nil {
 		return spec, montecarlo.Config{}, nil, err
 	}
-	if err := spec.Validate(); err != nil {
-		return spec, montecarlo.Config{}, nil, err
-	}
 	cfg := montecarlo.DefaultConfig()
 	if cfg.Samples, err = c.IntOr("rare.samples", 10000); err != nil {
 		return spec, cfg, nil, err
