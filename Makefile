@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint bench bench-json sweep-demo rare-demo clean
+.PHONY: all build test lint bench sweep-demo rare-demo clean
 
 all: lint build test
 
@@ -22,12 +22,6 @@ lint:
 # reproduction harness and the campaign engine.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
-
-# Record one point of the performance trajectory: run the E1-E8 harness and
-# the lookup hot path, writing BENCH_<date>.json (see scripts/bench.sh for
-# the knobs; compare snapshots with `go run ./cmd/benchjson -compare`).
-bench-json:
-	sh scripts/bench.sh
 
 # Run the checked-in demo campaign (params/sweep-demo.params).
 sweep-demo:

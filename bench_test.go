@@ -286,8 +286,7 @@ func BenchmarkCampaignSweep(b *testing.B) {
 // BenchmarkIslandSearch measures the island-model adversarial search
 // engine's throughput at a fixed total budget (24 individuals per
 // generation split across the islands), so the enc-evals/s metric shows how
-// search throughput scales with island count. Tracked in the
-// BENCH_<date>.json snapshots.
+// search throughput scales with island count.
 func BenchmarkIslandSearch(b *testing.B) {
 	table := benchLogicTable(b)
 	factory := func() (sim.System, sim.System) {
@@ -323,8 +322,8 @@ func BenchmarkIslandSearch(b *testing.B) {
 // BenchmarkTableLookupHot exercises the online logic's hot path: a single
 // interpolated advisory query through the shared-weight scan
 // (Table.BestAdvisory). CI gates on this benchmark reporting
-// 0 allocs/op; its ns/op trajectory is tracked in the BENCH_<date>.json
-// snapshots `make bench-json` records.
+// 0 allocs/op, and the perf tripwire (scripts/benchgate.sh) fails a >25%
+// ns/op regression against the base commit.
 func BenchmarkTableLookupHot(b *testing.B) {
 	table := benchLogicTable(b)
 	b.ReportAllocs()

@@ -53,6 +53,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
 	"acasxval/internal/acasx"
@@ -60,8 +61,10 @@ import (
 	"acasxval/internal/cli"
 	"acasxval/internal/config"
 	"acasxval/internal/core"
+	"acasxval/internal/fault"
 	"acasxval/internal/ga"
 	"acasxval/internal/search"
+	"acasxval/internal/sys"
 	"acasxval/internal/viz"
 )
 
@@ -76,7 +79,7 @@ func run() error {
 	var (
 		tablePath  = flag.String("table", "", "logic table path (built on the fly when absent)")
 		coarse     = flag.Bool("coarse", false, "use the reduced-resolution table when building")
-		system     = flag.String("system", "acasx", "system under test: "+cli.SystemNames())
+		system     = flag.String("system", "acasx", "system under test: "+sys.NamesList())
 		pop        = flag.Int("pop", 200, "GA population size per island (paper: 200)")
 		gens       = flag.Int("gens", 5, "GA generations (paper: 5)")
 		sims       = flag.Int("sims", 100, "simulations per encounter (paper: 100)")
@@ -100,7 +103,7 @@ func run() error {
 		minDist     = flag.Float64("mindist", -1, "archive dedup distance in [0, 1] (-1 = spec default)")
 		epWorkers   = flag.Int("episode-workers", 0, "parallel episode workers per fitness evaluation (0 = NumCPU/islands; results are identical for any count)")
 
-		faultsFlag   = flag.String("faults", "", "fixed surveillance degradation preset for every evaluation: "+cli.FaultNames()+" (empty = clean)")
+		faultsFlag   = flag.String("faults", "", "fixed surveillance degradation preset for every evaluation: "+strings.Join(fault.PresetNames(), ", ")+" (empty = clean)")
 		evolveFaults = flag.Bool("evolve-faults", false, "co-evolve the degradation profile with the encounter geometry")
 		faultPenalty = flag.Float64("fault-penalty", 0, "severity parsimony weight subtracted from co-evolved fitness")
 	)
@@ -182,7 +185,7 @@ func run() error {
 		spec.ArchiveMinDistance = *minDist
 	}
 	if *faultsFlag != "" {
-		p, err := cli.FaultProfile(*faultsFlag)
+		p, err := fault.Resolve(*faultsFlag)
 		if err != nil {
 			return err
 		}
@@ -207,7 +210,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	sysFactory, err := cli.SystemFactory(*system, table)
+	sysFactory, err := sys.PairFactory(sys.Context{Table: table}, sys.Spec{Name: *system})
 	if err != nil {
 		return err
 	}

@@ -32,8 +32,10 @@ import (
 	"acasxval/internal/cli"
 	"acasxval/internal/core"
 	"acasxval/internal/encounter"
+	"acasxval/internal/fault"
 	"acasxval/internal/sim"
 	"acasxval/internal/stats"
+	"acasxval/internal/sys"
 	"acasxval/internal/viz"
 )
 
@@ -53,7 +55,7 @@ func run() error {
 		genome    = flag.String("genome", "", "explicit K*9-parameter encounter, comma-separated (overrides -preset)")
 		foundCSV  = flag.String("found", "", "replay an encounter from a casearch -found-csv file (overrides -preset)")
 		foundRank = flag.Int("found-rank", 1, "1-based row to replay from the -found file")
-		system    = flag.String("system", "acasx", "system under test: "+cli.SystemNames())
+		system    = flag.String("system", "acasx", "system under test: "+sys.NamesList())
 		tablePath = flag.String("table", "", "logic table path (built on the fly when absent)")
 		coarse    = flag.Bool("coarse", false, "use the reduced-resolution table when building")
 		runs      = flag.Int("runs", 100, "number of stochastic runs for the accident-rate estimate")
@@ -61,7 +63,7 @@ func run() error {
 		svgOut    = flag.String("svg", "", "write the (first-run) trajectory as SVG")
 		csvOut    = flag.String("csv", "", "write the (first-run) trajectory as CSV")
 		planeName = flag.String("plane", "profile", "ASCII/SVG projection: plan, profile or time")
-		faults    = flag.String("faults", "", "surveillance degradation preset: "+cli.FaultNames()+" (empty = clean)")
+		faults    = flag.String("faults", "", "surveillance degradation preset: "+strings.Join(fault.PresetNames(), ", ")+" (empty = clean)")
 	)
 	flag.Parse()
 
@@ -96,7 +98,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	factory, err := cli.SystemFactory(*system, table)
+	factory, err := sys.PairFactory(sys.Context{Table: table}, sys.Spec{Name: *system})
 	if err != nil {
 		return err
 	}
@@ -112,7 +114,7 @@ func run() error {
 	// Detailed first run with trajectory recording.
 	cfg := sim.DefaultRunConfig()
 	cfg.RecordTrajectory = true
-	if cfg.Faults, err = cli.FaultProfile(*faults); err != nil {
+	if cfg.Faults, err = fault.Resolve(*faults); err != nil {
 		return err
 	}
 	if *faults != "" {

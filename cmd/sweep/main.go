@@ -64,7 +64,7 @@ func run() (err error) {
 		full      = flag.Bool("full", false, "build the full-resolution table instead of the coarse one")
 		extra     = flag.String("extra", "", "danger-archive JSONL whose entries join the scenario axis")
 		intruders = flag.Int("intruders", 0, "override the spec's model-draw intruder count K (0 keeps the spec value; presets and explicit scenarios carry their own K)")
-		faults    = flag.String("faults", "", "override the spec's fault axis: comma list of degradation presets ("+cli.FaultNames()+"), or \"all\"")
+		faults    = flag.String("faults", "", "override the spec's fault axis: comma list of degradation presets ("+strings.Join(fault.PresetNames(), ", ")+"), or \"all\"")
 		estimator = flag.String("estimator", "", "override the spec's rare-event estimator axis: comma list of methods ("+strings.Join(montecarlo.Methods(), ", ")+"), or \"all\"")
 		archive   = flag.String("archive-proposal", "", "danger-archive JSONL whose genomes steer the importance-sampling estimators")
 	)

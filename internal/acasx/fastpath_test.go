@@ -251,9 +251,9 @@ func getFullTable(tb testing.TB) *Table {
 // BenchmarkAllQValuesFast measures one shared-weight advisory-vector lookup
 // per op on the full table — the innermost unit of every decision cycle —
 // over a domain-spanning random query stream (the worst case for locality;
-// an episode's own trajectory corridor is far more correlated). The name
-// and the exact sub-benchmark are kept so the checked-in BENCH snapshots
-// stay comparable.
+// an episode's own trajectory corridor is far more correlated). The perf
+// tripwire (scripts/benchgate.sh) compares the exact sub-benchmark by name
+// against the base commit, so keep both names stable.
 func BenchmarkAllQValuesFast(b *testing.B) {
 	b.Run("exact", func(b *testing.B) {
 		table := getFullTable(b)

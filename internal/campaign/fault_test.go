@@ -248,8 +248,9 @@ func TestFromConfigFaultsAll(t *testing.T) {
 	}
 }
 
-// TestFromConfigFaultKeyValidation: a typo in a campaign.faults.* key is
-// a hard parse error with a menu, never a silently-clean sweep.
+// TestFromConfigFaultKeyValidation: a typo in a campaign.faults.* or
+// campaign.variant.* key is a hard parse error with a menu, never a
+// silently-clean sweep.
 func TestFromConfigFaultKeyValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -280,6 +281,26 @@ func TestFromConfigFaultKeyValidation(t *testing.T) {
 			name: "unknown preset",
 			text: "campaign.faults = catastrophic\n",
 			want: "unknown profile",
+		},
+		{
+			name: "variant unknown field",
+			text: "campaign.variant.0.name = a\ncampaign.variant.0.sampels = 5\n",
+			want: "unknown variant field",
+		},
+		{
+			name: "variant orphaned numbering gap",
+			text: "campaign.variant.0.name = a\ncampaign.variant.2.name = b\n",
+			want: "orphaned variant key",
+		},
+		{
+			name: "variant missing name",
+			text: "campaign.variant.0.samples = 5\n",
+			want: "orphaned variant key",
+		},
+		{
+			name: "variant malformed index",
+			text: "campaign.variant.01.name = a\n",
+			want: "malformed variant key",
 		},
 	}
 	for _, tc := range cases {

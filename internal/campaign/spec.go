@@ -25,6 +25,7 @@ package campaign
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -542,7 +543,8 @@ func FromConfig(c *config.Params) (Spec, error) {
 		}
 		s.Variants = append(s.Variants, v)
 	}
-	if err := validateVariantKeys(c, len(s.Variants)); err != nil {
+	variantFields := []string{"name", "samples", "coordination", "tracker", "decision.period", "overtime"}
+	if err := validateNumberedKeys(c, "campaign.variant.", "variant", len(s.Variants), variantFields); err != nil {
 		return s, err
 	}
 	names := c.StringsOr("campaign.faults", nil)
@@ -569,7 +571,8 @@ func FromConfig(c *config.Params) (Spec, error) {
 		s.Faults = append(s.Faults, FaultPoint{Name: c.StringOr(prefix+"name", ""), Profile: p})
 		parsedFaults++
 	}
-	if err := validateFaultKeys(c, parsedFaults); err != nil {
+	faultFields := append([]string{"name", fault.KeyPreset}, fault.FieldNames()...)
+	if err := validateNumberedKeys(c, "campaign.faults.", "fault", parsedFaults, faultFields); err != nil {
 		return s, err
 	}
 	s.Estimators = c.StringsOr("campaign.estimator.methods", nil)
@@ -654,75 +657,26 @@ func validateEstimatorKeys(c *config.Params, haveAxis bool) error {
 	return nil
 }
 
-// validateVariantKeys rejects campaign.variant.* keys the parse loop did
-// not consume: a gap or missing .name in the numbering, or a typoed
-// override suffix, would otherwise silently run the wrong configuration.
-func validateVariantKeys(c *config.Params, parsed int) error {
-	const pfx = "campaign.variant."
+// validateNumberedKeys rejects <prefix>N.field keys the parse loop did not
+// consume. The loop reads points 0..parsed-1, stopping at the first one
+// without a name, so a numbering gap, a point without a name, or a typoed
+// field would otherwise silently run the wrong configuration.
+func validateNumberedKeys(c *config.Params, prefix, noun string, parsed int, fields []string) error {
 	for _, key := range c.Keys() {
-		if !strings.HasPrefix(key, pfx) {
-			continue
-		}
-		rest := key[len(pfx):]
-		dot := strings.IndexByte(rest, '.')
-		var n int
-		var err error
-		if dot < 0 {
-			err = fmt.Errorf("no field")
-		} else {
-			n, err = strconv.Atoi(rest[:dot])
-		}
-		if err != nil || n < 0 || strconv.Itoa(n) != rest[:dot] {
-			return fmt.Errorf("campaign: malformed variant key %q (want campaign.variant.N.field)", key)
-		}
-		if n >= parsed {
-			return fmt.Errorf("campaign: orphaned variant key %q (variants are numbered contiguously from 0, each with a name)", key)
-		}
-		switch rest[dot+1:] {
-		case "name", "samples", "coordination", "tracker", "decision.period", "overtime":
-		default:
-			return fmt.Errorf("campaign: unknown variant field in %q", key)
-		}
-	}
-	return nil
-}
-
-// validateFaultKeys rejects campaign.faults.* keys the parse loop did not
-// consume, in the same menu style as validateVariantKeys: a numbering gap,
-// a point without a name, or a typoed profile field would otherwise
-// silently sweep the wrong degradation.
-func validateFaultKeys(c *config.Params, parsed int) error {
-	const pfx = "campaign.faults."
-	fields := append([]string{"name", fault.KeyPreset}, fault.FieldNames()...)
-	for _, key := range c.Keys() {
-		if !strings.HasPrefix(key, pfx) {
-			continue
-		}
-		rest := key[len(pfx):]
-		dot := strings.IndexByte(rest, '.')
-		var n int
-		var err error
-		if dot < 0 {
-			err = fmt.Errorf("no field")
-		} else {
-			n, err = strconv.Atoi(rest[:dot])
-		}
-		if err != nil || n < 0 || strconv.Itoa(n) != rest[:dot] {
-			return fmt.Errorf("campaign: malformed fault key %q (want campaign.faults.N.field)", key)
-		}
-		if n >= parsed {
-			return fmt.Errorf("campaign: orphaned fault key %q (fault points are numbered contiguously from 0, each with a name)", key)
-		}
-		field := rest[dot+1:]
-		ok := false
-		for _, f := range fields {
-			if field == f {
-				ok = true
-				break
-			}
-		}
+		rest, ok := strings.CutPrefix(key, prefix)
 		if !ok {
-			return fmt.Errorf("campaign: unknown fault field in %q (want one of %s)", key, strings.Join(fields, ", "))
+			continue
+		}
+		index, field, hasField := strings.Cut(rest, ".")
+		n, err := strconv.Atoi(index)
+		if !hasField || err != nil || n < 0 || strconv.Itoa(n) != index {
+			return fmt.Errorf("campaign: malformed %s key %q (want %sN.field)", noun, key, prefix)
+		}
+		if n >= parsed {
+			return fmt.Errorf("campaign: orphaned %s key %q (numbered contiguously from 0, each with a name)", noun, key)
+		}
+		if !slices.Contains(fields, field) {
+			return fmt.Errorf("campaign: unknown %s field in %q (want one of %s)", noun, key, strings.Join(fields, ", "))
 		}
 	}
 	return nil

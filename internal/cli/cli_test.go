@@ -50,36 +50,6 @@ func TestLoadOrBuildTableEmptyPath(t *testing.T) {
 	}
 }
 
-func TestSystemFactoryNames(t *testing.T) {
-	table, err := LoadOrBuildTable("", true, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"acasx", "svo", "none"} {
-		tbl := table
-		if name != "acasx" {
-			tbl = nil
-		}
-		factory, err := SystemFactory(name, tbl)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		own, intr := factory()
-		if own == nil || intr == nil {
-			t.Fatalf("%s: nil systems", name)
-		}
-	}
-}
-
-func TestSystemFactoryErrors(t *testing.T) {
-	if _, err := SystemFactory("acasx", nil); err == nil {
-		t.Error("acasx without table accepted")
-	}
-	if _, err := SystemFactory("bogus", nil); err == nil {
-		t.Error("unknown system accepted")
-	}
-}
-
 func TestLoadOrBuildTableRejectsCorrupt(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.acxt")
 	if err := writeGarbage(path); err != nil {

@@ -177,9 +177,9 @@ func BenchmarkEvaluateSteadyState(b *testing.B) {
 // the head-on conflict geometry (the point model keeps every decision cycle
 // inside the optimization horizon), so each episode pays the interpolated
 // table gathers that dominate equipped campaign and search workloads.
-// episodes/s is the headline metric the BENCH_<date>.json snapshots track
-// under the exact sub-benchmark name; allocs/op is per-episode steady state
-// and must stay ~0.
+// episodes/s is the headline metric (the cabench mc-equipped workload
+// measures it end to end); allocs/op is per-episode steady state and must
+// stay ~0.
 func BenchmarkEvaluateEquippedSteadyState(b *testing.B) {
 	model := PointModel(encounter.PresetHeadOn())
 	b.Run("exact", func(b *testing.B) {

@@ -216,20 +216,24 @@ func (s *Server) Cancel(id string) error {
 		return fmt.Errorf("serve: unknown job %q", id)
 	}
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	switch {
 	case terminal(j.status):
-		j.mu.Unlock()
 		return fmt.Errorf("serve: job %q already %s", id, j.status)
 	case j.cancel != nil:
 		j.cancel()
-		j.mu.Unlock()
 		return nil
 	default:
+		// Still queued. Journal before publishing, under j.mu so runJob
+		// cannot start the job in between: no watcher sees a cancellation
+		// that is not on disk, and a failed append leaves the job queued.
+		if err := s.journal.Append(Record{Type: "status", Job: id, Status: StatusFailed, Error: "cancelled"}); err != nil {
+			return err
+		}
 		j.status = StatusFailed
 		j.errMsg = "cancelled"
 		j.publish()
-		j.mu.Unlock()
-		return s.journal.Append(Record{Type: "status", Job: id, Status: StatusFailed, Error: "cancelled"})
+		return nil
 	}
 }
 

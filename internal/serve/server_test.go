@@ -399,6 +399,94 @@ func TestServerCancelJob(t *testing.T) {
 	}
 }
 
+// TestServerCancelQueuedJob: cancelling a job still waiting in the queue
+// fails it durably. It never runs, and a restart on the same state dir
+// replays it as cancelled, not as queued work.
+func TestServerCancelQueuedJob(t *testing.T) {
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	disrupt := func(shard, attempt int) error {
+		once.Do(func() { close(started) })
+		<-release
+		return nil
+	}
+	dir := t.TempDir()
+	srv := newTestServer(t, dir, disrupt)
+	first, err := srv.Submit(KindCampaign, testCampaignParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	second, err := srv.Submit(KindCampaign, testCampaignParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := srv.Job(second.ID); st.Status != StatusQueued {
+		t.Fatalf("second job %+v, want queued behind the running one", st)
+	}
+	if err := srv.Cancel(second.ID); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if st := waitDone(t, srv, first.ID); st.Status != StatusDone {
+		t.Fatalf("first job %+v, want done", st)
+	}
+	if st := waitDone(t, srv, second.ID); st.Status != StatusFailed || st.Error != "cancelled" {
+		t.Fatalf("cancelled job %+v", st)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2 := newTestServer(t, dir, nil)
+	defer srv2.Close()
+	st, ok := srv2.Job(second.ID)
+	if !ok || st.Status != StatusFailed || st.Error != "cancelled" || st.Completed != 0 {
+		t.Fatalf("replayed cancelled job %+v (found %v), want failed/cancelled with no cells", st, ok)
+	}
+	base := srv2.byID[second.ID].artifactBase(dir)
+	for _, ext := range []string{".jsonl", ".summary.txt"} {
+		if _, err := os.Stat(base + ext); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("cancelled job has artifact %s (stat: %v)", base+ext, err)
+		}
+	}
+}
+
+// TestServerCancelQueuedJobJournalFailure: a cancellation that cannot be
+// journaled is not published. The job stays queued, as a restart would
+// replay it.
+func TestServerCancelQueuedJobJournalFailure(t *testing.T) {
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	disrupt := func(shard, attempt int) error {
+		once.Do(func() { close(started) })
+		<-release
+		return nil
+	}
+	srv := newTestServer(t, t.TempDir(), disrupt)
+	if _, err := srv.Submit(KindCampaign, testCampaignParams); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	second, err := srv.Submit(KindCampaign, testCampaignParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Cancel(second.ID); err == nil {
+		t.Error("Cancel succeeded with a closed journal")
+	}
+	if st, _ := srv.Job(second.ID); st.Status != StatusQueued {
+		t.Errorf("job after a failed cancellation %+v, want still queued", st)
+	}
+	close(release)
+	srv.Close() // the journal is already closed; only the runner matters
+}
+
 // TestServerSearchJob: a small adversarial search runs as a supervised
 // job, checkpoints into the state dir, and reports its result.
 func TestServerSearchJob(t *testing.T) {
