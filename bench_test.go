@@ -319,9 +319,9 @@ func BenchmarkIslandSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkTableLookupHot exercises the online logic's hot path: a single
-// interpolated advisory query through the shared-weight scan
-// (Table.BestAdvisory). CI gates on this benchmark reporting
+// BenchmarkTableLookupHot exercises the online logic's innermost query: a
+// single interpolated advisory query through the shared-weight scan and
+// masked argmax (Table.BestAdvisory). CI gates on this benchmark reporting
 // 0 allocs/op, and the perf tripwire (scripts/benchgate.sh) fails a >25%
 // ns/op regression against the base commit.
 func BenchmarkTableLookupHot(b *testing.B) {

@@ -1,32 +1,6 @@
 package acasx
 
-import (
-	"fmt"
-
-	"acasxval/internal/geom"
-	"acasxval/internal/uav"
-)
-
-// BeliefLogic is a QMDP-style executive: instead of looking the logic table
-// up at the surveillance point estimate, it integrates the action values
-// over a Gaussian belief about the relative state and picks the advisory
-// with the best *expected* value.
-//
-// This addresses the paper's section IV model-structure question — "Is the
-// chosen modelling technique (i.e. MDP model) impressive enough ... Or
-// should another model (e.g. a POMDP model) be used?" — with the standard
-// QMDP approximation used by the real ACAS X for imperfect surveillance:
-// solve the underlying MDP offline, then weight its Q values by the state
-// belief online.
-type BeliefLogic struct {
-	table    *Table
-	sigmas   BeliefSigmas
-	advisory Advisory
-	alerts   int
-	// multiQ is the per-threat query scratch of DecideMulti (see
-	// Logic.multiQ).
-	multiQ [NumAdvisories]float64
-}
+import "fmt"
 
 // BeliefSigmas are the standard deviations of the state belief held online.
 type BeliefSigmas struct {
@@ -52,24 +26,22 @@ func (s BeliefSigmas) Validate() error {
 	return nil
 }
 
-// NewBeliefLogic creates a QMDP executive around a table.
-func NewBeliefLogic(table *Table, sigmas BeliefSigmas) (*BeliefLogic, error) {
+// NewBeliefLogic creates a QMDP-style executive: instead of looking the
+// logic table up at the surveillance point estimate, it integrates the
+// action values over a Gaussian belief about the relative state and picks
+// the advisory with the best *expected* value.
+//
+// This addresses the paper's section IV model-structure question — "Is the
+// chosen modelling technique (i.e. MDP model) impressive enough ... Or
+// should another model (e.g. a POMDP model) be used?" — with the standard
+// QMDP approximation used by the real ACAS X for imperfect surveillance:
+// solve the underlying MDP offline, then weight its Q values by the state
+// belief online.
+func NewBeliefLogic(table *Table, sigmas BeliefSigmas) (*Logic, error) {
 	if err := sigmas.Validate(); err != nil {
 		return nil, err
 	}
-	return &BeliefLogic{table: table, sigmas: sigmas}, nil
-}
-
-// Advisory returns the active advisory.
-func (l *BeliefLogic) Advisory() Advisory { return l.advisory }
-
-// Alerts returns the number of COC -> advisory transitions.
-func (l *BeliefLogic) Alerts() int { return l.alerts }
-
-// Reset clears the advisory state.
-func (l *BeliefLogic) Reset() {
-	l.advisory = COC
-	l.alerts = 0
+	return &Logic{table: table, belief: true, sigmas: sigmas}, nil
 }
 
 // beliefNodes are the 3-point Gauss-Hermite nodes/weights used per
@@ -84,7 +56,7 @@ var beliefWeights = [3]float64{1.0 / 6, 2.0 / 3, 1.0 / 6}
 // covers the whole action set, instead of re-deriving the interpolation
 // weights once per action; the accumulated values are bit-identical to the
 // per-action integration.
-func (l *BeliefLogic) expectedAllQ(dst *[NumAdvisories]float64, tau, h, dh0, dh1 float64, ra Advisory) {
+func (l *Logic) expectedAllQ(dst *[NumAdvisories]float64, tau, h, dh0, dh1 float64, ra Advisory) {
 	s := l.sigmas
 	for a := range dst {
 		dst[a] = 0
@@ -132,7 +104,7 @@ func (l *BeliefLogic) expectedAllQ(dst *[NumAdvisories]float64, tau, h, dh0, dh1
 // expectedQ integrates one action's Q value over the belief; kept as the
 // per-action reference the belief equivalence test checks expectedAllQ
 // against.
-func (l *BeliefLogic) expectedQ(tau, h, dh0, dh1 float64, ra, a Advisory) float64 {
+func (l *Logic) expectedQ(tau, h, dh0, dh1 float64, ra, a Advisory) float64 {
 	s := l.sigmas
 	total := 0.0
 	for i, wi := range beliefWeights {
@@ -166,57 +138,4 @@ func (l *BeliefLogic) expectedQ(tau, h, dh0, dh1 float64, ra, a Advisory) float6
 		norm *= beliefWeights[1]
 	}
 	return total / norm
-}
-
-// Decide runs one QMDP decision cycle with the same inputs as
-// Logic.Decide.
-func (l *BeliefLogic) Decide(own uav.State, intrPos, intrVel geom.Vec3, mask SenseMask) Decision {
-	ownVel := own.VelVec()
-	h := intrPos.Z - own.Pos.Z
-	dh0 := ownVel.Z
-	dh1 := intrVel.Z
-	tau := effectiveTau(&l.table.cfg, own.Pos, ownVel, intrPos, intrVel, h, dh0, dh1)
-
-	prev := l.advisory
-	var next Advisory
-	if tau >= float64(l.table.Horizon()) {
-		if prev != COC && !clearOfConflict(own.Pos, ownVel, intrPos, intrVel, l.table.cfg.DMOD) {
-			next = prev
-		} else {
-			next = COC
-		}
-	} else {
-		// One belief integration covers the whole action set: each node
-		// queries the table once via the shared-weight scan.
-		var eq [NumAdvisories]float64
-		l.expectedAllQ(&eq, tau, h, dh0, dh1, prev)
-		best, found := bestAllowed(&eq, mask)
-		if !found {
-			best = COC
-		}
-		if best == COC && prev != COC &&
-			!clearOfConflict(own.Pos, ownVel, intrPos, intrVel, l.table.cfg.DMOD) {
-			best = prev
-		}
-		next = best
-	}
-	l.advisory = next
-
-	d := Decision{
-		Advisory: next,
-		Tau:      tau,
-		H:        h,
-		Alerting: next != COC,
-	}
-	if prev == COC && next != COC {
-		d.NewAlert = true
-		l.alerts++
-	}
-	if prev.Sense() != SenseNone && next.Sense() != SenseNone && prev.Sense() != next.Sense() {
-		d.Reversal = true
-	}
-	if next.Strengthened() && !prev.Strengthened() && prev.Sense() == next.Sense() {
-		d.Strengthening = true
-	}
-	return d
 }

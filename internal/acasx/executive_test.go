@@ -17,26 +17,17 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files instead of comparing")
 
-// executive is the decision surface every ACAS XU executive offers.
-type executive interface {
-	Decide(own uav.State, intrPos, intrVel geom.Vec3, mask SenseMask) Decision
-	DecideMulti(own uav.State, tracks []geom.Track, mask SenseMask) Decision
-	Advisory() Advisory
-	Alerts() int
-	Reset()
-}
-
 // namedExecutive builds a fresh executive of one flavour.
 type namedExecutive struct {
 	name string
-	make func(t testing.TB) executive
+	make func(t testing.TB) *Logic
 }
 
 // executives lists the point executive, the default-sigma belief executive
 // and the zero-sigma belief executive.
 func executives() []namedExecutive {
-	belief := func(s BeliefSigmas) func(t testing.TB) executive {
-		return func(t testing.TB) executive {
+	belief := func(s BeliefSigmas) func(t testing.TB) *Logic {
+		return func(t testing.TB) *Logic {
 			l, err := NewBeliefLogic(getCoarseTable(t), s)
 			if err != nil {
 				t.Fatal(err)
@@ -45,7 +36,7 @@ func executives() []namedExecutive {
 		}
 	}
 	return []namedExecutive{
-		{"point", func(t testing.TB) executive { return NewLogic(getCoarseTable(t)) }},
+		{"point", func(t testing.TB) *Logic { return NewLogic(getCoarseTable(t)) }},
 		{"belief", belief(DefaultBeliefSigmas())},
 		{"belief0", belief(BeliefSigmas{})},
 	}
@@ -123,7 +114,8 @@ func randomMask(rng *rand.Rand) SenseMask {
 }
 
 // goldenDecision is one line of the executive golden: the decision and the
-// executive state after it.
+// executive state after it. Revs is recorded for the point executive only,
+// the one that counted reversals when the golden was cut.
 type goldenDecision struct {
 	Run      string   `json:"run"`
 	Episode  int      `json:"ep"`
@@ -191,8 +183,8 @@ func TestExecutiveDecisionGolden(t *testing.T) {
 						Adv: d.Advisory, Tau: d.Tau, H: d.H, Flags: decisionFlags(d),
 						Advisory: logic.Advisory(), Alerts: logic.Alerts(),
 					}
-					if rv, ok := logic.(interface{ Reversals() int }); ok && ex.name == "point" {
-						n := rv.Reversals()
+					if ex.name == "point" {
+						n := logic.Reversals()
 						line.Revs = &n
 					}
 					if err := enc.Encode(line); err != nil {
@@ -227,5 +219,63 @@ func TestExecutiveDecisionGolden(t *testing.T) {
 			}
 		}
 		t.Fatalf("decision stream drifted from %s: %d lines, want %d", golden, len(gl), len(wl))
+	}
+}
+
+// FuzzDecideMultiPermutation is the intruder-permutation metamorphic
+// relation: fusion is a minimum over threats and the reported Tau is the
+// smallest, so feeding DecideMulti a permuted track slice must give the same
+// decision and executive state, step after step, on every field except H
+// (first index on ties by contract). The ownship follows the advisories, so
+// the advisory state carries across the 60 steps.
+func FuzzDecideMultiPermutation(f *testing.F) {
+	for seed := uint64(0); seed < 6; seed++ {
+		f.Add(seed, uint8(seed))
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, kb uint8) {
+		k := 2 + int(kb%3)
+		rng := stats.NewRNG(seed)
+		geo := newClosingEncounter(rng, k)
+		perm := rng.Perm(k)
+		permuted := make([]geom.Track, k)
+		var buf []geom.Track
+		for _, ex := range executives()[:2] {
+			a, b := ex.make(t), ex.make(t)
+			g := geo
+			for step := 0; step < goldenSteps; step++ {
+				own, tracks := g.at(float64(step), rng, buf)
+				buf = tracks
+				for i, p := range perm {
+					permuted[i] = tracks[p]
+				}
+				mask := randomMask(rng)
+				da := a.DecideMulti(own, tracks, mask)
+				db := b.DecideMulti(own, permuted, mask)
+				da.H, db.H = 0, 0
+				if da != db || a.Alerts() != b.Alerts() || a.Reversals() != b.Reversals() {
+					t.Fatalf("%s step %d perm %v: %+v (alerts %d, reversals %d) != permuted %+v (alerts %d, reversals %d)",
+						ex.name, step, perm, da, a.Alerts(), a.Reversals(), db, b.Alerts(), b.Reversals())
+				}
+				g.advance(da.Advisory)
+			}
+		}
+	})
+}
+
+// TestExecutiveZeroAlloc: a decision cycle allocates nothing on either
+// executive, one track or three — the per-threat query buffers stay on the
+// stack. CI also gates the Fig5HeadOn and TableLookupHot benchmarks at
+// 0 allocs/op.
+func TestExecutiveZeroAlloc(t *testing.T) {
+	own := multiTestOwn()
+	tracks := []geom.Track{headOnTrack(700, 25, -2), headOnTrack(650, -25, 2), headOnTrack(900, 5, 0)}
+	for _, ex := range executives()[:2] {
+		l := ex.make(t)
+		if n := testing.AllocsPerRun(100, func() { l.Decide(own, tracks[0].Pos, tracks[0].Vel, SenseMask{}) }); n != 0 {
+			t.Errorf("%s: Decide allocated %v times per run", ex.name, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { l.DecideMulti(own, tracks, SenseMask{}) }); n != 0 {
+			t.Errorf("%s: 3-track DecideMulti allocated %v times per run", ex.name, n)
+		}
 	}
 }

@@ -29,25 +29,29 @@ type Decision struct {
 
 // Logic is the online collision avoidance executive for one aircraft: it
 // tracks the active advisory, derives the MDP state (tau, h, vertical
-// rates) from surveillance, and queries the logic table.
+// rates) from surveillance, and queries the logic table — at the
+// surveillance point estimate (NewLogic), or integrated over a Gaussian
+// belief about the state (NewBeliefLogic).
 //
 // Logic is not safe for concurrent use; each aircraft owns one instance.
 type Logic struct {
-	table    *Table
+	table *Table
+	// belief selects the QMDP query (expectedAllQ over sigmas) instead of
+	// the point lookup (Table.AllQValues).
+	belief bool
+	sigmas BeliefSigmas
+
 	advisory Advisory
-	// decisions counts Decide calls; diagnostics only.
-	decisions int
 	// alerts counts COC -> advisory transitions.
 	alerts int
 	// reversals counts sense reversals.
 	reversals int
-	// multiQ is the per-threat query scratch of DecideMulti: the buffer
-	// crosses the indirect query call of multiCycle, so a stack array
-	// would escape and allocate every decision cycle.
-	multiQ [NumAdvisories]float64
+	// pair is the one-track scratch of Decide.
+	pair [1]geom.Track
 }
 
-// NewLogic creates an executive around a built or loaded table.
+// NewLogic creates a point-estimate executive around a built or loaded
+// table.
 func NewLogic(table *Table) *Logic {
 	return &Logic{table: table}
 }
@@ -64,57 +68,88 @@ func (l *Logic) Reversals() int { return l.reversals }
 // Reset clears the advisory state (new encounter).
 func (l *Logic) Reset() {
 	l.advisory = COC
-	l.decisions = 0
 	l.alerts = 0
 	l.reversals = 0
 }
 
-// Decide runs one decision cycle. own is the aircraft's own state (assumed
-// perfectly known); intrPos/intrVel is the intruder track from surveillance
-// (possibly noisy/filtered); mask carries coordination constraints.
+// Decide runs one decision cycle against a single intruder: the one-track
+// DecideMulti. own is the aircraft's own state (assumed perfectly known);
+// intrPos/intrVel is the intruder track from surveillance (possibly
+// noisy/filtered); mask carries coordination constraints.
 func (l *Logic) Decide(own uav.State, intrPos, intrVel geom.Vec3, mask SenseMask) Decision {
-	l.decisions++
-	ownVel := own.VelVec()
-	h := intrPos.Z - own.Pos.Z
-	dh0 := ownVel.Z
-	dh1 := intrVel.Z
-	tau := effectiveTau(&l.table.cfg, own.Pos, ownVel, intrPos, intrVel, h, dh0, dh1)
+	l.pair[0] = geom.Track{Pos: intrPos, Vel: intrVel}
+	return l.DecideMulti(own, l.pair[:], mask)
+}
 
+// DecideMulti runs one decision cycle against every tracked intruder; tracks
+// must hold at least one entry. Each threat inside the optimization horizon
+// is queried against the logic table independently (the table itself stays
+// pairwise — it was optimized for one intruder), and the per-threat action
+// values fuse worst-case-first: an advisory's fused value is its minimum
+// value across the threats, and the executive picks the advisory whose
+// worst case is best. The most restrictive constraint therefore dominates —
+// an advisory that resolves two threats but flies into a third is vetoed by
+// the third's value — which is the "most-restrictive-first" fusion rule of
+// layered multi-threat logics. With one track this is the classic pairwise
+// cycle. The reported Tau and H are those of the most urgent threat
+// (smallest effective tau, first index on ties).
+func (l *Logic) DecideMulti(own uav.State, tracks []geom.Track, mask SenseMask) Decision {
+	cfg := &l.table.cfg
+	ownVel := own.VelVec()
 	prev := l.advisory
-	next := COC
-	if tau >= float64(l.table.Horizon()) {
-		// No horizontal conflict inside the optimization horizon. A fresh
-		// threat stays clear of conflict; an active advisory is maintained
-		// until the traffic is genuinely clear — with noisy surveillance
-		// the tau estimate can transiently exceed the horizon mid-conflict,
-		// and dropping the advisory would hand the aircraft back to its
-		// (conflicting) flight plan.
-		if prev != COC && !clearOfConflict(own.Pos, ownVel, intrPos, intrVel, l.table.cfg.DMOD) {
-			next = prev
+	horizon := float64(l.table.Horizon())
+	var fused, q [NumAdvisories]float64
+	threats := 0
+	minTau, minH := math.Inf(1), 0.0
+	for _, tr := range tracks {
+		h := tr.Pos.Z - own.Pos.Z
+		tau := effectiveTau(cfg, own.Pos, ownVel, tr.Pos, tr.Vel, h, ownVel.Z, tr.Vel.Z)
+		if tau < minTau {
+			minTau, minH = tau, h
 		}
-	} else {
-		// The shared-weight scan keeps the per-decision table query
-		// allocation-free: one weight computation covers every advisory.
-		best, ok := l.table.BestAdvisory(tau, h, dh0, dh1, prev, mask)
-		if ok {
+		if tau >= horizon {
+			continue
+		}
+		if l.belief {
+			l.expectedAllQ(&q, tau, h, ownVel.Z, tr.Vel.Z, prev)
+		} else {
+			l.table.AllQValues(&q, tau, h, ownVel.Z, tr.Vel.Z, prev)
+		}
+		if threats == 0 {
+			fused = q
+		} else {
+			for a := range fused {
+				if q[a] < fused[a] {
+					fused[a] = q[a]
+				}
+			}
+		}
+		threats++
+	}
+
+	next := COC
+	if threats > 0 {
+		if best, ok := bestAllowed(&fused, mask); ok {
 			next = best
 		}
-		if next == COC && prev != COC &&
-			!clearOfConflict(own.Pos, ownVel, intrPos, intrVel, l.table.cfg.DMOD) {
-			// The table proposes terminating the advisory because the
-			// projected miss distance is adequate — but its clear-of-
-			// conflict model assumes the aircraft drift, whereas real
-			// aircraft resume their (conflicting) flight plans and
-			// re-converge. Hold the advisory until the threat is
-			// horizontally diverging, as fielded ACAS logic does.
-			next = prev
-		}
+	}
+	if next == COC && prev != COC && !clearOfAll(own.Pos, ownVel, tracks, cfg.DMOD) {
+		// Either no threat is inside the horizon — with noisy surveillance
+		// the tau estimate can transiently exceed it mid-conflict — or the
+		// table proposes terminating the advisory because the projected
+		// miss distance is adequate. Its clear-of-conflict model assumes
+		// the aircraft drift, whereas real aircraft resume their
+		// (conflicting) flight plans and re-converge, so hold the advisory
+		// until every threat is horizontally diverging, as fielded ACAS
+		// logic does.
+		next = prev
 	}
 	l.advisory = next
+
 	d := Decision{
 		Advisory: next,
-		Tau:      tau,
-		H:        h,
+		Tau:      minTau,
+		H:        minH,
 		Alerting: next != COC,
 	}
 	if prev == COC && next != COC {
@@ -129,6 +164,26 @@ func (l *Logic) Decide(own uav.State, intrPos, intrVel geom.Vec3, mask SenseMask
 		d.Strengthening = true
 	}
 	return d
+}
+
+// bestAllowed returns the advisory maximizing q among those the mask
+// allows, scanning in advisory order (first maximum wins). The boolean is
+// false when the mask bans every action.
+func bestAllowed(q *[NumAdvisories]float64, mask SenseMask) (Advisory, bool) {
+	best := COC
+	bestQ := math.Inf(-1)
+	found := false
+	for a := COC; a < NumAdvisories; a++ {
+		if !mask.Allows(a) {
+			continue
+		}
+		if q[a] > bestQ {
+			bestQ = q[a]
+			best = a
+			found = true
+		}
+	}
+	return best, found
 }
 
 // Command converts the active advisory into a UAV vertical-rate command.
@@ -191,6 +246,17 @@ func clearOfConflict(ownPos, ownVel, intrPos, intrVel geom.Vec3, dmod float64) b
 	dv := intrVel.Sub(ownVel).Horizontal()
 	// Diverging when the range rate is positive (dp . dv > 0).
 	return dp.Dot(dv) > 0
+}
+
+// clearOfAll reports whether every tracked intruder is clear of conflict —
+// the multi-threat condition for discontinuing an active advisory.
+func clearOfAll(ownPos, ownVel geom.Vec3, tracks []geom.Track, dmod float64) bool {
+	for _, tr := range tracks {
+		if !clearOfConflict(ownPos, ownVel, tr.Pos, tr.Vel, dmod) {
+			return false
+		}
+	}
+	return true
 }
 
 // CoordinationMask returns the sense restriction an aircraft broadcasting

@@ -256,9 +256,10 @@ func (t *Table) AllQValues(dst *[NumAdvisories]float64, tau, h, dh0, dh1 float64
 }
 
 // BestAdvisory returns the advisory maximizing the interpolated Q value at
-// the given state, considering only advisories allowed by the mask. It is
-// the allocation-free shared-weight scan the online executive uses on every
-// decision cycle. The boolean is false when the mask bans every action
+// the given state, considering only advisories allowed by the mask: one
+// allocation-free shared-weight scan and the executive's masked argmax,
+// for the single-state queries of the policy renderer and comparison.
+// The boolean is false when the mask bans every action
 // (cannot happen with a default mask, which always allows COC) or ra is
 // invalid.
 func (t *Table) BestAdvisory(tau, h, dh0, dh1 float64, ra Advisory, mask SenseMask) (Advisory, bool) {

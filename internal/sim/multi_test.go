@@ -4,7 +4,9 @@ import (
 	"reflect"
 	"testing"
 
+	"acasxval/internal/acasx"
 	"acasxval/internal/encounter"
+	"acasxval/internal/uav"
 )
 
 // farParams returns a pairwise geometry that misses by a wide margin: an
@@ -131,7 +133,7 @@ func TestRunMultiZeroAlloc(t *testing.T) {
 
 // TestRunMultiEquippedZeroAlloc is TestRunMultiZeroAlloc with an equipped
 // ownship, so the steady state covers the multi-threat fusion cycle
-// (Logic.DecideMulti and its per-threat query closure) too.
+// (Logic.DecideMulti) too.
 func TestRunMultiEquippedZeroAlloc(t *testing.T) {
 	table := getTable(t)
 	cfg := DefaultRunConfig()
@@ -261,5 +263,77 @@ func TestRunMultiTrajectoryRecordsAllIntruders(t *testing.T) {
 		if len(tp.MoreIntruders) != 2 {
 			t.Fatalf("point %d has %d extra intruders, want 2", i, len(tp.MoreIntruders))
 		}
+	}
+}
+
+// TestRunMultiIntruderOrderInvariant is the closed-loop intruder-permutation
+// relation: with sensor and UAV-dynamics noise zeroed (so which random
+// stream a slot draws from no longer matters), flying the intruders in
+// reverse order must leave every order-free outcome unchanged — with only
+// the ownship equipped (its multi-threat fusion resolves every intruder)
+// and with every aircraft equipped (coordination across the fleet).
+func TestRunMultiIntruderOrderInvariant(t *testing.T) {
+	table := getTable(t)
+	cfg := DefaultRunConfig()
+	cfg.Sensor = uav.SensorModel{}
+	for _, u := range []*uav.Config{&cfg.OwnUAV, &cfg.IntruderUAV} {
+		u.VerticalNoise, u.SpeedNoise, u.HeadingNoise = 0, 0, 0
+	}
+	backends := []struct {
+		name string
+		new  func() System
+	}{
+		{"acasx", func() System { return NewACASXU(table) }},
+		{"belief", func() System {
+			s, err := NewACASXUBelief(table, acasx.DefaultBeliefSigmas())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}},
+	}
+	run := func(m encounter.MultiParams, newSys func() System, all bool) Result {
+		systems := []System{newSys()}
+		for i := 0; i < m.NumIntruders(); i++ {
+			if all {
+				systems = append(systems, newSys())
+			} else {
+				systems = append(systems, NoSystem{})
+			}
+		}
+		res, err := RunMultiEncounter(m, systems, cfg, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	ownAlerts := 0
+	for _, name := range []string{"convergepair", "crossstream", "sandwich"} {
+		m, err := encounter.MultiPreset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reversed := make([]encounter.Params, m.NumIntruders())
+		for i, p := range m.Intruders {
+			reversed[len(reversed)-1-i] = p
+		}
+		rev := encounter.MultiOf(reversed...)
+		for _, b := range backends {
+			for _, all := range []bool{false, true} {
+				fwd, bwd := run(m, b.new, all), run(rev, b.new, all)
+				ownAlerts += fwd.OwnAlerts()
+				if fwd.NMAC != bwd.NMAC || fwd.MinSeparation != bwd.MinSeparation ||
+					fwd.MinHorizontal != bwd.MinHorizontal || fwd.MinVertical != bwd.MinVertical ||
+					fwd.OwnAlerts() != bwd.OwnAlerts() || fwd.TotalAlerts() != bwd.TotalAlerts() {
+					t.Errorf("%s/%s all=%v: reversed intruders changed the outcome:\nforward  NMAC %v sep %v/%v/%v alerts %d/%d\nreversed NMAC %v sep %v/%v/%v alerts %d/%d",
+						name, b.name, all,
+						fwd.NMAC, fwd.MinSeparation, fwd.MinHorizontal, fwd.MinVertical, fwd.OwnAlerts(), fwd.TotalAlerts(),
+						bwd.NMAC, bwd.MinSeparation, bwd.MinHorizontal, bwd.MinVertical, bwd.OwnAlerts(), bwd.TotalAlerts())
+				}
+			}
+		}
+	}
+	if ownAlerts == 0 {
+		t.Error("the ownship never alerted, so the relation is vacuous")
 	}
 }

@@ -730,9 +730,10 @@ func (a *aircraft) applyDecision(d Decision, now float64) {
 
 // decideOwnship runs the ownship's decision cycle: surveil every intruder
 // (in encounter order, from the ownship's sensor stream), then hand the
-// surviving tracks to the system's AvoidanceSystem step in one call. The
-// classic pairwise/nearest-threat dispatch lives in the Adapt adapter, so a single-track cycle is bit-identical to the historical
-// pairwise engine.
+// surviving tracks to the system's AvoidanceSystem step in one call.
+// Pairwise-only systems such as svo take that step through the Adapt
+// adapter: one track goes through their Decide, several face the nearest
+// threat.
 func (r *Runner) decideOwnship(now float64) {
 	a := r.fleet[0]
 	sensorRNG := r.sensorR[0]
@@ -778,9 +779,9 @@ func nearestTrack(pos geom.Vec3, tracks []geom.Track) int {
 
 // decideIntruder runs intruder j's decision cycle against the ownship: one
 // surveillance observation from the intruder's own sensor stream, a
-// single-track AvoidanceSystem step (the adapter routes it through the
-// pairwise Decide, bit-identical to the classic engine), coordination
-// constrained by the ownship's current claimed sense.
+// single-track AvoidanceSystem step (Adapt routes a pairwise-only system
+// such as svo through its Decide), coordination constrained by the
+// ownship's current claimed sense.
 func (r *Runner) decideIntruder(now float64, j int) {
 	a := r.fleet[j]
 	pos, vel, ok := r.surveil(a, 0, r.fleet[0], now, r.sensorR[j], r.fltR[j])
