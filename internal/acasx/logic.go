@@ -234,25 +234,15 @@ func effectiveTau(cfg *Config, ownPos, ownVel, intrPos, intrVel geom.Vec3, h, dh
 	return (abs - band) / rate
 }
 
-// clearOfConflict reports whether the intruder is horizontally diverging
-// and outside the conflict radius — the condition for discontinuing an
-// active advisory when the tau estimate has left the table's horizon.
-func clearOfConflict(ownPos, ownVel, intrPos, intrVel geom.Vec3, dmod float64) bool {
-	dp := intrPos.Sub(ownPos).Horizontal()
-	r := dp.Norm()
-	if r <= dmod {
-		return false
-	}
-	dv := intrVel.Sub(ownVel).Horizontal()
-	// Diverging when the range rate is positive (dp . dv > 0).
-	return dp.Dot(dv) > 0
-}
-
-// clearOfAll reports whether every tracked intruder is clear of conflict —
-// the multi-threat condition for discontinuing an active advisory.
+// clearOfAll reports whether every tracked intruder is horizontally
+// diverging and outside the conflict radius — the condition for
+// discontinuing an active advisory.
 func clearOfAll(ownPos, ownVel geom.Vec3, tracks []geom.Track, dmod float64) bool {
 	for _, tr := range tracks {
-		if !clearOfConflict(ownPos, ownVel, tr.Pos, tr.Vel, dmod) {
+		dp := tr.Pos.Sub(ownPos).Horizontal()
+		dv := tr.Vel.Sub(ownVel).Horizontal()
+		// Diverging when the range rate is positive (dp . dv > 0).
+		if dp.Norm() <= dmod || !(dp.Dot(dv) > 0) {
 			return false
 		}
 	}
