@@ -25,6 +25,61 @@ func headOnTrack(r, z, vs float64) geom.Track {
 	}
 }
 
+// TestDecideMultiSingleTrackMatchesDecide: the pairwise Decide is the
+// one-track call of DecideMulti, so on separate executives the two entry
+// points must agree decision by decision, including the advisory/alert state
+// each executive carries. This guards Decide's packing of the intruder
+// position and velocity into its one-track scratch.
+func TestDecideMultiSingleTrackMatchesDecide(t *testing.T) {
+	table := getCoarseTable(t)
+	pair := NewLogic(table)
+	multi := NewLogic(table)
+	own := multiTestOwn()
+	for step := 0; step < 40; step++ {
+		r := 1800 - 45*2*float64(step) // closing head-on at 90 m/s
+		tr := headOnTrack(r, 20, -1)
+		want := pair.Decide(own, tr.Pos, tr.Vel, SenseMask{})
+		got := multi.DecideMulti(own, []geom.Track{tr}, SenseMask{})
+		if got != want {
+			t.Fatalf("step %d: DecideMulti %+v != Decide %+v", step, got, want)
+		}
+	}
+	if pair.Alerts() != multi.Alerts() || pair.Advisory() != multi.Advisory() ||
+		pair.Reversals() != multi.Reversals() {
+		t.Fatalf("state diverged: alerts %d/%d advisory %v/%v reversals %d/%d",
+			pair.Alerts(), multi.Alerts(), pair.Advisory(), multi.Advisory(),
+			pair.Reversals(), multi.Reversals())
+	}
+}
+
+// TestBeliefDecideMultiSingleTrackMatchesDecide mirrors the equivalence for
+// the QMDP executive.
+func TestBeliefDecideMultiSingleTrackMatchesDecide(t *testing.T) {
+	table := getCoarseTable(t)
+	pair, err := NewBeliefLogic(table, DefaultBeliefSigmas())
+	if err != nil {
+		t.Fatal(err)
+	}
+	multi, err := NewBeliefLogic(table, DefaultBeliefSigmas())
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := multiTestOwn()
+	for step := 0; step < 30; step++ {
+		r := 1600 - 45*2*float64(step)
+		tr := headOnTrack(r, -15, 1)
+		want := pair.Decide(own, tr.Pos, tr.Vel, SenseMask{})
+		got := multi.DecideMulti(own, []geom.Track{tr}, SenseMask{})
+		if got != want {
+			t.Fatalf("step %d: DecideMulti %+v != Decide %+v", step, got, want)
+		}
+	}
+	if pair.Alerts() != multi.Alerts() || pair.Advisory() != multi.Advisory() {
+		t.Fatalf("state diverged: alerts %d/%d advisory %v/%v",
+			pair.Alerts(), multi.Alerts(), pair.Advisory(), multi.Advisory())
+	}
+}
+
 // TestDecideMultiWorstCaseFusion: with two threats inside the horizon the
 // fused choice must be the maximin advisory — argmax over actions of the
 // minimum per-threat Q value.
