@@ -48,8 +48,12 @@ func FPMOf(ms float64) float64 { return ms / MetersPerSecondPerFPM }
 // Knots converts a speed in knots to m/s.
 func Knots(kt float64) float64 { return kt * MetersPerSecondPerKnot }
 
-// WrapAngle reduces an angle to the interval [0, 2*pi).
+// WrapAngle reduces an angle to the interval [0, 2*pi). An angle already
+// in range is returned unchanged, as math.Mod would return it.
 func WrapAngle(a float64) float64 {
+	if a >= 0 && a < 2*math.Pi {
+		return a
+	}
 	a = math.Mod(a, 2*math.Pi)
 	if a < 0 {
 		a += 2 * math.Pi
@@ -57,8 +61,12 @@ func WrapAngle(a float64) float64 {
 	return a
 }
 
-// WrapSigned reduces an angle to the interval (-pi, pi].
+// WrapSigned reduces an angle to the interval (-pi, pi]. An angle already
+// in range is returned unchanged, as math.Mod would return it.
 func WrapSigned(a float64) float64 {
+	if a > -math.Pi && a <= math.Pi {
+		return a
+	}
 	a = math.Mod(a, 2*math.Pi)
 	switch {
 	case a > math.Pi:

@@ -280,3 +280,15 @@ func TestEvaluateWithScratchReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestUnequippedIsTheSkippedNoSystem: the baseline factory must hand out
+// the engine's own sim.NoSystem, which the runner flies without
+// surveillance. A wrapper would give bit-identical estimates, only slower.
+func TestUnequippedIsTheSkippedNoSystem(t *testing.T) {
+	own, intr := Unequipped()
+	for _, s := range []sim.System{own, intr} {
+		if _, ok := s.(sim.NoSystem); !ok {
+			t.Errorf("Unequipped built a %T, not sim.NoSystem", s)
+		}
+	}
+}

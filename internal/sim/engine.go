@@ -85,7 +85,10 @@ func AppendSystemsFromPair(dst []System, factory func() (System, System), k int)
 }
 
 // NoSystem is the unequipped baseline: it never commands anything. It is
-// stateless, so one value can equip any number of aircraft.
+// stateless, so one value can equip any number of aircraft. The encounter
+// runner recognizes it and does not surveil an aircraft it equips: no
+// sensor draws, fault layer, tracking or decision cycle. A system that
+// merely wraps NoSystem is still surveilled, with bit-identical results.
 type NoSystem struct{}
 
 var (

@@ -194,6 +194,9 @@ type aircraft struct {
 	system AvoidanceSystem
 	// adapter backs Adapt for pairwise systems without allocating per run.
 	adapter pairwiseAdapter
+	// unequipped is set when system is the engine's own NoSystem: the
+	// aircraft then never surveils, since no decision would read it.
+	unequipped bool
 	// lastDecision caches the most recent decision for coordination.
 	lastDecision Decision
 	alerts       int
@@ -245,6 +248,7 @@ func (a *aircraft) reset(system System, initial uav.State) {
 			a.tracks[i].Reset()
 		}
 	}
+	_, a.unequipped = system.(NoSystem)
 	if as, ok := system.(AvoidanceSystem); ok {
 		a.system = as
 	} else {
@@ -733,9 +737,14 @@ func (a *aircraft) applyDecision(d Decision, now float64) {
 // surviving tracks to the system's AvoidanceSystem step in one call.
 // Pairwise-only systems such as svo take that step through the Adapt
 // adapter: one track goes through their Decide, several face the nearest
-// threat.
+// threat. An unequipped ownship is not surveilled at all: its sensor and
+// fault streams, filters and links feed only its own decision, and
+// NoSystem's Decision{} would leave a never-commanded aircraft unchanged.
 func (r *Runner) decideOwnship(now float64) {
 	a := r.fleet[0]
+	if a.unequipped {
+		return
+	}
 	sensorRNG := r.sensorR[0]
 	tracks := r.trackBuf[:0]
 	for j := 1; j <= r.k; j++ {
@@ -781,9 +790,13 @@ func nearestTrack(pos geom.Vec3, tracks []geom.Track) int {
 // surveillance observation from the intruder's own sensor stream, a
 // single-track AvoidanceSystem step (Adapt routes a pairwise-only system
 // such as svo through its Decide), coordination constrained by the
-// ownship's current claimed sense.
+// ownship's current claimed sense. Like the ownship, an unequipped intruder
+// skips the cycle and its surveillance.
 func (r *Runner) decideIntruder(now float64, j int) {
 	a := r.fleet[j]
+	if a.unequipped {
+		return
+	}
 	pos, vel, ok := r.surveil(a, 0, r.fleet[0], now, r.sensorR[j], r.fltR[j])
 	if !ok {
 		// No surveillance: keep flying the current command.

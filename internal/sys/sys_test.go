@@ -181,3 +181,20 @@ func TestRegisterExtends(t *testing.T) {
 		t.Errorf("extension missing from Names() %v", Names())
 	}
 }
+
+// TestNoneIsTheSkippedNoSystem: the "none" backend must hand out the
+// engine's own sim.NoSystem, the one type the encounter runner recognizes
+// as unequipped and flies without surveillance. A wrapper would give
+// bit-identical results, only slower, so no output test would notice.
+func TestNoneIsTheSkippedNoSystem(t *testing.T) {
+	factory, err := PairFactory(Context{}, Spec{Name: "none"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, intr := factory()
+	for _, s := range []sim.System{own, intr} {
+		if _, ok := s.(sim.NoSystem); !ok {
+			t.Errorf("the none backend built a %T, not sim.NoSystem", s)
+		}
+	}
+}

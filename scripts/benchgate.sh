@@ -5,13 +5,14 @@
 #
 #	sh scripts/benchgate.sh <base-ref>
 #
-# Checks <base-ref> out into a temporary git worktree, builds the root and
-# internal/acasx test binaries once per side, and runs the three gated
-# benchmarks (Fig5HeadOn 2000x, TableLookupHot 100000x, AllQValuesFast
-# 10000x) for three rounds, alternating which side goes first. cmd/benchgate
-# then compares the best run of each side: a >25% ns/op regression, or any
-# allocation, fails. CI passes the merge-base of a pull request, or the
-# previous tip of a push.
+# Checks <base-ref> out into a temporary git worktree, builds the root,
+# internal/acasx and internal/montecarlo test binaries once per side, and
+# runs the four gated benchmarks (Fig5HeadOn 2000x, TableLookupHot 100000x,
+# AllQValuesFast 10000x, and the unequipped Monte-Carlo episode
+# EvaluateSteadyState 5000x) for three rounds, alternating which side goes
+# first. cmd/benchgate then compares the best run of each side: a >25% ns/op
+# regression, or any allocation, fails. CI passes the merge-base of a pull
+# request, or the previous tip of a push.
 set -eu
 if [ $# -ne 1 ]; then
 	echo "usage: sh scripts/benchgate.sh <base-ref>" >&2
@@ -27,10 +28,11 @@ trap 'exit 130' INT TERM
 git worktree add --detach --quiet "$TMP/base" "$BASE"
 echo "benchgate: base $BASE vs working tree"
 
-# build <src> <bin>: the two test binaries of one side.
+# build <src> <bin>: the three test binaries of one side.
 build() {
 	mkdir -p "$2"
-	(cd "$1" && go test -c -o "$2/root.test" . && go test -c -o "$2/acasx.test" ./internal/acasx)
+	(cd "$1" && go test -c -o "$2/root.test" . && go test -c -o "$2/acasx.test" ./internal/acasx &&
+		go test -c -o "$2/montecarlo.test" ./internal/montecarlo)
 }
 build "$TMP/base" "$TMP/old"
 build "$ROOT" "$TMP/new"
@@ -41,11 +43,13 @@ build "$ROOT" "$TMP/new"
 bench() {
 	src=$ROOT
 	[ "$1" = old ] && src=$TMP/base
-	bin=$TMP/$1/root.test
-	if [ "$2" = AllQValuesFast ]; then
-		src=$src/internal/acasx
-		bin=$TMP/$1/acasx.test
-	fi
+	case $2 in
+	AllQValuesFast) pkg=acasx ;;
+	EvaluateSteadyState) pkg=montecarlo ;;
+	*) pkg=root ;;
+	esac
+	bin=$TMP/$1/$pkg.test
+	[ "$pkg" != root ] && src=$src/internal/$pkg
 	if ! (cd "$src" && "$bin" -test.run '^$' -test.bench "^Benchmark$2\$" -test.benchtime "$3" -test.benchmem -test.timeout 10m) >"$TMP/run.txt" 2>&1; then
 		cat "$TMP/run.txt" >&2
 		echo "benchgate: $2 failed on the $1 side" >&2
@@ -55,7 +59,7 @@ bench() {
 }
 
 for order in "old new" "new old" "old new"; do
-	for spec in Fig5HeadOn:2000x TableLookupHot:100000x AllQValuesFast:10000x; do
+	for spec in Fig5HeadOn:2000x TableLookupHot:100000x AllQValuesFast:10000x EvaluateSteadyState:5000x; do
 		for side in $order; do
 			bench "$side" "${spec%:*}" "${spec#*:}"
 		done
