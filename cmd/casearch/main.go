@@ -58,7 +58,6 @@ import (
 
 	"acasxval/internal/acasx"
 	"acasxval/internal/campaign"
-	"acasxval/internal/cli"
 	"acasxval/internal/config"
 	"acasxval/internal/core"
 	"acasxval/internal/fault"
@@ -387,5 +386,5 @@ func maybeTable(system, path string, coarse bool) (*acasx.Table, error) {
 	if !campaign.NeedsTable(system) {
 		return nil, nil
 	}
-	return cli.LoadOrBuildTable(path, coarse, 0)
+	return acasx.LoadOrBuildTable(path, coarse)
 }

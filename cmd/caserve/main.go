@@ -39,8 +39,8 @@ import (
 	"syscall"
 	"time"
 
+	"acasxval/internal/acasx"
 	"acasxval/internal/campaign"
-	"acasxval/internal/cli"
 	"acasxval/internal/serve"
 )
 
@@ -70,7 +70,7 @@ func run() error {
 	// time, not stall its queue building a table mid-job.
 	systems := campaign.DefaultSystems(nil)
 	if *withTable || *tablePath != "" {
-		table, err := cli.LoadOrBuildTable(*tablePath, !*full, 0)
+		table, err := acasx.LoadOrBuildTable(*tablePath, !*full)
 		if err != nil {
 			return err
 		}

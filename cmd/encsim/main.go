@@ -29,7 +29,6 @@ import (
 
 	"acasxval/internal/acasx"
 	"acasxval/internal/campaign"
-	"acasxval/internal/cli"
 	"acasxval/internal/core"
 	"acasxval/internal/encounter"
 	"acasxval/internal/fault"
@@ -253,7 +252,7 @@ func maybeTable(system, path string, coarse bool) (*acasx.Table, error) {
 	if !campaign.NeedsTable(system) {
 		return nil, nil
 	}
-	return cli.LoadOrBuildTable(path, coarse, 0)
+	return acasx.LoadOrBuildTable(path, coarse)
 }
 
 func writeSVG(path string, traj []sim.TrajectoryPoint, plane viz.Plane, nmacAt float64) (err error) {

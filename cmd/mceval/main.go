@@ -35,7 +35,6 @@ import (
 
 	"acasxval/internal/acasx"
 	"acasxval/internal/campaign"
-	"acasxval/internal/cli"
 	"acasxval/internal/fault"
 	"acasxval/internal/montecarlo"
 	"acasxval/internal/search"
@@ -106,7 +105,7 @@ func run() error {
 	for _, name := range names {
 		name = strings.TrimSpace(name)
 		if campaign.NeedsTable(name) && table == nil {
-			t, err := cli.LoadOrBuildTable(*tablePath, *coarse, 0)
+			t, err := acasx.LoadOrBuildTable(*tablePath, *coarse)
 			if err != nil {
 				return err
 			}

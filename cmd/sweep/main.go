@@ -40,8 +40,8 @@ import (
 	"syscall"
 	"time"
 
+	"acasxval/internal/acasx"
 	"acasxval/internal/campaign"
-	"acasxval/internal/cli"
 	"acasxval/internal/fault"
 	"acasxval/internal/montecarlo"
 	"acasxval/internal/search"
@@ -147,7 +147,7 @@ func run() (err error) {
 		if !campaign.NeedsTable(name) {
 			continue
 		}
-		table, err := cli.LoadOrBuildTable(*tablePath, !*full, 0)
+		table, err := acasx.LoadOrBuildTable(*tablePath, !*full)
 		if err != nil {
 			return err
 		}

@@ -3,6 +3,8 @@ package acasx
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -135,18 +137,6 @@ func TestSenseMask(t *testing.T) {
 	}
 }
 
-func TestCoordinationMask(t *testing.T) {
-	if m := CoordinationMask(Climb1500); !m.BanUp || m.BanDown {
-		t.Errorf("climb coordination mask = %+v", m)
-	}
-	if m := CoordinationMask(StrengthenDescend2500); !m.BanDown || m.BanUp {
-		t.Errorf("descend coordination mask = %+v", m)
-	}
-	if m := CoordinationMask(COC); m.BanUp || m.BanDown {
-		t.Errorf("COC coordination mask = %+v", m)
-	}
-}
-
 func TestEventCosts(t *testing.T) {
 	m, err := newModel(tinyConfig())
 	if err != nil {
@@ -214,7 +204,7 @@ func TestBuilderMatchesGenericSolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	problem, m, err := TauExpandedProblem(cfg)
+	problem, m, err := tauExpandedProblem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,6 +473,61 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 }
 
+func TestLoadOrBuildTableBuildsAndCaches(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.acxt")
+	// First call: builds coarse and saves.
+	table, err := LoadOrBuildTable(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if table.BuildTime() <= 0 {
+		t.Error("fresh build should record build time")
+	}
+	// Second call: loads from disk (no build time).
+	loaded, err := LoadOrBuildTable(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.BuildTime() != 0 {
+		t.Error("expected a loaded table (zero build time)")
+	}
+	if loaded.NumEntries() != table.NumEntries() {
+		t.Error("loaded table differs from built table")
+	}
+}
+
+func TestLoadOrBuildTableEmptyPath(t *testing.T) {
+	table, err := LoadOrBuildTable("", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if table == nil {
+		t.Fatal("nil table")
+	}
+}
+
+func TestLoadOrBuildTableRejectsCorrupt(t *testing.T) {
+	table, err := BuildTable(tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Save a valid table, then cut it to half its size.
+	path := filepath.Join(t.TempDir(), "bad.acxt")
+	if err := table.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, info.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadOrBuildTable(path, true); err == nil {
+		t.Error("corrupt table file accepted")
+	}
+}
+
 func TestLogicLifecycle(t *testing.T) {
 	table := getCoarseTable(t)
 	logic := NewLogic(table)
@@ -565,19 +610,6 @@ func TestLogicReversalAccounting(t *testing.T) {
 		if !d2.Reversal {
 			t.Error("reversal not flagged")
 		}
-	}
-}
-
-func TestNMAC(t *testing.T) {
-	a := geom.Vec3{X: 0, Y: 0, Z: 0}
-	if !NMAC(a, geom.Vec3{X: 100, Y: 0, Z: 20}) {
-		t.Error("inside cylinder not flagged")
-	}
-	if NMAC(a, geom.Vec3{X: 200, Y: 0, Z: 0}) {
-		t.Error("outside horizontal flagged")
-	}
-	if NMAC(a, geom.Vec3{X: 0, Y: 0, Z: 40}) {
-		t.Error("outside vertical flagged")
 	}
 }
 

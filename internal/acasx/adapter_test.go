@@ -5,15 +5,15 @@ import (
 	"acasxval/internal/mdp"
 )
 
-// TauExpandedProblem builds the offline model as an explicit tabular MDP
+// tauExpandedProblem builds the offline model as an explicit tabular MDP
 // with tau folded into the state: state (k, c, ra) transitions to states at
 // k-1, and tau = 0 states are terminal with the collision cost as their
-// only reward. Solving this problem with the generic mdp solvers must
-// reproduce the specialized backward-induction table builder exactly; the
-// test suite uses this as a differential oracle. It is exponentially more
-// memory-hungry than the specialized builder, so only coarse
-// configurations are practical.
-func TauExpandedProblem(cfg Config) (*mdp.Tabular, *model, error) {
+// only reward. Solving this problem with the generic mdp solver must
+// reproduce the specialized backward-induction table builder exactly;
+// TestBuilderMatchesGenericSolver uses it as a differential oracle. It is
+// exponentially more memory-hungry than the specialized builder, so only
+// coarse configurations are practical.
+func tauExpandedProblem(cfg Config) (*mdp.Tabular, *model, error) {
 	m, err := newModel(cfg)
 	if err != nil {
 		return nil, nil, err

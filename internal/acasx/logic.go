@@ -248,25 +248,3 @@ func clearOfAll(ownPos, ownVel geom.Vec3, tracks []geom.Track, dmod float64) boo
 	}
 	return true
 }
-
-// CoordinationMask returns the sense restriction an aircraft broadcasting
-// advisory a imposes on its peer: the peer must not maneuver in the same
-// direction.
-func CoordinationMask(a Advisory) SenseMask {
-	switch a.Sense() {
-	case SenseUp:
-		return SenseMask{BanUp: true}
-	case SenseDown:
-		return SenseMask{BanDown: true}
-	default:
-		return SenseMask{}
-	}
-}
-
-// NMAC reports whether two aircraft states constitute a near mid-air
-// collision under the standard cylinder (500 ft horizontal, 100 ft
-// vertical) — the paper's mid-air collision criterion.
-func NMAC(a, b geom.Vec3) bool {
-	return a.HorizontalDistanceTo(b) < geom.NMACHorizontal &&
-		math.Abs(a.Z-b.Z) < geom.NMACVertical
-}

@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"math"
 	"os"
+	"runtime"
 )
 
 // Binary logic-table format:
@@ -241,4 +243,34 @@ func LoadTable(path string) (*Table, error) {
 	}
 	defer f.Close()
 	return ReadTable(f)
+}
+
+// LoadOrBuildTable loads the logic table from path when the file exists;
+// otherwise it builds one (full or coarse resolution) on every CPU and,
+// when path is non-empty, saves it there for reuse.
+func LoadOrBuildTable(path string, coarse bool) (*Table, error) {
+	if path != "" {
+		table, err := LoadTable(path)
+		if err == nil {
+			return table, nil
+		}
+		if !errors.Is(err, fs.ErrNotExist) {
+			return nil, fmt.Errorf("loading %s: %w", path, err)
+		}
+	}
+	cfg := DefaultConfig()
+	if coarse {
+		cfg = CoarseConfig()
+	}
+	cfg.Workers = runtime.NumCPU()
+	table, err := BuildTable(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if path != "" {
+		if err := table.Save(path); err != nil {
+			return nil, err
+		}
+	}
+	return table, nil
 }

@@ -39,16 +39,6 @@ func CPAOf(p1, v1, p2, v2 Vec3) CPA {
 	}
 }
 
-// HorizontalCPA computes the closest point of approach considering only the
-// horizontal plane. This is the geometry ACAS-style logic uses to derive its
-// time-to-conflict tau.
-func HorizontalCPA(p1, v1, p2, v2 Vec3) CPA {
-	return CPAOf(
-		p1.Horizontal(), v1.Horizontal(),
-		p2.Horizontal(), v2.Horizontal(),
-	)
-}
-
 // TauUnbounded is the tau value reported when there is no horizontal
 // convergence: effectively "no conflict within any horizon".
 const TauUnbounded = math.MaxFloat64

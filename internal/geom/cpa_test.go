@@ -158,17 +158,3 @@ func TestTauSlowClosure(t *testing.T) {
 		t.Errorf("Tau = %v, want 450", got)
 	}
 }
-
-func TestHorizontalCPAIgnoresVertical(t *testing.T) {
-	p1 := Vec3{0, 0, 0}
-	v1 := Vec3{50, 0, 10} // strong climb must not affect horizontal CPA
-	p2 := Vec3{1000, 0, 500}
-	v2 := Vec3{-50, 0, -10}
-	got := HorizontalCPA(p1, v1, p2, v2)
-	if !almostEqual(got.Time, 10, 1e-9) {
-		t.Errorf("Time = %v, want 10", got.Time)
-	}
-	if !almostEqual(got.Range, 0, 1e-9) {
-		t.Errorf("Range = %v, want 0", got.Range)
-	}
-}

@@ -13,10 +13,6 @@ import "math"
 const (
 	// MetersPerFoot converts feet to metres.
 	MetersPerFoot = 0.3048
-	// MetersPerNauticalMile converts nautical miles to metres.
-	MetersPerNauticalMile = 1852.0
-	// MetersPerSecondPerKnot converts knots to m/s.
-	MetersPerSecondPerKnot = 0.514444
 	// MetersPerSecondPerFPM converts feet-per-minute to m/s.
 	MetersPerSecondPerFPM = MetersPerFoot / 60.0
 	// G is standard gravitational acceleration in m/s^2.
@@ -36,17 +32,8 @@ const (
 // Feet converts a length in feet to metres.
 func Feet(ft float64) float64 { return ft * MetersPerFoot }
 
-// FeetOf converts a length in metres to feet.
-func FeetOf(m float64) float64 { return m / MetersPerFoot }
-
 // FPM converts a vertical rate in feet-per-minute to m/s.
 func FPM(fpm float64) float64 { return fpm * MetersPerSecondPerFPM }
-
-// FPMOf converts a vertical rate in m/s to feet-per-minute.
-func FPMOf(ms float64) float64 { return ms / MetersPerSecondPerFPM }
-
-// Knots converts a speed in knots to m/s.
-func Knots(kt float64) float64 { return kt * MetersPerSecondPerKnot }
 
 // WrapAngle reduces an angle to the interval [0, 2*pi). An angle already
 // in range is returned unchanged, as math.Mod would return it.

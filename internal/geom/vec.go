@@ -26,20 +26,8 @@ func (v Vec3) Sub(o Vec3) Vec3 { return Vec3{X: v.X - o.X, Y: v.Y - o.Y, Z: v.Z 
 // Scale returns v multiplied by the scalar s.
 func (v Vec3) Scale(s float64) Vec3 { return Vec3{X: v.X * s, Y: v.Y * s, Z: v.Z * s} }
 
-// Neg returns -v.
-func (v Vec3) Neg() Vec3 { return Vec3{X: -v.X, Y: -v.Y, Z: -v.Z} }
-
 // Dot returns the dot product of v and o.
 func (v Vec3) Dot(o Vec3) float64 { return v.X*o.X + v.Y*o.Y + v.Z*o.Z }
-
-// Cross returns the cross product v x o.
-func (v Vec3) Cross(o Vec3) Vec3 {
-	return Vec3{
-		X: v.Y*o.Z - v.Z*o.Y,
-		Y: v.Z*o.X - v.X*o.Z,
-		Z: v.X*o.Y - v.Y*o.X,
-	}
-}
 
 // Norm returns the Euclidean length of v.
 func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
@@ -66,9 +54,6 @@ func (v Vec3) Unit() Vec3 {
 // DistanceTo returns the Euclidean distance between v and o.
 func (v Vec3) DistanceTo(o Vec3) float64 { return v.Sub(o).Norm() }
 
-// HorizontalDistanceTo returns the horizontal-plane distance between v and o.
-func (v Vec3) HorizontalDistanceTo(o Vec3) float64 { return v.Sub(o).HorizontalNorm() }
-
 // VerticalDistanceTo returns |v.Z - o.Z|.
 func (v Vec3) VerticalDistanceTo(o Vec3) float64 { return math.Abs(v.Z - o.Z) }
 
@@ -89,13 +74,6 @@ func (v Vec3) HorizontalDistanceSquaredTo(o Vec3) float64 {
 
 // Lerp linearly interpolates between v (t=0) and o (t=1).
 func (v Vec3) Lerp(o Vec3, t float64) Vec3 { return v.Add(o.Sub(v).Scale(t)) }
-
-// IsFinite reports whether every component is a finite number.
-func (v Vec3) IsFinite() bool {
-	return !math.IsNaN(v.X) && !math.IsInf(v.X, 0) &&
-		!math.IsNaN(v.Y) && !math.IsInf(v.Y, 0) &&
-		!math.IsNaN(v.Z) && !math.IsInf(v.Z, 0)
-}
 
 // String implements fmt.Stringer.
 func (v Vec3) String() string {

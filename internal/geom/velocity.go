@@ -28,25 +28,3 @@ func (v Velocity) Vec() Vec3 {
 		Z: v.Vs,
 	}
 }
-
-// VelocityFromVec converts Cartesian velocity components back to the polar
-// representation. The bearing of a zero horizontal velocity is 0.
-func VelocityFromVec(v Vec3) Velocity {
-	gs := v.HorizontalNorm()
-	psi := 0.0
-	if gs > 0 {
-		psi = WrapAngle(math.Atan2(v.Y, v.X))
-	}
-	return Velocity{Gs: gs, Psi: psi, Vs: v.Z}
-}
-
-// Normalize returns the velocity with a non-negative ground speed and a
-// bearing wrapped into [0, 2*pi). A negative Gs is folded into the bearing.
-func (v Velocity) Normalize() Velocity {
-	if v.Gs < 0 {
-		v.Gs = -v.Gs
-		v.Psi += math.Pi
-	}
-	v.Psi = WrapAngle(v.Psi)
-	return v
-}

@@ -37,45 +37,15 @@ func TestVelocityRoundTrip(t *testing.T) {
 		if math.IsNaN(gs) || math.IsNaN(psi) || math.IsNaN(vs) {
 			return true
 		}
-		orig := Velocity{Gs: gs, Psi: psi, Vs: vs}
-		back := VelocityFromVec(orig.Vec())
-		if !almostEqual(back.Gs, orig.Gs, 1e-6) {
+		v := Velocity{Gs: gs, Psi: psi, Vs: vs}.Vec()
+		if !almostEqual(v.HorizontalNorm(), gs, 1e-6) || !almostEqual(v.Z, vs, 1e-6) {
 			return false
 		}
-		if !almostEqual(back.Vs, orig.Vs, 1e-6) {
-			return false
-		}
-		if gs > 1e-6 {
-			// Bearing is only meaningful with non-zero ground speed.
-			if math.Abs(WrapSigned(back.Psi-orig.Psi)) > 1e-6 {
-				return false
-			}
-		}
-		return true
+		// Bearing is only meaningful with non-zero ground speed.
+		return gs <= 1e-6 || math.Abs(WrapSigned(math.Atan2(v.Y, v.X)-psi)) <= 1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestVelocityFromVecZeroHorizontal(t *testing.T) {
-	v := VelocityFromVec(Vec3{0, 0, -3})
-	if v.Gs != 0 || v.Psi != 0 || v.Vs != -3 {
-		t.Errorf("got %+v, want {0 0 -3}", v)
-	}
-}
-
-func TestVelocityNormalize(t *testing.T) {
-	v := Velocity{Gs: -10, Psi: 0, Vs: 1}.Normalize()
-	if v.Gs != 10 {
-		t.Errorf("Gs = %v, want 10", v.Gs)
-	}
-	if !almostEqual(v.Psi, math.Pi, 1e-12) {
-		t.Errorf("Psi = %v, want pi", v.Psi)
-	}
-	v2 := Velocity{Gs: 1, Psi: 5 * math.Pi, Vs: 0}.Normalize()
-	if !almostEqual(v2.Psi, math.Pi, 1e-12) {
-		t.Errorf("wrapped Psi = %v, want pi", v2.Psi)
 	}
 }
 
@@ -128,17 +98,8 @@ func TestUnitConversions(t *testing.T) {
 	if !almostEqual(Feet(1000), 304.8, 1e-9) {
 		t.Error("Feet(1000) wrong")
 	}
-	if !almostEqual(FeetOf(Feet(1234)), 1234, 1e-9) {
-		t.Error("Feet round trip wrong")
-	}
 	if !almostEqual(FPM(1500), 7.62, 1e-9) {
 		t.Error("FPM(1500) wrong")
-	}
-	if !almostEqual(FPMOf(FPM(2500)), 2500, 1e-9) {
-		t.Error("FPM round trip wrong")
-	}
-	if !almostEqual(Knots(1), 0.514444, 1e-9) {
-		t.Error("Knots(1) wrong")
 	}
 	if !almostEqual(NMACHorizontal, 152.4, 1e-9) {
 		t.Error("NMACHorizontal wrong")

@@ -86,9 +86,6 @@ func Uniform(lo, hi float64, n int) []float64 {
 	return axis
 }
 
-// Dims returns the number of dimensions.
-func (g *Grid) Dims() int { return len(g.axes) }
-
 // Size returns the total number of grid vertices.
 func (g *Grid) Size() int { return g.size }
 

@@ -1,8 +1,9 @@
 // Package mdp provides a generic finite Markov Decision Process framework
-// and the dynamic-programming solvers (value iteration, Gauss-Seidel value
-// iteration, policy iteration) that the model-based optimization development
-// process uses to turn an encounter model plus a preference structure into
-// collision avoidance logic.
+// and the dynamic-programming solver (value iteration) that the model-based
+// optimization development process uses to turn an encounter model plus a
+// preference structure into collision avoidance logic. The independent
+// reference solvers that value iteration is checked against (Gauss-Seidel
+// value iteration, policy iteration) live in the package's tests.
 //
 // The paper (section II) describes the pipeline: an MDP model — state
 // transitions capturing the stochastic evolution of an encounter plus a
@@ -175,50 +176,4 @@ func GreedyPolicy(p Problem, values []float64, discount float64) Policy {
 		pol[s], _ = bestAction(p, values, s, discount)
 	}
 	return pol
-}
-
-// QValues computes the full action-value table Q[s*numActions + a] for the
-// given state values.
-func QValues(p Problem, values []float64, discount float64) []float64 {
-	n, m := p.NumStates(), p.NumActions()
-	q := make([]float64, n*m)
-	for s := 0; s < n; s++ {
-		for a := 0; a < m; a++ {
-			q[s*m+a] = qValue(p, values, s, a, discount)
-		}
-	}
-	return q
-}
-
-// PolicyValues evaluates a fixed policy by iterative policy evaluation,
-// returning V^pi.
-func PolicyValues(p Problem, pol Policy, opts Options) ([]float64, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	n := p.NumStates()
-	if n == 0 || p.NumActions() == 0 {
-		return nil, ErrEmptyProblem
-	}
-	if len(pol) != n {
-		return nil, fmt.Errorf("mdp: policy has %d entries for %d states", len(pol), n)
-	}
-	values := make([]float64, n)
-	next := make([]float64, n)
-	for iter := 0; iter < opts.MaxIterations; iter++ {
-		residual := 0.0
-		for s := 0; s < n; s++ {
-			v := qValue(p, values, s, pol[s], opts.Discount)
-			if d := math.Abs(v - values[s]); d > residual {
-				residual = d
-			}
-			next[s] = v
-		}
-		values, next = next, values
-		if residual < opts.Tolerance {
-			return values, nil
-		}
-	}
-	return values, nil
 }

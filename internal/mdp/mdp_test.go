@@ -105,11 +105,11 @@ func TestSolversAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gs, err := GaussSeidelValueIteration(p, opts)
+	gs, err := gaussSeidelValueIteration(p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := PolicyIteration(p, opts)
+	pi, err := policyIteration(p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,14 +168,14 @@ func TestPolicyValues(t *testing.T) {
 	p := twoStateChain()
 	const g = 0.9
 	// Policy that stays in state 0 forever: V(0) = 1/(1-g).
-	vals, err := PolicyValues(p, Policy{0, 0}, Options{Discount: g, Tolerance: 1e-10})
+	vals, err := policyValues(p, Policy{0, 0}, Options{Discount: g, Tolerance: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := 1 / (1 - g); math.Abs(vals[0]-want) > 1e-5 {
 		t.Errorf("V_pi(0) = %v, want %v", vals[0], want)
 	}
-	if _, err := PolicyValues(p, Policy{0}, Options{}); err == nil {
+	if _, err := policyValues(p, Policy{0}, Options{}); err == nil {
 		t.Error("expected policy-length error")
 	}
 }
@@ -188,10 +188,10 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := ValueIteration(p, Options{Discount: 1.5}); err == nil {
 		t.Error("expected discount error")
 	}
-	if _, err := GaussSeidelValueIteration(p, Options{Discount: 2}); err == nil {
+	if _, err := gaussSeidelValueIteration(p, Options{Discount: 2}); err == nil {
 		t.Error("expected discount error")
 	}
-	if _, err := PolicyIteration(p, Options{Discount: 2}); err == nil {
+	if _, err := policyIteration(p, Options{Discount: 2}); err == nil {
 		t.Error("expected discount error")
 	}
 	if _, err := ValueIteration(NewTabular(0, 0), Options{}); err == nil {
@@ -219,40 +219,6 @@ func TestTerminalStates(t *testing.T) {
 	}
 }
 
-func TestFiniteHorizon(t *testing.T) {
-	// Single state, two actions: action 0 pays 1, action 1 pays 2.
-	p := NewTabular(1, 2)
-	p.SetReward(0, 0, 1)
-	p.AddTransition(0, 0, 0, 1)
-	p.SetReward(0, 1, 2)
-	p.AddTransition(0, 1, 0, 1)
-	sol, err := FiniteHorizon(p, 5, Options{Discount: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 1; k <= 5; k++ {
-		if want := float64(2 * k); sol.Values[k][0] != want {
-			t.Errorf("V_%d = %v, want %v", k, sol.Values[k][0], want)
-		}
-		if sol.Policies[k][0] != 1 {
-			t.Errorf("policy_%d = %d, want 1", k, sol.Policies[k][0])
-		}
-	}
-	if sol.Values[0][0] != 0 {
-		t.Error("V_0 must be zero")
-	}
-}
-
-func TestFiniteHorizonErrors(t *testing.T) {
-	p := NewTabular(1, 1)
-	if _, err := FiniteHorizon(p, 0, Options{}); err == nil {
-		t.Error("expected horizon error")
-	}
-	if _, err := FiniteHorizon(NewTabular(0, 0), 3, Options{}); err == nil {
-		t.Error("expected empty problem error")
-	}
-}
-
 func TestTabularPanicsOnBadIndices(t *testing.T) {
 	p := NewTabular(2, 2)
 	assertPanics := func(name string, f func()) {
@@ -266,22 +232,6 @@ func TestTabularPanicsOnBadIndices(t *testing.T) {
 	assertPanics("bad state", func() { p.SetReward(5, 0, 1) })
 	assertPanics("bad action", func() { p.SetReward(0, 5, 1) })
 	assertPanics("negative state", func() { p.AddTransition(-1, 0, 0, 1) })
-}
-
-func TestQValues(t *testing.T) {
-	p := twoStateChain()
-	sol, err := ValueIteration(p, Options{Discount: 0.9, Tolerance: 1e-10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := QValues(p, sol.Values, 0.9)
-	// Q(s, pi(s)) must equal V(s) at optimality.
-	for s := 0; s < 2; s++ {
-		a := sol.Policy.Action(s)
-		if math.Abs(q[s*2+a]-sol.Values[s]) > 1e-6 {
-			t.Errorf("Q(%d, %d) = %v, want V = %v", s, a, q[s*2+a], sol.Values[s])
-		}
-	}
 }
 
 // randomMDP builds a dense random MDP with bounded rewards for solver

@@ -61,56 +61,3 @@ func (t *Tabular) Transitions(s, a int) []Transition { return t.transitions[t.id
 
 // Reward implements Problem.
 func (t *Tabular) Reward(s, a int) float64 { return t.rewards[t.idx(s, a)] }
-
-// FiniteHorizonSolution holds the output of backward-induction dynamic
-// programming: one value function and one policy per remaining-steps count.
-type FiniteHorizonSolution struct {
-	// Values[k] is the optimal value with k steps remaining; Values[0] is
-	// identically zero (no more decisions).
-	Values [][]float64
-	// Policies[k] is the optimal decision rule with k steps remaining, for
-	// k >= 1.
-	Policies []Policy
-}
-
-// FiniteHorizon solves the MDP over a finite horizon of `horizon` decision
-// epochs by backward induction (undiscounted unless opts.Discount < 1).
-// This is the solver structure used for ACAS X style tables, where the
-// horizon dimension is the time-to-conflict tau.
-func FiniteHorizon(p Problem, horizon int, opts Options) (*FiniteHorizonSolution, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	n := p.NumStates()
-	if n == 0 || p.NumActions() == 0 {
-		return nil, ErrEmptyProblem
-	}
-	if horizon < 1 {
-		return nil, fmt.Errorf("mdp: horizon %d < 1", horizon)
-	}
-	sol := &FiniteHorizonSolution{
-		Values:   make([][]float64, horizon+1),
-		Policies: make([]Policy, horizon+1),
-	}
-	sol.Values[0] = make([]float64, n)
-	for k := 1; k <= horizon; k++ {
-		prev := sol.Values[k-1]
-		vals := make([]float64, n)
-		pol := make(Policy, n)
-		for s := 0; s < n; s++ {
-			best, bestQ := 0, qValue(p, prev, s, 0, opts.Discount)
-			for a := 1; a < p.NumActions(); a++ {
-				if q := qValue(p, prev, s, a, opts.Discount); q > bestQ {
-					bestQ = q
-					best = a
-				}
-			}
-			vals[s] = bestQ
-			pol[s] = best
-		}
-		sol.Values[k] = vals
-		sol.Policies[k] = pol
-	}
-	return sol, nil
-}

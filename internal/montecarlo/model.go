@@ -100,10 +100,10 @@ func (c Constant) Sample(*rand.Rand) float64 { return c.Value }
 // Validate implements Distribution.
 func (Constant) Validate() error { return nil }
 
-// Mixture samples from one of its weighted components. Construct with
-// NewMixture (or call Prepared after hand-assembly) so the cumulative
-// weights are precomputed once: Sample sits on the per-episode draw path of
-// every Monte-Carlo evaluation and must not re-sum the weights each call.
+// Mixture samples from one of its weighted components. Call Prepared
+// after assembly so the cumulative weights are precomputed once: Sample
+// sits on the per-episode draw path of every Monte-Carlo evaluation and
+// must not re-sum the weights each call.
 type Mixture struct {
 	Components []Distribution
 	Weights    []float64
@@ -113,16 +113,6 @@ type Mixture struct {
 }
 
 var _ Distribution = Mixture{}
-
-// NewMixture validates the components and weights and returns a mixture
-// with its cumulative weights precomputed.
-func NewMixture(components []Distribution, weights []float64) (Mixture, error) {
-	m := Mixture{Components: components, Weights: weights}
-	if err := m.Validate(); err != nil {
-		return Mixture{}, err
-	}
-	return m.Prepared(), nil
-}
 
 // Prepared returns a copy of the mixture with cumulative weights
 // precomputed, recursively preparing nested mixtures. An already-prepared

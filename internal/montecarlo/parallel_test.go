@@ -109,21 +109,22 @@ func TestMixtureEmptyWeights(t *testing.T) {
 	}
 }
 
-// TestNewMixture: the constructor validates and prepares in one step, and
-// rejects what Validate rejects.
-func TestNewMixture(t *testing.T) {
-	m, err := NewMixture(
-		[]Distribution{Constant{1}, Constant{2}},
-		[]float64{1, 3},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestMixturePrepared: Prepared caches the cumulative weights, also of a
+// nested mixture, and re-preparing a prepared mixture keeps its cache.
+func TestMixturePrepared(t *testing.T) {
+	inner := Mixture{Components: []Distribution{Constant{3}}, Weights: []float64{1}}
+	m := Mixture{
+		Components: []Distribution{Constant{1}, inner},
+		Weights:    []float64{1, 3},
+	}.Prepared()
 	if len(m.cum) != 2 || m.cum[1] != 4 {
 		t.Errorf("cumulative weights = %v, want [1 4]", m.cum)
 	}
-	if _, err := NewMixture([]Distribution{Constant{1}}, []float64{-1}); err == nil {
-		t.Error("NewMixture accepted a negative weight")
+	if nested := m.Components[1].(Mixture); len(nested.cum) != 1 || nested.cum[0] != 1 {
+		t.Errorf("nested cumulative weights = %v, want [1]", nested.cum)
+	}
+	if again := m.Prepared(); &again.cum[0] != &m.cum[0] {
+		t.Error("re-preparing a prepared mixture rebuilt its cache")
 	}
 }
 

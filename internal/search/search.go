@@ -23,7 +23,7 @@
 //
 //   - A danger archive: every encounter whose fitness crosses a risk
 //     threshold is recorded, deduplicated by normalized encounter-geometry
-//     distance (ga.NormalizedDistance over the search ranges), classified
+//     distance (ga.DistanceScale over the search ranges), classified
 //     (encounter.Classify), and written as JSONL. Archives reload as
 //     explicit campaign scenarios, closing the loop
 //     sweep -> search -> archive -> sweep.
@@ -96,7 +96,7 @@ type Spec struct {
 	// encounter ended in (near) collision.
 	ArchiveThreshold float64
 	// ArchiveMinDistance is the normalized encounter-geometry distance
-	// (in [0, 1], see ga.NormalizedDistance) under which two archived
+	// (in [0, 1], see ga.DistanceScale) under which two archived
 	// encounters count as duplicates.
 	ArchiveMinDistance float64
 

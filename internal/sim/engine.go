@@ -14,9 +14,7 @@
 package sim
 
 import (
-	"fmt"
 	"math"
-	"math/rand/v2"
 
 	"acasxval/internal/geom"
 	"acasxval/internal/uav"
@@ -130,15 +128,8 @@ type ProximityMeasurer struct {
 	seen            bool
 }
 
-// NewProximityMeasurer returns an empty measurer.
-func NewProximityMeasurer() *ProximityMeasurer {
-	p := &ProximityMeasurer{}
-	p.Reset()
-	return p
-}
-
-// Reset returns the measurer to its fresh-from-New state so one measurer
-// can monitor many encounters without reallocation.
+// Reset empties the measurer so one measurer can monitor many encounters
+// without reallocation. A zero measurer must be Reset before use.
 func (p *ProximityMeasurer) Reset() {
 	p.minHorizontalSq = math.Inf(1)
 	p.minVertical = math.Inf(1)
@@ -202,13 +193,6 @@ type AccidentDetector struct {
 	nmacTime          float64
 }
 
-// NewAccidentDetector returns a detector with the standard NMAC cylinder.
-func NewAccidentDetector() *AccidentDetector {
-	d := &AccidentDetector{}
-	d.Reset()
-	return d
-}
-
 // Reset clears any detected collision and (re)installs the standard NMAC
 // cylinder, so one detector — or a zero value — can monitor many encounters
 // without reallocation.
@@ -246,19 +230,8 @@ type Clock struct {
 	dt  float64
 }
 
-// NewClock creates a clock with the given step.
-func NewClock(dt float64) (*Clock, error) {
-	if dt <= 0 {
-		return nil, fmt.Errorf("sim: non-positive dt %v", dt)
-	}
-	return &Clock{dt: dt}, nil
-}
-
 // Now returns the current simulation time.
 func (c *Clock) Now() float64 { return c.now }
-
-// Dt returns the step size.
-func (c *Clock) Dt() float64 { return c.dt }
 
 // Tick advances the clock one step and returns the new time.
 func (c *Clock) Tick() float64 {
@@ -270,15 +243,8 @@ func (c *Clock) Tick() float64 {
 func (c *Clock) Reset() { c.now = 0 }
 
 // streamSeedWords returns the PCG state words of component stream i under
-// seed — the words Rand seeds a fresh generator with, exposed so the
-// reusable Runner can re-seed its generators to the identical streams.
+// seed: every aircraft and sensor gets an independent deterministic
+// stream, so adding a consumer does not perturb the others.
 func streamSeedWords(seed uint64, i int) (uint64, uint64) {
 	return seed + uint64(i)*0x9E3779B97F4A7C15, seed ^ 0xD1B54A32D192ED03 + uint64(i)
-}
-
-// Rand derives a child RNG stream for component index i of a run seeded
-// with seed: every aircraft/sensor gets an independent deterministic
-// stream, so adding a consumer does not perturb the others.
-func Rand(seed uint64, i int) *rand.Rand {
-	return rand.New(rand.NewPCG(streamSeedWords(seed, i)))
 }

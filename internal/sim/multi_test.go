@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand/v2"
 	"reflect"
 	"testing"
 
@@ -83,7 +84,7 @@ func TestRunMultiResetEquivalence(t *testing.T) {
 		if dirtyK < 1 {
 			dirtyK = 3
 		}
-		dirty := encounter.DefaultRanges().SampleMulti(Rand(99, 0), dirtyK)
+		dirty := encounter.DefaultRanges().SampleMulti(rand.New(rand.NewPCG(streamSeedWords(99, 0))), dirtyK)
 		if _, err := reused.RunMulti(dirty, systemsFor(dirtyK), 999); err != nil {
 			t.Fatal(err)
 		}

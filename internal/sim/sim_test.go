@@ -31,23 +31,22 @@ func getTable(tb testing.TB) *acasx.Table {
 }
 
 func TestClock(t *testing.T) {
-	c, err := NewClock(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Now() != 0 || c.Dt() != 0.5 {
+	c := Clock{dt: 0.5}
+	if c.Now() != 0 {
 		t.Error("fresh clock state wrong")
 	}
 	if got := c.Tick(); got != 0.5 {
 		t.Errorf("Tick = %v", got)
 	}
-	if _, err := NewClock(0); err == nil {
-		t.Error("expected error for zero dt")
+	c.Reset()
+	if c.Now() != 0 || c.Tick() != 0.5 {
+		t.Error("Reset must rewind the time and keep the step")
 	}
 }
 
 func TestProximityMeasurer(t *testing.T) {
-	p := NewProximityMeasurer()
+	var p ProximityMeasurer
+	p.Reset()
 	if p.Seen() {
 		t.Error("fresh measurer claims observations")
 	}
@@ -69,7 +68,8 @@ func TestProximityMeasurer(t *testing.T) {
 }
 
 func TestAccidentDetector(t *testing.T) {
-	d := NewAccidentDetector()
+	var d AccidentDetector
+	d.Reset()
 	// Close horizontally but far vertically: no NMAC.
 	d.Observe(1, geom.Vec3{}, geom.Vec3{X: 10, Z: 100})
 	if nmac, _ := d.NMAC(); nmac {

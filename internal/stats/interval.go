@@ -67,17 +67,6 @@ func normQuantile(p float64) float64 {
 	}
 }
 
-// MeanCI returns a normal-approximation confidence interval for the mean of
-// the accumulated observations at the given confidence level (e.g. 0.95).
-func (a *Accumulator) MeanCI(level float64) Interval {
-	if a.n == 0 {
-		return Interval{}
-	}
-	z := zForConfidence(level)
-	half := z * a.StdErr()
-	return Interval{Lo: a.mean - half, Hi: a.mean + half}
-}
-
 // WilsonCI returns the Wilson score confidence interval for a binomial
 // proportion with successes out of trials at the given confidence level.
 // The Wilson interval remains sensible for rare events (successes near 0),
@@ -102,23 +91,4 @@ func WilsonCI(successes, trials int, level float64) Interval {
 		hi = 1
 	}
 	return Interval{Lo: lo, Hi: hi}
-}
-
-// Proportion is a convenience record for an estimated event probability.
-type Proportion struct {
-	Successes int
-	Trials    int
-}
-
-// Estimate returns the point estimate successes/trials (0 when trials is 0).
-func (p Proportion) Estimate() float64 {
-	if p.Trials == 0 {
-		return 0
-	}
-	return float64(p.Successes) / float64(p.Trials)
-}
-
-// CI returns the Wilson interval for the proportion.
-func (p Proportion) CI(level float64) Interval {
-	return WilsonCI(p.Successes, p.Trials, level)
 }

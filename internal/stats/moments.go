@@ -47,36 +47,6 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += delta * (x - a.mean)
 }
 
-// AddN feeds every observation of xs into the accumulator.
-func (a *Accumulator) AddN(xs []float64) {
-	for _, x := range xs {
-		a.Add(x)
-	}
-}
-
-// Merge combines another accumulator into a (parallel-reduction step),
-// using Chan et al.'s pairwise update.
-func (a *Accumulator) Merge(b *Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *b
-		return
-	}
-	n := a.n + b.n
-	delta := b.mean - a.mean
-	a.m2 += b.m2 + delta*delta*float64(a.n)*float64(b.n)/float64(n)
-	a.mean += delta * float64(b.n) / float64(n)
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
-	a.n = n
-}
-
 // N returns the number of observations seen so far.
 func (a *Accumulator) N() int { return a.n }
 
@@ -116,23 +86,6 @@ func (a *Accumulator) Sum() float64 { return a.mean * float64(a.n) }
 func (a *Accumulator) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g",
 		a.n, a.Mean(), a.StdDev(), a.min, a.max)
-}
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var acc Accumulator
-	acc.AddN(xs)
-	return acc.Mean()
-}
-
-// StdDev returns the unbiased sample standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	var acc Accumulator
-	acc.AddN(xs)
-	return acc.StdDev()
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear

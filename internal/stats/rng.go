@@ -1,8 +1,8 @@
 // Package stats provides the light-weight statistics and deterministic
 // random-number plumbing shared by the simulators, the Monte-Carlo harness
 // and the genetic algorithm: streaming moment accumulators, confidence
-// intervals for rare-event probabilities, histograms, and reproducible RNG
-// fan-out so that parallel workers stay deterministic under a single seed.
+// intervals for rare-event probabilities, and reproducible RNG fan-out so
+// that parallel workers stay deterministic under a single seed.
 package stats
 
 import "math/rand/v2"

@@ -163,9 +163,6 @@ func (u *UAV) Reset(initial State) {
 // State returns the current true state.
 func (u *UAV) State() State { return u.st }
 
-// Plan returns the flight-plan velocity.
-func (u *UAV) Plan() geom.Velocity { return u.plan }
-
 // HasCommand reports whether an avoidance command is active.
 func (u *UAV) HasCommand() bool { return u.hasCmd }
 

@@ -2,7 +2,6 @@ package viz
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"acasxval/internal/geom"
@@ -65,17 +64,4 @@ func RenderSeparationSeries(traj []sim.TrajectoryPoint, width, height int) strin
 	sb.Write(alertRow)
 	sb.WriteString("  (^ = alerting)\n")
 	return sb.String()
-}
-
-// MinSeparationOf returns the minimum 3-D separation of a recorded
-// trajectory and the time it occurs.
-func MinSeparationOf(traj []sim.TrajectoryPoint) (minSep, at float64) {
-	minSep = math.Inf(1)
-	for _, p := range traj {
-		if d := p.Own.Pos.DistanceTo(p.Intruder.Pos); d < minSep {
-			minSep = d
-			at = p.T
-		}
-	}
-	return minSep, at
 }

@@ -1,7 +1,6 @@
 package viz
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -25,25 +24,5 @@ func TestRenderSeparationSeries(t *testing.T) {
 	single := syntheticTrajectory(1)
 	if out := RenderSeparationSeries(single, 5, 3); len(out) == 0 {
 		t.Error("single-point series empty")
-	}
-}
-
-func TestMinSeparationOf(t *testing.T) {
-	traj := syntheticTrajectory(40)
-	minSep, at := MinSeparationOf(traj)
-	if math.IsInf(minSep, 1) {
-		t.Fatal("no minimum found")
-	}
-	// Brute-force check.
-	want := math.Inf(1)
-	wantAt := 0.0
-	for _, p := range traj {
-		if d := p.Own.Pos.DistanceTo(p.Intruder.Pos); d < want {
-			want = d
-			wantAt = p.T
-		}
-	}
-	if minSep != want || at != wantAt {
-		t.Errorf("MinSeparationOf = (%v, %v), want (%v, %v)", minSep, at, want, wantAt)
 	}
 }
