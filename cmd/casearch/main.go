@@ -7,25 +7,31 @@
 // the discovered encounters (Figs. 7-8: tail approaches dominate).
 //
 // Every run goes through the island-model engine (internal/search); the
-// paper's GA is its one-island case. With -islands N (N >= 2), N
-// populations (-pop is per island) evolve concurrently and exchange elites
-// via ring migration. Every run accumulates a deduplicated danger archive
-// (-archive), can checkpoint after every generation (-checkpoint) so a
-// killed run resumes bit-identically (-resume), and can seed its initial
-// populations from the worst cells of a prior sweep's JSONL output
-// (-seed-from-sweep). -intruders K evolves K-intruder encounters.
+// paper's GA is its one-island case. With search.islands=N (N >= 2), N
+// populations (pop.size is per island) evolve concurrently and exchange
+// elites via ring migration. Every run accumulates a deduplicated danger
+// archive (-archive), can checkpoint after every generation (-checkpoint)
+// so a killed run resumes bit-identically (-resume), and can seed its
+// initial populations from the worst cells of a prior sweep's JSONL output
+// (-seed-from-sweep). search.intruders=K evolves K-intruder encounters.
 //
 // Usage:
 //
-//	casearch [-table table.acxt] [-pop 200] [-gens 5] [-sims 100]
-//	         [-seed 1] [-top 10] [-system <name>]
+//	casearch [-table table.acxt] [-coarse] [-system <name>] [-top 10]
 //	         [-params ecj.params] [-fitness-csv fig6.csv]
 //	         [-found-csv top.csv] [-baseline] [-clusters 3]
-//	         [-islands N] [-intruders K] [-checkpoint state.json] [-resume]
+//	         [-checkpoint state.json] [-resume]
 //	         [-seed-from-sweep results.jsonl] [-archive danger.jsonl]
-//	         [-migrate-every K] [-migrants M] [-threshold F] [-mindist D]
-//	         [-episode-workers W] [-faults <preset>]
-//	         [-evolve-faults] [-fault-penalty F]
+//	         [-episode-workers W] [key=value ...]
+//
+// The search spec is the grammar of search.FromConfig: the -params file,
+// then each trailing key=value argument in order, so an argument overrides
+// the file and a later argument an earlier one (pop.size=20 generations=3
+// search.sims=10 seed=7 search.islands=4 search.archive.mindist=0.1 ...).
+// The arguments come after the last flag: Go's flag parsing stops at the
+// first non-flag. An unknown key, an argument without "=", or an
+// out-of-range value is an error. search.islands defaults to 1, the
+// paper's single population, when neither the file nor an argument sets it.
 //
 // The reports built from the evaluation log (-top, -fitness-csv,
 // -found-csv, -clusters) list each fresh evaluation once: elites and
@@ -35,15 +41,12 @@
 // the danger archive keeps all K. -baseline runs the uniform random search
 // over exactly the GA's evaluation count.
 //
-// -faults fixes a surveillance degradation preset on every fitness
-// evaluation. -evolve-faults instead appends the degradation profile to
-// each genome, so the GA searches for the combination of geometry and
-// sensor faults that defeats avoidance; -fault-penalty F subtracts F x
-// severity from fitness so mild degradations that still produce NMACs
-// outrank brute-force blackouts.
-//
-// -islands 0 (the default) takes the island count from -params'
-// search.islands key (1 when the key or the file is absent).
+// search.faults.preset fixes a surveillance degradation preset on every
+// fitness evaluation. search.faults.evolve=true instead appends the
+// degradation profile to each genome, so the GA searches for the
+// combination of geometry and sensor faults that defeats avoidance;
+// search.faults.penalty=F subtracts F x severity from fitness so mild
+// degradations that still produce NMACs outrank brute-force blackouts.
 package main
 
 import (
@@ -53,14 +56,12 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"acasxval/internal/acasx"
 	"acasxval/internal/campaign"
 	"acasxval/internal/config"
 	"acasxval/internal/core"
-	"acasxval/internal/fault"
 	"acasxval/internal/ga"
 	"acasxval/internal/search"
 	"acasxval/internal/sys"
@@ -79,122 +80,27 @@ func run() error {
 		tablePath  = flag.String("table", "", "logic table path (built on the fly when absent)")
 		coarse     = flag.Bool("coarse", false, "use the reduced-resolution table when building")
 		system     = flag.String("system", "acasx", "system under test: "+sys.NamesList())
-		pop        = flag.Int("pop", 200, "GA population size per island (paper: 200)")
-		gens       = flag.Int("gens", 5, "GA generations (paper: 5)")
-		sims       = flag.Int("sims", 100, "simulations per encounter (paper: 100)")
-		seed       = flag.Uint64("seed", 1, "search seed")
 		topK       = flag.Int("top", 10, "number of top encounters to report")
-		paramsFile = flag.String("params", "", "ECJ-style parameter file overriding GA/search settings")
+		paramsFile = flag.String("params", "", "ECJ-style parameter file of the search spec (key=value arguments override it)")
 		fitnessCSV = flag.String("fitness-csv", "", "write the Fig. 6 evaluation log as CSV")
 		foundCSV   = flag.String("found-csv", "", "write the top encounters as CSV")
 		baseline   = flag.Bool("baseline", false, "also run the random-search baseline at equal budget")
 		clusters   = flag.Int("clusters", 0, "cluster the high-fitness encounters into K groups")
 
-		islandsFlag = flag.Int("islands", 0, "island count (0 = -params' search.islands, default 1: the paper's single population)")
-		intruders   = flag.Int("intruders", 0, "intruders K per evolved encounter (genome length K*9; 0 = spec default, i.e. pairwise)")
-		checkpoint  = flag.String("checkpoint", "", "checkpoint file written after every generation")
-		resume      = flag.Bool("resume", false, "resume from -checkpoint instead of starting fresh")
-		seedSweep   = flag.String("seed-from-sweep", "", "seed initial populations from this sweep JSONL")
-		archiveOut  = flag.String("archive", "", "write the danger archive as JSONL to this file")
-		migEvery    = flag.Int("migrate-every", 0, "generations between ring migrations (0 = spec default)")
-		migrants    = flag.Int("migrants", 0, "elites migrated to the ring successor (0 = spec default)")
-		threshold   = flag.Float64("threshold", -1, "archive fitness threshold (-1 = spec default)")
-		minDist     = flag.Float64("mindist", -1, "archive dedup distance in [0, 1] (-1 = spec default)")
-		epWorkers   = flag.Int("episode-workers", 0, "parallel episode workers per fitness evaluation (0 = NumCPU/islands; results are identical for any count)")
-
-		faultsFlag   = flag.String("faults", "", "fixed surveillance degradation preset for every evaluation: "+strings.Join(fault.PresetNames(), ", ")+" (empty = clean)")
-		evolveFaults = flag.Bool("evolve-faults", false, "co-evolve the degradation profile with the encounter geometry")
-		faultPenalty = flag.Float64("fault-penalty", 0, "severity parsimony weight subtracted from co-evolved fitness")
+		checkpoint = flag.String("checkpoint", "", "checkpoint file written after every generation")
+		resume     = flag.Bool("resume", false, "resume from -checkpoint instead of starting fresh")
+		seedSweep  = flag.String("seed-from-sweep", "", "seed initial populations from this sweep JSONL")
+		archiveOut = flag.String("archive", "", "write the danger archive as JSONL to this file")
+		epWorkers  = flag.Int("episode-workers", 0, "parallel episode workers per fitness evaluation (0 = NumCPU/islands; results are identical for any count)")
 	)
 	flag.Parse()
 
-	if *islandsFlag < 0 {
-		return fmt.Errorf("-islands %d < 0", *islandsFlag)
-	}
-	set := setFlags()
-	// Out-of-range values for the tuning flags must error, not silently
-	// fall back to the spec defaults their sentinels encode.
-	if set["migrate-every"] && *migEvery < 1 {
-		return fmt.Errorf("-migrate-every %d < 1", *migEvery)
-	}
-	if set["migrants"] && *migrants < 0 {
-		return fmt.Errorf("-migrants %d < 0", *migrants)
-	}
-	if set["threshold"] && *threshold < 0 {
-		return fmt.Errorf("-threshold %v < 0", *threshold)
-	}
-	if set["mindist"] && (*minDist < 0 || *minDist > 1) {
-		return fmt.Errorf("-mindist %v outside [0, 1]", *minDist)
-	}
 	if *epWorkers < 0 {
 		return fmt.Errorf("-episode-workers %d < 0", *epWorkers)
 	}
-	if set["intruders"] && *intruders < 1 {
-		return fmt.Errorf("-intruders %d < 1", *intruders)
-	}
-	if set["fault-penalty"] && *faultPenalty < 0 {
-		return fmt.Errorf("-fault-penalty %v < 0", *faultPenalty)
-	}
-
-	spec := search.DefaultSpec()
-	islands := 1
-	if *paramsFile != "" {
-		params, err := config.Load(*paramsFile)
-		if err != nil {
-			return err
-		}
-		if spec, err = search.FromConfig(params); err != nil {
-			return fmt.Errorf("%s: %w", *paramsFile, err)
-		}
-		if islands, err = params.IntOr("search.islands", 1); err != nil {
-			return err
-		}
-	}
-	if *islandsFlag > 0 {
-		islands = *islandsFlag
-	}
-	spec.Islands = islands
-	// Without a spec file the flags (at their defaults or not) define the
-	// search; with one, only explicitly-set flags override it.
-	if *paramsFile == "" || set["pop"] {
-		spec.GA.PopulationSize = *pop
-	}
-	if *paramsFile == "" || set["gens"] {
-		spec.GA.Generations = *gens
-	}
-	if *paramsFile == "" || set["sims"] {
-		spec.Fitness.SimsPerEncounter = *sims
-	}
-	if *paramsFile == "" || set["seed"] {
-		spec.Seed = *seed
-	}
-	if set["intruders"] {
-		spec.Intruders = *intruders
-	}
-	if set["migrate-every"] {
-		spec.MigrationInterval = *migEvery
-	}
-	if set["migrants"] {
-		spec.MigrationSize = *migrants
-	}
-	if set["threshold"] {
-		spec.ArchiveThreshold = *threshold
-	}
-	if set["mindist"] {
-		spec.ArchiveMinDistance = *minDist
-	}
-	if *faultsFlag != "" {
-		p, err := fault.Resolve(*faultsFlag)
-		if err != nil {
-			return err
-		}
-		spec.Fitness.Run.Faults = p
-	}
-	if set["evolve-faults"] {
-		spec.EvolveFaults = *evolveFaults
-	}
-	if set["fault-penalty"] {
-		spec.FaultPenalty = *faultPenalty
+	spec, err := searchSpec(*paramsFile, flag.Args())
+	if err != nil {
+		return err
 	}
 	if *seedSweep != "" {
 		seeds, err := search.SweepSeedsFile(*seedSweep, spec.Islands*spec.GA.PopulationSize)
@@ -336,11 +242,22 @@ func run() error {
 	return nil
 }
 
-// setFlags reports which flags were explicitly passed on the command line.
-func setFlags() map[string]bool {
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	return set
+// searchSpec parses the search spec from the -params file (none: every
+// key at its default) overridden by the key=value arguments in order.
+// search.islands defaults to 1, the paper's single population, where
+// search.FromConfig's default is 4.
+func searchSpec(paramsFile string, args []string) (search.Spec, error) {
+	params := config.New()
+	if paramsFile != "" {
+		var err error
+		if params, err = config.Load(paramsFile); err != nil {
+			return search.Spec{}, err
+		}
+	}
+	if !params.Has("search.islands") {
+		params.Set("search.islands", "1")
+	}
+	return config.Override(params, args, search.FromConfig)
 }
 
 // writeFile creates path and fills it with write.

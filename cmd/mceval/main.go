@@ -6,21 +6,29 @@
 //
 // Usage:
 //
-//	mceval [-samples 10000] [-seed 1] [-workers 0] [-table table.acxt]
-//	       [-coarse] [-systems acasx,belief,svo,none] [-faults <preset>]
-//	       [-estimator is|snis|split] [-archive-proposal danger.jsonl]
-//	       [-defensive 0.5] [-bandwidth 0.1] [-levels 450,250,160]
+//	mceval [-workers 0] [-table table.acxt] [-coarse]
+//	       [-systems acasx,belief,svo,none] [-faults <preset>]
+//	       [-archive-proposal danger.jsonl] [key=value ...]
+//
+// The run is set by the rare.* keys of a caserve rare job
+// (montecarlo.RareFromConfig), given as trailing key=value arguments and
+// applied in order, so a later argument overrides an earlier one:
+// rare.samples (default 10000), rare.seed (default 1), rare.method and the
+// estimator tuning (rare.defensive, rare.bandwidth, rare.levels, ...). The
+// arguments come after the last flag: Go's flag parsing stops at the first
+// non-flag. An unknown key or an argument without "=" is an error.
 //
 // Episodes fan out over -workers parallel simulation worlds (0 = NumCPU).
 // Every episode's random streams derive counter-style from (seed, episode
 // index), so the reported estimates are bit-identical for any worker count.
 //
-// -estimator selects a rare-event estimator instead of plain Monte Carlo:
+// rare.method selects a rare-event estimator instead of plain Monte Carlo:
 // importance sampling ("is", "snis") optionally steered by a danger
 // archive's genomes (-archive-proposal), or multi-level splitting ("split")
-// down the -levels separation ladder. Estimator runs report the effective
-// sample size and the measured variance-reduction factor next to each
-// estimate.
+// down the rare.levels separation ladder. Estimator tuning, or
+// -archive-proposal, without rare.method is an error. Estimator runs report
+// the effective sample size and the measured variance-reduction factor next
+// to each estimate.
 package main
 
 import (
@@ -29,12 +37,12 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 
 	"acasxval/internal/acasx"
 	"acasxval/internal/campaign"
+	"acasxval/internal/config"
 	"acasxval/internal/fault"
 	"acasxval/internal/montecarlo"
 	"acasxval/internal/search"
@@ -50,34 +58,25 @@ func main() {
 
 func run() error {
 	var (
-		samples   = flag.Int("samples", 10000, "sampled encounters per system")
-		seed      = flag.Uint64("seed", 1, "sampling seed")
 		workers   = flag.Int("workers", 0, "parallel episode workers (0 = NumCPU; the estimate is identical for any count)")
 		tablePath = flag.String("table", "", "logic table path (built on the fly when absent)")
 		coarse    = flag.Bool("coarse", false, "use the reduced-resolution table when building")
 		systems   = flag.String("systems", "acasx,svo,none", "comma-separated systems to evaluate: "+sys.NamesList())
 		faults    = flag.String("faults", "", "surveillance degradation preset applied to every episode: "+strings.Join(fault.PresetNames(), ", ")+" (empty = clean)")
-		estimator = flag.String("estimator", "", "rare-event estimator: "+strings.Join(montecarlo.Methods(), ", ")+" (empty = plain Monte Carlo)")
-		archive   = flag.String("archive-proposal", "", "danger-archive JSONL whose genomes steer the importance-sampling proposal")
-		defensive = flag.Float64("defensive", 0, "defensive mixture weight kept on the target model (0 = default)")
-		bandwidth = flag.Float64("bandwidth", 0, "minimum kernel bandwidth as a fraction of each dimension's width (0 = default)")
-		levels    = flag.String("levels", "", "comma-separated decreasing separation ladder for -estimator split (empty = default)")
+		archive   = flag.String("archive-proposal", "", "danger-archive JSONL whose genomes steer the importance-sampling proposal (needs rare.method)")
 	)
 	flag.Parse()
 
 	if *workers < 0 {
 		return fmt.Errorf("-workers %d < 0", *workers)
 	}
-	spec, err := estimatorSpec(*estimator, *archive, *defensive, *bandwidth, *levels)
+	spec, cfg, err := rareRun(flag.Args(), *archive)
 	if err != nil {
 		return err
 	}
 	// The pairwise airspace model is the one-intruder case of the
 	// estimator's K-intruder model; the zero spec is brute force.
 	model := montecarlo.MultiEncounterModel{Intruders: []montecarlo.EncounterModel{montecarlo.DefaultEncounterModel()}}
-	cfg := montecarlo.DefaultConfig()
-	cfg.Samples = *samples
-	cfg.Seed = *seed
 	cfg.Parallelism = *workers
 	if cfg.Run.Faults, err = fault.Resolve(*faults); err != nil {
 		return err
@@ -85,8 +84,8 @@ func run() error {
 	if *faults != "" {
 		fmt.Printf("degraded surveillance: %s profile on every episode\n", *faults)
 	}
-	if *estimator != "" {
-		fmt.Printf("rare-event estimator: %s (%d proposal kernels)\n", *estimator, len(spec.Kernels))
+	if spec.Method != "" {
+		fmt.Printf("rare-event estimator: %s (%d proposal kernels)\n", spec.Method, len(spec.Kernels))
 	}
 
 	names := strings.Split(*systems, ",")
@@ -127,7 +126,7 @@ func run() error {
 		estimates[name] = est
 	}
 
-	if *estimator != "" {
+	if spec.Method != "" {
 		fmt.Printf("\n%-8s %12s %26s %10s %8s\n",
 			"system", "P(NMAC)", "95% CI", "ESS", "VRF")
 		for _, name := range names {
@@ -155,7 +154,7 @@ func run() error {
 		}
 	}
 
-	if *estimator == "" {
+	if spec.Method == "" {
 		printRiskRatios(names, estimates)
 	}
 	if interrupted != nil {
@@ -166,42 +165,29 @@ func run() error {
 	return nil
 }
 
-// estimatorSpec assembles the rare-event estimator spec from the flags:
-// the method, optional danger-archive proposal kernels, and tuning
-// overrides (zero values keep the estimator defaults).
-func estimatorSpec(method, archivePath string, defensive, bandwidth float64, levels string) (montecarlo.RareEventSpec, error) {
-	spec := montecarlo.RareEventSpec{
-		Method:    method,
-		Defensive: defensive,
-		Bandwidth: bandwidth,
+// rareRun parses the estimator spec and run config from the rare.*
+// key=value arguments, then adds the -archive-proposal kernels.
+func rareRun(args []string, archivePath string) (montecarlo.RareEventSpec, montecarlo.Config, error) {
+	var cfg montecarlo.Config
+	spec, err := config.Override(config.New(), args, func(c *config.Params) (montecarlo.RareEventSpec, error) {
+		s, parsed, err := montecarlo.RareFromConfig(c, "rare.")
+		cfg = parsed
+		return s, err
+	})
+	if err != nil || archivePath == "" {
+		return spec, cfg, err
 	}
-	if method == "" {
-		if archivePath != "" || defensive != 0 || bandwidth != 0 || levels != "" {
-			return spec, fmt.Errorf("estimator tuning flags need -estimator")
-		}
-		return spec, nil
+	if spec.Method == "" {
+		return spec, cfg, fmt.Errorf("-archive-proposal needs rare.method")
 	}
-	if archivePath != "" {
-		entries, err := search.LoadArchiveFile(archivePath)
-		if err != nil {
-			return spec, err
-		}
-		if spec.Kernels, err = search.ProposalKernels(entries); err != nil {
-			return spec, err
-		}
+	entries, err := search.LoadArchiveFile(archivePath)
+	if err != nil {
+		return spec, cfg, err
 	}
-	for _, part := range strings.Split(levels, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		l, err := strconv.ParseFloat(part, 64)
-		if err != nil {
-			return spec, fmt.Errorf("-levels: %w", err)
-		}
-		spec.Levels = append(spec.Levels, l)
+	if spec.Kernels, err = search.ProposalKernels(entries); err != nil {
+		return spec, cfg, err
 	}
-	return spec, spec.Validate()
+	return spec, cfg, spec.Validate()
 }
 
 func printRiskRatios(names []string, estimates map[string]*montecarlo.Estimate) {

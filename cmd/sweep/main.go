@@ -10,23 +10,34 @@
 // Usage:
 //
 //	sweep [-spec params/sweep-demo.params] [-out results.jsonl]
-//	      [-seed N] [-samples N] [-intruders K] [-table table.acxt] [-full]
-//	      [-extra danger.jsonl] [-faults none,light,severe]
-//	      [-estimator is,split] [-archive-proposal danger.jsonl]
+//	      [-table table.acxt] [-full] [-extra danger.jsonl]
+//	      [-archive-proposal danger.jsonl] [key=value ...]
+//
+// The campaign spec is the grammar of campaign.FromConfig: the -spec file,
+// then each trailing key=value argument in order, so an argument overrides
+// the file and a later argument an earlier one (campaign.seed=3
+// campaign.samples=40 campaign.intruders=2 campaign.faults=all
+// campaign.estimator.methods=is,split ...). The arguments come after the
+// last flag: Go's flag parsing stops at the first non-flag. An unknown key
+// or an argument without "=" is an error. A variant that pins its own
+// sample count keeps it under campaign.samples=N; add
+// campaign.variant.K.samples=0 to run it at N too. campaign.faults=...
+// replaces the file's preset list, but the file's numbered custom fault
+// points (campaign.faults.N.*) stay on the axis.
 //
 // With no -out, the JSONL stream precedes the summary on stdout. Timing
 // goes to stderr so stdout stays reproducible. -extra appends the entries
-// of a danger archive (written by casearch -islands N -archive) to the
-// campaign's scenario axis, closing the sweep -> search -> archive -> sweep
-// loop.
+// of a danger archive (written by casearch search.islands=N -archive) to
+// the campaign's scenario axis, closing the sweep -> search -> archive ->
+// sweep loop.
 //
-// -estimator overrides the spec's rare-event estimator axis
-// (campaign.estimator.methods): each listed method re-estimates P(NMAC)
-// under the statistical encounter model for every system, variant and
-// fault point, reported in a dedicated summary section with effective
-// sample size and variance-reduction factor. -archive-proposal feeds a
-// danger archive's genomes to the importance-sampling estimators as
-// proposal kernels — the search's failure region steers the estimator.
+// campaign.estimator.methods sets the rare-event estimator axis: each
+// listed method re-estimates P(NMAC) under the statistical encounter model
+// for every system, variant and fault point, reported in a dedicated
+// summary section with effective sample size and variance-reduction
+// factor. -archive-proposal feeds a danger archive's genomes to the
+// importance-sampling estimators as proposal kernels — the search's
+// failure region steers the estimator.
 package main
 
 import (
@@ -36,14 +47,12 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"acasxval/internal/acasx"
 	"acasxval/internal/campaign"
-	"acasxval/internal/fault"
-	"acasxval/internal/montecarlo"
+	"acasxval/internal/config"
 	"acasxval/internal/search"
 )
 
@@ -56,21 +65,16 @@ func main() {
 
 func run() (err error) {
 	var (
-		specPath  = flag.String("spec", "params/sweep-demo.params", "campaign spec file (ECJ-style params)")
+		specPath  = flag.String("spec", "params/sweep-demo.params", "campaign spec file (ECJ-style params; key=value arguments override it)")
 		outPath   = flag.String("out", "", "JSONL output path (default: stdout)")
-		seed      = flag.Uint64("seed", 0, "override the spec's seed (0 keeps the spec value)")
-		samples   = flag.Int("samples", 0, "override the spec's per-cell sample count (0 keeps the spec value)")
 		tablePath = flag.String("table", "", "logic table path (built on the fly when absent)")
 		full      = flag.Bool("full", false, "build the full-resolution table instead of the coarse one")
 		extra     = flag.String("extra", "", "danger-archive JSONL whose entries join the scenario axis")
-		intruders = flag.Int("intruders", 0, "override the spec's model-draw intruder count K (0 keeps the spec value; presets and explicit scenarios carry their own K)")
-		faults    = flag.String("faults", "", "override the spec's fault axis: comma list of degradation presets ("+strings.Join(fault.PresetNames(), ", ")+"), or \"all\"")
-		estimator = flag.String("estimator", "", "override the spec's rare-event estimator axis: comma list of methods ("+strings.Join(montecarlo.Methods(), ", ")+"), or \"all\"")
 		archive   = flag.String("archive-proposal", "", "danger-archive JSONL whose genomes steer the importance-sampling estimators")
 	)
 	flag.Parse()
 
-	spec, err := campaign.Load(*specPath)
+	spec, err := campaignSpec(*specPath, flag.Args())
 	if err != nil {
 		return err
 	}
@@ -86,40 +90,6 @@ func run() (err error) {
 		spec.Scenarios = append(spec.Scenarios, scenarios...)
 		fmt.Fprintf(os.Stderr, "added %d archive scenarios from %s\n", len(scenarios), *extra)
 	}
-	if *intruders < 0 {
-		return fmt.Errorf("-intruders %d < 0", *intruders)
-	}
-	if *intruders != 0 {
-		spec.Intruders = *intruders
-	}
-	if *seed != 0 {
-		spec.Seed = *seed
-	}
-	if *faults != "" {
-		names := strings.Split(*faults, ",")
-		if len(names) == 1 && strings.TrimSpace(names[0]) == "all" {
-			names = fault.PresetNames()
-		}
-		spec.Faults = nil
-		for _, name := range names {
-			name = strings.TrimSpace(name)
-			p, err := fault.Preset(name)
-			if err != nil {
-				return err
-			}
-			spec.Faults = append(spec.Faults, campaign.FaultPoint{Name: name, Profile: p})
-		}
-	}
-	if *estimator != "" {
-		names := strings.Split(*estimator, ",")
-		if len(names) == 1 && strings.TrimSpace(names[0]) == "all" {
-			names = montecarlo.Methods()
-		}
-		spec.Estimators = nil
-		for _, name := range names {
-			spec.Estimators = append(spec.Estimators, strings.TrimSpace(name))
-		}
-	}
 	if *archive != "" {
 		entries, err := search.LoadArchiveFile(*archive)
 		if err != nil {
@@ -131,14 +101,6 @@ func run() (err error) {
 		}
 		spec.EstimatorSpec.Kernels = kernels
 		fmt.Fprintf(os.Stderr, "steering the estimator proposal with %d archive genomes from %s\n", len(kernels), *archive)
-	}
-	if *samples != 0 {
-		spec.Samples = *samples
-		// The flag overrides every cell, including variants that pin
-		// their own sample count.
-		for i := range spec.Variants {
-			spec.Variants[i].Samples = 0
-		}
 	}
 
 	// Only build the logic table when a system in the spec needs it.
@@ -194,4 +156,14 @@ func run() (err error) {
 	fmt.Print(res.SummaryTable())
 	fmt.Fprintf(os.Stderr, "\n%d simulations in %v\n", res.TotalRuns, elapsed.Round(time.Millisecond))
 	return nil
+}
+
+// campaignSpec parses the campaign spec from the file at path overridden
+// by the key=value arguments in order.
+func campaignSpec(path string, args []string) (campaign.Spec, error) {
+	params, err := config.Load(path)
+	if err != nil {
+		return campaign.Spec{}, err
+	}
+	return config.Override(params, args, campaign.FromConfig)
 }

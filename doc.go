@@ -61,7 +61,7 @@
 // explicit campaign scenarios (LoadDangerArchive, ArchiveCampaignScenarios)
 // — sweep -> search -> archive -> sweep. The observer's IslandStats carry
 // each generation's fresh evaluations, the log behind Fig. 6. cmd/casearch
-// drives the engine (one island by default, -islands N for more);
+// drives the engine (one island by default, search.islands=N for more);
 // examples/adversarial walks the loop end to end.
 //
 // Encounters are not limited to the paper's pairwise geometry: every
@@ -118,10 +118,10 @@
 // effective sample size and measured variance-reduction factor
 // (RiskEstimate.ESS, .VarianceReduction), zero-success runs still report
 // a sound Clopper-Pearson-based upper bound, and the campaign engine
-// crosses an estimator axis (campaign.estimator.methods, cmd/sweep
-// -estimator, cmd/mceval -estimator) over every system, variant and
-// fault point. examples/rareevent cross-validates the family against
-// brute force on hostile wide-prior airspace.
+// crosses an estimator axis (campaign.estimator.methods, in a cmd/sweep
+// spec file or argument; rare.method for cmd/mceval) over every system,
+// variant and fault point. examples/rareevent cross-validates the family
+// against brute force on hostile wide-prior airspace.
 //
 // Everything above bottoms out in one parallel, allocation-free episode
 // engine. Every episode's random streams derive counter-style from

@@ -250,7 +250,8 @@ func TestFromConfigFaultsAll(t *testing.T) {
 
 // TestFromConfigFaultKeyValidation: a typo in a campaign.faults.* or
 // campaign.variant.* key is a hard parse error with a menu, never a
-// silently-clean sweep.
+// silently-clean sweep; a typo in any other campaign.* or run.* key fails
+// naming it.
 func TestFromConfigFaultKeyValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -281,6 +282,16 @@ func TestFromConfigFaultKeyValidation(t *testing.T) {
 			name: "unknown preset",
 			text: "campaign.faults = catastrophic\n",
 			want: "unknown profile",
+		},
+		{
+			name: "unknown key",
+			text: "campaign.sampels = 3\n",
+			want: `unknown key "campaign.sampels"`,
+		},
+		{
+			name: "unknown run key",
+			text: "run.overtim = 3\n",
+			want: `unknown key "run.overtim"`,
 		},
 		{
 			name: "variant unknown field",

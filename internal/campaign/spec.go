@@ -465,6 +465,9 @@ func (s Spec) Validate() error {
 //	campaign.estimator.bandwidth montecarlo.SpecFromConfig for the full
 //	campaign.estimator.levels    field menu and kernel.N rows)
 //	campaign.estimator.kernel.N
+//
+// Any other campaign.* or run.* key is an error; keys under other prefixes
+// (a search's search.*, say) are left to their own parsers.
 func FromConfig(c *config.Params) (Spec, error) {
 	s := DefaultSpec()
 	s.Name = c.StringOr("campaign.name", s.Name)
@@ -584,6 +587,9 @@ func FromConfig(c *config.Params) (Spec, error) {
 	}
 	if s.EstimatorSpec, err = montecarlo.SpecFromConfig(c, "campaign.estimator."); err != nil {
 		return s, err
+	}
+	if bad := c.Unread("campaign.", "run."); len(bad) > 0 {
+		return s, fmt.Errorf("campaign: unknown key %q", bad[0])
 	}
 	return s, s.Validate()
 }

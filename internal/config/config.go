@@ -22,15 +22,16 @@ import (
 // ErrMissing is wrapped by lookups of absent keys.
 var ErrMissing = errors.New("config: missing parameter")
 
-// Params holds parsed key/value parameters. Keys are case-sensitive, as in
-// ECJ.
+// Params holds parsed key/value parameters and records the keys its
+// getters (and Has) read. Keys are case-sensitive, as in ECJ.
 type Params struct {
 	values map[string]string
+	read   map[string]bool // keys looked up by a getter or Has
 }
 
 // New returns an empty parameter set.
 func New() *Params {
-	return &Params{values: make(map[string]string)}
+	return &Params{values: make(map[string]string), read: make(map[string]bool)}
 }
 
 // Parse parses parameter text. Later assignments override earlier ones.
@@ -117,9 +118,16 @@ func (p *Params) merge(text, source string) error {
 // Set assigns a parameter, overriding any previous value.
 func (p *Params) Set(key, value string) { p.values[key] = value }
 
+// lookup returns the value of key and records the key as read.
+func (p *Params) lookup(key string) (string, bool) {
+	p.read[key] = true
+	v, ok := p.values[key]
+	return v, ok
+}
+
 // Has reports whether key is present.
 func (p *Params) Has(key string) bool {
-	_, ok := p.values[key]
+	_, ok := p.lookup(key)
 	return ok
 }
 
@@ -135,7 +143,7 @@ func (p *Params) Keys() []string {
 
 // String returns the raw value of key.
 func (p *Params) String(key string) (string, error) {
-	v, ok := p.values[key]
+	v, ok := p.lookup(key)
 	if !ok {
 		return "", fmt.Errorf("%w: %q", ErrMissing, key)
 	}
@@ -144,7 +152,7 @@ func (p *Params) String(key string) (string, error) {
 
 // StringOr returns the value of key, or def if absent.
 func (p *Params) StringOr(key, def string) string {
-	if v, ok := p.values[key]; ok {
+	if v, ok := p.lookup(key); ok {
 		return v
 	}
 	return def
@@ -272,6 +280,55 @@ func (p *Params) Floats(key string) ([]float64, error) {
 		out = append(out, x)
 	}
 	return out, nil
+}
+
+// Unread returns, in sorted order, the present keys that start with one of
+// prefixes and that no getter has read. A parser calls it after reading
+// everything it knows under its own prefixes, so a misspelt key fails
+// instead of silently leaving its setting at the default.
+func (p *Params) Unread(prefixes ...string) []string {
+	var out []string
+	for _, k := range p.Keys() {
+		if p.read[k] {
+			continue
+		}
+		for _, prefix := range prefixes {
+			if strings.HasPrefix(k, prefix) {
+				out = append(out, k)
+				break
+			}
+		}
+	}
+	return out
+}
+
+// Override assigns each `key=value` argument to p in order — the same
+// assignment a `key = value` line of a parameter file makes, so arguments
+// override the file and a later argument overrides an earlier one — and
+// then parses p with parse. An argument without `=`, or whose key parse
+// did not read, is an error naming it.
+func Override[T any](p *Params, args []string, parse func(*Params) (T, error)) (T, error) {
+	var zero T
+	keys := make([]string, 0, len(args))
+	for _, arg := range args {
+		key, value, ok := strings.Cut(arg, "=")
+		key = strings.TrimSpace(key)
+		if !ok || key == "" {
+			return zero, fmt.Errorf("config: argument %q is not key=value", arg)
+		}
+		p.Set(key, strings.TrimSpace(value))
+		keys = append(keys, key)
+	}
+	v, err := parse(p)
+	if err != nil {
+		return zero, err
+	}
+	for _, key := range keys {
+		if !p.read[key] {
+			return zero, fmt.Errorf("config: unknown key %q", key)
+		}
+	}
+	return v, nil
 }
 
 // Dump renders the parameters back as a sorted parameter file.

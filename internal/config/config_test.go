@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -130,6 +131,59 @@ func TestOverride(t *testing.T) {
 	p.Set("a", "3")
 	if got, _ := p.Int("a"); got != 3 {
 		t.Errorf("Set should override, got %d", got)
+	}
+}
+
+func TestUnread(t *testing.T) {
+	p, err := Parse("a.x = 1\na.y = 2\nb.z = 3\nc = 4\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.IntOr("a.x", 0)
+	p.Has("b.z")
+	p.StringOr("missing", "")
+	if got := p.Unread("a.", "b."); !slices.Equal(got, []string{"a.y"}) {
+		t.Errorf("Unread(a., b.) = %v, want [a.y]", got)
+	}
+	if got := p.Unread(""); !slices.Equal(got, []string{"a.y", "c"}) {
+		t.Errorf("Unread(\"\") = %v, want [a.y c]", got)
+	}
+}
+
+func TestOverrideArgs(t *testing.T) {
+	parse := func(p *Params) (int, error) { return p.IntOr("n", 0) }
+	base := func() *Params {
+		p, err := Parse("n = 1\nother = x\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, tc := range []struct {
+		args []string
+		want int
+	}{
+		{nil, 1},
+		{[]string{"n=2"}, 2},
+		{[]string{" n = 2 ", "n=3"}, 3},
+	} {
+		got, err := Override(base(), tc.args, parse)
+		if err != nil || got != tc.want {
+			t.Errorf("Override(%q) = %d, %v; want %d", tc.args, got, err, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"n=2", "nn=3"}, `"nn"`},
+		{[]string{"n2"}, `"n2"`},
+		{[]string{"=2"}, `"=2"`},
+		{[]string{"n=banana"}, `"n"`},
+	} {
+		if _, err := Override(base(), tc.args, parse); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Override(%q): err %v, want one naming %s", tc.args, err, tc.want)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -537,6 +538,38 @@ func TestRareEventGolden(t *testing.T) {
 // FuzzRareEventSpecParams round-trips the estimator config codec: any spec
 // that decodes from a params file must be finite and must re-encode and
 // decode to itself.
+// TestRareFromConfig: the rare.* run keys decode over DefaultConfig, the
+// tuning keys only next to a method, and any other unread key under the
+// prefix fails naming itself.
+func TestRareFromConfig(t *testing.T) {
+	parse := func(text string) (RareEventSpec, Config, error) {
+		t.Helper()
+		c, err := config.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return RareFromConfig(c, "rare.")
+	}
+	spec, cfg, err := parse("other.key = 1\n")
+	if err != nil || !reflect.DeepEqual(spec, RareEventSpec{}) || !reflect.DeepEqual(cfg, DefaultConfig()) {
+		t.Errorf("defaults: %+v %+v %v", spec, cfg, err)
+	}
+	spec, cfg, err = parse("rare.method = split\nrare.levels = 800, 400, 160\nrare.samples = 30\nrare.seed = 5\n")
+	if err != nil || spec.Method != MethodSplit || len(spec.Levels) != 3 || cfg.Samples != 30 || cfg.Seed != 5 {
+		t.Errorf("explicit: %+v %+v %v", spec, cfg, err)
+	}
+	for text, want := range map[string]string{
+		"rare.method = is\nrare.sampels = 30\n": "rare.sampels",
+		"rare.defensive = 0.3\n":                "rare.method",
+		"rare.method = \nrare.levels = 400\n":   "rare.method",
+		"rare.system = svo\n":                   "rare.system",
+	} {
+		if _, _, err := parse(text); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%q: err %v, want one naming %s", text, err, want)
+		}
+	}
+}
+
 func FuzzRareEventSpecParams(f *testing.F) {
 	f.Add("estimator.method = is\nestimator.defensive = 0.3\nestimator.bandwidth = 0.02\nestimator.kernel.0 = 1,2,3,4,5,6,7,8,9\n")
 	f.Add("estimator.method = split\nestimator.levels = 800,400,160\nestimator.moves = 4\nestimator.step = 0.25\n")

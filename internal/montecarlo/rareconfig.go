@@ -99,6 +99,37 @@ func SpecFromConfig(c *config.Params, prefix string) (RareEventSpec, error) {
 	return s, nil
 }
 
+// RareFromConfig decodes a rare-event run from the keys under prefix: the
+// estimator spec of SpecFromConfig, and prefix+"samples" and prefix+"seed"
+// over DefaultConfig. The tuning keys are read only when prefix+"method"
+// names an estimator, so tuning without a method is an error, as is any
+// other key under prefix that nothing read. A caller with keys of its own
+// under prefix reads them first.
+func RareFromConfig(c *config.Params, prefix string) (RareEventSpec, Config, error) {
+	var spec RareEventSpec
+	var err error
+	method := c.StringOr(prefix+KeyMethod, "")
+	if method != "" {
+		if spec, err = SpecFromConfig(c, prefix); err != nil {
+			return spec, Config{}, err
+		}
+	}
+	cfg := DefaultConfig()
+	if cfg.Samples, err = c.IntOr(prefix+"samples", cfg.Samples); err != nil {
+		return spec, cfg, err
+	}
+	if cfg.Seed, err = c.Uint64Or(prefix+"seed", cfg.Seed); err != nil {
+		return spec, cfg, err
+	}
+	if bad := c.Unread(prefix); len(bad) > 0 {
+		if method == "" && IsSpecKey(strings.TrimPrefix(bad[0], prefix)) {
+			return spec, cfg, fmt.Errorf("montecarlo: estimator tuning key %q needs %s%s", bad[0], prefix, KeyMethod)
+		}
+		return spec, cfg, fmt.Errorf("montecarlo: unknown key %q", bad[0])
+	}
+	return spec, cfg, nil
+}
+
 // SpecToConfig writes the spec under prefix as explicit field keys, the
 // exact inverse of SpecFromConfig. Floats render with strconv's shortest
 // round-tripping form, so decode(encode(s)) == s for every valid spec

@@ -5,6 +5,7 @@ import (
 	"context"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"acasxval/internal/config"
@@ -324,6 +325,26 @@ seed = 99
 	}
 	if _, err := FromConfig(bad); err == nil {
 		t.Error("FromConfig accepted zero islands")
+	}
+}
+
+// TestFromConfigRejectsUnreadKeys: a misspelt search.* key fails naming
+// itself instead of leaving its setting at the default; keys under other
+// prefixes are left to their own parsers.
+func TestFromConfigRejectsUnreadKeys(t *testing.T) {
+	typo, err := config.Parse("search.migration.intervl = 3\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FromConfig(typo); err == nil || !strings.Contains(err.Error(), "search.migration.intervl") {
+		t.Errorf("typo: err %v, want one naming search.migration.intervl", err)
+	}
+	foreign, err := config.Parse("campaign.samples = 3\nrare.seed = 2\nparent.0 = base.params\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FromConfig(foreign); err != nil {
+		t.Errorf("foreign keys: %v", err)
 	}
 }
 

@@ -234,6 +234,8 @@ func (s Spec) Validate() error {
 //	                          (appends fault.GeneCount genes per genome)
 //	search.faults.penalty     severity parsimony weight on co-evolved
 //	                          fitness
+//
+// Any other search.* key is an error.
 func FromConfig(c *config.Params) (Spec, error) {
 	s := DefaultSpec()
 	var err error
@@ -275,6 +277,9 @@ func FromConfig(c *config.Params) (Spec, error) {
 	}
 	if s.FaultPenalty, err = c.FloatOr("search.faults.penalty", 0); err != nil {
 		return s, err
+	}
+	if bad := c.Unread("search."); len(bad) > 0 {
+		return s, fmt.Errorf("search: unknown key %q", bad[0])
 	}
 	return s, s.Validate()
 }

@@ -66,14 +66,14 @@ type job struct {
 // newJob parses and validates a submission. Campaign specs are expanded
 // and hashed eagerly so a malformed job is rejected at submit time, not
 // discovered mid-queue.
-func newJob(id, kind, params string, systems campaign.SystemSet) (*job, error) {
+func newJob(id, kind, params string, systems campaign.SystemSet, strict bool) (*job, error) {
 	j := &job{
 		id:     id,
 		spec:   JobSpec{Kind: kind, Params: params},
 		status: StatusQueued,
 		update: make(chan struct{}),
 	}
-	c, err := config.Parse(params)
+	c, err := parseParams(params, strict)
 	if err != nil {
 		return nil, err
 	}
@@ -104,43 +104,54 @@ func newJob(id, kind, params string, systems campaign.SystemSet) (*job, error) {
 		j.have = make([]bool, len(j.cells))
 		j.poison = make([]bool, len(j.cells))
 	case KindSearch:
+		// search.system is the service's own key under search.*: read it
+		// before the parser rejects what it did not read.
+		name := c.StringOr("search.system", "none")
 		spec, err := search.FromConfig(c)
 		if err != nil {
 			return nil, err
 		}
-		name := c.StringOr("search.system", "none")
 		if _, ok := systems[name]; !ok {
 			return nil, fmt.Errorf("serve: system %q not available (have %v)", name, systems.Names())
 		}
 		j.spec.Name = spec.Name
 	case KindRare:
+		j.spec.Name = c.StringOr("rare.name", "rare")
 		if _, _, _, err := rareFromConfig(c, systems); err != nil {
 			return nil, err
 		}
-		j.spec.Name = c.StringOr("rare.name", "rare")
 	default:
 		return nil, fmt.Errorf("serve: unknown job kind %q (want %s, %s or %s)", kind, KindCampaign, KindSearch, KindRare)
 	}
 	return j, nil
 }
 
-// rareFromConfig parses a rare-event job: the estimator spec under the
-// "rare." prefix plus the run keys rare.system (default "none"),
-// rare.samples (default 10000) and rare.seed (default 1).
+// parseParams parses a job's params text. A new submission is strict:
+// each job kind's parser rejects the keys under its prefixes that it did
+// not read. A job the server already accepted — replayed from the journal
+// or re-parsed to run — counts every key as read, so a grammar that later
+// grew stricter never fails it.
+func parseParams(params string, strict bool) (*config.Params, error) {
+	c, err := config.Parse(params)
+	if err != nil || strict {
+		return c, err
+	}
+	for _, key := range c.Keys() {
+		c.Has(key)
+	}
+	return c, nil
+}
+
+// rareFromConfig parses a rare-event job: montecarlo.RareFromConfig under
+// the "rare." prefix plus the service's own key rare.system (default
+// "none"). Callers read rare.name first.
 func rareFromConfig(c *config.Params, systems campaign.SystemSet) (montecarlo.RareEventSpec, montecarlo.Config, montecarlo.SystemFactory, error) {
-	spec, err := montecarlo.SpecFromConfig(c, "rare.")
+	name := c.StringOr("rare.system", "none")
+	spec, cfg, err := montecarlo.RareFromConfig(c, "rare.")
 	if err != nil {
-		return spec, montecarlo.Config{}, nil, err
-	}
-	cfg := montecarlo.DefaultConfig()
-	if cfg.Samples, err = c.IntOr("rare.samples", 10000); err != nil {
-		return spec, cfg, nil, err
-	}
-	if cfg.Seed, err = c.Uint64Or("rare.seed", 1); err != nil {
 		return spec, cfg, nil, err
 	}
 	cfg.Parallelism = 1
-	name := c.StringOr("rare.system", "none")
 	factory, ok := systems[name]
 	if !ok {
 		return spec, cfg, nil, fmt.Errorf("serve: system %q not available (have %v)", name, systems.Names())

@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"acasxval/internal/campaign"
-	"acasxval/internal/config"
 	"acasxval/internal/durable"
 	"acasxval/internal/montecarlo"
 	"acasxval/internal/search"
@@ -92,7 +91,7 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for _, rj := range rep.Jobs {
-		j, jerr := newJob(rj.ID, rj.Spec.Kind, rj.Spec.Params, s.systems)
+		j, jerr := newJob(rj.ID, rj.Spec.Kind, rj.Spec.Params, s.systems, false)
 		if jerr != nil {
 			// The spec no longer parses (backend menu changed, say): the
 			// job cannot resume. Fail it durably rather than wedging the
@@ -140,7 +139,7 @@ func (s *Server) hydrate(j *job) {
 // a thin wrapper). The job record is journaled before Submit returns:
 // an acknowledged job survives a crash.
 func (s *Server) Submit(kind, params string) (JobStatus, error) {
-	j, err := newJob("", kind, params, s.systems)
+	j, err := newJob("", kind, params, s.systems, true)
 	if err != nil {
 		return JobStatus{}, err
 	}
@@ -473,7 +472,7 @@ func (s *Server) writeCampaignArtifacts(j *job) error {
 // The engine checkpoints after every generation into the state dir, so a
 // shutdown or crash mid-search resumes loss-free.
 func (s *Server) runSearch(ctx context.Context, j *job) (string, string) {
-	c, err := config.Parse(j.spec.Params)
+	c, err := parseParams(j.spec.Params, false)
 	if err != nil {
 		return StatusFailed, err.Error()
 	}
@@ -556,7 +555,7 @@ func (s *Server) finishSearch(j *job, spec search.Spec, res *search.Result) (str
 // is no intermediate state worth journaling: a restart recomputes the
 // identical numbers.
 func (s *Server) runRare(ctx context.Context, j *job) (string, string) {
-	c, err := config.Parse(j.spec.Params)
+	c, err := parseParams(j.spec.Params, false)
 	if err != nil {
 		return StatusFailed, err.Error()
 	}

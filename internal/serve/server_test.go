@@ -562,7 +562,8 @@ rare.system = none
 	}
 }
 
-// TestServerRejectsBadSubmissions: malformed jobs are rejected at submit
+// TestServerRejectsBadSubmissions: malformed jobs — misspelt keys and
+// rare-event tuning without rare.method included — are rejected at submit
 // time, never queued.
 func TestServerRejectsBadSubmissions(t *testing.T) {
 	srv := newTestServer(t, t.TempDir(), nil)
@@ -572,6 +573,10 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 		"bad params":     {KindCampaign, "campaign.samples = banana\n"},
 		"unknown system": {KindCampaign, "campaign.name = t\ncampaign.presets = headon\ncampaign.systems = warpdrive\n"},
 		"empty campaign": {KindCampaign, "campaign.name = t\ncampaign.presets =\n"},
+		"campaign typo":  {KindCampaign, testCampaignParams + "campaign.sampels = 3\n"},
+		"search typo":    {KindSearch, "search.system = svo\nsearch.migration.intervl = 3\n"},
+		"rare typo":      {KindRare, "rare.method = is\nrare.sampels = 30\n"},
+		"rare tuning":    {KindRare, "rare.samples = 30\nrare.defensive = 0.3\n"},
 	}
 	for name, c := range cases {
 		if _, err := srv.Submit(c[0], c[1]); err == nil {
@@ -580,6 +585,42 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 	}
 	if jobs := srv.Jobs(); len(jobs) != 0 {
 		t.Errorf("rejected submissions left %d jobs queued", len(jobs))
+	}
+}
+
+// TestReplayKeepsAcceptedJobs: a job journaled before the parsers
+// rejected unread keys replays with the status it was journaled with —
+// a done job must not turn failed after an upgrade.
+func TestReplayKeepsAcceptedJobs(t *testing.T) {
+	dir := t.TempDir()
+	j, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []JobSpec{
+		{Kind: KindCampaign, Name: "serve-test", Params: testCampaignParams + "campaign.sampels = 3\n"},
+		{Kind: KindSearch, Name: "search", Params: "search.migration.intervl = 3\n"},
+		{Kind: KindRare, Name: "rare", Params: "rare.sampels = 30\nrare.defensive = 0.3\n"},
+	}
+	for i := range specs {
+		id := fmt.Sprintf("job-%04d", i+1)
+		if err := j.Append(Record{Type: "job", Job: id, Spec: &specs[i]}); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Append(Record{Type: "status", Job: id, Status: StatusDone}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv := newTestServer(t, dir, nil)
+	defer srv.Close()
+	for i := range specs {
+		id := fmt.Sprintf("job-%04d", i+1)
+		if st := srv.byID[id].Status(); st.Status != StatusDone {
+			t.Errorf("%s (%s) replayed as %s (%s), want done", id, specs[i].Kind, st.Status, st.Error)
+		}
 	}
 }
 
