@@ -1,16 +1,24 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"io"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"acasxval/internal/campaign"
+	"acasxval/internal/config"
 	"acasxval/internal/search"
+	"acasxval/internal/serve"
 )
 
 // TestSearchSpecDefault: with no file and no arguments casearch runs the
-// paper's section VII search — one population of 200.
+// paper's section VII search — one population of 200 against ACAS XU.
 func TestSearchSpecDefault(t *testing.T) {
 	got, err := searchSpec("", nil)
 	if err != nil {
@@ -18,6 +26,7 @@ func TestSearchSpecDefault(t *testing.T) {
 	}
 	want := search.DefaultSpec()
 	want.Islands = 1
+	want.System = "acasx"
 	want.GA.PopulationSize = 200
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("flagless spec\n got %+v\nwant %+v", got, want)
@@ -75,6 +84,101 @@ func TestSearchSpecShippedFiles(t *testing.T) {
 	for _, f := range files {
 		if _, err := searchSpec(f, nil); err != nil {
 			t.Errorf("%s: %v", f, err)
+		}
+	}
+}
+
+// TestOnePathParity: each demo search run by casearch -out writes the
+// archive, result, summary and checkpoint the same spec writes as a
+// caserve job, under the same small overrides with search.system and
+// search.islands set explicitly (casearch and caserve default them
+// differently).
+func TestOnePathParity(t *testing.T) {
+	overrides := []string{"search.system=svo", "search.islands=2", "pop.size=6", "generations=2", "search.sims=3", "search.archive.threshold=1000"}
+	systems := campaign.DefaultSystems(nil)
+	for _, demo := range []string{"search-demo", "multi-demo", "quick"} {
+		file := filepath.Join("..", "..", "params", demo+".params")
+		base := filepath.Join(t.TempDir(), demo)
+		if err := run(append([]string{"-params", file, "-out", base}, overrides...), io.Discard); err != nil {
+			t.Fatalf("%s: %v", demo, err)
+		}
+		job := serveJob(t, systems, serve.KindSearch, specText(t, file, overrides))
+		sameArtifacts(t, base, job, ".archive.jsonl", ".result.json", ".summary.txt", search.CheckpointSuffix)
+	}
+}
+
+// TestRerunResumes: rerunning into an existing checkpoint resumes from it
+// without evaluating again, and a checkpoint of another spec is an error.
+func TestRerunResumes(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "s")
+	args := []string{"-out", base, "search.system=svo", "pop.size=6", "generations=2", "search.sims=3"}
+	if err := run(args, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run(args, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "resumed from "+base+search.CheckpointSuffix) {
+		t.Errorf("rerun did not resume:\n%s", out.String())
+	}
+	if err := run(append(args, "seed=9"), io.Discard); err == nil || !strings.Contains(err.Error(), "different spec") {
+		t.Errorf("rerun under another seed: %v, want a checkpoint fingerprint error", err)
+	}
+}
+
+// specText is the params text a caserve client submits for the file with
+// the key=value overrides applied.
+func specText(t *testing.T, file string, overrides []string) string {
+	t.Helper()
+	params, err := config.Load(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kv := range overrides {
+		key, value, _ := strings.Cut(kv, "=")
+		params.Set(key, value)
+	}
+	return params.Dump()
+}
+
+// serveJob runs params as one job of the given kind on an in-process
+// caserve server and returns the job's artifact base.
+func serveJob(t *testing.T, systems campaign.SystemSet, kind, params string) string {
+	t.Helper()
+	dir := t.TempDir()
+	srv, err := serve.NewServer(serve.Config{StateDir: dir, Systems: systems, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	st, err := srv.Submit(kind, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	defer cancel()
+	if st, err = srv.WaitJob(ctx, st.ID); err != nil || st.Status != serve.StatusDone {
+		t.Fatalf("job %+v: %v", st, err)
+	}
+	return filepath.Join(dir, st.ID)
+}
+
+// sameArtifacts fails unless both artifact bases hold byte-identical
+// files under every suffix.
+func sameArtifacts(t *testing.T, got, want string, suffixes ...string) {
+	t.Helper()
+	for _, suffix := range suffixes {
+		a, err := os.ReadFile(got + suffix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(want + suffix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s%s differs from %s%s:\n%s\nvs\n%s", got, suffix, want, suffix, a, b)
 		}
 	}
 }

@@ -27,7 +27,6 @@ import (
 	"strconv"
 	"strings"
 
-	"acasxval/internal/acasx"
 	"acasxval/internal/campaign"
 	"acasxval/internal/core"
 	"acasxval/internal/encounter"
@@ -93,17 +92,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	table, err := maybeTable(*system, *tablePath, *coarse)
-	if err != nil {
-		return err
-	}
-	factory, err := sys.PairFactory(sys.Context{Table: table}, sys.Spec{Name: *system})
+	menu, err := campaign.LoadSystems([]string{*system}, *tablePath, *coarse)
 	if err != nil {
 		return err
 	}
 	// One system per aircraft: the factory's pair covers the ownship and
 	// intruder 1, each further call equips one more intruder.
-	systems := sim.AppendSystemsFromPair(make([]sim.System, 0, k+1), factory, k)
+	systems := sim.AppendSystemsFromPair(make([]sim.System, 0, k+1), menu[*system], k)
 
 	g := encounter.ClassifyMulti(m)
 	fmt.Printf("encounter: %s\n", m)
@@ -246,13 +241,6 @@ func pickPlane(name string) (viz.Plane, error) {
 	default:
 		return 0, fmt.Errorf("unknown plane %q (want plan, profile or time)", name)
 	}
-}
-
-func maybeTable(system, path string, coarse bool) (*acasx.Table, error) {
-	if !campaign.NeedsTable(system) {
-		return nil, nil
-	}
-	return acasx.LoadOrBuildTable(path, coarse)
 }
 
 func writeSVG(path string, traj []sim.TrajectoryPoint, plane viz.Plane, nmacAt float64) (err error) {

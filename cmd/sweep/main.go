@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	sweep [-spec params/sweep-demo.params] [-out results.jsonl]
+//	sweep [-spec params/sweep-demo.params] [-out BASE]
 //	      [-table table.acxt] [-full] [-extra danger.jsonl]
 //	      [-archive-proposal danger.jsonl] [key=value ...]
 //
@@ -25,10 +25,12 @@
 // replaces the file's preset list, but the file's numbered custom fault
 // points (campaign.faults.N.*) stay on the axis.
 //
-// With no -out, the JSONL stream precedes the summary on stdout. Timing
-// goes to stderr so stdout stays reproducible. -extra appends the entries
-// of a danger archive (written by casearch search.islands=N -archive) to
-// the campaign's scenario axis, closing the sweep -> search -> archive ->
+// -out BASE writes the artifacts of a caserve campaign job of the same
+// spec: BASE.jsonl (one record per cell) and BASE.summary.txt. With no
+// -out, the JSONL stream precedes the summary on stdout. Timing goes to
+// stderr so stdout stays reproducible. -extra appends the entries of a
+// danger archive (casearch -out writes BASE.archive.jsonl) to the
+// campaign's scenario axis, closing the sweep -> search -> archive ->
 // sweep loop.
 //
 // campaign.estimator.methods sets the rare-event estimator axis: each
@@ -50,31 +52,32 @@ import (
 	"syscall"
 	"time"
 
-	"acasxval/internal/acasx"
 	"acasxval/internal/campaign"
 	"acasxval/internal/config"
+	"acasxval/internal/durable"
 	"acasxval/internal/search"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(1)
 	}
 }
 
-func run() (err error) {
+func run(args []string, stdout io.Writer) error {
+	flags := flag.NewFlagSet("sweep", flag.ExitOnError)
 	var (
-		specPath  = flag.String("spec", "params/sweep-demo.params", "campaign spec file (ECJ-style params; key=value arguments override it)")
-		outPath   = flag.String("out", "", "JSONL output path (default: stdout)")
-		tablePath = flag.String("table", "", "logic table path (built on the fly when absent)")
-		full      = flag.Bool("full", false, "build the full-resolution table instead of the coarse one")
-		extra     = flag.String("extra", "", "danger-archive JSONL whose entries join the scenario axis")
-		archive   = flag.String("archive-proposal", "", "danger-archive JSONL whose genomes steer the importance-sampling estimators")
+		specPath  = flags.String("spec", "params/sweep-demo.params", "campaign spec file (ECJ-style params; key=value arguments override it)")
+		outBase   = flags.String("out", "", "artifact base: write BASE.jsonl and BASE.summary.txt (default: JSONL on stdout)")
+		tablePath = flags.String("table", "", "logic table path (built on the fly when absent)")
+		full      = flags.Bool("full", false, "build the full-resolution table instead of the coarse one")
+		extra     = flags.String("extra", "", "danger-archive JSONL whose entries join the scenario axis")
+		archive   = flags.String("archive-proposal", "", "danger-archive JSONL whose genomes steer the importance-sampling estimators")
 	)
-	flag.Parse()
+	flags.Parse(args)
 
-	spec, err := campaignSpec(*specPath, flag.Args())
+	spec, err := campaignSpec(*specPath, flags.Args())
 	if err != nil {
 		return err
 	}
@@ -102,58 +105,48 @@ func run() (err error) {
 		spec.EstimatorSpec.Kernels = kernels
 		fmt.Fprintf(os.Stderr, "steering the estimator proposal with %d archive genomes from %s\n", len(kernels), *archive)
 	}
-
-	// Only build the logic table when a system in the spec needs it.
-	systems := campaign.DefaultSystems(nil)
-	for _, name := range spec.Systems {
-		if !campaign.NeedsTable(name) {
-			continue
-		}
-		table, err := acasx.LoadOrBuildTable(*tablePath, !*full)
-		if err != nil {
-			return err
-		}
-		systems = campaign.DefaultSystems(table)
-		break
+	systems, err := campaign.LoadSystems(spec.Systems, *tablePath, !*full)
+	if err != nil {
+		return err
 	}
-
-	var jsonl io.Writer = os.Stdout
-	if *outPath != "" {
-		f, cerr := os.Create(*outPath)
-		if cerr != nil {
-			return cerr
-		}
-		defer func() {
-			if cerr := f.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}()
-		jsonl = f
+	// Without -out the JSONL streams to stdout as cells complete.
+	jsonl := stdout
+	if *outBase != "" {
+		jsonl = nil
 	}
 
 	// SIGINT/SIGTERM cancel the campaign instead of killing it mid-write:
-	// the JSONL stream stops cleanly at a cell boundary and the summary
-	// below covers exactly the cells that finished.
+	// the JSONL stops cleanly at a cell boundary and the artifacts and
+	// summary below cover exactly the cells that finished.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	start := time.Now()
 	res, err := campaign.RunContext(ctx, spec, systems, jsonl)
 	elapsed := time.Since(start)
-	if err != nil {
-		if res == nil {
-			return err
+	if res == nil {
+		return err
+	}
+	if *outBase != "" {
+		artifacts, aerr := res.Artifacts()
+		if aerr == nil {
+			aerr = durable.WriteArtifacts(*outBase, artifacts)
 		}
-		// Interrupted, not failed: the flushed JSONL holds exactly the
-		// completed cell prefix. Summarize it, then exit non-zero.
-		fmt.Printf("campaign %s interrupted: %d cells completed, %d simulations\n\n", res.Name, len(res.Cells), res.TotalRuns)
-		fmt.Print(res.SummaryTable())
+		if aerr != nil {
+			return aerr
+		}
+	}
+	if err != nil {
+		// Interrupted, not failed: the completed cell prefix. Summarize
+		// it, then exit non-zero.
+		fmt.Fprintf(stdout, "campaign %s interrupted: %d cells completed, %d simulations\n\n", res.Name, len(res.Cells), res.TotalRuns)
+		fmt.Fprint(stdout, res.SummaryTable())
 		fmt.Fprintf(os.Stderr, "\ninterrupted after %d simulations in %v\n", res.TotalRuns, elapsed.Round(time.Millisecond))
 		return err
 	}
 
-	fmt.Printf("campaign %s: %d cells, %d simulations\n\n", res.Name, len(res.Cells), res.TotalRuns)
-	fmt.Print(res.SummaryTable())
+	fmt.Fprintf(stdout, "campaign %s: %d cells, %d simulations\n\n", res.Name, len(res.Cells), res.TotalRuns)
+	fmt.Fprint(stdout, res.SummaryTable())
 	fmt.Fprintf(os.Stderr, "\n%d simulations in %v\n", res.TotalRuns, elapsed.Round(time.Millisecond))
 	return nil
 }

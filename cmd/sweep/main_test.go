@@ -1,9 +1,19 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"acasxval/internal/acasx"
+	"acasxval/internal/campaign"
+	"acasxval/internal/config"
+	"acasxval/internal/serve"
 )
 
 var demo = filepath.Join("..", "..", "params", "sweep-demo.params")
@@ -60,6 +70,90 @@ func TestCampaignSpecShippedFiles(t *testing.T) {
 	for _, f := range files {
 		if _, err := campaignSpec(f, nil); err != nil {
 			t.Errorf("%s: %v", f, err)
+		}
+	}
+}
+
+// TestOnePathParity: each demo campaign run by sweep -out writes the
+// bytes the same spec writes as a caserve job, under the same small
+// overrides. The table-driven backends run on one coarse table both
+// sides share.
+func TestOnePathParity(t *testing.T) {
+	tablePath := filepath.Join(t.TempDir(), "coarse.acxt")
+	table, err := acasx.LoadOrBuildTable(tablePath, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	systems := campaign.DefaultSystems(table)
+	for demo, overrides := range map[string][]string{
+		"sweep":    {"campaign.samples=4", "campaign.seed=3"},
+		"backends": {"campaign.samples=3"},
+		"faults":   {"campaign.samples=3"},
+		"multi":    {"campaign.samples=3", "campaign.seed=5"},
+		"rare":     {"campaign.samples=150"},
+	} {
+		file := filepath.Join("..", "..", "params", demo+"-demo.params")
+		base := filepath.Join(t.TempDir(), demo)
+		if err := run(append([]string{"-spec", file, "-table", tablePath, "-out", base}, overrides...), io.Discard); err != nil {
+			t.Fatalf("%s: %v", demo, err)
+		}
+		job := serveJob(t, systems, serve.KindCampaign, specText(t, file, overrides))
+		sameArtifacts(t, base, job, ".jsonl", ".summary.txt")
+	}
+}
+
+// specText is the params text a caserve client submits for the file with
+// the key=value overrides applied.
+func specText(t *testing.T, file string, overrides []string) string {
+	t.Helper()
+	params, err := config.Load(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kv := range overrides {
+		key, value, _ := strings.Cut(kv, "=")
+		params.Set(key, value)
+	}
+	return params.Dump()
+}
+
+// serveJob runs params as one job of the given kind on an in-process
+// caserve server and returns the job's artifact base.
+func serveJob(t *testing.T, systems campaign.SystemSet, kind, params string) string {
+	t.Helper()
+	dir := t.TempDir()
+	srv, err := serve.NewServer(serve.Config{StateDir: dir, Systems: systems, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	st, err := srv.Submit(kind, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	defer cancel()
+	if st, err = srv.WaitJob(ctx, st.ID); err != nil || st.Status != serve.StatusDone {
+		t.Fatalf("job %+v: %v", st, err)
+	}
+	return filepath.Join(dir, st.ID)
+}
+
+// sameArtifacts fails unless both artifact bases hold byte-identical
+// files under every suffix.
+func sameArtifacts(t *testing.T, got, want string, suffixes ...string) {
+	t.Helper()
+	for _, suffix := range suffixes {
+		a, err := os.ReadFile(got + suffix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(want + suffix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s%s differs from %s%s:\n%s\nvs\n%s", got, suffix, want, suffix, a, b)
 		}
 	}
 }

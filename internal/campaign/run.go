@@ -9,11 +9,13 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 
 	"acasxval/internal/acasx"
+	"acasxval/internal/durable"
 	"acasxval/internal/encounter"
 	"acasxval/internal/montecarlo"
 	"acasxval/internal/stats"
@@ -61,6 +63,31 @@ func DefaultSystems(table *acasx.Table) SystemSet {
 		set[name] = factory
 	}
 	return set
+}
+
+// LoadSystems returns the default system menu for a run of the named
+// systems, loading or building the logic table (acasx.LoadOrBuildTable)
+// only when one of them needs it. Every name must be on the menu.
+func LoadSystems(names []string, tablePath string, coarse bool) (SystemSet, error) {
+	var table *acasx.Table
+	if slices.ContainsFunc(names, NeedsTable) {
+		var err error
+		if table, err = acasx.LoadOrBuildTable(tablePath, coarse); err != nil {
+			return nil, err
+		}
+	}
+	systems := DefaultSystems(table)
+	return systems, systems.Check(names)
+}
+
+// Check reports the first of names that is not on the menu.
+func (s SystemSet) Check(names []string) error {
+	for _, name := range names {
+		if _, ok := s[name]; !ok {
+			return fmt.Errorf("campaign: system %q not available (have %v)", name, s.Names())
+		}
+	}
+	return nil
 }
 
 // Names lists the set's system names in sorted order.
@@ -271,10 +298,8 @@ func RunContext(ctx context.Context, spec Spec, systems SystemSet, jsonl io.Writ
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	for _, name := range spec.Systems {
-		if _, ok := systems[name]; !ok {
-			return nil, fmt.Errorf("campaign: system %q not available (have %v)", name, systems.Names())
-		}
+	if err := systems.Check(spec.Systems); err != nil {
+		return nil, err
 	}
 	cells, err := spec.Cells()
 	if err != nil {
@@ -444,6 +469,20 @@ func NewResult(spec Spec, cells []CellResult) *Result {
 	}
 	res.Summaries = summarize(spec, cells)
 	return res
+}
+
+// Artifacts renders the campaign's artifact set: ".jsonl" holds one
+// record per cell in stream order, the bytes Run streams, and
+// ".summary.txt" the summary table.
+func (r *Result) Artifacts() ([]durable.Artifact, error) {
+	jsonl, err := durable.JSONL(r.Cells)
+	if err != nil {
+		return nil, err
+	}
+	return []durable.Artifact{
+		{Suffix: ".jsonl", Data: jsonl},
+		{Suffix: ".summary.txt", Data: []byte(r.SummaryTable())},
+	}, nil
 }
 
 // CellSeed derives a cell's Monte-Carlo seed from its stable identity

@@ -20,6 +20,7 @@ package durable
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -58,6 +59,37 @@ func WriteFileAtomic(path string, data []byte) error {
 	}
 	syncDir(dir)
 	return nil
+}
+
+// Artifact is one file of a job's artifact set: the job's artifact base
+// (a state-dir job stem, or a CLI's -out value) plus Suffix names it.
+type Artifact struct {
+	Suffix string
+	Data   []byte
+}
+
+// WriteArtifacts writes each artifact to base+Suffix with WriteFileAtomic,
+// in order.
+func WriteArtifacts(base string, artifacts []Artifact) error {
+	for _, a := range artifacts {
+		if err := WriteFileAtomic(base+a.Suffix, a.Data); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// JSONL marshals records as one JSON object per line.
+func JSONL[T any](records []T) ([]byte, error) {
+	var out []byte
+	for _, r := range records {
+		line, err := json.Marshal(r)
+		if err != nil {
+			return nil, err
+		}
+		out = append(append(out, line...), '\n')
+	}
+	return out, nil
 }
 
 // syncDir fsyncs a directory so a just-created or just-renamed entry

@@ -171,14 +171,12 @@ func (a *Archive) Entries() []ArchiveEntry {
 // WriteJSONL writes the archive as one JSON record per line, in discovery
 // order. The byte stream is identical for identical search runs.
 func (a *Archive) WriteJSONL(w io.Writer) error {
-	for _, e := range a.entries {
-		line, err := json.Marshal(e)
-		if err != nil {
-			return fmt.Errorf("search: write archive: %w", err)
-		}
-		if _, err := fmt.Fprintf(w, "%s\n", line); err != nil {
-			return fmt.Errorf("search: write archive: %w", err)
-		}
+	data, err := durable.JSONL(a.entries)
+	if err == nil {
+		_, err = w.Write(data)
+	}
+	if err != nil {
+		return fmt.Errorf("search: write archive: %w", err)
 	}
 	return nil
 }

@@ -2,14 +2,17 @@ package search
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"runtime"
 	"sort"
 	"sync"
 	"time"
 
 	"acasxval/internal/core"
+	"acasxval/internal/durable"
 	"acasxval/internal/encounter"
 	"acasxval/internal/fault"
 	"acasxval/internal/ga"
@@ -47,12 +50,9 @@ type Observer func(IslandStats)
 type Options struct {
 	// CheckpointPath, when non-empty, is where the engine writes its
 	// state after every completed generation (atomically: temp file +
-	// rename).
+	// rename). When the file already exists the run resumes from it; a
+	// checkpoint written by a run of another spec is an error.
 	CheckpointPath string
-	// Resume loads CheckpointPath and continues the search from it
-	// instead of initializing fresh populations. The checkpoint must have
-	// been written by a run of the same spec.
-	Resume bool
 	// StopAfter, when positive, halts the run once that many generations
 	// have completed (and, if CheckpointPath is set, checkpointed). It
 	// simulates a killed run for resume tests and lets callers slice a
@@ -109,6 +109,40 @@ type Result struct {
 	Elapsed time.Duration
 }
 
+// CheckpointSuffix names a search job's checkpoint under its artifact
+// base, next to the files of Artifacts.
+const CheckpointSuffix = ".checkpoint.json"
+
+// Artifacts renders the search's artifact set: ".archive.jsonl" holds the
+// danger archive (only when non-empty), ".result.json" a machine-readable
+// result line and ".summary.txt" a one-line summary.
+func (r *Result) Artifacts(spec Spec) ([]durable.Artifact, error) {
+	var out []durable.Artifact
+	if r.Archive.Len() > 0 {
+		archive, err := durable.JSONL(r.Archive.entries)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, durable.Artifact{Suffix: ".archive.jsonl", Data: archive})
+	}
+	payload, err := json.Marshal(struct {
+		Name           string  `json:"name"`
+		BestFitness    float64 `json:"best_fitness"`
+		Generations    int     `json:"generations"`
+		NumEvaluations int     `json:"evaluations"`
+		ArchiveLen     int     `json:"archive_len"`
+		Resumed        bool    `json:"resumed"`
+	}{spec.Name, r.Best.Fitness, r.GenerationsRun, r.NumEvaluations, r.Archive.Len(), r.Resumed})
+	if err != nil {
+		return nil, err
+	}
+	summary := fmt.Sprintf("search %s: best fitness %.1f after %d generations (%d evaluations), %d archived encounters\n",
+		spec.Name, r.Best.Fitness, r.GenerationsRun, r.NumEvaluations, r.Archive.Len())
+	return append(out,
+		durable.Artifact{Suffix: ".result.json", Data: append(payload, '\n')},
+		durable.Artifact{Suffix: ".summary.txt", Data: []byte(summary)}), nil
+}
+
 // island is one concurrently evolving population.
 type island struct {
 	id      int
@@ -134,8 +168,8 @@ type engine struct {
 	episodeWorkers int
 }
 
-// RunContext executes the island-model search. With opts.Resume it
-// continues from opts.CheckpointPath; otherwise it initializes fresh
+// RunContext executes the island-model search. When opts.CheckpointPath
+// exists it continues from that checkpoint; otherwise it initializes fresh
 // populations (injecting spec.SeedGenomes round-robin when present). The
 // search is deterministic: identical (spec, resume point) produce identical
 // results and archives, regardless of island scheduling. One island is the
@@ -155,19 +189,19 @@ func RunContext(ctx context.Context, spec Spec, factory montecarlo.SystemFactory
 
 	start := time.Now()
 	resumed := false
-	if opts.Resume {
-		if opts.CheckpointPath == "" {
-			return nil, fmt.Errorf("search: resume requested without a checkpoint path")
-		}
+	if opts.CheckpointPath != "" {
 		cp, err := LoadCheckpointFile(opts.CheckpointPath)
-		if err != nil {
+		switch {
+		case err == nil:
+			if err := e.restore(cp); err != nil {
+				return nil, err
+			}
+			resumed = true
+		case !errors.Is(err, fs.ErrNotExist):
 			return nil, err
 		}
-		if err := e.restore(cp); err != nil {
-			return nil, err
-		}
-		resumed = true
-	} else {
+	}
+	if !resumed {
 		e.initialize()
 	}
 

@@ -120,7 +120,7 @@ func TestResumeBitIdentical(t *testing.T) {
 		if partial.GenerationsRun != stopAfter {
 			t.Fatalf("stop after %d: %d generations ran", stopAfter, partial.GenerationsRun)
 		}
-		resumed, err := RunContext(context.Background(), spec, testFactory, Options{CheckpointPath: ckpt, Resume: true})
+		resumed, err := RunContext(context.Background(), spec, testFactory, Options{CheckpointPath: ckpt})
 		if err != nil {
 			t.Fatalf("resume from generation %d: %v", stopAfter, err)
 		}
@@ -154,7 +154,10 @@ func TestResumeCompletedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := RunContext(context.Background(), spec, testFactory, Options{CheckpointPath: ckpt, Resume: true})
+	if done.Resumed {
+		t.Error("a run into a missing checkpoint reports resuming")
+	}
+	resumed, err := RunContext(context.Background(), spec, testFactory, Options{CheckpointPath: ckpt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +184,8 @@ func TestResumeRejectsDifferentSpec(t *testing.T) {
 	}
 	other := spec
 	other.Seed = spec.Seed + 1
-	if _, err := RunContext(context.Background(), other, testFactory, Options{CheckpointPath: ckpt, Resume: true}); err == nil {
+	if _, err := RunContext(context.Background(), other, testFactory, Options{CheckpointPath: ckpt}); err == nil {
 		t.Error("resuming under a different seed succeeded, want fingerprint error")
-	}
-	if _, err := RunContext(context.Background(), spec, testFactory, Options{Resume: true}); err == nil {
-		t.Error("resume without a checkpoint path succeeded")
 	}
 }
 

@@ -199,7 +199,7 @@ func TestFaultEvolutionCheckpointResume(t *testing.T) {
 	if _, err := RunContext(context.Background(), faultEvolveSpec(), testFactory, Options{CheckpointPath: ckpt, StopAfter: 2}); err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := RunContext(context.Background(), faultEvolveSpec(), testFactory, Options{CheckpointPath: ckpt, Resume: true})
+	resumed, err := RunContext(context.Background(), faultEvolveSpec(), testFactory, Options{CheckpointPath: ckpt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestFaultEvolutionCheckpointResume(t *testing.T) {
 		t.Error("resumed best differs from the uninterrupted run")
 	}
 
-	if _, err := RunContext(context.Background(), testSpec(), testFactory, Options{CheckpointPath: ckpt, Resume: true}); err == nil {
+	if _, err := RunContext(context.Background(), testSpec(), testFactory, Options{CheckpointPath: ckpt}); err == nil {
 		t.Error("clean spec resumed a co-evolving checkpoint")
 	}
 }

@@ -64,7 +64,7 @@ func TestGoldenArchive(t *testing.T) {
 	if _, err := RunContext(context.Background(), spec, testFactory, Options{CheckpointPath: ckpt, StopAfter: 1}); err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := RunContext(context.Background(), spec, testFactory, Options{CheckpointPath: ckpt, Resume: true})
+	resumed, err := RunContext(context.Background(), spec, testFactory, Options{CheckpointPath: ckpt})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,7 @@ func TestMultiSearchResumeBitIdentical(t *testing.T) {
 	if _, err := RunContext(context.Background(), spec, testFactory, Options{CheckpointPath: ckpt, StopAfter: 2}); err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := RunContext(context.Background(), spec, testFactory, Options{CheckpointPath: ckpt, Resume: true})
+	resumed, err := RunContext(context.Background(), spec, testFactory, Options{CheckpointPath: ckpt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestMultiSearchResumeBitIdentical(t *testing.T) {
 	// trajectory, different fingerprint).
 	pairwise := spec
 	pairwise.Intruders = 1
-	if _, err := RunContext(context.Background(), pairwise, testFactory, Options{CheckpointPath: ckpt, Resume: true}); err == nil {
+	if _, err := RunContext(context.Background(), pairwise, testFactory, Options{CheckpointPath: ckpt}); err == nil {
 		t.Error("pairwise spec resumed a K=2 checkpoint")
 	}
 }

@@ -48,6 +48,9 @@ import (
 type Spec struct {
 	// Name labels the search in its archive records.
 	Name string
+	// System names the system under test on a campaign.SystemSet menu.
+	// RunContext takes the resolved factory; the search job resolves it.
+	System string
 
 	// Islands is the number of concurrently evolving populations. One
 	// island reproduces a single-population GA (with no migration).
@@ -120,6 +123,7 @@ func DefaultSpec() Spec {
 	gaParams.PopulationSize = 50
 	return Spec{
 		Name:               "search",
+		System:             "none",
 		Islands:            4,
 		MigrationInterval:  2,
 		MigrationSize:      2,
@@ -217,6 +221,7 @@ func (s Spec) Validate() error {
 //
 //	seed                      the run seed every random stream derives from
 //	search.name
+//	search.system             system under test (default none)
 //	search.islands
 //	search.intruders          intruder count K per evolved encounter
 //	                          (default 1, the classic pairwise genome)
@@ -248,6 +253,7 @@ func FromConfig(c *config.Params) (Spec, error) {
 	}
 	s.Seed = uint64(seed)
 	s.Name = c.StringOr("search.name", s.Name)
+	s.System = c.StringOr("search.system", s.System)
 	if s.Islands, err = c.IntOr("search.islands", s.Islands); err != nil {
 		return s, err
 	}

@@ -104,7 +104,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // index order, as they complete — a tail -f over the campaign. Poisoned
 // cells become holes in the index sequence once the job is terminal (a
 // running job may still retry them). For search and rare jobs the stream
-// waits for the terminal result and emits it as a single line.
+// waits for the terminal job and emits its ".result.json" lines.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(w, r)
 	if j == nil {
@@ -132,10 +132,14 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 					break
 				}
 			}
-		} else if terminal(status) && len(j.payload) > 0 {
-			lines = append(lines, j.payload)
 		}
 		j.mu.Unlock()
+		if j.spec.Kind != KindCampaign && terminal(status) {
+			// A failed job has no result file and streams nothing.
+			data, _ := os.ReadFile(j.artifactBase(s.cfg.StateDir) + ".result.json")
+			w.Write(data)
+			return
+		}
 		for _, line := range lines {
 			w.Write(line)
 			w.Write([]byte{'\n'})

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -41,10 +40,12 @@ type job struct {
 	id   string
 	spec JobSpec
 
-	// Campaign jobs: the parsed spec, its deterministic cell expansion
-	// and the per-cell identity hashes keying the completed-cell cache.
-	// Search and rare jobs re-parse spec.Params when they run.
+	// The parsed spec of the job's kind. A campaign job also keeps its
+	// deterministic cell expansion and the per-cell identity hashes
+	// keying the completed-cell cache.
 	cspec  campaign.Spec
+	sspec  search.Spec
+	rjob   montecarlo.RareJob
 	cells  []campaign.Cell
 	hashes []string
 
@@ -57,8 +58,6 @@ type job struct {
 	completed int
 	poisoned  int
 	cacheHits int
-	payload   json.RawMessage // search/rare terminal result
-	summary   string
 	update    chan struct{} // closed and replaced on every state change
 	cancel    context.CancelFunc
 }
@@ -82,10 +81,8 @@ func newJob(id, kind, params string, systems campaign.SystemSet, strict bool) (*
 		if j.cspec, err = campaign.FromConfig(c); err != nil {
 			return nil, err
 		}
-		for _, name := range j.cspec.Systems {
-			if _, ok := systems[name]; !ok {
-				return nil, fmt.Errorf("serve: system %q not available (have %v)", name, systems.Names())
-			}
+		if err := systems.Check(j.cspec.Systems); err != nil {
+			return nil, err
 		}
 		if j.cells, err = j.cspec.Cells(); err != nil {
 			return nil, err
@@ -104,22 +101,21 @@ func newJob(id, kind, params string, systems campaign.SystemSet, strict bool) (*
 		j.have = make([]bool, len(j.cells))
 		j.poison = make([]bool, len(j.cells))
 	case KindSearch:
-		// search.system is the service's own key under search.*: read it
-		// before the parser rejects what it did not read.
-		name := c.StringOr("search.system", "none")
-		spec, err := search.FromConfig(c)
-		if err != nil {
+		if j.sspec, err = search.FromConfig(c); err != nil {
 			return nil, err
 		}
-		if _, ok := systems[name]; !ok {
-			return nil, fmt.Errorf("serve: system %q not available (have %v)", name, systems.Names())
+		if err := systems.Check([]string{j.sspec.System}); err != nil {
+			return nil, err
 		}
-		j.spec.Name = spec.Name
+		j.spec.Name = j.sspec.Name
 	case KindRare:
-		j.spec.Name = c.StringOr("rare.name", "rare")
-		if _, _, _, err := rareFromConfig(c, systems); err != nil {
+		if j.rjob, err = montecarlo.RareFromConfig(c); err != nil {
 			return nil, err
 		}
+		if err := systems.Check(j.rjob.Systems); err != nil {
+			return nil, err
+		}
+		j.spec.Name = j.rjob.Name
 	default:
 		return nil, fmt.Errorf("serve: unknown job kind %q (want %s, %s or %s)", kind, KindCampaign, KindSearch, KindRare)
 	}
@@ -128,9 +124,9 @@ func newJob(id, kind, params string, systems campaign.SystemSet, strict bool) (*
 
 // parseParams parses a job's params text. A new submission is strict:
 // each job kind's parser rejects the keys under its prefixes that it did
-// not read. A job the server already accepted — replayed from the journal
-// or re-parsed to run — counts every key as read, so a grammar that later
-// grew stricter never fails it.
+// not read. A job the server already accepted, replayed from the journal,
+// counts every key as read, so a grammar that later grew stricter never
+// fails it.
 func parseParams(params string, strict bool) (*config.Params, error) {
 	c, err := config.Parse(params)
 	if err != nil || strict {
@@ -140,23 +136,6 @@ func parseParams(params string, strict bool) (*config.Params, error) {
 		c.Has(key)
 	}
 	return c, nil
-}
-
-// rareFromConfig parses a rare-event job: montecarlo.RareFromConfig under
-// the "rare." prefix plus the service's own key rare.system (default
-// "none"). Callers read rare.name first.
-func rareFromConfig(c *config.Params, systems campaign.SystemSet) (montecarlo.RareEventSpec, montecarlo.Config, montecarlo.SystemFactory, error) {
-	name := c.StringOr("rare.system", "none")
-	spec, cfg, err := montecarlo.RareFromConfig(c, "rare.")
-	if err != nil {
-		return spec, cfg, nil, err
-	}
-	cfg.Parallelism = 1
-	factory, ok := systems[name]
-	if !ok {
-		return spec, cfg, nil, fmt.Errorf("serve: system %q not available (have %v)", name, systems.Names())
-	}
-	return spec, cfg, factory, nil
 }
 
 // cellKey is cell i's completed-cell cache key: its identity hash plus

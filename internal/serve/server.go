@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
@@ -22,7 +20,8 @@ type Config struct {
 	// Systems is the backend menu (default campaign.DefaultSystems(nil):
 	// every registered backend that needs no logic table).
 	Systems campaign.SystemSet
-	// Workers bounds concurrent campaign cells (0 = NumCPU).
+	// Workers bounds concurrent campaign cells and a rare job's episode
+	// workers (0 = NumCPU).
 	Workers int
 	// Policy is the shard retry policy (zero value = defaults).
 	Policy RetryPolicy
@@ -39,7 +38,6 @@ type Config struct {
 // observable, so a killed server resumes exactly where it stopped.
 type Server struct {
 	cfg     Config
-	systems campaign.SystemSet
 	journal *Journal
 	mux     *http.ServeMux
 
@@ -81,7 +79,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:           cfg,
-		systems:       cfg.Systems,
 		journal:       journal,
 		byID:          make(map[string]*job),
 		cells:         rep.Cells,
@@ -91,7 +88,7 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for _, rj := range rep.Jobs {
-		j, jerr := newJob(rj.ID, rj.Spec.Kind, rj.Spec.Params, s.systems, false)
+		j, jerr := newJob(rj.ID, rj.Spec.Kind, rj.Spec.Params, s.cfg.Systems, false)
 		if jerr != nil {
 			// The spec no longer parses (backend menu changed, say): the
 			// job cannot resume. Fail it durably rather than wedging the
@@ -139,7 +136,7 @@ func (s *Server) hydrate(j *job) {
 // a thin wrapper). The job record is journaled before Submit returns:
 // an acknowledged job survives a crash.
 func (s *Server) Submit(kind, params string) (JobStatus, error) {
-	j, err := newJob("", kind, params, s.systems, true)
+	j, err := newJob("", kind, params, s.cfg.Systems, true)
 	if err != nil {
 		return JobStatus{}, err
 	}
@@ -377,7 +374,7 @@ func (s *Server) runCampaign(ctx context.Context, j *job) (string, string) {
 		c := j.cells[i]
 		scratch := pool.Get().(*montecarlo.Scratch)
 		defer pool.Put(scratch)
-		res, err := campaign.RunCellContext(ctx, j.cspec, c, s.systems[c.System], 1, scratch)
+		res, err := campaign.RunCellContext(ctx, j.cspec, c, s.cfg.Systems[c.System], 1, scratch)
 		if err != nil {
 			return err
 		}
@@ -423,7 +420,14 @@ func (s *Server) runCampaign(ctx context.Context, j *job) (string, string) {
 		s.mu.Unlock()
 		j.storePoison(i)
 	}
-	if err := s.writeCampaignArtifacts(j); err != nil {
+	// The artifacts are those of an uninterrupted in-process campaign run
+	// of the same spec: CellResult round-trips JSON exactly, so a
+	// journal-replayed cell re-marshals to its original bytes.
+	artifacts, err := campaign.NewResult(j.cspec, j.completedCells()).Artifacts()
+	if err == nil {
+		err = durable.WriteArtifacts(j.artifactBase(s.cfg.StateDir), artifacts)
+	}
+	if err != nil {
 		return StatusFailed, err.Error()
 	}
 	st := j.Status()
@@ -437,172 +441,70 @@ func (s *Server) runCampaign(ctx context.Context, j *job) (string, string) {
 	}
 }
 
-// writeCampaignArtifacts persists the job's JSONL stream and summary
-// table atomically. The bytes are those of an uninterrupted in-process
-// campaign.Run of the same spec: the cells marshal in expansion order
-// with the same encoder, and CellResult round-trips JSON exactly, so a
-// journal-replayed cell re-marshals to its original bytes.
-func (s *Server) writeCampaignArtifacts(j *job) error {
-	cells := j.completedCells()
-	var buf bytes.Buffer
-	for _, c := range cells {
-		line, err := json.Marshal(c)
-		if err != nil {
-			return err
-		}
-		buf.Write(line)
-		buf.WriteByte('\n')
-	}
-	base := j.artifactBase(s.cfg.StateDir)
-	if err := durable.WriteFileAtomic(base+".jsonl", buf.Bytes()); err != nil {
-		return err
-	}
-	res := campaign.NewResult(j.cspec, cells)
-	summary := res.SummaryTable()
-	if err := durable.WriteFileAtomic(base+".summary.txt", []byte(summary)); err != nil {
-		return err
-	}
-	j.mu.Lock()
-	j.summary = summary
-	j.mu.Unlock()
-	return nil
-}
-
 // runSearch executes an adversarial-search job as one supervised shard.
-// The engine checkpoints after every generation into the state dir, so a
-// shutdown or crash mid-search resumes loss-free.
+// The engine checkpoints after every generation into the state dir and
+// resumes from that checkpoint, so a shutdown, crash or retry mid-search
+// is loss-free.
 func (s *Server) runSearch(ctx context.Context, j *job) (string, string) {
-	c, err := parseParams(j.spec.Params, false)
-	if err != nil {
-		return StatusFailed, err.Error()
-	}
-	spec, err := search.FromConfig(c)
-	if err != nil {
-		return StatusFailed, err.Error()
-	}
-	factory, ok := s.systems[c.StringOr("search.system", "none")]
-	if !ok {
-		return StatusFailed, fmt.Sprintf("system %q not available", c.StringOr("search.system", "none"))
-	}
-	opts := search.Options{CheckpointPath: j.artifactBase(s.cfg.StateDir) + ".checkpoint.json"}
-	if _, err := os.Stat(opts.CheckpointPath); err == nil {
-		opts.Resume = true
-	}
-
+	opts := search.Options{CheckpointPath: j.artifactBase(s.cfg.StateDir) + search.CheckpointSuffix}
 	var res *search.Result
-	sup := &Supervisor{Workers: 1, Policy: s.cfg.Policy, Clock: s.cfg.Clock, Seed: spec.Seed, Drain: s.drain}
-	reports, _ := sup.Run(ctx, 1, func(ctx context.Context, _, _ int) error {
-		r, rerr := search.RunContext(ctx, spec, factory, opts)
-		if rerr != nil {
-			return rerr
-		}
-		res = r
-		return nil
+	status, errMsg := s.superviseOne(ctx, j.sspec.Seed, func(ctx context.Context) (err error) {
+		res, err = search.RunContext(ctx, j.sspec, s.cfg.Systems[j.sspec.System], opts)
+		return err
 	})
-	if ctx.Err() != nil || res == nil && !reports[0].Poisoned {
-		if s.isClosing() || ctx.Err() == nil {
-			return "", ""
-		}
-		return StatusFailed, "cancelled"
+	if status != StatusDone {
+		return status, errMsg
 	}
-	if reports[0].Poisoned {
-		return StatusFailed, reports[0].Err
-	}
-	return s.finishSearch(j, spec, res)
+	artifacts, err := res.Artifacts(j.sspec)
+	return s.finish(j, artifacts, err)
 }
 
-// finishSearch persists a completed search's artifacts: the danger
-// archive as JSONL, a machine-readable result, and a human summary.
-func (s *Server) finishSearch(j *job, spec search.Spec, res *search.Result) (string, string) {
-	base := j.artifactBase(s.cfg.StateDir)
-	var archive bytes.Buffer
-	if res.Archive != nil && res.Archive.Len() > 0 {
-		if err := res.Archive.WriteJSONL(&archive); err != nil {
-			return StatusFailed, err.Error()
-		}
-		if err := durable.WriteFileAtomic(base+".archive.jsonl", archive.Bytes()); err != nil {
-			return StatusFailed, err.Error()
-		}
+// runRare executes a rare-event estimation job as one supervised shard on
+// the server's workers. The estimates are a deterministic function of the
+// spec and seed, so there is no intermediate state worth journaling: a
+// restart recomputes the identical numbers.
+func (s *Server) runRare(ctx context.Context, j *job) (string, string) {
+	rj := j.rjob
+	rj.Config.Parallelism = s.cfg.Workers
+	var ests []*montecarlo.Estimate
+	status, errMsg := s.superviseOne(ctx, rj.Config.Seed, func(ctx context.Context) (err error) {
+		ests, err = rj.Run(ctx, s.cfg.Systems, nil)
+		return err
+	})
+	if status != StatusDone {
+		return status, errMsg
 	}
-	payload, err := json.Marshal(struct {
-		Name           string  `json:"name"`
-		BestFitness    float64 `json:"best_fitness"`
-		Generations    int     `json:"generations"`
-		NumEvaluations int     `json:"evaluations"`
-		ArchiveLen     int     `json:"archive_len"`
-		Resumed        bool    `json:"resumed"`
-	}{spec.Name, res.Best.Fitness, res.GenerationsRun, res.NumEvaluations, res.Archive.Len(), res.Resumed})
-	if err != nil {
-		return StatusFailed, err.Error()
+	artifacts, err := rj.Artifacts(ests)
+	return s.finish(j, artifacts, err)
+}
+
+// superviseOne runs a search or rare job as one shard under the
+// supervisor's retry policy. It returns StatusDone once run succeeds, a
+// terminal failure (cancelled, or poisoned after the last retry), or ""
+// when shutdown left the job incomplete.
+func (s *Server) superviseOne(ctx context.Context, seed uint64, run func(context.Context) error) (string, string) {
+	sup := &Supervisor{Workers: 1, Policy: s.cfg.Policy, Clock: s.cfg.Clock, Seed: seed, Drain: s.drain}
+	reports, _ := sup.Run(ctx, 1, func(ctx context.Context, _, _ int) error { return run(ctx) })
+	switch rep := reports[0]; {
+	case ctx.Err() != nil && !s.isClosing():
+		return StatusFailed, "cancelled"
+	case rep.Poisoned:
+		return StatusFailed, rep.Err
+	case rep.Attempts == 0 || rep.Err != "":
+		return "", ""
 	}
-	if err := durable.WriteFileAtomic(base+".result.json", append(payload, '\n')); err != nil {
-		return StatusFailed, err.Error()
-	}
-	summary := fmt.Sprintf("search %s: best fitness %.1f after %d generations (%d evaluations), %d archived encounters\n",
-		spec.Name, res.Best.Fitness, res.GenerationsRun, res.NumEvaluations, res.Archive.Len())
-	if err := durable.WriteFileAtomic(base+".summary.txt", []byte(summary)); err != nil {
-		return StatusFailed, err.Error()
-	}
-	j.mu.Lock()
-	j.payload = payload
-	j.summary = summary
-	j.mu.Unlock()
 	return StatusDone, ""
 }
 
-// runRare executes a rare-event estimation job as one supervised shard.
-// The estimate is a deterministic function of its spec and seed, so there
-// is no intermediate state worth journaling: a restart recomputes the
-// identical numbers.
-func (s *Server) runRare(ctx context.Context, j *job) (string, string) {
-	c, err := parseParams(j.spec.Params, false)
+// finish writes a search or rare job's artifact set under its artifact
+// base.
+func (s *Server) finish(j *job, artifacts []durable.Artifact, err error) (string, string) {
+	if err == nil {
+		err = durable.WriteArtifacts(j.artifactBase(s.cfg.StateDir), artifacts)
+	}
 	if err != nil {
 		return StatusFailed, err.Error()
 	}
-	spec, cfg, factory, err := rareFromConfig(c, s.systems)
-	if err != nil {
-		return StatusFailed, err.Error()
-	}
-	model := montecarlo.MultiEncounterModel{Intruders: []montecarlo.EncounterModel{montecarlo.DefaultEncounterModel()}}
-
-	var est *montecarlo.Estimate
-	sup := &Supervisor{Workers: 1, Policy: s.cfg.Policy, Clock: s.cfg.Clock, Seed: cfg.Seed, Drain: s.drain}
-	reports, _ := sup.Run(ctx, 1, func(ctx context.Context, _, _ int) error {
-		var scratch montecarlo.Scratch
-		e, rerr := montecarlo.EstimateRareMultiWithScratchContext(ctx, model, factory, cfg, spec, &scratch)
-		if rerr != nil {
-			return rerr
-		}
-		est = e
-		return nil
-	})
-	if ctx.Err() != nil || est == nil && !reports[0].Poisoned {
-		if s.isClosing() || ctx.Err() == nil {
-			return "", ""
-		}
-		return StatusFailed, "cancelled"
-	}
-	if reports[0].Poisoned {
-		return StatusFailed, reports[0].Err
-	}
-
-	payload, err := json.Marshal(est)
-	if err != nil {
-		return StatusFailed, err.Error()
-	}
-	base := j.artifactBase(s.cfg.StateDir)
-	if err := durable.WriteFileAtomic(base+".result.json", append(payload, '\n')); err != nil {
-		return StatusFailed, err.Error()
-	}
-	summary := fmt.Sprintf("rare %s: P(NMAC) %.3e [%.3e, %.3e] over %d episodes, ESS %.1f, VRF %.1f\n",
-		j.spec.Name, est.PNMAC, est.PNMACCI.Lo, est.PNMACCI.Hi, est.Samples, est.ESS, est.VarianceReduction)
-	if err := durable.WriteFileAtomic(base+".summary.txt", []byte(summary)); err != nil {
-		return StatusFailed, err.Error()
-	}
-	j.mu.Lock()
-	j.payload = payload
-	j.summary = summary
-	j.mu.Unlock()
 	return StatusDone, ""
 }
 

@@ -18,6 +18,8 @@ import (
 	"acasxval/internal/campaign"
 	"acasxval/internal/config"
 	"acasxval/internal/montecarlo"
+	"acasxval/internal/search"
+	"acasxval/internal/sim"
 )
 
 // testCampaignParams is a small, fast campaign: 2 presets x 2 systems =
@@ -530,6 +532,72 @@ seed = 3
 	}
 }
 
+// TestServerSearchJobShutdownResume: a server closed mid-search leaves the
+// job queued; a new server over the same state dir resumes it from its
+// checkpoint, and the archive equals an uninterrupted search's.
+func TestServerSearchJobShutdownResume(t *testing.T) {
+	const params = "search.system = slow\nsearch.islands = 1\npop.size = 6\ngenerations = 10\nsearch.sims = 3\nsearch.archive.threshold = 500\n"
+	// A factory that sleeps makes every evaluation take a millisecond, so
+	// the close lands well before the last generation.
+	systems := campaign.DefaultSystems(nil)
+	systems["slow"] = func() (sim.System, sim.System) {
+		time.Sleep(time.Millisecond)
+		return systems["svo"]()
+	}
+	dir := t.TempDir()
+	open := func() *Server {
+		srv, err := NewServer(Config{StateDir: dir, Systems: systems, Workers: 1, Policy: testPolicy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv
+	}
+	srv := open()
+	st, err := srv.Submit(KindSearch, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := srv.byID[st.ID].artifactBase(dir)
+	for {
+		if _, err := os.Stat(base + search.CheckpointSuffix); err == nil {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if cur := srv.byID[st.ID].Status(); cur.Status != StatusQueued {
+		t.Fatalf("search job after shutdown %+v, want queued", cur)
+	}
+
+	srv2 := open()
+	defer srv2.Close()
+	if final := waitDone(t, srv2, st.ID); final.Status != StatusDone {
+		t.Fatalf("resumed search job %+v", final)
+	}
+	result, err := os.ReadFile(base + ".result.json")
+	if err != nil || !strings.Contains(string(result), `"resumed":true`) {
+		t.Errorf("result %s (%v), want a resumed run", result, err)
+	}
+	c, _ := config.Parse(params)
+	spec, err := search.FromConfig(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := search.RunContext(context.Background(), spec, systems["svo"], search.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantArchive bytes.Buffer
+	if err := want.Archive.WriteJSONL(&wantArchive); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(base + ".archive.jsonl"); err != nil || !bytes.Equal(got, wantArchive.Bytes()) {
+		t.Errorf("resumed archive (%v):\n%s\nwant:\n%s", err, got, wantArchive.Bytes())
+	}
+}
+
 // TestServerRareJob: a rare-event estimation job runs end to end.
 func TestServerRareJob(t *testing.T) {
 	const params = `
@@ -562,6 +630,51 @@ rare.system = none
 	}
 }
 
+// TestServerRareJobWorkers: a rare job runs on the server's workers, and
+// its artifacts do not depend on their count. A two-system job writes one
+// result line per system, which its stream serves, and the risk ratio
+// against "none".
+func TestServerRareJobWorkers(t *testing.T) {
+	const params = "rare.system = svo, none\nrare.samples = 200\nrare.seed = 5\n"
+	var results [2][]byte
+	for i, workers := range []int{1, 2} {
+		srv, err := NewServer(Config{StateDir: t.TempDir(), Workers: workers, Policy: testPolicy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := srv.Submit(KindRare, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final := waitDone(t, srv, st.ID); final.Status != StatusDone {
+			t.Fatalf("rare job status %+v", final)
+		}
+		stream := httptest.NewRecorder()
+		srv.ServeHTTP(stream, httptest.NewRequest(http.MethodGet, "/jobs/"+st.ID+"/stream", nil))
+		base := srv.byID[st.ID].artifactBase(srv.cfg.StateDir)
+		srv.Close()
+		if results[i], err = os.ReadFile(base + ".result.json"); err != nil {
+			t.Fatal(err)
+		}
+		if got := stream.Body.Bytes(); !bytes.Equal(got, results[i]) {
+			t.Errorf("stream %q, want the result lines %q", got, results[i])
+		}
+		summary, err := os.ReadFile(base + ".summary.txt")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(summary), "risk ratio svo vs unequipped") {
+			t.Errorf("summary has no risk ratio:\n%s", summary)
+		}
+	}
+	if lines := bytes.Count(results[0], []byte("\n")); lines != 2 {
+		t.Errorf("%d result lines, want one per system:\n%s", lines, results[0])
+	}
+	if !bytes.Equal(results[0], results[1]) {
+		t.Errorf("result at 2 workers differs from 1:\n%s\nvs\n%s", results[1], results[0])
+	}
+}
+
 // TestServerRejectsBadSubmissions: malformed jobs — misspelt keys and
 // rare-event tuning without rare.method included — are rejected at submit
 // time, never queued.
@@ -569,14 +682,16 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 	srv := newTestServer(t, t.TempDir(), nil)
 	defer srv.Close()
 	cases := map[string][2]string{
-		"unknown kind":   {"mystery", testCampaignParams},
-		"bad params":     {KindCampaign, "campaign.samples = banana\n"},
-		"unknown system": {KindCampaign, "campaign.name = t\ncampaign.presets = headon\ncampaign.systems = warpdrive\n"},
-		"empty campaign": {KindCampaign, "campaign.name = t\ncampaign.presets =\n"},
-		"campaign typo":  {KindCampaign, testCampaignParams + "campaign.sampels = 3\n"},
-		"search typo":    {KindSearch, "search.system = svo\nsearch.migration.intervl = 3\n"},
-		"rare typo":      {KindRare, "rare.method = is\nrare.sampels = 30\n"},
-		"rare tuning":    {KindRare, "rare.samples = 30\nrare.defensive = 0.3\n"},
+		"unknown kind":    {"mystery", testCampaignParams},
+		"bad params":      {KindCampaign, "campaign.samples = banana\n"},
+		"unknown system":  {KindCampaign, "campaign.name = t\ncampaign.presets = headon\ncampaign.systems = warpdrive\n"},
+		"empty campaign":  {KindCampaign, "campaign.name = t\ncampaign.presets =\n"},
+		"campaign typo":   {KindCampaign, testCampaignParams + "campaign.sampels = 3\n"},
+		"search typo":     {KindSearch, "search.system = svo\nsearch.migration.intervl = 3\n"},
+		"rare typo":       {KindRare, "rare.method = is\nrare.sampels = 30\n"},
+		"rare tuning":     {KindRare, "rare.samples = 30\nrare.defensive = 0.3\n"},
+		"rare system":     {KindRare, "rare.system = svo, warpdrive\n"},
+		"rare fault typo": {KindRare, "rare.faults.presett = severe\n"},
 	}
 	for name, c := range cases {
 		if _, err := srv.Submit(c[0], c[1]); err == nil {
@@ -601,6 +716,9 @@ func TestReplayKeepsAcceptedJobs(t *testing.T) {
 		{Kind: KindCampaign, Name: "serve-test", Params: testCampaignParams + "campaign.sampels = 3\n"},
 		{Kind: KindSearch, Name: "search", Params: "search.migration.intervl = 3\n"},
 		{Kind: KindRare, Name: "rare", Params: "rare.sampels = 30\nrare.defensive = 0.3\n"},
+		// A single-system rare job as journaled before rare.system took a
+		// list and the rare.faults.* keys.
+		{Kind: KindRare, Name: "serve-rare", Params: "rare.name = serve-rare\nrare.method = bruteforce\nrare.samples = 50\nrare.seed = 5\nrare.system = none\n"},
 	}
 	for i := range specs {
 		id := fmt.Sprintf("job-%04d", i+1)

@@ -36,8 +36,9 @@ func RunCampaignContext(ctx context.Context, spec CampaignSpec, systems Campaign
 // (fanning its episodes over opts.EpisodeWorkers workers without affecting
 // a single result byte), and dangerous encounters accumulate in the
 // result's deduplicated archive. With opts.CheckpointPath set the state
-// checkpoints after every generation, so a killed or cancelled run resumes
-// bit-identically (opts.Resume). A cancelled ctx stops the islands at the
+// checkpoints after every generation, and a run whose checkpoint already
+// exists resumes from it bit-identically, so a killed or cancelled run
+// loses nothing. A cancelled ctx stops the islands at the
 // next evaluation boundary and returns the progress so far (non-nil
 // alongside the error).
 func RunSearchContext(ctx context.Context, spec SearchSpec, factory SystemFactory, opts SearchOptions) (*IslandSearchResult, error) {
