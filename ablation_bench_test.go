@@ -8,10 +8,12 @@ package acasxval
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"acasxval/internal/acasx"
 	"acasxval/internal/ga"
+	"acasxval/internal/interp"
 	"acasxval/internal/sim"
 	"acasxval/internal/stats"
 	"acasxval/internal/uav"
@@ -125,22 +127,39 @@ func BenchmarkAblationResponseDelay(b *testing.B) {
 
 // BenchmarkAblationLookupMode compares interpolated against
 // nearest-neighbour table lookup (section IV lists discretization +
-// interpolation as an inaccuracy source).
+// interpolation as an inaccuracy source). The nearest-neighbour choice is
+// the interpolated lookup at the closest grid vertex and integer tau,
+// where interpolation returns the vertex values exactly.
 func BenchmarkAblationLookupMode(b *testing.B) {
 	table := benchLogicTable(b)
+	g := table.Config().Grid
+	hAxis := interp.Uniform(-g.HMax, g.HMax, g.NumH)
+	rateAxis := interp.Uniform(-g.RateMax, g.RateMax, g.NumRate)
 	var interpQ, nearestQ float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Off-grid query in the alerting region.
 		const tau, h, dh0, dh1 = 11.3, 37.5, 1.2, -2.7
-		ai, _ := table.BestAdvisory(tau, h, dh0, dh1, COC, SenseMask{})
-		an, _ := table.BestAdvisoryNearest(tau, h, dh0, dh1, COC, SenseMask{})
-		interpQ = table.QValue(tau, h, dh0, dh1, COC, ai)
-		nearestQ = table.QValue(tau, h, dh0, dh1, COC, an)
+		ai, _ := table.BestAdvisory(tau, h, dh0, dh1, acasx.COC, acasx.SenseMask{})
+		an, _ := table.BestAdvisory(math.Round(tau), nearestCut(hAxis, h),
+			nearestCut(rateAxis, dh0), nearestCut(rateAxis, dh1), acasx.COC, acasx.SenseMask{})
+		interpQ = table.QValue(tau, h, dh0, dh1, acasx.COC, ai)
+		nearestQ = table.QValue(tau, h, dh0, dh1, acasx.COC, an)
 	}
 	b.ReportMetric(interpQ, "Q-of-interp-choice")
 	b.ReportMetric(nearestQ, "Q-of-nearest-choice")
+}
+
+// nearestCut returns the cut point of axis closest to x.
+func nearestCut(axis []float64, x float64) float64 {
+	best := axis[0]
+	for _, c := range axis[1:] {
+		if math.Abs(c-x) < math.Abs(best-x) {
+			best = c
+		}
+	}
+	return best
 }
 
 // BenchmarkAblationGAOperators compares crossover operators on the search

@@ -24,6 +24,7 @@ import (
 	"sync"
 	"testing"
 
+	"acasxval/internal/acasx"
 	"acasxval/internal/grid2d"
 	"acasxval/internal/search"
 	"acasxval/internal/sim"
@@ -52,11 +53,11 @@ func benchLogicTable(tb testing.TB) *Table {
 // BenchmarkFig5HeadOn (E1) simulates the paper's Fig. 5 scenario: a head-on
 // encounter resolved by coordinated climb/descend advisories. Reported
 // metrics: NMAC rate (want ~0) and mean minimum separation. One
-// EncounterRunner carries the simulation world across iterations, so
+// sim.Runner carries the simulation world across iterations, so
 // allocs/op is per-episode steady state and CI gates on it staying 0.
 func BenchmarkFig5HeadOn(b *testing.B) {
 	table := benchLogicTable(b)
-	runner, err := NewEncounterRunner(DefaultRunConfig())
+	runner, err := sim.NewRunner(DefaultRunConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -329,7 +330,7 @@ func BenchmarkTableLookupHot(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		table.BestAdvisory(12.5, 30, 1.5, -2.5, COC, SenseMask{})
+		table.BestAdvisory(12.5, 30, 1.5, -2.5, acasx.COC, acasx.SenseMask{})
 	}
 }
 

@@ -8,10 +8,13 @@ import (
 	"bytes"
 	"context"
 	"testing"
+
+	"acasxval/internal/campaign"
+	"acasxval/internal/encounter"
 )
 
 func TestShippedSweepDemoSpec(t *testing.T) {
-	spec, err := LoadCampaignSpec("params/sweep-demo.params")
+	spec, err := loadSpec("params/sweep-demo.params", campaign.FromConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,13 +65,13 @@ func TestRunCampaignThroughFacade(t *testing.T) {
 }
 
 func TestEncounterPresetsThroughFacade(t *testing.T) {
-	names := EncounterPresetNames()
+	names := encounter.PresetNames()
 	if len(names) < 7 {
 		t.Fatalf("%d presets, want >= 7", len(names))
 	}
 	for _, name := range names {
-		if _, err := EncounterPreset(name); err != nil {
-			t.Errorf("EncounterPreset(%q): %v", name, err)
+		if _, err := encounter.Preset(name); err != nil {
+			t.Errorf("encounter.Preset(%q): %v", name, err)
 		}
 	}
 }

@@ -108,7 +108,8 @@ func TestOnePathParity(t *testing.T) {
 }
 
 // TestRerunResumes: rerunning into an existing checkpoint resumes from it
-// without evaluating again, and a checkpoint of another spec is an error.
+// without evaluating again, and a checkpoint of another spec (another seed
+// or another system under test) is an error.
 func TestRerunResumes(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "s")
 	args := []string{"-out", base, "search.system=svo", "pop.size=6", "generations=2", "search.sims=3"}
@@ -124,6 +125,9 @@ func TestRerunResumes(t *testing.T) {
 	}
 	if err := run(append(args, "seed=9"), io.Discard); err == nil || !strings.Contains(err.Error(), "different spec") {
 		t.Errorf("rerun under another seed: %v, want a checkpoint fingerprint error", err)
+	}
+	if err := run(append(args, "search.system=none"), io.Discard); err == nil || !strings.Contains(err.Error(), "different spec") {
+		t.Errorf("rerun under another system: %v, want a checkpoint fingerprint error", err)
 	}
 }
 

@@ -25,7 +25,7 @@
 //
 // A job writes under the artifact base <state>/<job-id> the files its
 // command writes under -out BASE: sweep for a campaign, casearch for a
-// search, mceval for a rare job (whose episodes run on -workers).
+// search, mceval for a rare job (search and rare episodes run on -workers).
 //
 // SIGINT/SIGTERM shut down gracefully: in-flight cells finish and are
 // journaled, long-running jobs stop at their next checkpoint boundary,
@@ -62,7 +62,7 @@ func run() error {
 		tablePath   = flag.String("table", "", "logic table path (built on the fly when a submitted job needs one)")
 		full        = flag.Bool("full", false, "build the full-resolution table instead of the coarse one")
 		withTable   = flag.Bool("with-table", false, "build/load the logic table at startup so table-backed systems are accepted")
-		workers     = flag.Int("workers", 0, "concurrent campaign cells and rare-job episode workers (0 = NumCPU)")
+		workers     = flag.Int("workers", 0, "concurrent campaign cells and the episode workers of search and rare jobs (0 = NumCPU)")
 		retries     = flag.Int("retries", 0, "attempts per cell before quarantine (0 = default 3)")
 		cellTimeout = flag.Duration("cell-timeout", 0, "per-attempt cell deadline (0 = none)")
 		backoff     = flag.Duration("backoff", 0, "base retry backoff, doubled per attempt with jitter (0 = default 50ms)")

@@ -15,6 +15,7 @@ import (
 	"math"
 	"testing"
 
+	"acasxval/internal/encounter"
 	"acasxval/internal/search"
 )
 
@@ -41,8 +42,8 @@ func TestCrossProductSimulatesCleanly(t *testing.T) {
 
 	for _, sysName := range systems.Names() {
 		factory := systems[sysName]
-		for _, presetName := range EncounterPresetNames() {
-			preset, err := EncounterPreset(presetName)
+		for _, presetName := range encounter.PresetNames() {
+			preset, err := encounter.Preset(presetName)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,7 +110,7 @@ func TestCrossProductSimulatesCleanly(t *testing.T) {
 					if loaded[0].Geometry != wantLabel {
 						t.Errorf("stored geometry label %q, want %q", loaded[0].Geometry, wantLabel)
 					}
-					p, err := loaded[0].EncounterParams()
+					p, err := encounter.FromVector(loaded[0].Params)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -15,18 +15,17 @@
 //     receding-horizon candidate-trajectory MPC and an artificial
 //     potential field. Every backend is constructed by name through one
 //     registry — NewSystem(ctx, SystemSpec{Name: "mpc", Params: ...}) —
-//     SystemNames enumerates the menu, LookupSystem documents each
-//     backend's parameters, and RegisterSystem extends the menu so
-//     campaigns and CLIs pick up new methods without modification. All
-//     backends speak the engine's multi-intruder AvoidanceSystem contract
-//     (DecideTracks over every surveilled threat per cycle); AdaptSystem
-//     lifts classic pairwise systems onto it bit-identically.
+//     SystemNames enumerates the menu and LookupSystem documents each
+//     backend's parameters, so campaigns and CLIs pick up a newly
+//     registered method without modification. All backends speak the
+//     engine's multi-intruder decision contract (DecideTracks over every
+//     surveilled threat per cycle).
 //
 //   - The paper's contribution: a Genetic-Algorithm-based search for
 //     challenging encounter situations where the generated logic performs
 //     poorly (RunSearchContext at one island is the paper's single
 //     population), with a uniform random search baseline scored through
-//     the same fitness path (RandomSearch) and a Monte-Carlo risk
+//     the same fitness path (casearch -baseline) and a Monte-Carlo risk
 //     estimation harness (EstimateRiskContext) for the validation path the
 //     GA approach complements.
 //
@@ -46,12 +45,11 @@
 // run-config and sample-count variants), RunCampaignContext fans it out
 // over a deterministic seed-derived worker pool, streams one JSONL record per
 // cell, and ranks systems by risk ratio against the unequipped baseline.
-// Specs load from ECJ-style parameter files (LoadCampaignSpec), so
-// campaigns are checked-in, versioned artifacts; cmd/sweep is the
-// command-line driver.
+// Specs load from ECJ-style parameter files, so campaigns are
+// checked-in, versioned artifacts; cmd/sweep runs them from the command line.
 //
 // Sweeps and searches close into a loop. The island-model adversarial
-// search engine (RunSearchContext, SearchSpec, LoadSearchSpec) evolves N
+// search engine (RunSearchContext, SearchSpec) evolves N
 // concurrent island populations with ring migration, scoring every genome
 // through the same Monte-Carlo harness the campaigns use; its initial
 // populations can seed from a prior sweep's worst cells (SweepSeedGenomes),
@@ -72,8 +70,7 @@
 // equipped executives query the logic table per intruder and fuse
 // advisories most-restrictive-first, and monitors score the minimum over
 // every ownship-intruder pair. Three multi-intruder presets ship
-// (MultiPresetConvergingPair, MultiPresetCrossingStream,
-// MultiPresetSandwich; MultiEncounterPreset resolves them and every
+// (MultiEncounterPresetNames; MultiEncounterPreset resolves them and every
 // pairwise preset by name), EstimateMultiRareRiskContext evaluates a
 // K-intruder statistical airspace (DefaultMultiEncounterModel), campaign specs mix
 // pairwise and multi presets on one scenario axis (campaign.intruders
@@ -106,7 +103,7 @@
 // Where brute-force Monte Carlo runs out — certifying probabilities far
 // smaller than 1/samples — a rare-event estimator family takes over
 // behind one switch (EstimateMultiRareRiskContext, RareEventSpec,
-// RareEventMethods):
+// DefaultRareEventSpec):
 // importance sampling from a defensive mixture whose kernels center on
 // danger-archive genomes (ArchiveProposalKernels turns the adversarial
 // search's failure region into the proposal; "is" is unbiased, "snis"

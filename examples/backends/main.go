@@ -1,9 +1,8 @@
 // Backend registry walkthrough: enumerate every registered collision
 // avoidance backend (SystemNames), construct each from a SystemSpec, and
 // sweep them all over one preset geometry with the Monte-Carlo harness,
-// ranking the menu by risk ratio against the unequipped baseline. Adding a
-// backend with RegisterSystem would add a row here without touching this
-// program.
+// ranking the menu by risk ratio against the unequipped baseline. A newly
+// registered backend would add a row here without touching this program.
 package main
 
 import (

@@ -11,10 +11,10 @@
 //  4. report every estimate with its 95% interval, effective sample size
 //     and measured variance-reduction factor against brute force.
 //
-// The kernel rows stand in for a casearch danger archive: genomes that
+// The archive entries stand in for a casearch danger archive: genomes that
 // agree on small miss distances while scattering across the nuisance
 // dimensions. In a real pipeline they come from
-// acasxval.ArchiveProposalKernels(archive).
+// acasxval.LoadDangerArchive("BASE.archive.jsonl").
 package main
 
 import (
@@ -37,14 +37,19 @@ func main() {
 	model.Ranges.HorizontalMissDistance = encounter.Range{Min: 0, Max: 8000}
 	model.Ranges.VerticalMissDistance = encounter.Range{Min: -400, Max: 400}
 
-	// Danger-archive-style kernels in genome order
+	// Danger-archive entries in genome order
 	// {Gs_o, Vs_o, T, R, theta, Y, Gs_i, psi_i, Vs_i}: agreement on small
-	// R and Y, scatter elsewhere.
-	kernels := [][]float64{
-		{28, 5, 25, 60, 1.0, -70, 30, 5.0, -5},
-		{54, -5, 35, 350, 2.5, 25, 55, 2.0, 5},
-		{48, 3, 22, 800, 4.5, 65, 25, 0.5, -4},
-		{30, -4, 38, 1500, 5.8, -20, 50, 3.5, 4},
+	// R and Y, scatter elsewhere. Their parameter vectors become the
+	// importance-sampling proposal kernels.
+	archive := []acasxval.DangerArchiveEntry{
+		{Name: "d1", Params: []float64{28, 5, 25, 60, 1.0, -70, 30, 5.0, -5}},
+		{Name: "d2", Params: []float64{54, -5, 35, 350, 2.5, 25, 55, 2.0, 5}},
+		{Name: "d3", Params: []float64{48, 3, 22, 800, 4.5, 65, 25, 0.5, -4}},
+		{Name: "d4", Params: []float64{30, -4, 38, 1500, 5.8, -20, 50, 3.5, 4}},
+	}
+	kernels, err := acasxval.ArchiveProposalKernels(archive)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	ctx := context.Background()

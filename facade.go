@@ -1,11 +1,8 @@
 package acasxval
 
 import (
-	"context"
-
 	"acasxval/internal/acasx"
 	"acasxval/internal/campaign"
-	"acasxval/internal/core"
 	"acasxval/internal/encounter"
 	"acasxval/internal/fault"
 	"acasxval/internal/ga"
@@ -25,20 +22,12 @@ type (
 	TableConfig = acasx.Config
 	// Table is a generated or loaded ACAS XU-style logic table.
 	Table = acasx.Table
-	// Advisory is a resolution advisory.
-	Advisory = acasx.Advisory
-	// Logic is the online advisory executive around a Table.
-	Logic = acasx.Logic
-	// SenseMask restricts advisory senses (coordination constraints).
-	SenseMask = acasx.SenseMask
 
 	// EncounterParams are the paper's nine encounter parameters.
 	EncounterParams = encounter.Params
 	// MultiEncounterParams describe a one-ownship, K-intruder encounter:
 	// one pairwise EncounterParams per intruder sharing the ownship state.
 	MultiEncounterParams = encounter.MultiParams
-	// EncounterRanges bound the encounter search space.
-	EncounterRanges = encounter.Ranges
 	// Geometry classifies an encounter (head-on / tail approach /
 	// crossing).
 	Geometry = encounter.Geometry
@@ -47,14 +36,8 @@ type (
 	RunConfig = sim.RunConfig
 	// RunResult summarizes one simulated encounter.
 	RunResult = sim.Result
-	// TrajectoryPoint is one recorded trajectory sample.
-	TrajectoryPoint = sim.TrajectoryPoint
 	// System is a pluggable collision avoidance system under test.
 	System = sim.System
-	// AvoidanceSystem is the multi-intruder-first decision contract the
-	// encounter engine consults; pairwise Systems are lifted onto it with
-	// AdaptSystem.
-	AvoidanceSystem = sim.AvoidanceSystem
 
 	// SystemSpec names a registered system backend and optionally
 	// overrides scalar parameters of its default configuration.
@@ -64,18 +47,10 @@ type (
 	SystemContext = sys.Context
 	// SystemBackend is one registered collision avoidance backend.
 	SystemBackend = sys.Backend
-	// SystemParamDoc documents one overridable backend parameter.
-	SystemParamDoc = sys.ParamDoc
 
-	// GAParams configure the genetic algorithm.
-	GAParams = ga.Params
-	// GenerationStats summarize one GA generation.
-	GenerationStats = ga.GenerationStats
 	// Evaluation is one recorded fitness evaluation.
 	Evaluation = ga.Evaluation
 
-	// FitnessConfig parameterizes the paper's fitness function.
-	FitnessConfig = core.FitnessConfig
 	// SystemFactory builds fresh systems for one evaluation.
 	SystemFactory = montecarlo.SystemFactory
 
@@ -113,12 +88,6 @@ type (
 	// CampaignSpec declares a validation campaign: scenarios x systems x
 	// configuration variants.
 	CampaignSpec = campaign.Spec
-	// CampaignVariant is one run-configuration axis point of a campaign.
-	CampaignVariant = campaign.Variant
-	// CampaignCell is one evaluated cell of the campaign cross-product.
-	CampaignCell = campaign.CellResult
-	// CampaignSummary is one ranked (system, variant) aggregate.
-	CampaignSummary = campaign.SystemSummary
 	// CampaignResult is the outcome of a campaign run.
 	CampaignResult = campaign.Result
 	// CampaignSystems maps system names to factories for campaign runs.
@@ -135,29 +104,15 @@ type (
 
 	// SearchSpec declares an island-model adversarial search.
 	SearchSpec = search.Spec
-	// SearchOptions control one search invocation (checkpointing, resume,
+	// SearchOptions control one search invocation (checkpoint path,
 	// early stop, progress observer).
 	SearchOptions = search.Options
 	// IslandSearchResult is the outcome of an island-model search.
 	IslandSearchResult = search.Result
-	// RandomSearchResult is the outcome of the uniform random baseline.
-	RandomSearchResult = search.RandomResult
 	// IslandStats is one island's per-generation progress report.
 	IslandStats = search.IslandStats
-	// DangerArchive is the deduplicated store of discovered dangerous
-	// encounters.
-	DangerArchive = search.Archive
 	// DangerArchiveEntry is one archived dangerous encounter.
 	DangerArchiveEntry = search.ArchiveEntry
-)
-
-// Advisories.
-const (
-	COC                   = acasx.COC
-	Climb1500             = acasx.Climb1500
-	Descend1500           = acasx.Descend1500
-	StrengthenClimb2500   = acasx.StrengthenClimb2500
-	StrengthenDescend2500 = acasx.StrengthenDescend2500
 )
 
 // DefaultTableConfig returns the full-resolution logic-table
@@ -172,12 +127,9 @@ func CoarseTableConfig() TableConfig { return acasx.CoarseConfig() }
 // induction value iteration over the encounter MDP.
 func BuildLogicTable(cfg TableConfig) (*Table, error) { return acasx.BuildTable(cfg) }
 
-// LoadLogicTable reads a table produced by Table.Save.
-func LoadLogicTable(path string) (*Table, error) { return acasx.LoadTable(path) }
-
 // NewSystem constructs a collision avoidance system from the central
 // backend registry: spec.Name selects the backend ("acasx", "belief",
-// "svo", "mpc", "apf", "none", or anything added with RegisterSystem),
+// "svo", "mpc", "apf", "none"),
 // spec.Params overrides its documented scalar parameters, and ctx supplies
 // the logic table for the table-driven executives.
 func NewSystem(ctx SystemContext, spec SystemSpec) (System, error) {
@@ -191,20 +143,12 @@ func NewSystemFactory(ctx SystemContext, spec SystemSpec) (func() (System, Syste
 	return sys.PairFactory(ctx, spec)
 }
 
-// RegisterSystem adds a backend to the registry, making its name available
-// to NewSystem, the campaign system axis and the CLI -system flags.
-func RegisterSystem(b SystemBackend) error { return sys.Register(b) }
-
 // SystemNames lists the registered backend names in sorted order.
 func SystemNames() []string { return sys.Names() }
 
 // LookupSystem returns the named backend's registration (documentation,
 // parameter docs, table requirement).
 func LookupSystem(name string) (SystemBackend, bool) { return sys.Lookup(name) }
-
-// AdaptSystem lifts a pairwise System onto the engine's multi-intruder
-// AvoidanceSystem contract (systems already implementing it pass through).
-func AdaptSystem(s System) AvoidanceSystem { return sim.Adapt(s) }
 
 // NoAvoidance returns the unequipped baseline system: it never commands.
 // It is stateless, so one value can equip any number of aircraft.
@@ -217,30 +161,16 @@ var Unequipped = montecarlo.Unequipped
 // DefaultRunConfig returns the paper-style simulation configuration.
 func DefaultRunConfig() RunConfig { return sim.DefaultRunConfig() }
 
-// FaultPreset looks up a named surveillance degradation profile
-// (FaultPresetNames lists the valid names; "none" is the clean channel).
+// FaultPreset looks up a named surveillance degradation profile ("none",
+// "light", "moderate" or "severe"; "none" is the clean channel).
 func FaultPreset(name string) (FaultProfile, error) { return fault.Preset(name) }
 
-// FaultPresetNames lists the degradation presets in a stable order.
-func FaultPresetNames() []string { return fault.PresetNames() }
-
-// RunEncounter simulates one encounter (deterministic under seed).
-// Callers running many episodes should hold an EncounterRunner and call
-// its Run method instead: it reuses the whole simulation world, while
-// RunEncounter rebuilds one per call.
+// RunEncounter simulates one encounter (deterministic under seed). It
+// builds a fresh simulation world per call; the Monte-Carlo estimates
+// reuse one world per worker instead.
 func RunEncounter(p EncounterParams, own, intruder System, cfg RunConfig, seed uint64) (RunResult, error) {
 	return sim.RunEncounter(p, own, intruder, cfg, seed)
 }
-
-// EncounterRunner is a reusable simulation world: fleet, trackers,
-// monitors and RNG streams persist across episodes, so steady-state
-// episode throughput is allocation-free. Results are bit-identical to
-// RunEncounter/RunMultiEncounter under the same seeds. Not safe for
-// concurrent use; each goroutine owns one.
-type EncounterRunner = sim.Runner
-
-// NewEncounterRunner builds a reusable simulation world for cfg.
-func NewEncounterRunner(cfg RunConfig) (*EncounterRunner, error) { return sim.NewRunner(cfg) }
 
 // RunMultiEncounter simulates one encounter between the ownship and the
 // scenario's K intruders: systems[0] equips the ownship, systems[j]
@@ -252,50 +182,19 @@ func RunMultiEncounter(m MultiEncounterParams, systems []System, cfg RunConfig, 
 	return sim.RunMultiEncounter(m, systems, cfg, seed)
 }
 
-// DefaultEncounterRanges returns the section VII search space.
-func DefaultEncounterRanges() EncounterRanges { return encounter.DefaultRanges() }
-
 // Preset encounters from the paper's figures.
 var (
 	// PresetHeadOn is the Fig. 5 head-on geometry.
 	PresetHeadOn = encounter.PresetHeadOn
 	// PresetTailApproach is the Figs. 7-8 tail-approach geometry.
 	PresetTailApproach = encounter.PresetTailApproach
-	// PresetCrossing is a perpendicular crossing conflict.
-	PresetCrossing = encounter.PresetCrossing
-	// PresetVerticalConvergence is a vertically-created conflict.
-	PresetVerticalConvergence = encounter.PresetVerticalConvergence
-	// PresetOvertake is a parallel-track overtake from astern.
-	PresetOvertake = encounter.PresetOvertake
-	// PresetClimbingCrossing is a crossing intruder climbing through the
-	// own-ship's altitude.
-	PresetClimbingCrossing = encounter.PresetClimbingCrossing
-	// PresetOffsetHeadOn is a head-on geometry offset in both axes.
-	PresetOffsetHeadOn = encounter.PresetOffsetHeadOn
-)
-
-// EncounterPreset looks up a named encounter preset; EncounterPresetNames
-// lists the valid names.
-func EncounterPreset(name string) (EncounterParams, error) { return encounter.Preset(name) }
-
-// EncounterPresetNames lists the available encounter presets.
-func EncounterPresetNames() []string { return encounter.PresetNames() }
-
-// Multi-intruder preset encounters: the canonical K >= 2 geometries
-// integrated-airspace traffic produces and pairwise validation never
-// exercises.
-var (
-	// MultiPresetConvergingPair is a simultaneous two-sided convergence.
-	MultiPresetConvergingPair = encounter.MultiPresetConvergingPair
-	// MultiPresetCrossingStream is three crossers with staggered CPAs.
-	MultiPresetCrossingStream = encounter.MultiPresetCrossingStream
-	// MultiPresetSandwich is a vertical pincer from above and below.
-	MultiPresetSandwich = encounter.MultiPresetSandwich
 )
 
 // MultiEncounterPreset looks up a named preset as a K-intruder encounter:
-// the multi-intruder names (MultiEncounterPresetNames) plus every pairwise
-// preset wrapped as a single-intruder encounter.
+// the multi-intruder names (MultiEncounterPresetNames: the canonical K >= 2
+// geometries integrated-airspace traffic produces and pairwise validation
+// never exercises) plus every pairwise preset wrapped as a single-intruder
+// encounter.
 func MultiEncounterPreset(name string) (MultiEncounterParams, error) {
 	return encounter.MultiPreset(name)
 }
@@ -334,13 +233,10 @@ func RiskRatio(equipped, unequipped *RiskEstimate) (float64, error) {
 }
 
 // DefaultRareEventSpec returns a ready-to-run rare-event estimator spec for
-// the given method (see RareEventMethods).
+// the given method: "bruteforce", "is", "snis" or "split".
 func DefaultRareEventSpec(method string) RareEventSpec {
 	return montecarlo.DefaultRareEventSpec(method)
 }
-
-// RareEventMethods lists the rare-event estimator method names.
-func RareEventMethods() []string { return montecarlo.Methods() }
 
 // ArchiveProposalKernels converts danger-archive entries
 // (LoadDangerArchive) into importance-sampling proposal kernels for
@@ -354,30 +250,14 @@ func ArchiveProposalKernels(entries []DangerArchiveEntry) ([][]float64, error) {
 // against the unequipped baseline.
 func DefaultCampaignSpec() CampaignSpec { return campaign.DefaultSpec() }
 
-// LoadCampaignSpec reads a campaign declaration from an ECJ-style parameter
-// file (see campaign.FromConfig for the recognized keys).
-func LoadCampaignSpec(path string) (CampaignSpec, error) { return campaign.Load(path) }
-
 // DefaultCampaignSystems returns every registered backend under its
 // default configuration for campaign runs: "none", "svo", "mpc" and "apf"
-// always, plus "acasx" and "belief" when table is non-nil (and any backend
-// added with RegisterSystem).
+// always, plus "acasx" and "belief" when table is non-nil.
 func DefaultCampaignSystems(table *Table) CampaignSystems { return campaign.DefaultSystems(table) }
 
 // DefaultSearchSpec returns the paper-scale island search: 4 islands of 50
 // individuals (the paper's total population of 200) for 5 generations.
 func DefaultSearchSpec() SearchSpec { return search.DefaultSpec() }
-
-// LoadSearchSpec reads an island-search declaration from an ECJ-style
-// parameter file (see search.FromConfig for the recognized keys).
-func LoadSearchSpec(path string) (SearchSpec, error) { return search.Load(path) }
-
-// RandomSearch is the uniform random baseline of the search: n genomes
-// drawn from spec's full genome bounds on a stream salted from spec.Seed,
-// each scored through the same fitness path as RunSearchContext.
-func RandomSearch(ctx context.Context, spec SearchSpec, factory SystemFactory, n int) (*RandomSearchResult, error) {
-	return search.RandomSearch(ctx, spec, factory, n)
-}
 
 // LoadDangerArchive reads a danger-archive JSONL file written by a search.
 func LoadDangerArchive(path string) ([]DangerArchiveEntry, error) {

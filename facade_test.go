@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"acasxval/internal/acasx"
 	"acasxval/internal/core"
 	"acasxval/internal/encounter"
 	"acasxval/internal/grid2d"
@@ -68,7 +69,7 @@ func TestTableSaveLoadThroughFacade(t *testing.T) {
 	if err := table.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadLogicTable(path)
+	loaded, err := acasx.LoadTable(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,8 +205,8 @@ func TestNewSystemThroughFacade(t *testing.T) {
 			continue
 		}
 		// Every backend runs through the engine's multi-intruder contract.
-		if AdaptSystem(sys) == nil {
-			t.Errorf("%s: AdaptSystem returned nil", name)
+		if sim.Adapt(sys) == nil {
+			t.Errorf("%s: sim.Adapt returned nil", name)
 		}
 	}
 	if _, err := NewSystem(ctx, SystemSpec{Name: "bogus"}); err == nil {

@@ -10,11 +10,12 @@ import (
 	"reflect"
 	"testing"
 
+	"acasxval/internal/fault"
 	"acasxval/internal/sim"
 )
 
 func TestFaultPresetsThroughFacade(t *testing.T) {
-	names := FaultPresetNames()
+	names := fault.PresetNames()
 	if len(names) < 4 {
 		t.Fatalf("%d fault presets, want >= 4", len(names))
 	}

@@ -85,20 +85,43 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// advisories lists all advisories in index order.
+func advisories() []Advisory {
+	return []Advisory{COC, Climb1500, Descend1500, StrengthenClimb2500, StrengthenDescend2500}
+}
+
+// mirror returns the advisory with the opposite sense (COC mirrors to
+// itself). The offline model is symmetric under h -> -h with senses
+// swapped; the symmetry tests exploit this.
+func mirror(a Advisory) Advisory {
+	switch a {
+	case Climb1500:
+		return Descend1500
+	case Descend1500:
+		return Climb1500
+	case StrengthenClimb2500:
+		return StrengthenDescend2500
+	case StrengthenDescend2500:
+		return StrengthenClimb2500
+	default:
+		return a
+	}
+}
+
 func TestAdvisoryProperties(t *testing.T) {
-	if len(Advisories()) != NumAdvisories {
+	if len(advisories()) != NumAdvisories {
 		t.Fatal("advisory list size mismatch")
 	}
-	for _, a := range Advisories() {
+	for _, a := range advisories() {
 		if !a.Valid() {
 			t.Errorf("%v invalid", a)
 		}
-		// Mirror is an involution and flips the sense.
-		if a.Mirror().Mirror() != a {
-			t.Errorf("Mirror not an involution for %v", a)
+		// mirror is an involution and flips the sense.
+		if mirror(mirror(a)) != a {
+			t.Errorf("mirror not an involution for %v", a)
 		}
-		if a.Sense() != SenseNone && a.Mirror().Sense() != -a.Sense() {
-			t.Errorf("Mirror of %v does not flip sense", a)
+		if a.Sense() != SenseNone && mirror(a).Sense() != -a.Sense() {
+			t.Errorf("mirror of %v does not flip sense", a)
 		}
 		if a.Sense() == SenseUp && a.TargetRate() <= 0 {
 			t.Errorf("%v has non-positive target rate", a)
@@ -123,7 +146,7 @@ func TestAdvisoryProperties(t *testing.T) {
 
 func TestSenseMask(t *testing.T) {
 	none := SenseMask{}
-	for _, a := range Advisories() {
+	for _, a := range advisories() {
 		if !none.Allows(a) {
 			t.Errorf("empty mask bans %v", a)
 		}
@@ -262,10 +285,10 @@ func TestMirrorSymmetry(t *testing.T) {
 	}
 	for _, s := range states {
 		for tau := 2.0; tau <= 20; tau += 6 {
-			for _, ra := range Advisories() {
-				for _, a := range Advisories() {
+			for _, ra := range advisories() {
+				for _, a := range advisories() {
 					q1 := table.QValue(tau, s.h, s.dh0, s.dh1, ra, a)
-					q2 := table.QValue(tau, -s.h, -s.dh0, -s.dh1, ra.Mirror(), a.Mirror())
+					q2 := table.QValue(tau, -s.h, -s.dh0, -s.dh1, mirror(ra), mirror(a))
 					if math.Abs(q1-q2) > 1e-6*(1+math.Abs(q1)) {
 						t.Fatalf("mirror symmetry violated at h=%v tau=%v ra=%v a=%v: %v vs %v",
 							s.h, tau, ra, a, q1, q2)
@@ -554,8 +577,8 @@ func TestLogicLifecycle(t *testing.T) {
 	if !d.NewAlert {
 		t.Error("first alert not flagged as new")
 	}
-	if logic.Alerts() != 1 {
-		t.Errorf("alert count = %d", logic.Alerts())
+	if logic.alerts != 1 {
+		t.Errorf("alert count = %d", logic.alerts)
 	}
 	cmd, ok := d.Command()
 	if !ok {
@@ -604,8 +627,8 @@ func TestLogicReversalAccounting(t *testing.T) {
 	}
 	d2 := logic.Decide(own, geom.Vec3{X: 1100, Z: -30}, geom.Vec3{X: -50}, mask)
 	if d2.Advisory.Sense() != SenseNone && d2.Advisory.Sense() != d1.Advisory.Sense() {
-		if logic.Reversals() != 1 {
-			t.Errorf("reversal count = %d, want 1", logic.Reversals())
+		if logic.reversals != 1 {
+			t.Errorf("reversal count = %d, want 1", logic.reversals)
 		}
 		if !d2.Reversal {
 			t.Error("reversal not flagged")

@@ -40,11 +40,6 @@ const (
 // NumAdvisories is the size of the action set.
 const NumAdvisories = 5
 
-// Advisories lists all advisories in index order.
-func Advisories() []Advisory {
-	return []Advisory{COC, Climb1500, Descend1500, StrengthenClimb2500, StrengthenDescend2500}
-}
-
 // String implements fmt.Stringer.
 func (a Advisory) String() string {
 	switch a {
@@ -107,24 +102,6 @@ func (a Advisory) TargetRate() float64 {
 		return geom.FPM(-2500)
 	default:
 		return 0
-	}
-}
-
-// Mirror returns the advisory with the opposite sense (COC mirrors to
-// itself). The offline model is symmetric under h -> -h with senses
-// swapped; tests exploit this.
-func (a Advisory) Mirror() Advisory {
-	switch a {
-	case Climb1500:
-		return Descend1500
-	case Descend1500:
-		return Climb1500
-	case StrengthenClimb2500:
-		return StrengthenDescend2500
-	case StrengthenDescend2500:
-		return StrengthenClimb2500
-	default:
-		return a
 	}
 }
 

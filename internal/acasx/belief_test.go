@@ -88,8 +88,8 @@ func TestBeliefLifecycle(t *testing.T) {
 	if !d.Alerting || !d.NewAlert {
 		t.Fatalf("imminent threat not alerted: %+v", d)
 	}
-	if belief.Alerts() != 1 {
-		t.Errorf("alerts = %d", belief.Alerts())
+	if belief.alerts != 1 {
+		t.Errorf("alerts = %d", belief.alerts)
 	}
 	// Advisory is held while still converging even if the gap opens.
 	d2 := belief.Decide(own, geom.Vec3{X: 600, Z: 200}, geom.Vec3{X: -50}, SenseMask{})
@@ -97,7 +97,7 @@ func TestBeliefLifecycle(t *testing.T) {
 		t.Error("advisory dropped while converging")
 	}
 	belief.Reset()
-	if belief.Advisory() != COC || belief.Alerts() != 0 {
+	if belief.Advisory() != COC || belief.alerts != 0 {
 		t.Error("reset incomplete")
 	}
 	// Diverging traffic: clear.

@@ -181,10 +181,10 @@ func TestExecutiveDecisionGolden(t *testing.T) {
 					line := goldenDecision{
 						Run: run, Episode: ep, Step: step,
 						Adv: d.Advisory, Tau: d.Tau, H: d.H, Flags: decisionFlags(d),
-						Advisory: logic.Advisory(), Alerts: logic.Alerts(),
+						Advisory: logic.Advisory(), Alerts: logic.alerts,
 					}
 					if ex.name == "point" {
-						n := logic.Reversals()
+						n := logic.reversals
 						line.Revs = &n
 					}
 					if err := enc.Encode(line); err != nil {
@@ -252,9 +252,9 @@ func FuzzDecideMultiPermutation(f *testing.F) {
 				da := a.DecideMulti(own, tracks, mask)
 				db := b.DecideMulti(own, permuted, mask)
 				da.H, db.H = 0, 0
-				if da != db || a.Alerts() != b.Alerts() || a.Reversals() != b.Reversals() {
+				if da != db || a.alerts != b.alerts || a.reversals != b.reversals {
 					t.Fatalf("%s step %d perm %v: %+v (alerts %d, reversals %d) != permuted %+v (alerts %d, reversals %d)",
-						ex.name, step, perm, da, a.Alerts(), a.Reversals(), db, b.Alerts(), b.Reversals())
+						ex.name, step, perm, da, a.alerts, a.reversals, db, b.alerts, b.reversals)
 				}
 				g.advance(da.Advisory)
 			}

@@ -61,7 +61,7 @@ func TestSharedWeightLookupGolden(t *testing.T) {
 				// Reference: the original per-action argmax over QValue.
 				wantBest, wantFound := COC, false
 				wantQ := math.Inf(-1)
-				for _, a := range Advisories() {
+				for _, a := range advisories() {
 					if !mask.Allows(a) {
 						continue
 					}

@@ -59,12 +59,6 @@ func NewLogic(table *Table) *Logic {
 // Advisory returns the currently active advisory.
 func (l *Logic) Advisory() Advisory { return l.advisory }
 
-// Alerts returns the number of COC -> advisory transitions so far.
-func (l *Logic) Alerts() int { return l.alerts }
-
-// Reversals returns the number of sense reversals so far.
-func (l *Logic) Reversals() int { return l.reversals }
-
 // Reset clears the advisory state (new encounter).
 func (l *Logic) Reset() {
 	l.advisory = COC

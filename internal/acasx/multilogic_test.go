@@ -44,11 +44,11 @@ func TestDecideMultiSingleTrackMatchesDecide(t *testing.T) {
 			t.Fatalf("step %d: DecideMulti %+v != Decide %+v", step, got, want)
 		}
 	}
-	if pair.Alerts() != multi.Alerts() || pair.Advisory() != multi.Advisory() ||
-		pair.Reversals() != multi.Reversals() {
+	if pair.alerts != multi.alerts || pair.Advisory() != multi.Advisory() ||
+		pair.reversals != multi.reversals {
 		t.Fatalf("state diverged: alerts %d/%d advisory %v/%v reversals %d/%d",
-			pair.Alerts(), multi.Alerts(), pair.Advisory(), multi.Advisory(),
-			pair.Reversals(), multi.Reversals())
+			pair.alerts, multi.alerts, pair.Advisory(), multi.Advisory(),
+			pair.reversals, multi.reversals)
 	}
 }
 
@@ -74,9 +74,9 @@ func TestBeliefDecideMultiSingleTrackMatchesDecide(t *testing.T) {
 			t.Fatalf("step %d: DecideMulti %+v != Decide %+v", step, got, want)
 		}
 	}
-	if pair.Alerts() != multi.Alerts() || pair.Advisory() != multi.Advisory() {
+	if pair.alerts != multi.alerts || pair.Advisory() != multi.Advisory() {
 		t.Fatalf("state diverged: alerts %d/%d advisory %v/%v",
-			pair.Alerts(), multi.Alerts(), pair.Advisory(), multi.Advisory())
+			pair.alerts, multi.alerts, pair.Advisory(), multi.Advisory())
 	}
 }
 

@@ -47,41 +47,3 @@ func advisoryGlyph(a Advisory) byte {
 		return '.'
 	}
 }
-
-// BestAdvisoryNearest is the nearest-neighbour variant of BestAdvisory: the
-// query snaps to the closest grid vertex and integer tau slice instead of
-// interpolating. Provided for the interpolation ablation (the paper's
-// section IV lists interpolation of the discretized state space as a
-// potential inaccuracy source).
-func (t *Table) BestAdvisoryNearest(tau, h, dh0, dh1 float64, ra Advisory, mask SenseMask) (Advisory, bool) {
-	if !ra.Valid() {
-		return COC, false
-	}
-	if tau < 0 {
-		tau = 0
-	}
-	k := int(tau + 0.5)
-	if k > t.Horizon() {
-		k = t.Horizon()
-	}
-	pt := [3]float64{h, dh0, dh1}
-	flat, err := t.grid.Nearest(pt[:])
-	if err != nil {
-		return COC, false
-	}
-	best := COC
-	bestQ := 0.0
-	found := false
-	for _, a := range Advisories() {
-		if !mask.Allows(a) {
-			continue
-		}
-		q := t.q[k][int(a)*t.stateSize()+int(ra)*t.contSize+flat]
-		if !found || q > bestQ {
-			bestQ = q
-			best = a
-			found = true
-		}
-	}
-	return best, found
-}

@@ -29,43 +29,3 @@ func TestRenderPolicySlice(t *testing.T) {
 		t.Error("row fallback failed")
 	}
 }
-
-func TestBestAdvisoryNearestAgreesOnVertices(t *testing.T) {
-	table := getCoarseTable(t)
-	// On exact grid vertices and integer taus, nearest and interpolated
-	// lookups must agree.
-	for _, h := range table.grid.Axis(0) {
-		for _, tau := range []float64{0, 5, 10, 20} {
-			ni, ok1 := table.BestAdvisoryNearest(tau, h, 0, 0, COC, SenseMask{})
-			ii, ok2 := table.BestAdvisory(tau, h, 0, 0, COC, SenseMask{})
-			if !ok1 || !ok2 {
-				t.Fatal("lookup failed")
-			}
-			// Q-value ties can differ in argmax; compare the Q values of
-			// the two choices instead of the identities.
-			qn := table.QValue(tau, h, 0, 0, COC, ni)
-			qi := table.QValue(tau, h, 0, 0, COC, ii)
-			if qn < qi-1e-9 {
-				t.Errorf("h=%v tau=%v: nearest pick %v strictly worse than interpolated %v", h, tau, ni, ii)
-			}
-		}
-	}
-}
-
-func TestBestAdvisoryNearestMask(t *testing.T) {
-	table := getCoarseTable(t)
-	adv, ok := table.BestAdvisoryNearest(10, 0, 0, 0, COC, SenseMask{BanUp: true, BanDown: true})
-	if !ok || adv != COC {
-		t.Errorf("fully-masked nearest lookup = %v (ok=%v)", adv, ok)
-	}
-	if _, ok := table.BestAdvisoryNearest(10, 0, 0, 0, Advisory(77), SenseMask{}); ok {
-		t.Error("invalid advisory state accepted")
-	}
-	// Clamping: negative and huge taus.
-	if a, ok := table.BestAdvisoryNearest(-3, 0, 0, 0, COC, SenseMask{}); !ok || !a.Valid() {
-		t.Error("negative tau lookup failed")
-	}
-	if a, ok := table.BestAdvisoryNearest(1e9, 0, 0, 0, COC, SenseMask{}); !ok || !a.Valid() {
-		t.Error("huge tau lookup failed")
-	}
-}

@@ -108,7 +108,7 @@ func TestExplicitScenarios(t *testing.T) {
 		if len(c.Params) != encounter.NumParams {
 			t.Fatalf("cell %d has %d params, want %d", c.Index, len(c.Params), encounter.NumParams)
 		}
-		p, err := c.EncounterParams()
+		p, err := encounter.FromVector(c.Params)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,7 +34,7 @@ func TestMultiPresetAxisMixesPairwiseAndMulti(t *testing.T) {
 			t.Errorf("%s: %d intruders, want %d", c.Scenario, got, wantK[c.Scenario])
 		}
 		if wantK[c.Scenario] > 1 {
-			if _, err := c.EncounterParams(); err == nil {
+			if _, err := encounter.FromVector(c.Params); err == nil {
 				t.Errorf("%s: pairwise decode of a multi cell did not error", c.Scenario)
 			}
 		}

@@ -139,13 +139,6 @@ type CellResult struct {
 	Params []float64 `json:"params"`
 }
 
-// EncounterParams decodes the record's parameter vector as a classic
-// pairwise encounter. It errors on multi-intruder cells (vector length
-// K*NumParams with K > 1); use MultiEncounterParams for those.
-func (c CellResult) EncounterParams() (encounter.Params, error) {
-	return encounter.FromVector(c.Params)
-}
-
 // MultiEncounterParams decodes the record's parameter vector as a
 // one-ownship, K-intruder encounter (the pairwise records decode as K = 1).
 func (c CellResult) MultiEncounterParams() (encounter.MultiParams, error) {

@@ -687,12 +687,3 @@ func validateNumberedKeys(c *config.Params, prefix, noun string, parsed int, fie
 	}
 	return nil
 }
-
-// Load reads and parses a campaign spec from an ECJ-style parameter file.
-func Load(path string) (Spec, error) {
-	params, err := config.Load(path)
-	if err != nil {
-		return Spec{}, err
-	}
-	return FromConfig(params)
-}

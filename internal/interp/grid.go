@@ -105,15 +105,6 @@ func (g *Grid) Index(idx []int) int {
 	return flat
 }
 
-// Coords converts a flat index back to per-dimension indices.
-func (g *Grid) Coords(flat int) []int {
-	idx := make([]int, len(g.axes))
-	for d := range g.axes {
-		idx[d] = flat / g.strides[d] % len(g.axes[d])
-	}
-	return idx
-}
-
 // Point returns the coordinates of the vertex at the given flat index.
 func (g *Grid) Point(flat int) []float64 {
 	return g.PointAppend(make([]float64, 0, len(g.axes)), flat)
@@ -211,40 +202,4 @@ func (g *Grid) WeightsAppend(dst []VertexWeight, point []float64) ([]VertexWeigh
 	}
 	_ = corners
 	return dst, nil
-}
-
-// Interpolate evaluates the multilinear interpolation of table at point.
-// The table must have exactly Size() entries.
-func (g *Grid) Interpolate(table []float64, point []float64) (float64, error) {
-	if len(table) != g.size {
-		return 0, fmt.Errorf("interp: table has %d entries, grid has %d vertices", len(table), g.size)
-	}
-	var buf [16]VertexWeight
-	ws, err := g.WeightsAppend(buf[:0], point)
-	if err != nil {
-		return 0, err
-	}
-	v := 0.0
-	for _, w := range ws {
-		v += w.Weight * table[w.Flat]
-	}
-	return v, nil
-}
-
-// Nearest returns the flat index of the grid vertex nearest to point
-// (per-dimension nearest cut point; outside queries are clamped).
-func (g *Grid) Nearest(point []float64) (int, error) {
-	if len(point) != len(g.axes) {
-		return 0, fmt.Errorf("interp: point has %d dims, grid has %d", len(point), len(g.axes))
-	}
-	flat := 0
-	for d, x := range point {
-		lo, frac := g.locate(d, x)
-		i := lo
-		if frac >= 0.5 {
-			i++
-		}
-		flat += i * g.strides[d]
-	}
-	return flat, nil
 }

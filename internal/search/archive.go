@@ -45,30 +45,10 @@ type ArchiveEntry struct {
 	Fault []float64 `json:"fault,omitempty"`
 }
 
-// EncounterParams decodes the entry's parameter vector as a classic
-// pairwise encounter. It errors on multi-intruder entries (vector length
-// K*NumParams with K > 1); use MultiEncounterParams for those.
-func (e ArchiveEntry) EncounterParams() (encounter.Params, error) {
-	return encounter.FromVector(e.Params)
-}
-
 // MultiEncounterParams decodes the entry's parameter vector as a
 // one-ownship, K-intruder encounter (pairwise entries decode as K = 1).
 func (e ArchiveEntry) MultiEncounterParams() (encounter.MultiParams, error) {
 	return encounter.MultiFromVector(e.Params)
-}
-
-// FaultProfile decodes the entry's co-evolved degradation profile: the
-// zero profile when the entry was found under clean surveillance.
-func (e ArchiveEntry) FaultProfile() (fault.Profile, error) {
-	if len(e.Fault) == 0 {
-		return fault.Profile{}, nil
-	}
-	if len(e.Fault) != fault.GeneCount {
-		return fault.Profile{}, fmt.Errorf("search: archive entry %q has %d fault genes, want %d",
-			e.Name, len(e.Fault), fault.GeneCount)
-	}
-	return fault.FromGenes(e.Fault), nil
 }
 
 // validate checks an entry's structural invariants (shared by the JSONL
@@ -160,13 +140,6 @@ func (a *Archive) Add(e ArchiveEntry) bool {
 
 // Len reports the number of archived encounters.
 func (a *Archive) Len() int { return len(a.entries) }
-
-// Entries returns a copy of the archived encounters in discovery order, so
-// callers may sort or mutate the result without disturbing the archive's
-// canonical (byte-reproducible) ordering.
-func (a *Archive) Entries() []ArchiveEntry {
-	return append([]ArchiveEntry(nil), a.entries...)
-}
 
 // WriteJSONL writes the archive as one JSON record per line, in discovery
 // order. The byte stream is identical for identical search runs.

@@ -54,14 +54,14 @@ func TestArchiveThresholdAndDedup(t *testing.T) {
 		t.Fatalf("archive has %d entries, want 1", a.Len())
 	}
 	// ...and a fitter near-duplicate replaces in place, keeping the name.
-	name := a.Entries()[0].Name
+	name := a.entries[0].Name
 	if !a.Add(entryAt(t, 2000, 0.01)) {
 		t.Error("fitter near-duplicate rejected")
 	}
 	if a.Len() != 1 {
 		t.Fatalf("replacement grew the archive to %d entries", a.Len())
 	}
-	if got := a.Entries()[0]; got.Name != name || got.Fitness != 2000 {
+	if got := a.entries[0]; got.Name != name || got.Fitness != 2000 {
 		t.Errorf("replacement entry = %+v, want name %q fitness 2000", got, name)
 	}
 	// A genuinely distant geometry gets its own slot and a fresh name.
@@ -75,7 +75,7 @@ func TestArchiveThresholdAndDedup(t *testing.T) {
 	if a.Len() != 2 {
 		t.Fatalf("archive has %d entries, want 2", a.Len())
 	}
-	if a.Entries()[0].Name == a.Entries()[1].Name {
+	if a.entries[0].Name == a.entries[1].Name {
 		t.Error("distinct entries share a name")
 	}
 }
@@ -102,14 +102,14 @@ func TestArchiveMergeOnReplace(t *testing.T) {
 		t.Fatalf("rejected candidate changed the archive to %d entries", a.Len())
 	}
 	// Fitter than both neighbors: takes the first slot, absorbs the rest.
-	firstName := a.Entries()[0].Name
+	firstName := a.entries[0].Name
 	if !a.Add(entryAt(t, 2000, 3.5)) {
 		t.Error("dominating candidate rejected")
 	}
 	if a.Len() != 1 {
 		t.Fatalf("merge left %d entries, want 1", a.Len())
 	}
-	if got := a.Entries()[0]; got.Name != firstName || got.Fitness != 2000 {
+	if got := a.entries[0]; got.Name != firstName || got.Fitness != 2000 {
 		t.Errorf("merged entry = %+v, want name %q fitness 2000", got, firstName)
 	}
 }
@@ -132,8 +132,8 @@ func TestArchiveJSONLRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(loaded, a.Entries()) {
-		t.Errorf("round trip mismatch:\ngot  %+v\nwant %+v", loaded, a.Entries())
+	if !reflect.DeepEqual(loaded, a.entries) {
+		t.Errorf("round trip mismatch:\ngot  %+v\nwant %+v", loaded, a.entries)
 	}
 
 	scenarios, err := CampaignScenarios(loaded)
@@ -186,7 +186,7 @@ func TestLoadArchiveCrashTail(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadArchive on crash-tail stream: %v", err)
 	}
-	if want := a.Entries()[:1]; !reflect.DeepEqual(loaded, want) {
+	if want := a.entries[:1]; !reflect.DeepEqual(loaded, want) {
 		t.Errorf("crash-tail load:\ngot  %+v\nwant %+v", loaded, want)
 	}
 }

@@ -68,11 +68,12 @@ type CheckpointGeneration struct {
 }
 
 // Fingerprint hashes the spec fields that define the search trajectory, so
-// a checkpoint refuses to resume under a different search definition.
+// a checkpoint refuses to resume under a different search definition. The
+// system under test is one of them: its decisions shape every fitness.
 func (s Spec) Fingerprint() string {
 	lo, hi := s.Ranges.Bounds()
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|islands=%d|k=%d|m=%d|seed=%d", s.Name, s.Islands, s.MigrationInterval, s.MigrationSize, s.Seed)
+	fmt.Fprintf(h, "%s|system=%s|islands=%d|k=%d|m=%d|seed=%d", s.Name, s.System, s.Islands, s.MigrationInterval, s.MigrationSize, s.Seed)
 	// The intruder count reshapes the whole genome; fingerprint it only when
 	// multi-intruder so every pre-existing pairwise checkpoint still resumes.
 	if s.NumIntruders() > 1 {

@@ -187,6 +187,13 @@ func TestResumeRejectsDifferentSpec(t *testing.T) {
 	if _, err := RunContext(context.Background(), other, testFactory, Options{CheckpointPath: ckpt}); err == nil {
 		t.Error("resuming under a different seed succeeded, want fingerprint error")
 	}
+	// The system under test is part of the search definition: a
+	// checkpoint must not resume under another system's name.
+	other = spec
+	other.System = spec.System + "-other"
+	if _, err := RunContext(context.Background(), other, testFactory, Options{CheckpointPath: ckpt}); err == nil || !strings.Contains(err.Error(), "different spec") {
+		t.Errorf("resuming under a different system: %v, want fingerprint error", err)
+	}
 }
 
 func TestMigrationMovesElites(t *testing.T) {
@@ -349,7 +356,11 @@ func TestFromConfigRejectsUnreadKeys(t *testing.T) {
 }
 
 func TestShippedSearchDemoSpec(t *testing.T) {
-	s, err := Load("../../params/search-demo.params")
+	params, err := config.Load("../../params/search-demo.params")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := FromConfig(params)
 	if err != nil {
 		t.Fatal(err)
 	}

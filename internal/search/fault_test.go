@@ -92,18 +92,14 @@ func TestFaultEvolutionArchiveCarriesGenes(t *testing.T) {
 	if evolved.Archive.Len() == 0 {
 		t.Fatal("co-evolving search archived nothing; assertions are vacuous")
 	}
-	for _, e := range evolved.Archive.Entries() {
+	for _, e := range evolved.Archive.entries {
 		if len(e.Fault) != fault.GeneCount {
 			t.Fatalf("entry %s has %d fault genes, want %d", e.Name, len(e.Fault), fault.GeneCount)
 		}
 		if len(e.Params)%encounter.NumParams != 0 {
 			t.Errorf("entry %s params length %d is not geometry-only", e.Name, len(e.Params))
 		}
-		p, err := e.FaultProfile()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Validate(); err != nil {
+		if err := fault.FromGenes(e.Fault).Validate(); err != nil {
 			t.Errorf("entry %s decodes to an invalid profile: %v", e.Name, err)
 		}
 	}
@@ -112,7 +108,7 @@ func TestFaultEvolutionArchiveCarriesGenes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(loaded, evolved.Archive.Entries()) {
+	if !reflect.DeepEqual(loaded, evolved.Archive.entries) {
 		t.Error("archive with fault genes does not round-trip through JSONL")
 	}
 
@@ -120,12 +116,9 @@ func TestFaultEvolutionArchiveCarriesGenes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range clean.Archive.Entries() {
+	for _, e := range clean.Archive.entries {
 		if len(e.Fault) != 0 {
 			t.Errorf("clean-search entry %s grew fault genes %v", e.Name, e.Fault)
-		}
-		if p, err := e.FaultProfile(); err != nil || p.Enabled() {
-			t.Errorf("clean-search entry %s: profile %+v, err %v", e.Name, p, err)
 		}
 	}
 }
@@ -172,7 +165,7 @@ func TestFixedFaultProfileSearch(t *testing.T) {
 	if !bytes.Equal(archiveJSONL(t, res1), archiveJSONL(t, res2)) {
 		t.Error("fixed-profile archives differ between identical runs")
 	}
-	for _, e := range res1.Archive.Entries() {
+	for _, e := range res1.Archive.entries {
 		if len(e.Fault) != 0 {
 			t.Errorf("fixed-profile entry %s carries fault genes (only co-evolution records them)", e.Name)
 		}

@@ -57,7 +57,7 @@ func TestMultiSearchDeterministicAndDecodable(t *testing.T) {
 	if err := res1.Best.Params.Validate(); err != nil {
 		t.Errorf("best encounter not in canonical shared-ownship form: %v", err)
 	}
-	for _, e := range res1.Archive.Entries() {
+	for _, e := range res1.Archive.entries {
 		m, err := e.MultiEncounterParams()
 		if err != nil {
 			t.Fatal(err)

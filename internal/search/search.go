@@ -289,12 +289,3 @@ func FromConfig(c *config.Params) (Spec, error) {
 	}
 	return s, s.Validate()
 }
-
-// Load reads and parses a search spec from an ECJ-style parameter file.
-func Load(path string) (Spec, error) {
-	params, err := config.Load(path)
-	if err != nil {
-		return Spec{}, err
-	}
-	return FromConfig(params)
-}

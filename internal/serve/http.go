@@ -66,7 +66,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	st, err := s.Submit(req.Kind, req.Params)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		code := http.StatusBadRequest
+		switch {
+		case errors.Is(err, errClosing):
+			code = http.StatusServiceUnavailable
+		case errors.Is(err, errNotJournaled):
+			code = http.StatusInternalServerError
+		}
+		http.Error(w, err.Error(), code)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

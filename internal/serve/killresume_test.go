@@ -32,7 +32,7 @@ func TestServeKillHelper(t *testing.T) {
 		Workers:  1,
 		// Pace the cells so the parent can observe progress and kill us
 		// mid-campaign.
-		Disrupt: func(shard, attempt int) error { time.Sleep(30 * time.Millisecond); return nil },
+		disrupt: func(shard, attempt int) error { time.Sleep(30 * time.Millisecond); return nil },
 	})
 	if err != nil {
 		t.Fatal(err)

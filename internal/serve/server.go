@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -20,15 +21,17 @@ type Config struct {
 	// Systems is the backend menu (default campaign.DefaultSystems(nil):
 	// every registered backend that needs no logic table).
 	Systems campaign.SystemSet
-	// Workers bounds concurrent campaign cells and a rare job's episode
-	// workers (0 = NumCPU).
+	// Workers bounds concurrent campaign cells and the episode workers of
+	// search and rare jobs (0 = NumCPU, which a search divides over its
+	// islands, as casearch -workers 0 does).
 	Workers int
 	// Policy is the shard retry policy (zero value = defaults).
 	Policy RetryPolicy
 	// Clock defaults to the real clock; tests inject a fake.
 	Clock Clock
-	// Disrupt is the supervisor fault-injection hook (tests only).
-	Disrupt func(shard, attempt int) error
+
+	// disrupt is the supervisor fault-injection hook the package tests set.
+	disrupt func(shard, attempt int) error
 }
 
 // Server is the crash-safe validation service: an HTTP front end over a
@@ -132,6 +135,14 @@ func (s *Server) hydrate(j *job) {
 	}
 }
 
+// errClosing and errNotJournaled are the Submit failures that are the
+// server's, not the spec's: the HTTP front end answers 503 and 500 for
+// them and 400 for every other rejection.
+var (
+	errClosing      = errors.New("serve: server is shutting down")
+	errNotJournaled = errors.New("serve: job not journaled")
+)
+
 // Submit enqueues a job programmatically (the HTTP POST /jobs handler is
 // a thin wrapper). The job record is journaled before Submit returns:
 // an acknowledged job survives a crash.
@@ -143,11 +154,11 @@ func (s *Server) Submit(kind, params string) (JobStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closing {
-		return JobStatus{}, fmt.Errorf("serve: server is shutting down")
+		return JobStatus{}, errClosing
 	}
 	j.id = fmt.Sprintf("job-%04d", len(s.jobs)+1)
 	if err := s.journal.Append(Record{Type: "job", Job: j.id, Spec: &j.spec}); err != nil {
-		return JobStatus{}, err
+		return JobStatus{}, fmt.Errorf("%w: %w", errNotJournaled, err)
 	}
 	s.jobs = append(s.jobs, j)
 	s.byID[j.id] = j
@@ -362,7 +373,7 @@ func (s *Server) runCampaign(ctx context.Context, j *job) (string, string) {
 		Policy:  s.cfg.Policy,
 		Clock:   s.cfg.Clock,
 		Seed:    j.cspec.Seed,
-		Disrupt: s.cfg.Disrupt,
+		Disrupt: s.cfg.disrupt,
 		Drain:   s.drain,
 	}
 	// Per-worker simulation scratch: Get/Put brackets each attempt, and
@@ -441,12 +452,15 @@ func (s *Server) runCampaign(ctx context.Context, j *job) (string, string) {
 	}
 }
 
-// runSearch executes an adversarial-search job as one supervised shard.
-// The engine checkpoints after every generation into the state dir and
-// resumes from that checkpoint, so a shutdown, crash or retry mid-search
-// is loss-free.
+// runSearch executes an adversarial-search job as one supervised shard on
+// the server's workers. The engine checkpoints after every generation into
+// the state dir and resumes from that checkpoint, so a shutdown, crash or
+// retry mid-search is loss-free.
 func (s *Server) runSearch(ctx context.Context, j *job) (string, string) {
-	opts := search.Options{CheckpointPath: j.artifactBase(s.cfg.StateDir) + search.CheckpointSuffix}
+	opts := search.Options{
+		CheckpointPath: j.artifactBase(s.cfg.StateDir) + search.CheckpointSuffix,
+		EpisodeWorkers: s.cfg.Workers,
+	}
 	var res *search.Result
 	status, errMsg := s.superviseOne(ctx, j.sspec.Seed, func(ctx context.Context) (err error) {
 		res, err = search.RunContext(ctx, j.sspec, s.cfg.Systems[j.sspec.System], opts)

@@ -38,7 +38,7 @@ var testPolicy = RetryPolicy{MaxAttempts: 3, BackoffBase: time.Microsecond, Back
 // newTestServer opens a server over dir with the fast retry policy.
 func newTestServer(t *testing.T, dir string, disrupt func(shard, attempt int) error) *Server {
 	t.Helper()
-	srv, err := NewServer(Config{StateDir: dir, Workers: 2, Policy: testPolicy, Disrupt: disrupt})
+	srv, err := NewServer(Config{StateDir: dir, Workers: 2, Policy: testPolicy, disrupt: disrupt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestServerGracefulShutdownResume(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		return nil
 	}
-	srv, err := NewServer(Config{StateDir: dir, Workers: 1, Policy: testPolicy, Disrupt: slow})
+	srv, err := NewServer(Config{StateDir: dir, Workers: 1, Policy: testPolicy, disrupt: slow})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -675,6 +675,41 @@ func TestServerRareJobWorkers(t *testing.T) {
 	}
 }
 
+// TestServerSearchJobWorkers: a served search runs its episodes on the
+// server's workers, and its artifacts are byte-identical at 1 and 2.
+func TestServerSearchJobWorkers(t *testing.T) {
+	const params = "search.system = svo\nsearch.islands = 2\npop.size = 6\ngenerations = 2\nsearch.sims = 3\nsearch.archive.threshold = 1000\n"
+	suffixes := []string{".archive.jsonl", ".result.json", ".summary.txt", search.CheckpointSuffix}
+	var artifacts [2][][]byte
+	for i, workers := range []int{1, 2} {
+		srv, err := NewServer(Config{StateDir: t.TempDir(), Workers: workers, Policy: testPolicy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := srv.Submit(KindSearch, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final := waitDone(t, srv, st.ID); final.Status != StatusDone {
+			t.Fatalf("search job status %+v", final)
+		}
+		base := srv.byID[st.ID].artifactBase(srv.cfg.StateDir)
+		srv.Close()
+		for _, suffix := range suffixes {
+			data, err := os.ReadFile(base + suffix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			artifacts[i] = append(artifacts[i], data)
+		}
+	}
+	for k, suffix := range suffixes {
+		if !bytes.Equal(artifacts[0][k], artifacts[1][k]) {
+			t.Errorf("%s at 2 workers differs from 1:\n%s\nvs\n%s", suffix, artifacts[1][k], artifacts[0][k])
+		}
+	}
+}
+
 // TestServerRejectsBadSubmissions: malformed jobs — misspelt keys and
 // rare-event tuning without rare.method included — are rejected at submit
 // time, never queued.
@@ -700,6 +735,41 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 	}
 	if jobs := srv.Jobs(); len(jobs) != 0 {
 		t.Errorf("rejected submissions left %d jobs queued", len(jobs))
+	}
+}
+
+// TestServerSubmitStatusCodes: POST /jobs answers 400 for a spec the
+// server rejects, 500 when the journal cannot record the job and 503
+// once the server is shutting down.
+func TestServerSubmitStatusCodes(t *testing.T) {
+	srv := newTestServer(t, t.TempDir(), nil)
+	post := func(params string) int {
+		t.Helper()
+		body, err := json.Marshal(SubmitRequest{Kind: KindCampaign, Params: params})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(body)))
+		return rec.Code
+	}
+	if code := post("campaign.samples = banana\n"); code != http.StatusBadRequest {
+		t.Errorf("malformed spec: status %d, want 400", code)
+	}
+	// A journal that cannot append (a full disk, here a closed file) is
+	// the server's failure, not the client's.
+	if err := srv.journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if code := post(testCampaignParams); code != http.StatusInternalServerError {
+		t.Errorf("journal append failure: status %d, want 500", code)
+	}
+	srv.Close()
+	if code := post(testCampaignParams); code != http.StatusServiceUnavailable {
+		t.Errorf("shutting down: status %d, want 503", code)
+	}
+	if jobs := srv.Jobs(); len(jobs) != 0 {
+		t.Errorf("failed submissions left %d jobs queued", len(jobs))
 	}
 }
 
@@ -759,7 +829,7 @@ func TestServerSubmitBodyLimit(t *testing.T) {
 		Systems:  systems,
 		Workers:  1,
 		Policy:   RetryPolicy{MaxAttempts: 1},
-		Disrupt:  func(int, int) error { return errors.New("admission test: cells do not run") },
+		disrupt:  func(int, int) error { return errors.New("admission test: cells do not run") },
 	})
 	if err != nil {
 		t.Fatal(err)

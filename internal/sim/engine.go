@@ -178,9 +178,6 @@ func (p *ProximityMeasurer) MinVertical() float64 { return p.minVertical }
 // Min3D returns the minimum 3-D separation observed and its time.
 func (p *ProximityMeasurer) Min3D() (float64, float64) { return math.Sqrt(p.min3DSq), p.at3D }
 
-// Seen reports whether any observation was made.
-func (p *ProximityMeasurer) Seen() bool { return p.seen }
-
 // AccidentDetector detects near mid-air collisions: simultaneous horizontal
 // and vertical proximity inside the NMAC cylinder (500 ft / 100 ft) — the
 // paper's mid-air collision criterion (the same cylinder the MDP's

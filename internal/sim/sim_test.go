@@ -47,7 +47,7 @@ func TestClock(t *testing.T) {
 func TestProximityMeasurer(t *testing.T) {
 	var p ProximityMeasurer
 	p.Reset()
-	if p.Seen() {
+	if p.seen {
 		t.Error("fresh measurer claims observations")
 	}
 	p.Observe(0, geom.Vec3{}, geom.Vec3{X: 100, Z: 50})

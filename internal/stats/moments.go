@@ -65,14 +65,6 @@ func (a *Accumulator) Variance() float64 {
 // StdDev returns the unbiased sample standard deviation.
 func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
 
-// StdErr returns the standard error of the mean.
-func (a *Accumulator) StdErr() float64 {
-	if a.n == 0 {
-		return 0
-	}
-	return a.StdDev() / math.Sqrt(float64(a.n))
-}
-
 // Min returns the smallest observation, or 0 for an empty accumulator.
 func (a *Accumulator) Min() float64 { return a.min }
 

@@ -31,7 +31,7 @@ func TestAccumulatorBasics(t *testing.T) {
 
 func TestAccumulatorEmpty(t *testing.T) {
 	var a Accumulator
-	if a.Mean() != 0 || a.Variance() != 0 || a.StdErr() != 0 {
+	if a.Mean() != 0 || a.Variance() != 0 || a.StdDev() != 0 {
 		t.Error("empty accumulator should report zeros")
 	}
 }

@@ -1,10 +1,11 @@
 // Package sys is the central registry of collision avoidance backends: the
 // one place a system name resolves to a constructor. Backends self-register
 // under a name with documentation and a spec-driven factory; every consumer
-// — the campaign engine's system axis, the CLI -system flags, the public
-// facade — constructs systems through the registry, so adding a backend is
-// one Register call and the name lists shown in errors, help text and sweep
-// output can never drift apart.
+// — the campaign engine's system axis, the search.system and rare.system
+// spec keys, encsim's -system flag, the public facade — constructs systems
+// through the registry, so adding a backend is one Register call and the
+// name lists shown in errors, help text and sweep output can never drift
+// apart.
 package sys
 
 import (
@@ -49,8 +50,8 @@ type ParamDoc struct {
 
 // Backend is one registered collision avoidance system kind.
 type Backend struct {
-	// Name is the registry key, as used on CLI -system flags and the
-	// campaign system axis.
+	// Name is the registry key, as used by the campaign system axis, the
+	// search.system and rare.system keys and encsim's -system flag.
 	Name string
 	// Doc is a one-line description for help text.
 	Doc string

@@ -95,9 +95,6 @@ func (t *Tracker) Init(cfg Config) error {
 	return nil
 }
 
-// Estimate returns the current track estimate.
-func (t *Tracker) Estimate() Estimate { return t.est }
-
 // Reset drops the track back to uninitialized.
 func (t *Tracker) Reset() {
 	t.est = Estimate{}

@@ -45,7 +45,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestFirstMeasurementInitializes(t *testing.T) {
 	tr := mustTracker(t, DefaultConfig())
-	if tr.Estimate().Initialized {
+	if tr.est.Initialized {
 		t.Fatal("fresh tracker claims to be initialized")
 	}
 	pos := geom.Vec3{X: 1, Y: 2, Z: 3}
@@ -67,7 +67,7 @@ func TestNoiselessTrackIsExact(t *testing.T) {
 		pos := vel.Scale(now)
 		tr.Update(pos, vel, now)
 	}
-	est := tr.Estimate()
+	est := tr.est
 	if est.Pos.DistanceTo(vel.Scale(10)) > 1e-9 {
 		t.Errorf("position drifted: %v", est.Pos)
 	}
@@ -116,7 +116,7 @@ func TestVelocityEstimateConverges(t *testing.T) {
 		now := float64(i)
 		tr.Update(vel.Scale(now), geom.Vec3{}, now)
 	}
-	got := tr.Estimate().Vel
+	got := tr.est.Vel
 	if got.Sub(vel).Norm() > 0.5 {
 		t.Errorf("velocity estimate %v, want ~%v", got, vel)
 	}
@@ -215,9 +215,9 @@ func TestCoastUnlimitedWhenZero(t *testing.T) {
 func TestOutOfOrderMeasurementIgnored(t *testing.T) {
 	tr := mustTracker(t, DefaultConfig())
 	tr.Update(geom.Vec3{X: 100}, geom.Vec3{}, 10)
-	before := tr.Estimate()
+	before := tr.est
 	tr.Update(geom.Vec3{X: 0}, geom.Vec3{}, 5) // stale
-	if tr.Estimate() != before {
+	if tr.est != before {
 		t.Error("stale measurement modified the track")
 	}
 }
@@ -226,7 +226,7 @@ func TestReset(t *testing.T) {
 	tr := mustTracker(t, DefaultConfig())
 	tr.Update(geom.Vec3{X: 1}, geom.Vec3{}, 0)
 	tr.Reset()
-	if tr.Estimate().Initialized {
+	if tr.est.Initialized {
 		t.Error("reset did not clear the track")
 	}
 }

@@ -69,7 +69,7 @@ func TestVerticalRateBoundsProperty(t *testing.T) {
 			probe := *u
 			probe.Step(dt, nil)
 			accel := cfg.VerticalAccel
-			if cmd, ok := probe.ActiveCommand(); ok && probe.Maneuvering() && cmd.HasVS && cmd.Strengthen {
+			if cmd := probe.cmd; probe.hasCmd && probe.Maneuvering() && cmd.HasVS && cmd.Strengthen {
 				accel = cfg.StrengthenAccel
 			}
 			u.Step(dt, nil)
@@ -109,7 +109,7 @@ func TestResponseDelayProperty(t *testing.T) {
 			continue
 		}
 		cmd := randomCommand(rng, cfg)
-		if active, ok := u.ActiveCommand(); ok && active == cmd {
+		if u.hasCmd && u.cmd == cmd {
 			continue
 		}
 		twin := *u

@@ -163,12 +163,6 @@ func (u *UAV) Reset(initial State) {
 // State returns the current true state.
 func (u *UAV) State() State { return u.st }
 
-// HasCommand reports whether an avoidance command is active.
-func (u *UAV) HasCommand() bool { return u.hasCmd }
-
-// ActiveCommand returns the active command and whether there is one.
-func (u *UAV) ActiveCommand() (Command, bool) { return u.cmd, u.hasCmd }
-
 // Maneuvering reports whether the UAV is currently deviating from its flight
 // plan to execute a command (i.e. a command is active and the response delay
 // has elapsed).

@@ -168,7 +168,7 @@ func TestClearCommandReturnsToPlan(t *testing.T) {
 		u.Step(0.1, nil)
 	}
 	u.ClearCommand()
-	if u.HasCommand() {
+	if u.hasCmd {
 		t.Error("command still active after clear")
 	}
 	for i := 0; i < 100; i++ {
@@ -236,8 +236,9 @@ func TestDisturbanceIsUnbiased(t *testing.T) {
 		acc.Add(u.State().Pos.Z)
 	}
 	// Mean altitude drift over 60 s should be near zero relative to spread.
-	if math.Abs(acc.Mean()) > 4*acc.StdErr()+1 {
-		t.Errorf("disturbance biased: mean z drift %v (stderr %v)", acc.Mean(), acc.StdErr())
+	stderr := acc.StdDev() / math.Sqrt(float64(acc.N()))
+	if math.Abs(acc.Mean()) > 4*stderr+1 {
+		t.Errorf("disturbance biased: mean z drift %v (stderr %v)", acc.Mean(), stderr)
 	}
 	if acc.StdDev() == 0 {
 		t.Error("disturbance produced no spread at all")

@@ -12,6 +12,9 @@ import (
 	"reflect"
 	"testing"
 
+	"acasxval/internal/campaign"
+	"acasxval/internal/encounter"
+	"acasxval/internal/search"
 	"acasxval/internal/sim"
 )
 
@@ -46,11 +49,11 @@ func TestRunMultiEncounterPairwiseIdentity(t *testing.T) {
 	table := facadeLogicTable(t)
 	cfg := DefaultRunConfig()
 	for _, seed := range []uint64{3, 99} {
-		want, err := RunEncounter(PresetCrossing(), sim.NewACASXU(table), sim.NewACASXU(table), cfg, seed)
+		want, err := RunEncounter(encounter.PresetCrossing(), sim.NewACASXU(table), sim.NewACASXU(table), cfg, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunMultiEncounter(PresetCrossing().Multi(),
+		got, err := RunMultiEncounter(encounter.PresetCrossing().Multi(),
 			[]System{sim.NewACASXU(table), sim.NewACASXU(table)}, cfg, seed)
 		if err != nil {
 			t.Fatal(err)
@@ -62,7 +65,7 @@ func TestRunMultiEncounterPairwiseIdentity(t *testing.T) {
 }
 
 func TestShippedMultiDemoSpec(t *testing.T) {
-	spec, err := LoadCampaignSpec("params/multi-demo.params")
+	spec, err := loadSpec("params/multi-demo.params", campaign.FromConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,15 +86,15 @@ func TestShippedMultiDemoSpec(t *testing.T) {
 		t.Errorf("multi-demo campaign sweeps %d multi-intruder presets, want >= 3", multi)
 	}
 
-	search, err := LoadSearchSpec("params/multi-demo.params")
+	sspec, err := loadSpec("params/multi-demo.params", search.FromConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if search.NumIntruders() != 2 {
-		t.Errorf("search intruders = %d, want 2", search.NumIntruders())
+	if sspec.NumIntruders() != 2 {
+		t.Errorf("search intruders = %d, want 2", sspec.NumIntruders())
 	}
-	if search.GenomeLen() != 18 {
-		t.Errorf("search genome length = %d, want 18", search.GenomeLen())
+	if sspec.GenomeLen() != 18 {
+		t.Errorf("search genome length = %d, want 18", sspec.GenomeLen())
 	}
 }
 
@@ -99,7 +102,7 @@ func TestShippedMultiDemoSpec(t *testing.T) {
 // file: a K-intruder campaign sweep, a K=2 island search, and the search's
 // danger archive replayed as explicit campaign scenarios.
 func TestMultiDemoEndToEnd(t *testing.T) {
-	spec, err := LoadCampaignSpec("params/multi-demo.params")
+	spec, err := loadSpec("params/multi-demo.params", campaign.FromConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +135,7 @@ func TestMultiDemoEndToEnd(t *testing.T) {
 		t.Error("no multi-intruder cells in the multi-demo sweep")
 	}
 
-	sspec, err := LoadSearchSpec("params/multi-demo.params")
+	sspec, err := loadSpec("params/multi-demo.params", search.FromConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,8 +150,17 @@ func TestMultiDemoEndToEnd(t *testing.T) {
 		t.Fatal("K=2 search against the unequipped baseline archived nothing")
 	}
 
-	// Close the loop: the K=2 archive replays as campaign scenarios.
-	scenarios, err := ArchiveCampaignScenarios(sres.Archive.Entries())
+	// Close the loop: the K=2 archive, written and read back as JSONL,
+	// replays as campaign scenarios.
+	var archive bytes.Buffer
+	if err := sres.Archive.WriteJSONL(&archive); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := search.LoadArchive(&archive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenarios, err := ArchiveCampaignScenarios(entries)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,3 +46,14 @@ func TestShippedParameterFiles(t *testing.T) {
 		})
 	}
 }
+
+// loadSpec parses a params file through a spec decoder
+// (campaign.FromConfig, search.FromConfig), as the commands do.
+func loadSpec[S any](path string, decode func(*config.Params) (S, error)) (S, error) {
+	params, err := config.Load(path)
+	if err != nil {
+		var zero S
+		return zero, err
+	}
+	return decode(params)
+}

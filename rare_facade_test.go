@@ -3,6 +3,10 @@ package acasxval
 import (
 	"context"
 	"testing"
+
+	"acasxval/internal/campaign"
+	"acasxval/internal/encounter"
+	"acasxval/internal/montecarlo"
 )
 
 // TestEstimateRareRiskFacade drives every estimator method through the
@@ -17,7 +21,7 @@ func TestEstimateRareRiskFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, method := range RareEventMethods() {
+	for _, method := range montecarlo.Methods() {
 		spec := DefaultRareEventSpec(method)
 		est, err := EstimateMultiRareRiskContext(context.Background(), MultiEncounterModel{Intruders: []EncounterModel{model}}, Unequipped, cfg, spec)
 		if err != nil {
@@ -36,11 +40,11 @@ func TestEstimateRareRiskFacade(t *testing.T) {
 // with the full estimator axis, archive-style kernels and a splitting
 // ladder, alongside the unequipped baseline for context.
 func TestShippedRareDemoSpec(t *testing.T) {
-	spec, err := LoadCampaignSpec("params/rare-demo.params")
+	spec, err := loadSpec("params/rare-demo.params", campaign.FromConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(spec.Estimators), len(RareEventMethods()); got != want {
+	if got, want := len(spec.Estimators), len(montecarlo.Methods()); got != want {
 		t.Errorf("demo campaign runs %d estimators, want all %d", got, want)
 	}
 	if len(spec.EstimatorSpec.Kernels) < 2 {
@@ -63,7 +67,7 @@ func TestShippedRareDemoSpec(t *testing.T) {
 // TestArchiveProposalKernels: archive entries round-trip into kernel rows
 // usable by the importance-sampling estimators.
 func TestArchiveProposalKernels(t *testing.T) {
-	headon, err := EncounterPreset("headon")
+	headon, err := encounter.Preset("headon")
 	if err != nil {
 		t.Fatal(err)
 	}

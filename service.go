@@ -93,9 +93,6 @@ type (
 	// done, degraded (some cells quarantined), failed or cancelled, plus
 	// progress counters and cache-hit counts.
 	ValidationJobStatus = serve.JobStatus
-	// ValidationRetryPolicy bounds per-cell attempts, deadlines and
-	// retry backoff for a ValidationServer's shard supervisor.
-	ValidationRetryPolicy = serve.RetryPolicy
 )
 
 // NewValidationServer opens (or resumes) a validation server over
@@ -105,12 +102,4 @@ type (
 // path. Close drains it gracefully.
 func NewValidationServer(cfg ValidationServerConfig) (*ValidationServer, error) {
 	return serve.NewServer(cfg)
-}
-
-// CampaignSpecHash returns the canonical content hash of a campaign
-// spec: two specs that expand to the same cells hash identically no
-// matter how they were spelled (map order, defaulted fields, parallelism
-// knobs). The validation service keys job identity on it.
-func CampaignSpecHash(spec CampaignSpec) (string, error) {
-	return serve.SpecHash(spec)
 }
