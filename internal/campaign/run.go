@@ -190,9 +190,9 @@ type Result struct {
 // Cell is one unit of campaign work before execution: one point of the
 // expanded cross-product, ready to hand to RunCellContext. An estimator
 // cell (Estimator != "") carries no fixed params: it samples the spec's
-// statistical model. Cells are exposed so external schedulers (the
-// validation server's shard supervisor) can distribute exactly the units
-// Run distributes, with identical results.
+// statistical model. Cells are exposed so the validation server can run
+// exactly the units RunContext runs, through the same RunCells pool,
+// with identical results.
 type Cell struct {
 	Index     int
 	Scenario  string
@@ -276,10 +276,11 @@ func (s Spec) Cells() ([]Cell, error) {
 }
 
 // RunContext executes the campaign: every cell replays its fixed scenario
-// through the Monte-Carlo harness on a worker pool, cells stream to jsonl
-// (may be nil) as one JSON record per line in deterministic cell order, and
-// the aggregate summaries rank systems by risk ratio. The result — including
-// the JSONL byte stream — is identical for identical (spec, systems).
+// through the Monte-Carlo harness on the RunCells pool, cells stream to
+// jsonl (may be nil) as one JSON record per line in deterministic cell
+// order, and the aggregate summaries rank systems by risk ratio. The
+// result — including the JSONL byte stream — is identical for identical
+// (spec, systems).
 //
 // A cancelled ctx stops the cell pool promptly without corrupting the
 // stream: the JSONL writer never emits a partial line, and the call returns
@@ -299,122 +300,120 @@ func RunContext(ctx context.Context, spec Spec, systems SystemSet, jsonl io.Writ
 		return nil, err
 	}
 
-	// Clamp the pool to the hardware the same way BuildTable does: each
-	// cell is CPU-bound, so oversubscribing beyond NumCPU only adds
-	// scheduler churn.
-	pool := spec.Parallelism
-	if pool < 1 || pool > runtime.NumCPU() {
-		pool = runtime.NumCPU()
-	}
-	// When the cell grid cannot fill the pool, spill the leftover
-	// parallelism into the cells themselves: each cell's evaluator fans its
-	// episodes across the otherwise-idle cores, with the division remainder
-	// handed out one extra worker per leading cell so no core idles.
-	// Estimates are worker-count invariant, so the spill changes wall-clock
-	// only — every result and JSONL byte stays identical.
-	workers := pool
-	episodeWorkers, extraWorkerCells := 1, 0
-	if len(cells) > 0 && workers > len(cells) {
-		workers = len(cells)
-		episodeWorkers = pool / workers
-		extraWorkerCells = pool % workers
-	}
-	cellEpisodeWorkers := func(i int) int {
-		if i < extraWorkerCells {
-			return episodeWorkers + 1
-		}
-		return episodeWorkers
-	}
-
-	// Fan the cells out; stream completed results in index order so the
-	// JSONL byte stream is reproducible regardless of scheduling.
+	// Completed cells flush in index order, so the JSONL byte stream is
+	// reproducible regardless of scheduling; mu is held across the write
+	// to keep that order. next is the length of the flushed prefix: a
+	// failed cell never completes, so nothing past it is written and
+	// results[:next] matches the stream exactly.
 	results := make([]CellResult, len(cells))
-	errs := make([]error, len(cells))
-	idxCh := make(chan int)
-	doneCh := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			// Each worker reuses one scratch across all its cells instead
-			// of allocating fresh run buffers per cell.
-			var scratch montecarlo.Scratch
-			for i := range idxCh {
-				c := cells[i]
-				results[i], errs[i] = RunCellContext(ctx, spec, c, systems[c.System], cellEpisodeWorkers(i), &scratch)
-				doneCh <- i
-			}
-		}()
-	}
-	// abort stops the feeder after the first error so a failing campaign
-	// does not run its whole remaining cross-product before reporting; a
-	// cancelled ctx stops it the same way (the in-flight cells additionally
-	// abort between episodes).
-	abort := make(chan struct{})
-	go func() {
-	feed:
-		for i := range cells {
-			select {
-			case idxCh <- i:
-			case <-abort:
-				break feed
-			case <-ctx.Done():
-				break feed
-			}
-		}
-		close(idxCh)
-		wg.Wait()
-		close(doneCh)
-	}()
-
-	ready := make(map[int]bool, len(cells))
+	completed := make([]bool, len(cells))
+	var mu sync.Mutex
 	next := 0
-	// prefix is the completed in-order cell prefix at the moment of the
-	// first error: exactly the cells whose JSONL lines were flushed.
-	prefix := 0
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-			prefix = next
-			close(abort)
+	err = RunCells(ctx, len(cells), spec.Parallelism, func(i, episodeWorkers int, scratch *montecarlo.Scratch) error {
+		c := cells[i]
+		res, err := RunCellContext(ctx, spec, c, systems[c.System], episodeWorkers, scratch)
+		if err != nil {
+			return err
 		}
-	}
-	for i := range doneCh {
-		ready[i] = true
-		for ready[next] {
-			if errs[next] != nil {
-				fail(errs[next])
+		mu.Lock()
+		defer mu.Unlock()
+		results[i], completed[i] = res, true
+		for ; next < len(cells) && completed[next]; next++ {
+			if jsonl == nil {
+				continue
 			}
-			if firstErr == nil && jsonl != nil {
-				line, err := json.Marshal(results[next])
-				if err == nil {
-					_, err = fmt.Fprintf(jsonl, "%s\n", line)
-				}
-				if err != nil {
-					fail(err)
-				}
+			line, err := json.Marshal(results[next])
+			if err == nil {
+				_, err = fmt.Fprintf(jsonl, "%s\n", line)
 			}
-			delete(ready, next)
-			next++
+			if err != nil {
+				completed[next] = false
+				return err
+			}
 		}
-	}
-	if firstErr != nil {
-		if errors.Is(firstErr, context.Canceled) || errors.Is(firstErr, context.DeadlineExceeded) {
+		return nil
+	})
+	if err != nil {
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			// Interrupted, not broken: report the completed prefix so the
 			// caller can summarize the work that did finish.
-			return NewResult(spec, results[:prefix]), firstErr
+			return NewResult(spec, results[:next]), err
 		}
-		return nil, firstErr
+		return nil, err
 	}
 	return NewResult(spec, results), nil
 }
 
+// RunCells is the one campaign cell pool: it calls run for cells
+// 0..n-1 on min(parallelism, n) workers, handing indices out in order.
+// parallelism 0 or above NumCPU means NumCPU, since each cell is
+// CPU-bound and oversubscription only adds scheduler churn. Each worker
+// reuses one scratch across all its cells instead of allocating fresh
+// run buffers per cell. When n cannot fill the pool, the leftover
+// parallelism spills into the cells as episodeWorkers (the division
+// remainder goes one extra worker per leading cell, so no core idles);
+// estimates are worker-count invariant, so the spill changes wall-clock
+// only.
+//
+// Feeding stops at the first error run returns or when ctx is done;
+// cells already running finish. RunCells returns that first error, or
+// ctx.Err() when cancellation left cells unstarted.
+func RunCells(ctx context.Context, n, parallelism int, run func(i, episodeWorkers int, scratch *montecarlo.Scratch) error) error {
+	pool := parallelism
+	if pool < 1 || pool > runtime.NumCPU() {
+		pool = runtime.NumCPU()
+	}
+	episodeWorkers, extraWorkerCells := 1, 0
+	if n > 0 && pool > n {
+		episodeWorkers, extraWorkerCells = pool/n, pool%n
+	}
+	var (
+		mu       sync.Mutex
+		next     int
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	// claim records the error of the worker's previous cell, then hands
+	// out the next cell to start, or false once the cells run out or
+	// feeding has stopped.
+	claim := func(err error) (int, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if firstErr == nil {
+			firstErr = err
+		}
+		if firstErr == nil && next < n {
+			firstErr = ctx.Err()
+		}
+		if firstErr != nil || next == n {
+			return 0, false
+		}
+		next++
+		return next - 1, true
+	}
+	for w := min(pool, n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var scratch montecarlo.Scratch
+			var err error
+			for i, ok := claim(nil); ok; i, ok = claim(err) {
+				workers := episodeWorkers
+				if i < extraWorkerCells {
+					workers++
+				}
+				err = run(i, workers, &scratch)
+			}
+		}()
+	}
+	wg.Wait()
+	return firstErr
+}
+
 // RunCellContext executes one expanded campaign cell and assembles its
 // CellResult — the exact record Run streams for that cell, byte for byte
-// once marshaled. It is the shared execution path of the in-process pool
-// and the validation server's shard supervisor: a cell re-run after a
+// once marshaled. RunContext and the validation server's campaign job
+// both call it from their RunCells callback: a cell re-run after a
 // crash, timeout or retry reproduces the identical record, because the
 // cell's whole stochastic draw derives from (spec.Seed, cell identity).
 func RunCellContext(ctx context.Context, spec Spec, c Cell, factory montecarlo.SystemFactory, episodeWorkers int, scratch *montecarlo.Scratch) (CellResult, error) {

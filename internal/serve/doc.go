@@ -1,8 +1,9 @@
 // Package serve turns the validation engine into a long-running,
 // crash-safe service: validation-as-a-service for the campaign sweep,
 // adversarial search and rare-event estimation engines. A server accepts
-// jobs over HTTP, shards campaign cells across a supervised in-process
-// worker pool, and journals durably enough that the recovery story is
+// jobs over HTTP, runs campaign cells on the campaign package's cell pool
+// (campaign.RunCells, the one sweep uses) under a shard supervisor, and
+// journals durably enough that the recovery story is
 // one sentence: restart the server on the same state directory.
 //
 // # Why a service can be crash-safe at all
@@ -51,27 +52,34 @@
 // cache for every shared cell even though the spec hash and the cell
 // indices differ.
 //
-// # The shard supervisor
+// # The cell pool and the shard supervisor
 //
-// Supervisor runs each missing cell as a shard on a bounded worker pool
-// with per-attempt deadlines (RetryPolicy.Timeout), bounded retries with
-// exponential backoff and deterministic per-shard jitter (no retry
-// lockstep, yet reproducible schedules), and panic containment: a
-// crashed worker goroutine becomes a retriable shard failure, not a dead
-// server. A shard that exhausts its retry budget is poisoned —
-// quarantined durably, reported exactly once, never retried forever —
-// and the job degrades gracefully: the remaining cells complete, the
-// summary ranks what did run, and resubmitting the same spec skips the
-// quarantined cell instead of looping. Timed-out attempts are cancelled
-// AND awaited before the retry starts, so an attempt's scratch buffers
-// are never shared between two live attempts.
+// A campaign job runs its missing cells through campaign.RunCells, the
+// pool sweep and the library facade use: parallelism clamped to NumCPU,
+// one reused scratch per worker. Unlike sweep, a served cell always runs
+// on one episode worker, so its episodes stay on the attempt's goroutine
+// and a panicking backend is contained below. The pool only schedules.
+// Each cell, and each search or rare job as a single shard, goes through
+// Supervisor.Do: per-attempt deadlines (RetryPolicy.Timeout), bounded
+// retries with exponential backoff and deterministic per-shard jitter
+// (no retry lockstep, yet reproducible schedules), and panic
+// containment: a crashed attempt becomes a retriable shard failure, not
+// a dead server.
+// A shard that exhausts its retry budget is poisoned — quarantined
+// durably, reported exactly once, never retried forever — and the job
+// degrades gracefully: the remaining cells complete, the summary ranks
+// what did run, and resubmitting the same spec skips the quarantined
+// cell instead of looping. Timed-out attempts are cancelled AND awaited
+// before the retry starts, so an attempt's scratch buffers are never
+// shared between two live attempts.
 //
 // # Cancellation and shutdown
 //
 // context.Context plumbs from job cancel (POST /jobs/{id}/cancel),
 // client disconnect, and graceful shutdown down through campaign cells
-// and into the Monte-Carlo episode loop. Close stops scheduling new
-// shards, lets in-flight cells finish and journal, interrupts search and
+// and into the Monte-Carlo episode loop. Close makes the pool start no
+// new cell (the check runs before each cell), lets in-flight cells
+// finish and journal, interrupts search and
 // rare jobs at their next evaluation boundary (the search engine's
 // per-generation checkpoint makes that loss-free), and leaves unfinished
 // jobs non-terminal so the next server resumes them. A cancelled job is

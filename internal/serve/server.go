@@ -21,9 +21,11 @@ type Config struct {
 	// Systems is the backend menu (default campaign.DefaultSystems(nil):
 	// every registered backend that needs no logic table).
 	Systems campaign.SystemSet
-	// Workers bounds concurrent campaign cells and the episode workers of
-	// search and rare jobs (0 = NumCPU, which a search divides over its
-	// islands, as casearch -workers 0 does).
+	// Workers is the campaign cell pool's parallelism, clamped to NumCPU
+	// as sweep's campaign.parallelism is (campaign.RunCells; each served
+	// cell runs on one episode worker), and the episode workers of search
+	// and rare jobs (0 = NumCPU, which a search divides over its islands,
+	// as casearch -workers 0 does).
 	Workers int
 	// Policy is the shard retry policy (zero value = defaults).
 	Policy RetryPolicy
@@ -35,10 +37,11 @@ type Config struct {
 }
 
 // Server is the crash-safe validation service: an HTTP front end over a
-// journaled job queue and the shard supervisor. Jobs execute one at a
-// time in submission order (each job saturates the worker pool itself);
-// every completed campaign cell is journaled before it becomes
-// observable, so a killed server resumes exactly where it stopped.
+// journaled job queue, the campaign cell pool and the shard supervisor.
+// Jobs execute one at a time in submission order (each job saturates the
+// workers itself); every completed campaign cell is journaled before it
+// becomes observable, so a killed server resumes exactly where it
+// stopped.
 type Server struct {
 	cfg     Config
 	journal *Journal
@@ -244,7 +247,7 @@ func (s *Server) Cancel(id string) error {
 	}
 }
 
-// Close gracefully shuts the server down: stop scheduling new shards,
+// Close gracefully shuts the server down: start no new campaign cell,
 // let in-flight campaign cells finish and be journaled, interrupt
 // long-running search/rare jobs at their next evaluation boundary (their
 // checkpoints make that loss-free), then close the journal. Jobs left
@@ -341,9 +344,10 @@ func (s *Server) runJob(j *job) {
 	j.setStatus(status, errMsg)
 }
 
-// runCampaign executes a campaign job: cache pass, then the shard
-// supervisor over the missing cells. Returns the terminal status, or ""
-// when shutdown left the job incomplete.
+// runCampaign executes a campaign job: cache pass, then the missing
+// cells through campaign.RunCells, each under the shard supervisor.
+// Returns the terminal status, or "" when shutdown left the job
+// incomplete.
 func (s *Server) runCampaign(ctx context.Context, j *job) (string, string) {
 	keys := make([]CellKey, len(j.cells))
 	var missing []int
@@ -368,60 +372,57 @@ func (s *Server) runCampaign(ctx context.Context, j *job) (string, string) {
 		j.storePoison(i)
 	}
 
-	sup := &Supervisor{
-		Workers: s.cfg.Workers,
-		Policy:  s.cfg.Policy,
-		Clock:   s.cfg.Clock,
-		Seed:    j.cspec.Seed,
-		Disrupt: s.cfg.disrupt,
-		Drain:   s.drain,
-	}
-	// Per-worker simulation scratch: Get/Put brackets each attempt, and
-	// the supervisor never abandons an attempt (a timed-out one is
-	// awaited), so a scratch is never shared by two live attempts.
-	pool := sync.Pool{New: func() any { return new(montecarlo.Scratch) }}
-	reports, _ := sup.Run(ctx, len(missing), func(ctx context.Context, shard, attempt int) error {
+	// Shutdown is checked before each cell starts: after Close no new
+	// cell starts, and running ones finish and journal. The supervisor
+	// never abandons an attempt (a timed-out one is awaited), so the
+	// worker's scratch is never shared by two live attempts. Each cell
+	// runs on one episode worker, ignoring the pool's spill: its
+	// episodes then run on the attempt's goroutine, where Do recovers a
+	// backend panic, instead of on episode goroutines that would crash
+	// the server.
+	sup := &Supervisor{Policy: s.cfg.Policy, Clock: s.cfg.Clock, Seed: j.cspec.Seed, Disrupt: s.cfg.disrupt}
+	reports := make([]ShardReport, len(missing))
+	err := campaign.RunCells(ctx, len(missing), s.cfg.Workers, func(shard, _ int, scratch *montecarlo.Scratch) error {
+		if s.isClosing() {
+			return errClosing
+		}
 		i := missing[shard]
 		c := j.cells[i]
-		scratch := pool.Get().(*montecarlo.Scratch)
-		defer pool.Put(scratch)
-		res, err := campaign.RunCellContext(ctx, j.cspec, c, s.cfg.Systems[c.System], 1, scratch)
-		if err != nil {
-			return err
-		}
-		rec := CellRecord{Hash: keys[i].Hash, Index: c.Index, Seed: keys[i].Seed, Attempts: attempt, Result: res}
-		// Journal before publish: once a client can see the cell, a crash
-		// cannot un-complete it.
-		if err := s.journal.Append(Record{Type: "cell", Cell: &rec}); err != nil {
-			return err
-		}
-		s.mu.Lock()
-		s.cells[keys[i]] = rec
-		s.mu.Unlock()
-		j.storeCell(i, res, false)
+		reports[shard] = sup.Do(ctx, shard, func(ctx context.Context, attempt int) error {
+			res, err := campaign.RunCellContext(ctx, j.cspec, c, s.cfg.Systems[c.System], 1, scratch)
+			if err != nil {
+				return err
+			}
+			rec := CellRecord{Hash: keys[i].Hash, Index: c.Index, Seed: keys[i].Seed, Attempts: attempt, Result: res}
+			// Journal before publish: once a client can see the cell, a
+			// crash cannot un-complete it.
+			if err := s.journal.Append(Record{Type: "cell", Cell: &rec}); err != nil {
+				return err
+			}
+			s.mu.Lock()
+			s.cells[keys[i]] = rec
+			s.mu.Unlock()
+			j.storeCell(i, res, false)
+			return nil
+		})
 		return nil
 	})
 
-	incomplete := false
-	for _, rep := range reports {
-		if rep.Attempts == 0 || (!rep.Poisoned && rep.Err != "") {
-			incomplete = true
-		}
-	}
 	if ctx.Err() != nil {
 		if s.isClosing() {
 			return "", ""
 		}
 		return StatusFailed, "cancelled"
 	}
-	if incomplete {
+	if err != nil {
+		// Shutdown kept some cells from starting.
 		return "", ""
 	}
-	for _, rep := range reports {
+	for shard, rep := range reports {
 		if !rep.Poisoned {
 			continue
 		}
-		i := missing[rep.Shard]
+		i := missing[shard]
 		p := PoisonRecord{Hash: keys[i].Hash, Index: j.cells[i].Index, Seed: keys[i].Seed, Attempts: rep.Attempts, Error: rep.Err}
 		if err := s.journal.Append(Record{Type: "poison", Poison: &p}); err != nil {
 			return StatusFailed, err.Error()
@@ -495,16 +496,18 @@ func (s *Server) runRare(ctx context.Context, j *job) (string, string) {
 // superviseOne runs a search or rare job as one shard under the
 // supervisor's retry policy. It returns StatusDone once run succeeds, a
 // terminal failure (cancelled, or poisoned after the last retry), or ""
-// when shutdown left the job incomplete.
+// when shutdown left the job incomplete or kept it from starting.
 func (s *Server) superviseOne(ctx context.Context, seed uint64, run func(context.Context) error) (string, string) {
-	sup := &Supervisor{Workers: 1, Policy: s.cfg.Policy, Clock: s.cfg.Clock, Seed: seed, Drain: s.drain}
-	reports, _ := sup.Run(ctx, 1, func(ctx context.Context, _, _ int) error { return run(ctx) })
-	switch rep := reports[0]; {
+	if s.isClosing() {
+		return "", ""
+	}
+	sup := &Supervisor{Policy: s.cfg.Policy, Clock: s.cfg.Clock, Seed: seed}
+	switch rep := sup.Do(ctx, 0, func(ctx context.Context, _ int) error { return run(ctx) }); {
 	case ctx.Err() != nil && !s.isClosing():
 		return StatusFailed, "cancelled"
 	case rep.Poisoned:
 		return StatusFailed, rep.Err
-	case rep.Attempts == 0 || rep.Err != "":
+	case rep.Err != "":
 		return "", ""
 	}
 	return StatusDone, ""

@@ -17,9 +17,11 @@ import (
 
 	"acasxval/internal/campaign"
 	"acasxval/internal/config"
+	"acasxval/internal/geom"
 	"acasxval/internal/montecarlo"
 	"acasxval/internal/search"
 	"acasxval/internal/sim"
+	"acasxval/internal/uav"
 )
 
 // testCampaignParams is a small, fast campaign: 2 presets x 2 systems =
@@ -284,6 +286,59 @@ func TestServerPoisonDegraded(t *testing.T) {
 	}
 }
 
+// panicSystem is a backend that crashes inside every episode.
+type panicSystem struct{}
+
+func (panicSystem) Decide(float64, uav.State, geom.Vec3, geom.Vec3, sim.Constraint) sim.Decision {
+	panic("backend crashed")
+}
+
+func (panicSystem) Reset() { panic("backend crashed") }
+
+// TestServerEpisodePanicQuarantined: a backend that panics inside the
+// episodes of a job's only missing cell, on a server with spare workers
+// and enough samples for several episode workers, is quarantined like
+// any failing cell. Were the cell's episodes spread over episode
+// goroutines, the panic would escape Supervisor.Do and kill the test
+// binary.
+func TestServerEpisodePanicQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	systems := campaign.DefaultSystems(nil)
+	systems["svo"] = func() (sim.System, sim.System) { return panicSystem{}, panicSystem{} }
+	srv, err := NewServer(Config{StateDir: dir, Systems: systems, Workers: 2, Policy: testPolicy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	st, err := srv.Submit(KindCampaign, `
+campaign.name = serve-panic
+campaign.presets = headon
+campaign.systems = svo
+campaign.samples = 64
+campaign.seed = 7
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := waitDone(t, srv, st.ID)
+	if final.Status != StatusFailed || final.Poisoned != 1 || final.Completed != 0 {
+		t.Fatalf("final status %+v, want failed with 1 poisoned cell", final)
+	}
+	rep, err := ReplayJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Poisoned) != 1 {
+		t.Fatalf("journal has %d poison records, want 1", len(rep.Poisoned))
+	}
+	for _, p := range rep.Poisoned {
+		if p.Attempts != testPolicy.MaxAttempts || !strings.Contains(p.Error, "backend crashed") {
+			t.Errorf("poison record %+v, want %d attempts and the panic message", p, testPolicy.MaxAttempts)
+		}
+	}
+}
+
 // TestServerCacheHitsOnResubmit: an identical spec resubmitted — even
 // spelled differently — recomputes nothing.
 func TestServerCacheHitsOnResubmit(t *testing.T) {
@@ -326,8 +381,9 @@ func TestServerCacheHitsOnResubmit(t *testing.T) {
 	}
 }
 
-// TestServerGracefulShutdownResume: a server closed mid-campaign leaves
-// the job resumable; a new server over the same state dir finishes it
+// TestServerGracefulShutdownResume: a server closed mid-campaign starts
+// no new cell, lets the running one finish and journal, and leaves the
+// job non-terminal; a new server over the same state dir finishes it
 // from the journal with cache hits and byte-identical artifacts.
 func TestServerGracefulShutdownResume(t *testing.T) {
 	wantJSONL, wantSummary := reference(t, testCampaignParams)
@@ -355,6 +411,19 @@ func TestServerGracefulShutdownResume(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if cur, _ := srv.Job(st.ID); terminal(cur.Status) {
+		t.Fatalf("closed job is %s, want it left non-terminal for resume", cur.Status)
+	}
+	rep, err := ReplayJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(rep.Cells); n < 1 || n >= 4 {
+		t.Fatalf("%d cells journaled at shutdown, want the finished ones only (1 to 3 of 4)", n)
+	}
+	if terminal(rep.Jobs[0].Status) {
+		t.Fatalf("journal has the closed job %s, want it non-terminal", rep.Jobs[0].Status)
 	}
 
 	srv2 := newTestServer(t, dir, nil)

@@ -3,8 +3,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"acasxval/internal/stats"
@@ -76,24 +74,22 @@ func (p RetryPolicy) Backoff(seed uint64, shard, attempt int) time.Duration {
 // ShardReport is the supervisor's account of one shard: how many attempts
 // it took, whether it was quarantined, and the last error when it was.
 type ShardReport struct {
-	Shard    int
 	Attempts int
-	// Poisoned marks a shard that exhausted its retry budget. Each
-	// poisoned shard appears in exactly one report with Poisoned set —
-	// the caller can journal it once without deduplicating.
+	// Poisoned marks a shard that exhausted its retry budget. Do reports
+	// it once; the caller journals it without deduplicating.
 	Poisoned bool
 	Err      string
 }
 
-// Supervisor runs n shards across a bounded worker pool with retries,
-// per-attempt timeouts, panic containment and failure quarantine. It is
-// the failure-domain layer between the server and the deterministic
-// engine: everything below it is a pure function of (spec, shard, seed);
-// everything above it only sees completed or poisoned shards.
+// Supervisor runs one shard at a time through its retry state machine:
+// per-attempt timeouts, bounded retries with backoff, panic containment
+// and failure quarantine. It is the failure-domain layer between the
+// server and the deterministic engine: everything below it is a pure
+// function of (spec, shard, seed); everything above it only sees
+// completed or poisoned shards. Scheduling is not its job: campaign cells
+// reach it through campaign.RunCells, search and rare jobs directly.
 type Supervisor struct {
-	// Workers bounds concurrent shards (0 = NumCPU).
-	Workers int
-	Policy  RetryPolicy
+	Policy RetryPolicy
 	// Clock defaults to the real clock; tests inject a fake.
 	Clock Clock
 	// Seed feeds the deterministic backoff jitter.
@@ -103,89 +99,34 @@ type Supervisor struct {
 	// fault-injection hook the retry tests drive. The production server
 	// leaves it nil.
 	Disrupt func(shard, attempt int) error
-	// OnRetry observes each scheduled retry (for logs/metrics).
-	OnRetry func(shard, attempt int, err error)
-	// Drain, when closed, stops scheduling new shards; in-flight attempts
-	// run to completion. Graceful shutdown closes it, then cancels ctx
-	// only if the drain deadline passes.
-	Drain <-chan struct{}
 }
 
-// Run executes shards 0..n-1 via run, which must be safe to call again
-// for the same shard after a failed attempt (the engine's counter-seeded
-// cells are — a retried cell reproduces the original bytes exactly).
-// It returns one report per shard and the context error if cancelled;
-// poisoned shards are reported, not returned as an error, because partial
-// results are the point of graceful degradation.
-func (s *Supervisor) Run(ctx context.Context, n int, run func(ctx context.Context, shard, attempt int) error) ([]ShardReport, error) {
+// Do drives one shard's attempt/retry/quarantine state machine via run,
+// which must be safe to call again after a failed attempt (the engine's
+// counter-seeded cells are — a retried cell reproduces the original bytes
+// exactly). A poisoned shard is reported, not returned as an error,
+// because partial results are the point of graceful degradation. When ctx
+// ends, Do stops without poisoning: the report carries the interrupted
+// attempt's error so a resumed run retries the shard.
+func (s *Supervisor) Do(ctx context.Context, shard int, run func(ctx context.Context, attempt int) error) ShardReport {
 	policy := s.Policy.withDefaults()
 	clock := s.Clock
 	if clock == nil {
 		clock = realClock{}
 	}
-	workers := s.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > n {
-		workers = n
-	}
-	reports := make([]ShardReport, n)
-	for i := range reports {
-		reports[i].Shard = i
-	}
-	feed := make(chan int)
-	go func() {
-		defer close(feed)
-		for i := 0; i < n; i++ {
-			select {
-			case <-ctx.Done():
-				return
-			case <-s.Drain:
-				return
-			case feed <- i:
-			}
-		}
-	}()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for shard := range feed {
-				s.runShard(ctx, clock, policy, shard, run, &reports[shard])
-			}
-		}()
-	}
-	wg.Wait()
-	return reports, ctx.Err()
-}
-
-// runShard drives one shard's attempt/retry/quarantine state machine.
-func (s *Supervisor) runShard(ctx context.Context, clock Clock, policy RetryPolicy, shard int, run func(ctx context.Context, shard, attempt int) error, rep *ShardReport) {
 	for attempt := 1; ; attempt++ {
-		rep.Attempts = attempt
 		err := s.attempt(ctx, clock, policy, shard, attempt, run)
 		if err == nil {
-			rep.Err = ""
-			return
+			return ShardReport{Attempts: attempt}
 		}
-		rep.Err = err.Error()
-		if ctx.Err() != nil {
-			// Cancellation is the caller stopping work, not the shard
-			// failing: report without poisoning so a resumed run retries.
-			return
-		}
-		if attempt >= policy.MaxAttempts {
-			rep.Poisoned = true
-			return
-		}
-		if s.OnRetry != nil {
-			s.OnRetry(shard, attempt, err)
+		rep := ShardReport{Attempts: attempt, Err: err.Error()}
+		if ctx.Err() != nil || attempt >= policy.MaxAttempts {
+			rep.Poisoned = ctx.Err() == nil
+			return rep
 		}
 		select {
 		case <-ctx.Done():
-			return
+			return rep
 		case <-clock.After(policy.Backoff(s.Seed, shard, attempt)):
 		}
 	}
@@ -197,7 +138,7 @@ func (s *Supervisor) runShard(ctx context.Context, clock Clock, policy RetryPoli
 // scratch, so an abandoned attempt must never still be running. An
 // attempt that completes successfully right at the deadline is accepted:
 // its result is as deterministic as any other.
-func (s *Supervisor) attempt(ctx context.Context, clock Clock, policy RetryPolicy, shard, attempt int, run func(ctx context.Context, shard, attempt int) error) error {
+func (s *Supervisor) attempt(ctx context.Context, clock Clock, policy RetryPolicy, shard, attempt int, run func(ctx context.Context, attempt int) error) error {
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	done := make(chan error, 1)
@@ -208,7 +149,7 @@ func (s *Supervisor) attempt(ctx context.Context, clock Clock, policy RetryPolic
 					return derr
 				}
 			}
-			return run(actx, shard, attempt)
+			return run(actx, attempt)
 		})
 	}()
 	var timeout <-chan time.Time
@@ -227,8 +168,8 @@ func (s *Supervisor) attempt(ctx context.Context, clock Clock, policy RetryPolic
 	}
 }
 
-// protect converts a panic in f into an error, so one crashed worker
-// goroutine becomes a retriable shard failure instead of killing the
+// protect converts a panic in f into an error, so one crashed attempt
+// becomes a retriable shard failure instead of killing the
 // server.
 func protect(f func() error) (err error) {
 	defer func() {

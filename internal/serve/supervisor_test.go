@@ -48,31 +48,8 @@ func (d *counterDisrupt) disrupt(shard, attempt int) error {
 	return d.fail(shard, attempt)
 }
 
-func TestSupervisorAllFirstTry(t *testing.T) {
-	sup := &Supervisor{Workers: 2, Clock: &fakeClock{}}
-	var mu sync.Mutex
-	ran := make(map[int]int)
-	reports, err := sup.Run(context.Background(), 5, func(_ context.Context, shard, attempt int) error {
-		mu.Lock()
-		ran[shard]++
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != 5 {
-		t.Fatalf("%d reports, want 5", len(reports))
-	}
-	for _, rep := range reports {
-		if rep.Attempts != 1 || rep.Poisoned || rep.Err != "" {
-			t.Errorf("report %+v, want one clean attempt", rep)
-		}
-		if ran[rep.Shard] != 1 {
-			t.Errorf("shard %d ran %d times", rep.Shard, ran[rep.Shard])
-		}
-	}
-}
+// succeed is a shard run that completes on every attempt.
+func succeed(context.Context, int) error { return nil }
 
 // TestSupervisorRetriesThenSucceeds: transient failures are retried with
 // backoff and the shard completes without poisoning.
@@ -84,26 +61,15 @@ func TestSupervisorRetriesThenSucceeds(t *testing.T) {
 		}
 		return nil
 	}}
-	var retries []int
-	sup := &Supervisor{
-		Workers: 1,
-		Policy:  RetryPolicy{MaxAttempts: 3},
-		Clock:   clock,
-		Disrupt: d.disrupt,
-		OnRetry: func(shard, attempt int, err error) { retries = append(retries, shard) },
+	sup := &Supervisor{Policy: RetryPolicy{MaxAttempts: 3}, Clock: clock, Disrupt: d.disrupt}
+	if rep := sup.Do(context.Background(), 0, succeed); rep != (ShardReport{Attempts: 1}) {
+		t.Errorf("shard 0 report %+v, want one clean attempt", rep)
 	}
-	reports, err := sup.Run(context.Background(), 3, func(context.Context, int, int) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep := reports[1]; rep.Attempts != 3 || rep.Poisoned || rep.Err != "" {
+	if rep := sup.Do(context.Background(), 1, succeed); rep != (ShardReport{Attempts: 3}) {
 		t.Errorf("shard 1 report %+v, want 3 attempts, recovered", rep)
 	}
-	if rep := reports[0]; rep.Attempts != 1 {
-		t.Errorf("shard 0 report %+v, want first-try success", rep)
-	}
-	if len(retries) != 2 || retries[0] != 1 || retries[1] != 1 {
-		t.Errorf("OnRetry saw %v, want [1 1]", retries)
+	if d.calls != 4 {
+		t.Errorf("%d attempts, want 4 (1 for shard 0, 3 for shard 1)", d.calls)
 	}
 	// Two backoff sleeps were requested, with exponential growth.
 	afters := clock.requested()
@@ -119,7 +85,7 @@ func TestSupervisorRetriesThenSucceeds(t *testing.T) {
 }
 
 // TestSupervisorQuarantine: a shard failing every attempt is poisoned
-// exactly once and the rest of the run completes.
+// after its retry budget, and the next shard still runs clean.
 func TestSupervisorQuarantine(t *testing.T) {
 	d := &counterDisrupt{fail: func(shard, attempt int) error {
 		if shard == 0 {
@@ -127,22 +93,12 @@ func TestSupervisorQuarantine(t *testing.T) {
 		}
 		return nil
 	}}
-	sup := &Supervisor{Workers: 2, Policy: RetryPolicy{MaxAttempts: 3}, Clock: &fakeClock{}, Disrupt: d.disrupt}
-	reports, err := sup.Run(context.Background(), 4, func(context.Context, int, int) error { return nil })
-	if err != nil {
-		t.Fatal(err)
+	sup := &Supervisor{Policy: RetryPolicy{MaxAttempts: 3}, Clock: &fakeClock{}, Disrupt: d.disrupt}
+	if rep := sup.Do(context.Background(), 0, succeed); !rep.Poisoned || rep.Attempts != 3 || rep.Err == "" {
+		t.Errorf("shard 0 report %+v, want poisoned after 3 attempts with error", rep)
 	}
-	poisoned := 0
-	for _, rep := range reports {
-		if rep.Poisoned {
-			poisoned++
-			if rep.Shard != 0 || rep.Attempts != 3 || rep.Err == "" {
-				t.Errorf("poisoned report %+v, want shard 0 after 3 attempts with error", rep)
-			}
-		}
-	}
-	if poisoned != 1 {
-		t.Errorf("%d poisoned reports, want exactly 1", poisoned)
+	if rep := sup.Do(context.Background(), 1, succeed); rep != (ShardReport{Attempts: 1}) {
+		t.Errorf("shard 1 report %+v, want one clean attempt", rep)
 	}
 }
 
@@ -155,12 +111,8 @@ func TestSupervisorPanicRecovered(t *testing.T) {
 		}
 		return nil
 	}}
-	sup := &Supervisor{Workers: 1, Policy: RetryPolicy{MaxAttempts: 3}, Clock: &fakeClock{}, Disrupt: d.disrupt}
-	reports, err := sup.Run(context.Background(), 1, func(context.Context, int, int) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep := reports[0]; rep.Attempts != 2 || rep.Poisoned {
+	sup := &Supervisor{Policy: RetryPolicy{MaxAttempts: 3}, Clock: &fakeClock{}, Disrupt: d.disrupt}
+	if rep := sup.Do(context.Background(), 0, succeed); rep != (ShardReport{Attempts: 2}) {
 		t.Errorf("report %+v, want recovery on attempt 2", rep)
 	}
 }
@@ -169,13 +121,12 @@ func TestSupervisorPanicRecovered(t *testing.T) {
 // cancelled, awaited, and retried.
 func TestSupervisorTimeout(t *testing.T) {
 	sup := &Supervisor{
-		Workers: 1,
-		Policy:  RetryPolicy{MaxAttempts: 2, Timeout: time.Second},
-		Clock:   &fakeClock{}, // the deadline fires immediately
+		Policy: RetryPolicy{MaxAttempts: 2, Timeout: time.Second},
+		Clock:  &fakeClock{}, // the deadline fires immediately
 	}
 	var mu sync.Mutex
 	attempts := 0
-	reports, err := sup.Run(context.Background(), 1, func(ctx context.Context, shard, attempt int) error {
+	rep := sup.Do(context.Background(), 0, func(ctx context.Context, attempt int) error {
 		mu.Lock()
 		attempts++
 		mu.Unlock()
@@ -185,10 +136,7 @@ func TestSupervisorTimeout(t *testing.T) {
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep := reports[0]; rep.Attempts != 2 || rep.Poisoned {
+	if rep != (ShardReport{Attempts: 2}) {
 		t.Errorf("report %+v, want recovery on attempt 2 after timeout", rep)
 	}
 	if attempts != 2 {
@@ -196,54 +144,18 @@ func TestSupervisorTimeout(t *testing.T) {
 	}
 }
 
-// TestSupervisorCancel: context cancellation stops the run without
-// poisoning anything — cancelled work must stay retriable on resume.
+// TestSupervisorCancel: context cancellation stops the shard without
+// poisoning it or retrying — cancelled work must stay retriable on
+// resume, and the report's error marks it unfinished.
 func TestSupervisorCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	sup := &Supervisor{Workers: 1, Policy: RetryPolicy{MaxAttempts: 3}, Clock: &fakeClock{}}
-	started := make(chan struct{})
-	var once sync.Once
-	reports, err := sup.Run(ctx, 4, func(ctx context.Context, shard, attempt int) error {
-		once.Do(func() { close(started); cancel() })
+	sup := &Supervisor{Policy: RetryPolicy{MaxAttempts: 3}, Clock: &fakeClock{}}
+	rep := sup.Do(ctx, 0, func(ctx context.Context, attempt int) error {
+		cancel()
 		return ctx.Err()
 	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	<-started
-	for _, rep := range reports {
-		if rep.Poisoned {
-			t.Errorf("cancelled run poisoned shard %d", rep.Shard)
-		}
-	}
-}
-
-// TestSupervisorDrain: closing Drain stops scheduling new shards but
-// lets the in-flight shard finish.
-func TestSupervisorDrain(t *testing.T) {
-	drain := make(chan struct{})
-	sup := &Supervisor{Workers: 1, Clock: &fakeClock{}, Drain: drain}
-	var once sync.Once
-	reports, err := sup.Run(context.Background(), 10, func(context.Context, int, int) error {
-		once.Do(func() { close(drain) })
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	finished, unstarted := 0, 0
-	for _, rep := range reports {
-		switch {
-		case rep.Attempts == 1 && !rep.Poisoned && rep.Err == "":
-			finished++
-		case rep.Attempts == 0:
-			unstarted++
-		default:
-			t.Errorf("unexpected report %+v", rep)
-		}
-	}
-	if finished == 0 || unstarted == 0 {
-		t.Errorf("finished %d unstarted %d, want both nonzero", finished, unstarted)
+	if rep.Poisoned || rep.Attempts != 1 || rep.Err != context.Canceled.Error() {
+		t.Errorf("report %+v, want one unpoisoned attempt ending in %q", rep, context.Canceled)
 	}
 }
 

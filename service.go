@@ -16,9 +16,10 @@ import (
 // (signal.NotifyContext) instead of killing the process mid-write.
 
 // RunCampaignContext executes a validation campaign: the scenario x system
-// x variant cross-product fans out over a deterministic worker pool (when
-// the grid is smaller than the pool, the leftover cores run each cell's
-// episodes in parallel instead of idling), each cell streams one JSON
+// x variant cross-product fans out over the campaign cell pool, the one
+// the validation server's campaign jobs use too (when the grid is smaller
+// than the pool, the leftover cores run each cell's episodes in parallel
+// instead of idling), each cell streams one JSON
 // record to jsonl (may be nil), and the result ranks systems by risk ratio
 // against the unequipped baseline. Output is byte-identical across runs
 // with the same spec, regardless of how the work was scheduled. A
