@@ -1,5 +1,6 @@
 // Command caserve runs the validation service: a long-running, crash-safe
-// HTTP server accepting campaign, adversarial-search and rare-event jobs.
+// HTTP server accepting campaign (rare-event estimator cells included) and
+// adversarial-search jobs.
 // Campaign cells run on sweep's cell pool (campaign.RunCells, -workers
 // clamped to NumCPU), each under the shard supervisor's per-cell
 // deadlines, bounded retries and quarantine of persistently failing
@@ -15,7 +16,7 @@
 //
 // API:
 //
-//	POST /jobs                {"kind":"campaign|search|rare","params":"<ECJ text>"}
+//	POST /jobs                {"kind":"campaign|search","params":"<ECJ text>"}
 //	GET  /jobs                list jobs
 //	GET  /jobs/{id}           job status
 //	GET  /jobs/{id}/stream    live JSONL cell stream (follows until terminal)
@@ -26,7 +27,8 @@
 //
 // A job writes under the artifact base <state>/<job-id> the files its
 // command writes under -out BASE: sweep for a campaign, casearch for a
-// search, mceval for a rare job (search and rare episodes run on -workers).
+// search (a search's episodes run on -workers). The retired rare job kind
+// is refused; a campaign with campaign.estimator.methods replaces it.
 //
 // SIGINT/SIGTERM shut down gracefully: no new cell starts, in-flight
 // cells finish and are journaled, long-running jobs stop at their next checkpoint boundary,
@@ -63,7 +65,7 @@ func run() error {
 		tablePath   = flag.String("table", "", "logic table path (built on the fly when a submitted job needs one)")
 		full        = flag.Bool("full", false, "build the full-resolution table instead of the coarse one")
 		withTable   = flag.Bool("with-table", false, "build/load the logic table at startup so table-backed systems are accepted")
-		workers     = flag.Int("workers", 0, "concurrent campaign cells (clamped to NumCPU) and the episode workers of search and rare jobs (0 = NumCPU)")
+		workers     = flag.Int("workers", 0, "concurrent campaign cells (clamped to NumCPU) and the episode workers of search jobs (0 = NumCPU)")
 		retries     = flag.Int("retries", 0, "attempts per cell before quarantine (0 = default 3)")
 		cellTimeout = flag.Duration("cell-timeout", 0, "per-attempt cell deadline (0 = none)")
 		backoff     = flag.Duration("backoff", 0, "base retry backoff, doubled per attempt with jitter (0 = default 50ms)")

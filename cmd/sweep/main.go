@@ -36,8 +36,11 @@
 // campaign.estimator.methods sets the rare-event estimator axis: each
 // listed method re-estimates P(NMAC) under the statistical encounter model
 // for every system, variant and fault point, reported in a dedicated
-// summary section with effective sample size and variance-reduction
-// factor. -archive-proposal feeds a danger archive's genomes to the
+// summary section with effective sample size, variance-reduction factor
+// and risk ratio against the unequipped baseline. A spec of
+// estimator cells alone, params/montecarlo.params, is the section IV
+// model-level estimate (add -full for the full-resolution table).
+// -archive-proposal feeds a danger archive's genomes to the
 // importance-sampling estimators as proposal kernels — the search's
 // failure region steers the estimator.
 package main

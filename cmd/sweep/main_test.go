@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -62,6 +63,10 @@ func TestCampaignSpecErrors(t *testing.T) {
 
 // TestCampaignSpecShippedFiles: every shipped parameter file is a valid
 // campaign spec; search keys in shared files are left to casearch.
+// params/montecarlo.params is the model-level estimate alone: acasx, svo
+// and none at 10000 brute-force samples each under seed 1, no fixed
+// scenarios; at reduced samples it expands to one estimator cell per
+// system.
 func TestCampaignSpecShippedFiles(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("..", "..", "params", "*.params"))
 	if err != nil || len(files) == 0 {
@@ -72,11 +77,32 @@ func TestCampaignSpecShippedFiles(t *testing.T) {
 			t.Errorf("%s: %v", f, err)
 		}
 	}
+	mc := filepath.Join("..", "..", "params", "montecarlo.params")
+	spec, err := campaignSpec(mc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(spec.Systems, []string{"acasx", "svo", "none"}) || spec.Samples != 10000 || spec.Seed != 1 ||
+		!slices.Equal(spec.Estimators, []string{"bruteforce"}) || len(spec.Presets)+len(spec.Scenarios)+spec.ModelDraws != 0 {
+		t.Errorf("%s: %+v", mc, spec)
+	}
+	if spec, err = campaignSpec(mc, []string{"campaign.samples=200"}); err != nil {
+		t.Fatal(err)
+	}
+	cells, err := spec.Cells()
+	if err != nil || len(cells) != 3 || spec.Samples != 200 {
+		t.Fatalf("%s at 200 samples: %d cells (%v), samples %d", mc, len(cells), err, spec.Samples)
+	}
+	for i, c := range cells {
+		if c.Estimator != "bruteforce" || c.System != spec.Systems[i] {
+			t.Errorf("cell %d: %+v, want a bruteforce estimator cell of %s", i, c, spec.Systems[i])
+		}
+	}
 }
 
-// TestOnePathParity: each demo campaign run by sweep -out writes the
-// bytes the same spec writes as a caserve job, under the same small
-// overrides. The table-driven backends run on one coarse table both
+// TestOnePathParity: each demo campaign, and the model-level estimate of
+// params/montecarlo.params, run by sweep -out writes the bytes the same
+// spec writes as a caserve job, under the same small overrides. The table-driven backends run on one coarse table both
 // sides share.
 func TestOnePathParity(t *testing.T) {
 	tablePath := filepath.Join(t.TempDir(), "coarse.acxt")
@@ -85,17 +111,18 @@ func TestOnePathParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	systems := campaign.DefaultSystems(table)
-	for demo, overrides := range map[string][]string{
-		"sweep":    {"campaign.samples=4", "campaign.seed=3"},
-		"backends": {"campaign.samples=3"},
-		"faults":   {"campaign.samples=3"},
-		"multi":    {"campaign.samples=3", "campaign.seed=5"},
-		"rare":     {"campaign.samples=150"},
+	for name, overrides := range map[string][]string{
+		"sweep-demo":    {"campaign.samples=4", "campaign.seed=3"},
+		"backends-demo": {"campaign.samples=3"},
+		"faults-demo":   {"campaign.samples=3"},
+		"multi-demo":    {"campaign.samples=3", "campaign.seed=5"},
+		"rare-demo":     {"campaign.samples=150"},
+		"montecarlo":    {"campaign.samples=200"},
 	} {
-		file := filepath.Join("..", "..", "params", demo+"-demo.params")
-		base := filepath.Join(t.TempDir(), demo)
+		file := filepath.Join("..", "..", "params", name+".params")
+		base := filepath.Join(t.TempDir(), name)
 		if err := run(append([]string{"-spec", file, "-table", tablePath, "-out", base}, overrides...), io.Discard); err != nil {
-			t.Fatalf("%s: %v", demo, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		job := serveJob(t, systems, serve.KindCampaign, specText(t, file, overrides))
 		sameArtifacts(t, base, job, ".jsonl", ".summary.txt")

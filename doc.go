@@ -116,8 +116,9 @@
 // (RiskEstimate.ESS, .VarianceReduction), zero-success runs still report
 // a sound Clopper-Pearson-based upper bound, and the campaign engine
 // crosses an estimator axis (campaign.estimator.methods, in a cmd/sweep
-// spec file or argument; rare.method for cmd/mceval) over every system,
-// variant and fault point. examples/rareevent cross-validates the family
+// spec file or argument) over every system, variant and fault point; a
+// campaign of estimator cells alone, params/montecarlo.params, is the
+// section IV model-level estimate with each system's risk ratio. examples/rareevent cross-validates the family
 // against brute force on hostile wide-prior airspace.
 //
 // Everything above bottoms out in one parallel, allocation-free episode

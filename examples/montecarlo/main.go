@@ -22,7 +22,7 @@ func main() {
 
 	model := acasxval.DefaultEncounterModel()
 	cfg := acasxval.DefaultMonteCarloConfig()
-	cfg.Samples = 1000 // example scale; cmd/mceval defaults to 10000
+	cfg.Samples = 1000 // example scale; params/montecarlo.params runs 10000
 
 	estimates := map[string]*acasxval.RiskEstimate{}
 	fmt.Printf("%-8s %9s %20s %11s %13s\n", "system", "P(NMAC)", "95% CI", "alert rate", "mean min sep")

@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -97,6 +98,55 @@ func TestEstimatorAxis(t *testing.T) {
 		if !strings.Contains(table, m) {
 			t.Errorf("summary table missing estimator %q:\n%s", m, table)
 		}
+	}
+}
+
+// TestEstimatorTableRiskRatio: each row of the estimator table reports
+// montecarlo.RiskRatio of its cell against the unequipped cell under the
+// same estimator, variant and fault point, and "-" where that ratio is
+// undefined: no baseline cell, or a baseline estimate of zero. A campaign
+// of estimator cells alone prints no classic table.
+func TestEstimatorTableRiskRatio(t *testing.T) {
+	cell := func(estimator, system, variant, fault string, p float64) CellResult {
+		return CellResult{Scenario: estimatorScenario, Estimator: estimator, System: system, Variant: variant, Fault: fault, PNMAC: p}
+	}
+	cells := []CellResult{
+		cell("bruteforce", "svo", "default", "", 0.12),
+		cell("bruteforce", "none", "default", "", 0.96),
+		cell("bruteforce", "svo", "default", "severe", 0.3),
+		cell("bruteforce", "none", "default", "severe", 0.9),
+		cell("bruteforce", "svo", "slow", "", 0.2),
+		cell("is", "svo", "default", "", 0.01),
+		cell("is", "none", "default", "", 0),
+		cell("split", "svo", "default", "", 0.02),
+	}
+	for i := range cells {
+		cells[i].Index = i
+	}
+	table := NewResult(DefaultSpec(), cells).SummaryTable()
+	lines := strings.Split(strings.TrimSuffix(table, "\n"), "\n")
+	if len(lines) != 2+len(cells) || lines[0] != "rare-event estimates (statistical encounter model)" {
+		t.Fatalf("want the estimator section alone, one row per cell:\n%s", table)
+	}
+	defined := 0
+	for i, c := range cells {
+		want := "-"
+		for _, base := range cells {
+			if base.System != BaselineSystem || base.Estimator != c.Estimator || base.Variant != c.Variant || base.Fault != c.Fault {
+				continue
+			}
+			if ratio, err := montecarlo.RiskRatio(&montecarlo.Estimate{PNMAC: c.PNMAC}, &montecarlo.Estimate{PNMAC: base.PNMAC}); err == nil {
+				want = fmt.Sprintf("%.4f", ratio)
+				defined++
+			}
+		}
+		fields := strings.Fields(lines[2+i])
+		if got := fields[len(fields)-1]; fields[0] != c.Estimator || fields[1] != c.System || got != want {
+			t.Errorf("row %q: risk ratio %s, want %s", lines[2+i], got, want)
+		}
+	}
+	if defined != 4 {
+		t.Errorf("%d defined ratios, want 4", defined)
 	}
 }
 

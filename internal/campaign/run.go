@@ -609,8 +609,21 @@ func summarize(spec Spec, cells []CellResult) []SystemSummary {
 
 // SummaryTable renders the ranked summaries as an aligned text table. The
 // fault column appears only when some group ran under a named fault
-// point, so unfaulted sweeps keep their historical layout.
+// point, so unfaulted sweeps keep their historical layout. A campaign
+// with no fixed-scenario cells (estimator cells alone) prints only the
+// estimator section.
 func (r *Result) SummaryTable() string {
+	var b strings.Builder
+	r.appendClassicTable(&b)
+	r.appendEstimatorTable(&b)
+	return b.String()
+}
+
+// appendClassicTable renders the ranked fixed-scenario summaries, if any.
+func (r *Result) appendClassicTable(b *strings.Builder) {
+	if len(r.Summaries) == 0 {
+		return
+	}
 	withFaults := false
 	for _, s := range r.Summaries {
 		if s.Fault != "" {
@@ -618,12 +631,11 @@ func (r *Result) SummaryTable() string {
 			break
 		}
 	}
-	var b strings.Builder
 	if withFaults {
-		fmt.Fprintf(&b, "%-10s %-14s %-10s %6s %8s %9s %11s %14s %11s\n",
+		fmt.Fprintf(b, "%-10s %-14s %-10s %6s %8s %9s %11s %14s %11s\n",
 			"system", "variant", "fault", "cells", "samples", "P(NMAC)", "alert rate", "mean min sep", "risk ratio")
 	} else {
-		fmt.Fprintf(&b, "%-10s %-14s %6s %8s %9s %11s %14s %11s\n",
+		fmt.Fprintf(b, "%-10s %-14s %6s %8s %9s %11s %14s %11s\n",
 			"system", "variant", "cells", "samples", "P(NMAC)", "alert rate", "mean min sep", "risk ratio")
 	}
 	for _, s := range r.Summaries {
@@ -636,27 +648,34 @@ func (r *Result) SummaryTable() string {
 			if flt == "" {
 				flt = "-"
 			}
-			fmt.Fprintf(&b, "%-10s %-14s %-10s %6d %8d %9.4f %11.2f %12.1f m %11s\n",
+			fmt.Fprintf(b, "%-10s %-14s %-10s %6d %8d %9.4f %11.2f %12.1f m %11s\n",
 				s.System, s.Variant, flt, s.Cells, s.Samples, s.PNMAC, s.AlertRate, s.MeanMinSep, ratio)
 		} else {
-			fmt.Fprintf(&b, "%-10s %-14s %6d %8d %9.4f %11.2f %12.1f m %11s\n",
+			fmt.Fprintf(b, "%-10s %-14s %6d %8d %9.4f %11.2f %12.1f m %11s\n",
 				s.System, s.Variant, s.Cells, s.Samples, s.PNMAC, s.AlertRate, s.MeanMinSep, ratio)
 		}
 	}
-	r.appendEstimatorTable(&b)
-	return b.String()
 }
 
 // appendEstimatorTable renders the estimator cells (scenario "model") as
 // their own section: rare-event P(NMAC) estimates under the statistical
-// encounter model, with interval, effective sample size and measured
-// variance-reduction factor. Absent when the campaign declared no
-// estimator axis, so classic summaries keep their historical layout.
+// encounter model, with interval, effective sample size, measured
+// variance-reduction factor and the risk ratio against the unequipped
+// baseline's cell under the same estimator, variant and fault point ("-"
+// without one, or when its estimate is zero). Absent when the campaign
+// declared no estimator axis, so classic summaries keep their historical
+// layout.
 func (r *Result) appendEstimatorTable(b *strings.Builder) {
+	type group struct{ estimator, variant, fault string }
 	var rows []CellResult
+	baseline := make(map[group]float64)
 	for _, c := range r.Cells {
-		if c.Estimator != "" {
-			rows = append(rows, c)
+		if c.Estimator == "" {
+			continue
+		}
+		rows = append(rows, c)
+		if c.System == BaselineSystem {
+			baseline[group{c.Estimator, c.Variant, c.Fault}] = c.PNMAC
 		}
 	}
 	if len(rows) == 0 {
@@ -666,15 +685,19 @@ func (r *Result) appendEstimatorTable(b *strings.Builder) {
 		b.WriteByte('\n')
 	}
 	fmt.Fprintf(b, "rare-event estimates (statistical encounter model)\n")
-	fmt.Fprintf(b, "%-10s %-10s %-14s %-10s %8s %7s %11s %24s %9s %6s\n",
-		"estimator", "system", "variant", "fault", "episodes", "nmacs", "P(NMAC)", "interval", "ESS", "VRF")
+	fmt.Fprintf(b, "%-10s %-10s %-14s %-10s %8s %7s %11s %24s %9s %6s %11s\n",
+		"estimator", "system", "variant", "fault", "episodes", "nmacs", "P(NMAC)", "interval", "ESS", "VRF", "risk ratio")
 	for _, c := range rows {
 		flt := c.Fault
 		if flt == "" {
 			flt = "-"
 		}
-		fmt.Fprintf(b, "%-10s %-10s %-14s %-10s %8d %7d %11.3e [%9.3e, %9.3e] %9.1f %6.1f\n",
+		ratio := "-"
+		if base := baseline[group{c.Estimator, c.Variant, c.Fault}]; base > 0 {
+			ratio = fmt.Sprintf("%.4f", c.PNMAC/base)
+		}
+		fmt.Fprintf(b, "%-10s %-10s %-14s %-10s %8d %7d %11.3e [%9.3e, %9.3e] %9.1f %6.1f %11s\n",
 			c.Estimator, c.System, c.Variant, flt, c.Samples, c.NMACs,
-			c.PNMAC, c.PNMACLo, c.PNMACHi, c.ESS, c.VarianceReduction)
+			c.PNMAC, c.PNMACLo, c.PNMACHi, c.ESS, c.VarianceReduction, ratio)
 	}
 }

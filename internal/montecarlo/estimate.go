@@ -266,6 +266,11 @@ func setup(model MultiEncounterModel, factory SystemFactory, cfg *Config, scratc
 // would silently average in zeros. The per-episode ctx.Err() call is
 // allocation-free on both the background context and cancel contexts, so
 // the zero-alloc steady state holds.
+//
+// A panic in run reaches the caller at any worker count: a worker that
+// panics stops the others claiming new batches, and runEpisodes re-panics
+// with the first panic's value once every worker has returned, so a
+// recover above it (the validation server's shard supervisor) sees it.
 func runEpisodes(ctx context.Context, worlds []*world, n int, run func(w *world, i int)) error {
 	if len(worlds) == 1 {
 		for i := 0; i < n && ctx.Err() == nil; i++ {
@@ -278,10 +283,18 @@ func runEpisodes(ctx context.Context, worlds []*world, n int, run func(w *world,
 	// result.
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var crash sync.Once
+	var crashed any
 	wg.Add(len(worlds))
 	for _, w := range worlds {
 		go func(w *world) {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					crash.Do(func() { crashed = r })
+					next.Store(int64(n)) // no worker claims another batch
+				}
+			}()
 			for ctx.Err() == nil {
 				start := int(next.Add(episodeBatch)) - episodeBatch
 				if start >= n {
@@ -294,6 +307,9 @@ func runEpisodes(ctx context.Context, worlds []*world, n int, run func(w *world,
 		}(w)
 	}
 	wg.Wait()
+	if crashed != nil {
+		panic(crashed)
+	}
 	return ctx.Err()
 }
 

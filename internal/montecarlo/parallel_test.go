@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"acasxval/internal/encounter"
+	"acasxval/internal/sim"
 	"acasxval/internal/stats"
 )
 
@@ -73,6 +75,48 @@ func TestEvaluateScratchWorldReuse(t *testing.T) {
 		if *got != *want {
 			t.Errorf("scratch-reuse estimate differs\n got: %+v\nwant: %+v", got, want)
 		}
+	}
+}
+
+// panicAfter is an unequipped system whose Reset panics once the shared
+// reset counter, bumped by every aircraft's system at the start of every
+// episode, reaches after: a backend that crashes mid-run.
+type panicAfter struct {
+	sim.NoSystem
+	resets *atomic.Int64
+	after  int64
+}
+
+func (s panicAfter) Reset() {
+	if s.resets.Add(1) == s.after {
+		panic("backend crashed")
+	}
+}
+
+// TestEpisodeWorkerPanicReachesCaller: a panic on one of two episode
+// workers is re-raised on the caller's goroutine, where a recover sees
+// its value, and the workers stop claiming episodes once it happens.
+func TestEpisodeWorkerPanicReachesCaller(t *testing.T) {
+	const samples = 4000
+	cfg := DefaultConfig()
+	cfg.Samples = samples
+	cfg.Parallelism = 2
+	var resets atomic.Int64
+	factory := func() (sim.System, sim.System) {
+		s := panicAfter{resets: &resets, after: 40}
+		return s, s
+	}
+	recovered := func() (r any) {
+		defer func() { r = recover() }()
+		EvaluateMultiWithScratchContext(context.Background(), pairwise(DefaultEncounterModel()), factory, cfg, nil)
+		return nil
+	}()
+	if recovered != "backend crashed" {
+		t.Fatalf("recovered %v, want the backend's panic", recovered)
+	}
+	// Each worker may finish the batch it holds; claiming stops there.
+	if n := resets.Load(); n > 40+2*2*episodeBatch {
+		t.Errorf("%d resets after a panic at 40, want the workers to stop claiming episodes", n)
 	}
 }
 

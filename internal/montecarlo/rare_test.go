@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -538,49 +537,6 @@ func TestRareEventGolden(t *testing.T) {
 // FuzzRareEventSpecParams round-trips the estimator config codec: any spec
 // that decodes from a params file must be finite and must re-encode and
 // decode to itself.
-// TestRareFromConfig: the rare.* run keys decode over DefaultConfig, the
-// tuning keys only next to a method, the fault keys through
-// fault.FromConfig, and any other unread key under the prefix fails naming
-// itself.
-func TestRareFromConfig(t *testing.T) {
-	parse := func(text string) (RareJob, error) {
-		t.Helper()
-		c, err := config.Parse(text)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return RareFromConfig(c)
-	}
-	job, err := parse("other.key = 1\n")
-	want := RareJob{Name: "rare", Systems: []string{"none"}, Config: DefaultConfig()}
-	if err != nil || !reflect.DeepEqual(job, want) {
-		t.Errorf("defaults: %+v %v", job, err)
-	}
-	job, err = parse("rare.method = split\nrare.levels = 800, 400, 160\nrare.samples = 30\nrare.seed = 5\nrare.name = r\nrare.system = svo, none\n")
-	if err != nil || job.Spec.Method != MethodSplit || len(job.Spec.Levels) != 3 || job.Config.Samples != 30 || job.Config.Seed != 5 ||
-		job.Name != "r" || !reflect.DeepEqual(job.Systems, []string{"svo", "none"}) {
-		t.Errorf("explicit: %+v %v", job, err)
-	}
-	severe, _ := fault.Preset("severe")
-	severe.Latency = 0
-	if job, err = parse("rare.faults.preset = severe\nrare.faults.latency = 0\n"); err != nil || job.Config.Run.Faults != severe {
-		t.Errorf("faults: %+v %v, want %+v", job.Config.Run.Faults, err, severe)
-	}
-	for text, want := range map[string]string{
-		"rare.method = is\nrare.sampels = 30\n": "rare.sampels",
-		"rare.defensive = 0.3\n":                "rare.method",
-		"rare.method = \nrare.levels = 400\n":   "rare.method",
-		"rare.sytem = svo\n":                    "rare.sytem",
-		"rare.system = ,\n":                     "rare.system",
-		"rare.faults.presett = severe\n":        "rare.faults.presett",
-		"rare.faults.preset = nosuch\n":         "nosuch",
-	} {
-		if _, err := parse(text); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("%q: err %v, want one naming %s", text, err, want)
-		}
-	}
-}
-
 func FuzzRareEventSpecParams(f *testing.F) {
 	f.Add("estimator.method = is\nestimator.defensive = 0.3\nestimator.bandwidth = 0.02\nestimator.kernel.0 = 1,2,3,4,5,6,7,8,9\n")
 	f.Add("estimator.method = split\nestimator.levels = 800,400,160\nestimator.moves = 4\nestimator.step = 0.25\n")

@@ -333,18 +333,35 @@ func (e *engine) initialize() {
 // step runs one lockstep generation: parallel island evaluation, a
 // deterministic barrier (stats, archive, observer), then — unless this was
 // the final generation — ring migration, breeding, and checkpointing.
+//
+// A panic on an island goroutine (a crashing backend) cancels the other
+// islands' evaluations and is re-raised on the caller once every island
+// has returned, so a recover above step sees it.
 func (e *engine) step(ctx context.Context, gen int, opts Options) error {
 	n := len(e.islands)
 	outs := make([]islandOutput, n)
+	ictx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	var wg sync.WaitGroup
+	var crash sync.Once
+	var crashed any
 	wg.Add(n)
 	for i := 0; i < n; i++ {
 		go func(isl *island) {
 			defer wg.Done()
-			outs[isl.id] = e.evaluateIsland(ctx, isl, gen, opts.Observer != nil)
+			defer func() {
+				if r := recover(); r != nil {
+					crash.Do(func() { crashed = r })
+					cancel()
+				}
+			}()
+			outs[isl.id] = e.evaluateIsland(ictx, isl, gen, opts.Observer != nil)
 		}(e.islands[i])
 	}
 	wg.Wait()
+	if crashed != nil {
+		panic(crashed)
+	}
 	for _, out := range outs {
 		if out.err != nil {
 			return out.err

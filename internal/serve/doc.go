@@ -1,6 +1,7 @@
 // Package serve turns the validation engine into a long-running,
-// crash-safe service: validation-as-a-service for the campaign sweep,
-// adversarial search and rare-event estimation engines. A server accepts
+// crash-safe service: validation-as-a-service for the campaign sweep
+// (its rare-event estimator axis included) and the adversarial search
+// engine. A server accepts
 // jobs over HTTP, runs campaign cells on the campaign package's cell pool
 // (campaign.RunCells, the one sweep uses) under a shard supervisor, and
 // journals durably enough that the recovery story is
@@ -57,19 +58,20 @@
 // A campaign job runs its missing cells through campaign.RunCells, the
 // pool sweep and the library facade use: parallelism clamped to NumCPU,
 // one reused scratch per worker. Unlike sweep, a served cell always runs
-// on one episode worker, so its episodes stay on the attempt's goroutine
-// and a panicking backend is contained below. The pool only schedules.
-// Each cell, and each search or rare job as a single shard, goes through
-// Supervisor.Do: per-attempt deadlines (RetryPolicy.Timeout), bounded
-// retries with exponential backoff and deterministic per-shard jitter
-// (no retry lockstep, yet reproducible schedules), and panic
-// containment: a crashed attempt becomes a retriable shard failure, not
-// a dead server.
-// A shard that exhausts its retry budget is poisoned — quarantined
-// durably, reported exactly once, never retried forever — and the job
-// degrades gracefully: the remaining cells complete, the summary ranks
-// what did run, and resubmitting the same spec skips the quarantined
-// cell instead of looping. Timed-out attempts are cancelled AND awaited
+// on one episode worker, which keeps the served schedule as it was
+// measured. The pool only schedules. Each cell, and each search job as a
+// single shard, goes through Supervisor.Do: per-attempt deadlines
+// (RetryPolicy.Timeout), bounded retries with exponential backoff and
+// deterministic per-shard jitter (no retry lockstep, yet reproducible
+// schedules), and panic containment: a crashed attempt becomes a
+// retriable shard failure, not a dead server. The episode workers of
+// montecarlo and the islands of a search recover a panic on their own
+// goroutines and re-raise it on the attempt's, so containment holds at
+// any worker count. A shard that exhausts its retry budget is poisoned —
+// quarantined durably, reported exactly once, never retried forever —
+// and the job degrades gracefully: the remaining cells complete, the
+// summary ranks what did run, and resubmitting the same spec skips the
+// quarantined cell instead of looping. Timed-out attempts are cancelled AND awaited
 // before the retry starts, so an attempt's scratch buffers are never
 // shared between two live attempts.
 //
@@ -79,9 +81,9 @@
 // client disconnect, and graceful shutdown down through campaign cells
 // and into the Monte-Carlo episode loop. Close makes the pool start no
 // new cell (the check runs before each cell), lets in-flight cells
-// finish and journal, interrupts search and
-// rare jobs at their next evaluation boundary (the search engine's
-// per-generation checkpoint makes that loss-free), and leaves unfinished
-// jobs non-terminal so the next server resumes them. A cancelled job is
+// finish and journal, interrupts a search job at its next evaluation
+// boundary (the search engine's per-generation checkpoint makes that
+// loss-free), and leaves unfinished jobs non-terminal so the next server
+// resumes them. A cancelled job is
 // failed; a drained one is not.
 package serve

@@ -14,8 +14,8 @@ import (
 //	GET  /jobs                list jobs
 //	GET  /jobs/{id}           job status
 //	GET  /jobs/{id}/stream    JSONL progress stream (campaign cells in
-//	                          index order as they complete; search/rare
-//	                          emit their result once terminal)
+//	                          index order as they complete; a search
+//	                          emits its result once terminal)
 //	GET  /jobs/{id}/result    final result artifact (terminal jobs)
 //	GET  /jobs/{id}/summary   summary table (terminal jobs)
 //	POST /jobs/{id}/cancel    cancel a queued or running job
@@ -40,7 +40,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // SubmitRequest is the POST /jobs body.
 type SubmitRequest struct {
-	// Kind is "campaign", "search" or "rare".
+	// Kind is "campaign" or "search".
 	Kind string `json:"kind"`
 	// Params is ECJ-style parameter text, the same format the spec files
 	// on disk use.
@@ -110,8 +110,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // handleStream streams a campaign job's cell records as JSONL in cell
 // index order, as they complete — a tail -f over the campaign. Poisoned
 // cells become holes in the index sequence once the job is terminal (a
-// running job may still retry them). For search and rare jobs the stream
-// waits for the terminal job and emits its ".result.json" lines.
+// running job may still retry them). For a search job the stream waits
+// for the terminal job and emits its ".result.json" lines.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(w, r)
 	if j == nil {

@@ -8,7 +8,6 @@ import (
 
 	"acasxval/internal/campaign"
 	"acasxval/internal/config"
-	"acasxval/internal/montecarlo"
 	"acasxval/internal/search"
 )
 
@@ -16,7 +15,6 @@ import (
 const (
 	KindCampaign = "campaign"
 	KindSearch   = "search"
-	KindRare     = "rare"
 )
 
 // JobStatus is the wire representation of a job's state.
@@ -28,7 +26,7 @@ type JobStatus struct {
 	Status   string `json:"status"`
 	Error    string `json:"error,omitempty"`
 	// Cells/Completed/Poisoned/CacheHits track campaign progress; zero
-	// for search and rare jobs.
+	// for search jobs.
 	Cells     int `json:"cells,omitempty"`
 	Completed int `json:"completed,omitempty"`
 	Poisoned  int `json:"poisoned,omitempty"`
@@ -45,7 +43,6 @@ type job struct {
 	// keying the completed-cell cache.
 	cspec  campaign.Spec
 	sspec  search.Spec
-	rjob   montecarlo.RareJob
 	cells  []campaign.Cell
 	hashes []string
 
@@ -108,16 +105,11 @@ func newJob(id, kind, params string, systems campaign.SystemSet, strict bool) (*
 			return nil, err
 		}
 		j.spec.Name = j.sspec.Name
-	case KindRare:
-		if j.rjob, err = montecarlo.RareFromConfig(c); err != nil {
-			return nil, err
-		}
-		if err := systems.Check(j.rjob.Systems); err != nil {
-			return nil, err
-		}
-		j.spec.Name = j.rjob.Name
+	case "rare":
+		// The retired rare job kind: its journaled jobs replay as failed.
+		return nil, fmt.Errorf("serve: job kind %q is retired: submit a %s job with campaign.estimator.methods", kind, KindCampaign)
 	default:
-		return nil, fmt.Errorf("serve: unknown job kind %q (want %s, %s or %s)", kind, KindCampaign, KindSearch, KindRare)
+		return nil, fmt.Errorf("serve: unknown job kind %q (want %s or %s)", kind, KindCampaign, KindSearch)
 	}
 	return j, nil
 }

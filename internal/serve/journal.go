@@ -31,7 +31,9 @@ const (
 // parameter text verbatim — the server re-parses it on replay, so the
 // journal never has to serialize engine structs beyond cell results.
 type JobSpec struct {
-	// Kind is "campaign", "search" or "rare".
+	// Kind is "campaign" or "search". Journals written before the rare
+	// job kind was retired may also hold "rare" jobs, which replay as
+	// failed.
 	Kind string `json:"kind"`
 	// Name is the parsed spec's name, for listings.
 	Name string `json:"name"`

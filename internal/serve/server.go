@@ -24,8 +24,8 @@ type Config struct {
 	// Workers is the campaign cell pool's parallelism, clamped to NumCPU
 	// as sweep's campaign.parallelism is (campaign.RunCells; each served
 	// cell runs on one episode worker), and the episode workers of search
-	// and rare jobs (0 = NumCPU, which a search divides over its islands,
-	// as casearch -workers 0 does).
+	// jobs (0 = NumCPU, which a search divides over its islands, as
+	// casearch -workers 0 does).
 	Workers int
 	// Policy is the shard retry policy (zero value = defaults).
 	Policy RetryPolicy
@@ -248,9 +248,9 @@ func (s *Server) Cancel(id string) error {
 }
 
 // Close gracefully shuts the server down: start no new campaign cell,
-// let in-flight campaign cells finish and be journaled, interrupt
-// long-running search/rare jobs at their next evaluation boundary (their
-// checkpoints make that loss-free), then close the journal. Jobs left
+// let in-flight campaign cells finish and be journaled, interrupt a
+// long-running search job at its next evaluation boundary (its
+// checkpoint makes that loss-free), then close the journal. Jobs left
 // non-terminal resume when the next server opens the same state dir.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
@@ -324,8 +324,6 @@ func (s *Server) runJob(j *job) {
 		status, errMsg = s.runCampaign(ctx, j)
 	case KindSearch:
 		status, errMsg = s.runSearch(ctx, j)
-	case KindRare:
-		status, errMsg = s.runRare(ctx, j)
 	default:
 		status, errMsg = StatusFailed, fmt.Sprintf("unknown kind %q", j.spec.Kind)
 	}
@@ -376,10 +374,10 @@ func (s *Server) runCampaign(ctx context.Context, j *job) (string, string) {
 	// cell starts, and running ones finish and journal. The supervisor
 	// never abandons an attempt (a timed-out one is awaited), so the
 	// worker's scratch is never shared by two live attempts. Each cell
-	// runs on one episode worker, ignoring the pool's spill: its
-	// episodes then run on the attempt's goroutine, where Do recovers a
-	// backend panic, instead of on episode goroutines that would crash
-	// the server.
+	// runs on one episode worker, ignoring the pool's spill, which keeps
+	// the served schedule as it was measured; a spill would change
+	// wall-clock only, and a backend panic on an episode goroutine
+	// reaches Do either way.
 	sup := &Supervisor{Policy: s.cfg.Policy, Clock: s.cfg.Clock, Seed: j.cspec.Seed, Disrupt: s.cfg.disrupt}
 	reports := make([]ShardReport, len(missing))
 	err := campaign.RunCells(ctx, len(missing), s.cfg.Workers, func(shard, _ int, scratch *montecarlo.Scratch) error {
@@ -454,55 +452,26 @@ func (s *Server) runCampaign(ctx context.Context, j *job) (string, string) {
 }
 
 // runSearch executes an adversarial-search job as one supervised shard on
-// the server's workers. The engine checkpoints after every generation into
-// the state dir and resumes from that checkpoint, so a shutdown, crash or
-// retry mid-search is loss-free.
+// the server's workers and writes its artifact set. The engine checkpoints
+// after every generation into the state dir and resumes from that
+// checkpoint, so a shutdown, crash or retry mid-search is loss-free.
+// Returns the terminal status (cancelled, or poisoned after the last
+// retry), or "" when shutdown left the job incomplete or kept it from
+// starting.
 func (s *Server) runSearch(ctx context.Context, j *job) (string, string) {
+	if s.isClosing() {
+		return "", ""
+	}
 	opts := search.Options{
 		CheckpointPath: j.artifactBase(s.cfg.StateDir) + search.CheckpointSuffix,
 		EpisodeWorkers: s.cfg.Workers,
 	}
 	var res *search.Result
-	status, errMsg := s.superviseOne(ctx, j.sspec.Seed, func(ctx context.Context) (err error) {
+	sup := &Supervisor{Policy: s.cfg.Policy, Clock: s.cfg.Clock, Seed: j.sspec.Seed}
+	switch rep := sup.Do(ctx, 0, func(ctx context.Context, _ int) (err error) {
 		res, err = search.RunContext(ctx, j.sspec, s.cfg.Systems[j.sspec.System], opts)
 		return err
-	})
-	if status != StatusDone {
-		return status, errMsg
-	}
-	artifacts, err := res.Artifacts(j.sspec)
-	return s.finish(j, artifacts, err)
-}
-
-// runRare executes a rare-event estimation job as one supervised shard on
-// the server's workers. The estimates are a deterministic function of the
-// spec and seed, so there is no intermediate state worth journaling: a
-// restart recomputes the identical numbers.
-func (s *Server) runRare(ctx context.Context, j *job) (string, string) {
-	rj := j.rjob
-	rj.Config.Parallelism = s.cfg.Workers
-	var ests []*montecarlo.Estimate
-	status, errMsg := s.superviseOne(ctx, rj.Config.Seed, func(ctx context.Context) (err error) {
-		ests, err = rj.Run(ctx, s.cfg.Systems, nil)
-		return err
-	})
-	if status != StatusDone {
-		return status, errMsg
-	}
-	artifacts, err := rj.Artifacts(ests)
-	return s.finish(j, artifacts, err)
-}
-
-// superviseOne runs a search or rare job as one shard under the
-// supervisor's retry policy. It returns StatusDone once run succeeds, a
-// terminal failure (cancelled, or poisoned after the last retry), or ""
-// when shutdown left the job incomplete or kept it from starting.
-func (s *Server) superviseOne(ctx context.Context, seed uint64, run func(context.Context) error) (string, string) {
-	if s.isClosing() {
-		return "", ""
-	}
-	sup := &Supervisor{Policy: s.cfg.Policy, Clock: s.cfg.Clock, Seed: seed}
-	switch rep := sup.Do(ctx, 0, func(ctx context.Context, _ int) error { return run(ctx) }); {
+	}); {
 	case ctx.Err() != nil && !s.isClosing():
 		return StatusFailed, "cancelled"
 	case rep.Poisoned:
@@ -510,12 +479,7 @@ func (s *Server) superviseOne(ctx context.Context, seed uint64, run func(context
 	case rep.Err != "":
 		return "", ""
 	}
-	return StatusDone, ""
-}
-
-// finish writes a search or rare job's artifact set under its artifact
-// base.
-func (s *Server) finish(j *job, artifacts []durable.Artifact, err error) (string, string) {
+	artifacts, err := res.Artifacts(j.sspec)
 	if err == nil {
 		err = durable.WriteArtifacts(j.artifactBase(s.cfg.StateDir), artifacts)
 	}

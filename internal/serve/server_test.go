@@ -667,80 +667,76 @@ func TestServerSearchJobShutdownResume(t *testing.T) {
 	}
 }
 
-// TestServerRareJob: a rare-event estimation job runs end to end.
-func TestServerRareJob(t *testing.T) {
-	const params = `
-rare.name = serve-rare
-rare.method = bruteforce
-rare.samples = 50
-rare.seed = 5
-rare.system = none
-`
-	srv := newTestServer(t, t.TempDir(), nil)
+// TestServerRetiredRareKind: a state directory whose journal holds jobs of
+// the retired rare kind, one done and one queued, still opens. Both read
+// failed with an error naming the kind and its replacement, the campaign
+// job queued behind them runs, and a new rare submission is refused.
+func TestServerRetiredRareKind(t *testing.T) {
+	dir := t.TempDir()
+	j, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []JobSpec{
+		{Kind: "rare", Name: "rare", Params: "rare.samples = 200\nrare.seed = 5\n"},
+		{Kind: "rare", Name: "serve-rare", Params: "rare.name = serve-rare\nrare.method = bruteforce\nrare.samples = 50\nrare.seed = 5\n"},
+		{Kind: KindCampaign, Name: "serve-test", Params: testCampaignParams},
+	}
+	for i := range specs {
+		if err := j.Append(Record{Type: "job", Job: fmt.Sprintf("job-%04d", i+1), Spec: &specs[i]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Append(Record{Type: "status", Job: "job-0001", Status: StatusDone}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv := newTestServer(t, dir, nil)
 	defer srv.Close()
-	st, err := srv.Submit(KindRare, params)
-	if err != nil {
-		t.Fatal(err)
+	for _, id := range []string{"job-0001", "job-0002"} {
+		st, _ := srv.Job(id)
+		if st.Status != StatusFailed || !strings.Contains(st.Error, `"rare"`) || !strings.Contains(st.Error, "campaign.estimator.methods") {
+			t.Errorf("%s replayed as %+v, want failed naming the retired kind and campaign.estimator.methods", id, st)
+		}
 	}
-	final := waitDone(t, srv, st.ID)
-	if final.Status != StatusDone {
-		t.Fatalf("rare job status %+v", final)
+	if final := waitDone(t, srv, "job-0003"); final.Status != StatusDone {
+		t.Errorf("campaign job behind the rare jobs: %+v", final)
 	}
-	data, err := os.ReadFile(srv.byID[st.ID].artifactBase(srv.cfg.StateDir) + ".result.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var est struct{ Samples int }
-	if err := json.Unmarshal(data, &est); err != nil {
-		t.Fatal(err)
-	}
-	if est.Samples != 50 {
-		t.Errorf("rare payload samples = %d, want 50", est.Samples)
+	body, _ := json.Marshal(SubmitRequest{Kind: "rare", Params: specs[0].Params})
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(body)))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "campaign.estimator.methods") {
+		t.Errorf("POST of a rare job: %d %s, want 400 pointing to campaign.estimator.methods", rec.Code, rec.Body)
 	}
 }
 
-// TestServerRareJobWorkers: a rare job runs on the server's workers, and
-// its artifacts do not depend on their count. A two-system job writes one
-// result line per system, which its stream serves, and the risk ratio
-// against "none".
-func TestServerRareJobWorkers(t *testing.T) {
-	const params = "rare.system = svo, none\nrare.samples = 200\nrare.seed = 5\n"
-	var results [2][]byte
-	for i, workers := range []int{1, 2} {
-		srv, err := NewServer(Config{StateDir: t.TempDir(), Workers: workers, Policy: testPolicy})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := srv.Submit(KindRare, params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if final := waitDone(t, srv, st.ID); final.Status != StatusDone {
-			t.Fatalf("rare job status %+v", final)
-		}
-		stream := httptest.NewRecorder()
-		srv.ServeHTTP(stream, httptest.NewRequest(http.MethodGet, "/jobs/"+st.ID+"/stream", nil))
-		base := srv.byID[st.ID].artifactBase(srv.cfg.StateDir)
-		srv.Close()
-		if results[i], err = os.ReadFile(base + ".result.json"); err != nil {
-			t.Fatal(err)
-		}
-		if got := stream.Body.Bytes(); !bytes.Equal(got, results[i]) {
-			t.Errorf("stream %q, want the result lines %q", got, results[i])
-		}
-		summary, err := os.ReadFile(base + ".summary.txt")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(string(summary), "risk ratio svo vs unequipped") {
-			t.Errorf("summary has no risk ratio:\n%s", summary)
-		}
+// TestServerSearchPanicQuarantined: a search job whose backend panics on
+// its island and episode goroutines (2 islands on 2 workers) is
+// quarantined after the policy's attempts, and the server goes on to run
+// the next job.
+func TestServerSearchPanicQuarantined(t *testing.T) {
+	systems := campaign.DefaultSystems(nil)
+	systems["crash"] = func() (sim.System, sim.System) { return panicSystem{}, panicSystem{} }
+	srv, err := NewServer(Config{StateDir: t.TempDir(), Systems: systems, Workers: 2, Policy: testPolicy})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if lines := bytes.Count(results[0], []byte("\n")); lines != 2 {
-		t.Errorf("%d result lines, want one per system:\n%s", lines, results[0])
+	defer srv.Close()
+	st, err := srv.Submit(KindSearch, "search.system = crash\nsearch.islands = 2\npop.size = 4\ngenerations = 2\nsearch.sims = 32\n")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(results[0], results[1]) {
-		t.Errorf("result at 2 workers differs from 1:\n%s\nvs\n%s", results[1], results[0])
+	next, err := srv.Submit(KindCampaign, testCampaignParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := waitDone(t, srv, st.ID); final.Status != StatusFailed || !strings.Contains(final.Error, "backend crashed") {
+		t.Errorf("search job %+v, want failed with the backend's panic", final)
+	}
+	if final := waitDone(t, srv, next.ID); final.Status != StatusDone {
+		t.Errorf("job after the crashed search: %+v", final)
 	}
 }
 
@@ -779,23 +775,18 @@ func TestServerSearchJobWorkers(t *testing.T) {
 	}
 }
 
-// TestServerRejectsBadSubmissions: malformed jobs — misspelt keys and
-// rare-event tuning without rare.method included — are rejected at submit
-// time, never queued.
+// TestServerRejectsBadSubmissions: malformed jobs, misspelt keys
+// included, are rejected at submit time, never queued.
 func TestServerRejectsBadSubmissions(t *testing.T) {
 	srv := newTestServer(t, t.TempDir(), nil)
 	defer srv.Close()
 	cases := map[string][2]string{
-		"unknown kind":    {"mystery", testCampaignParams},
-		"bad params":      {KindCampaign, "campaign.samples = banana\n"},
-		"unknown system":  {KindCampaign, "campaign.name = t\ncampaign.presets = headon\ncampaign.systems = warpdrive\n"},
-		"empty campaign":  {KindCampaign, "campaign.name = t\ncampaign.presets =\n"},
-		"campaign typo":   {KindCampaign, testCampaignParams + "campaign.sampels = 3\n"},
-		"search typo":     {KindSearch, "search.system = svo\nsearch.migration.intervl = 3\n"},
-		"rare typo":       {KindRare, "rare.method = is\nrare.sampels = 30\n"},
-		"rare tuning":     {KindRare, "rare.samples = 30\nrare.defensive = 0.3\n"},
-		"rare system":     {KindRare, "rare.system = svo, warpdrive\n"},
-		"rare fault typo": {KindRare, "rare.faults.presett = severe\n"},
+		"unknown kind":   {"mystery", testCampaignParams},
+		"bad params":     {KindCampaign, "campaign.samples = banana\n"},
+		"unknown system": {KindCampaign, "campaign.name = t\ncampaign.presets = headon\ncampaign.systems = warpdrive\n"},
+		"empty campaign": {KindCampaign, "campaign.name = t\ncampaign.presets =\n"},
+		"campaign typo":  {KindCampaign, testCampaignParams + "campaign.sampels = 3\n"},
+		"search typo":    {KindSearch, "search.system = svo\nsearch.migration.intervl = 3\n"},
 	}
 	for name, c := range cases {
 		if _, err := srv.Submit(c[0], c[1]); err == nil {
@@ -854,10 +845,6 @@ func TestReplayKeepsAcceptedJobs(t *testing.T) {
 	specs := []JobSpec{
 		{Kind: KindCampaign, Name: "serve-test", Params: testCampaignParams + "campaign.sampels = 3\n"},
 		{Kind: KindSearch, Name: "search", Params: "search.migration.intervl = 3\n"},
-		{Kind: KindRare, Name: "rare", Params: "rare.sampels = 30\nrare.defensive = 0.3\n"},
-		// A single-system rare job as journaled before rare.system took a
-		// list and the rare.faults.* keys.
-		{Kind: KindRare, Name: "serve-rare", Params: "rare.name = serve-rare\nrare.method = bruteforce\nrare.samples = 50\nrare.seed = 5\nrare.system = none\n"},
 	}
 	for i := range specs {
 		id := fmt.Sprintf("job-%04d", i+1)
@@ -926,14 +913,14 @@ func TestServerSubmitBodyLimit(t *testing.T) {
 		t.Errorf("body of %d bytes: status %d, want %d", maxSubmitBytes+1, code, http.StatusRequestEntityTooLarge)
 	}
 
-	for _, name := range []string{"sweep", "backends", "faults", "multi", "rare"} {
-		params, err := os.ReadFile(filepath.Join("..", "..", "params", name+"-demo.params"))
+	for _, name := range []string{"sweep-demo", "backends-demo", "faults-demo", "multi-demo", "rare-demo", "montecarlo"} {
+		params, err := os.ReadFile(filepath.Join("..", "..", "params", name+".params"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		body, _ := json.Marshal(SubmitRequest{Kind: KindCampaign, Params: string(params)})
 		if code := post(body); code != http.StatusAccepted {
-			t.Errorf("%s-demo.params: status %d, want %d", name, code, http.StatusAccepted)
+			t.Errorf("%s.params: status %d, want %d", name, code, http.StatusAccepted)
 		}
 	}
 }

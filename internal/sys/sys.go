@@ -1,8 +1,8 @@
 // Package sys is the central registry of collision avoidance backends: the
 // one place a system name resolves to a constructor. Backends self-register
 // under a name with documentation and a spec-driven factory; every consumer
-// — the campaign engine's system axis, the search.system and rare.system
-// spec keys, encsim's -system flag, the public facade — constructs systems
+// — the campaign engine's system axis, the search.system spec key,
+// encsim's -system flag, the public facade — constructs systems
 // through the registry, so adding a backend is one Register call and the
 // name lists shown in errors, help text and sweep output can never drift
 // apart.
@@ -51,7 +51,7 @@ type ParamDoc struct {
 // Backend is one registered collision avoidance system kind.
 type Backend struct {
 	// Name is the registry key, as used by the campaign system axis, the
-	// search.system and rare.system keys and encsim's -system flag.
+	// search.system key and encsim's -system flag.
 	Name string
 	// Doc is a one-line description for help text.
 	Doc string

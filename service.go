@@ -75,16 +75,16 @@ func EstimateMultiRareRiskContext(ctx context.Context, model MultiEncounterModel
 }
 
 // The validation service: a long-running, crash-safe server around the
-// campaign, search and rare-event engines (see internal/serve and the
-// caserve command). Campaign cells shard across a supervised worker pool
-// with per-cell deadlines, bounded retries and quarantine; every
-// completed cell journals durably before it becomes observable, so
-// restarting a killed server on the same state directory resumes
-// mid-campaign with byte-identical artifacts.
+// campaign engine (its rare-event estimator axis included) and the search
+// engine (see internal/serve and the caserve command). Campaign cells
+// shard across a supervised worker pool with per-cell deadlines, bounded
+// retries and quarantine; every completed cell journals durably before it
+// becomes observable, so restarting a killed server on the same state
+// directory resumes mid-campaign with byte-identical artifacts.
 type (
-	// ValidationServer accepts campaign, adversarial-search and
-	// rare-event jobs — over HTTP (it is an http.Handler) or in-process
-	// (Submit/WaitJob) — and survives being killed at any instant.
+	// ValidationServer accepts campaign and adversarial-search jobs —
+	// over HTTP (it is an http.Handler) or in-process (Submit/WaitJob) —
+	// and survives being killed at any instant.
 	ValidationServer = serve.Server
 	// ValidationServerConfig configures a ValidationServer: the state
 	// directory, the system backend menu, the worker-pool width and the
