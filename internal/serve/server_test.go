@@ -667,11 +667,11 @@ func TestServerSearchJobShutdownResume(t *testing.T) {
 	}
 }
 
-// TestServerRetiredRareKind: a state directory whose journal holds jobs of
-// the retired rare kind, one done and one queued, still opens. Both read
+// TestServerRareJob: a state directory whose journal holds jobs of the
+// retired rare kind, one done and one queued, still opens. Both read
 // failed with an error naming the kind and its replacement, the campaign
 // job queued behind them runs, and a new rare submission is refused.
-func TestServerRetiredRareKind(t *testing.T) {
+func TestServerRareJob(t *testing.T) {
 	dir := t.TempDir()
 	j, err := OpenJournal(dir)
 	if err != nil {
@@ -709,6 +709,42 @@ func TestServerRetiredRareKind(t *testing.T) {
 	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(body)))
 	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "campaign.estimator.methods") {
 		t.Errorf("POST of a rare job: %d %s, want 400 pointing to campaign.estimator.methods", rec.Code, rec.Body)
+	}
+}
+
+// TestServerRareJobWorkers: the rare job's successor, a campaign of
+// estimator cells with no presets, gives the same JSONL and summary
+// bytes on 1 and 2 workers as an in-process run, with one line per
+// system and the risk ratio against the unequipped baseline.
+func TestServerRareJobWorkers(t *testing.T) {
+	const params = "campaign.presets =\ncampaign.systems = svo, none\ncampaign.samples = 200\ncampaign.seed = 5\ncampaign.estimator.methods = bruteforce\n"
+	wantJSONL, wantSummary := reference(t, params)
+	for _, workers := range []int{1, 2} {
+		srv, err := NewServer(Config{StateDir: t.TempDir(), Workers: workers, Policy: testPolicy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := srv.Submit(KindCampaign, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final := waitDone(t, srv, st.ID); final.Status != StatusDone || final.Completed != 2 {
+			t.Fatalf("estimator job status %+v, want done with 2 cells", final)
+		}
+		gotJSONL, gotSummary := artifacts(t, srv, st.ID)
+		srv.Close()
+		if gotJSONL != wantJSONL {
+			t.Errorf("JSONL at %d workers differs from in-process run:\ngot:\n%s\nwant:\n%s", workers, gotJSONL, wantJSONL)
+		}
+		if gotSummary != wantSummary {
+			t.Errorf("summary at %d workers differs from in-process run:\ngot:\n%s\nwant:\n%s", workers, gotSummary, wantSummary)
+		}
+	}
+	if lines := strings.Count(wantJSONL, "\n"); lines != 2 {
+		t.Errorf("%d JSONL lines, want one per system:\n%s", lines, wantJSONL)
+	}
+	if !strings.Contains(wantSummary, "risk ratio") {
+		t.Errorf("summary has no risk ratio:\n%s", wantSummary)
 	}
 }
 
