@@ -1,13 +1,15 @@
 // Command caserve runs the validation service: a long-running, crash-safe
 // HTTP server accepting campaign (rare-event estimator cells included) and
 // adversarial-search jobs.
-// Campaign cells run on sweep's cell pool (campaign.RunCells, -workers
-// clamped to NumCPU), each under the shard supervisor's per-cell
-// deadlines, bounded retries and quarantine of persistently failing
-// cells; every completed cell is journaled durably, so killing the server
-// — SIGKILL included — and restarting it on the same -state directory
-// resumes mid-campaign with artifacts byte-identical to an uninterrupted
-// run.
+// Jobs start in submission order and share one pool of -workers slots
+// (clamped to NumCPU): the next job's cells run while the previous job
+// journals and writes its artifacts, and a job whose every cell is
+// cached settles without queueing. Each cell runs under the shard
+// supervisor's per-cell deadlines, bounded retries and quarantine of
+// persistently failing cells; every completed cell is journaled
+// durably, so killing the server — SIGKILL included — and restarting it
+// on the same -state directory resumes mid-campaign with artifacts
+// byte-identical to an uninterrupted run.
 //
 // Usage:
 //
@@ -65,7 +67,7 @@ func run() error {
 		tablePath   = flag.String("table", "", "logic table path (built on the fly when a submitted job needs one)")
 		full        = flag.Bool("full", false, "build the full-resolution table instead of the coarse one")
 		withTable   = flag.Bool("with-table", false, "build/load the logic table at startup so table-backed systems are accepted")
-		workers     = flag.Int("workers", 0, "concurrent campaign cells (clamped to NumCPU) and the episode workers of search jobs (0 = NumCPU)")
+		workers     = flag.Int("workers", 0, "concurrent campaign cells over all jobs (clamped to NumCPU); a search job takes them all as its episode workers (0 = NumCPU)")
 		retries     = flag.Int("retries", 0, "attempts per cell before quarantine (0 = default 3)")
 		cellTimeout = flag.Duration("cell-timeout", 0, "per-attempt cell deadline (0 = none)")
 		backoff     = flag.Duration("backoff", 0, "base retry backoff, doubled per attempt with jitter (0 = default 50ms)")

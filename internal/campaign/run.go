@@ -191,8 +191,8 @@ type Result struct {
 // expanded cross-product, ready to hand to RunCellContext. An estimator
 // cell (Estimator != "") carries no fixed params: it samples the spec's
 // statistical model. Cells are exposed so the validation server can run
-// exactly the units RunContext runs, through the same RunCells pool,
-// with identical results.
+// exactly the units RunContext runs, on its own slot pool, with
+// identical results.
 type Cell struct {
 	Index     int
 	Scenario  string
@@ -412,9 +412,9 @@ func RunCells(ctx context.Context, n, parallelism int, run func(i, episodeWorker
 
 // RunCellContext executes one expanded campaign cell and assembles its
 // CellResult — the exact record Run streams for that cell, byte for byte
-// once marshaled. RunContext and the validation server's campaign job
-// both call it from their RunCells callback: a cell re-run after a
-// crash, timeout or retry reproduces the identical record, because the
+// once marshaled. RunContext calls it from its RunCells callback and the
+// validation server's campaign job on a slot of its pool: a cell re-run
+// after a crash, timeout or retry reproduces the identical record, because the
 // cell's whole stochastic draw derives from (spec.Seed, cell identity).
 func RunCellContext(ctx context.Context, spec Spec, c Cell, factory montecarlo.SystemFactory, episodeWorkers int, scratch *montecarlo.Scratch) (CellResult, error) {
 	est, err := runCell(ctx, spec, c, factory, episodeWorkers, scratch)

@@ -1,11 +1,10 @@
 // Package serve turns the validation engine into a long-running,
 // crash-safe service: validation-as-a-service for the campaign sweep
 // (its rare-event estimator axis included) and the adversarial search
-// engine. A server accepts
-// jobs over HTTP, runs campaign cells on the campaign package's cell pool
-// (campaign.RunCells, the one sweep uses) under a shard supervisor, and
-// journals durably enough that the recovery story is
-// one sentence: restart the server on the same state directory.
+// engine. A server accepts jobs over HTTP, runs their campaign cells on
+// one server-wide slot pool under a shard supervisor, and journals
+// durably enough that the recovery story is one sentence: restart the
+// server on the same state directory.
 //
 // # Why a service can be crash-safe at all
 //
@@ -53,13 +52,21 @@
 // cache for every shared cell even though the spec hash and the cell
 // indices differ.
 //
-// # The cell pool and the shard supervisor
+// # The slot pool and the shard supervisor
 //
-// A campaign job runs its missing cells through campaign.RunCells, the
-// pool sweep and the library facade use: parallelism clamped to NumCPU,
-// one reused scratch per worker. Unlike sweep, a served cell always runs
-// on one episode worker, which keeps the served schedule as it was
-// measured. The pool only schedules. Each cell, and each search job as a
+// Config.Workers slots (clamped to NumCPU, as sweep's
+// campaign.parallelism is) are shared by every job, and each slot owns
+// one scratch that its cells reuse across jobs. A campaign cell holds a
+// slot for its Supervisor.Do and runs on one episode worker; a job's
+// poison records, terminal status and artifacts hold none. Jobs start in
+// submission order: the run loop starts the oldest queued job once the
+// job before it has started its last cell and a slot is free. So cells
+// start in submission order, and job N+1's cells run while job N waits
+// on its last cells, journals and writes its artifacts. A job whose
+// every cell is cached or quarantined needs no slot and settles at
+// submission, ahead of the queue. A search job holds every slot while
+// it runs, since its episode workers take the cores. The pool only
+// schedules. Each cell, and each search job as a
 // single shard, goes through Supervisor.Do: per-attempt deadlines
 // (RetryPolicy.Timeout), bounded retries with exponential backoff and
 // deterministic per-shard jitter (no retry lockstep, yet reproducible
@@ -79,11 +86,11 @@
 //
 // context.Context plumbs from job cancel (POST /jobs/{id}/cancel),
 // client disconnect, and graceful shutdown down through campaign cells
-// and into the Monte-Carlo episode loop. Close makes the pool start no
-// new cell (the check runs before each cell), lets in-flight cells
+// and into the Monte-Carlo episode loop. Close starts no new job and
+// no new cell (the check runs before each cell), lets in-flight cells
 // finish and journal, interrupts a search job at its next evaluation
 // boundary (the search engine's per-generation checkpoint makes that
 // loss-free), and leaves unfinished jobs non-terminal so the next server
-// resumes them. A cancelled job is
-// failed; a drained one is not.
+// resumes them: a job still waiting for a slot stays queued. A
+// cancelled job is failed; a drained one is not.
 package serve

@@ -5,12 +5,17 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"acasxval/internal/campaign"
+	"acasxval/internal/montecarlo"
 )
 
-// killCampaignParams is the campaign the kill-resume test interrupts:
-// enough cells that a SIGKILL reliably lands mid-campaign.
+// killCampaignParams is the first campaign the kill-resume test
+// interrupts; the second is the same campaign under another seed, so none
+// of its cells is in the cache.
 const killCampaignParams = `
 campaign.name = kill-resume
 campaign.presets = all
@@ -19,40 +24,71 @@ campaign.samples = 4
 campaign.seed = 11
 `
 
+var killCampaignParams2 = strings.Replace(killCampaignParams, "seed = 11", "seed = 12", 1)
+
+// killCells is the number of cells in each kill-resume campaign.
+func killCells(t *testing.T) int {
+	t.Helper()
+	j, err := newJob("", KindCampaign, killCampaignParams, campaign.DefaultSystems(nil), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(j.cells)
+}
+
 // TestServeKillHelper is the child half of TestKillResumeByteIdentity:
-// re-executed as a subprocess, it opens a deliberately slow server over
-// the handed-down state dir, submits the campaign, and blocks until the
-// parent SIGKILLs it — no cleanup, no flushing, the crash is real.
+// re-executed as a subprocess, it opens a server with two slots over the
+// handed-down state dir, submits both campaigns, and blocks until the
+// parent SIGKILLs it — no cleanup, no flushing, the crash is real. The
+// first job's last cell and the second job's cells from its third on
+// never finish, so the helper settles with both jobs running on the
+// shared pool: every cell of the first job but its last journaled, two
+// of the second's journaled, and one cell of each in flight.
 func TestServeKillHelper(t *testing.T) {
 	if os.Getenv("SERVE_KILL_HELPER") != "1" {
 		t.Skip("helper process for TestKillResumeByteIdentity")
 	}
+	last := killCells(t) - 1
+	stuck := make(chan struct{})
 	srv, err := NewServer(Config{
 		StateDir: os.Getenv("SERVE_KILL_DIR"),
-		Workers:  1,
-		// Pace the cells so the parent can observe progress and kill us
-		// mid-campaign.
-		disrupt: func(shard, attempt int) error { time.Sleep(30 * time.Millisecond); return nil },
+		Workers:  2,
+		disrupt: func(job string, shard, _ int) error {
+			if (job == "job-0001" && shard == last) || (job == "job-0002" && shard >= 2) {
+				<-stuck // in flight until the SIGKILL
+			}
+			return nil
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Submit(KindCampaign, killCampaignParams); err != nil {
-		t.Fatal(err)
+	// Two slots even where NumCPU clamps the pool to one: with one slot
+	// the first job's held cell would keep the second from starting.
+	// Nothing reads the pool before the first Submit.
+	srv.slots = make(chan *montecarlo.Scratch, 2)
+	for range 2 {
+		srv.slots <- new(montecarlo.Scratch)
+	}
+	for _, params := range []string{killCampaignParams, killCampaignParams2} {
+		if _, err := srv.Submit(KindCampaign, params); err != nil {
+			t.Fatal(err)
+		}
 	}
 	select {} // hold the process open until SIGKILL
 }
 
 // TestKillResumeByteIdentity is the crash-safety acceptance gate: a
-// server SIGKILLed mid-campaign — no deferred cleanup runs — and
-// restarted over the same state dir finishes the job from its journal,
-// and the final JSONL and summary artifacts are byte-identical to an
-// uninterrupted in-process run of the same spec.
+// server SIGKILLed with two campaign jobs in flight — no deferred cleanup
+// runs — and restarted over the same state dir finishes both from its
+// journal, and each job's final JSONL and summary artifacts are
+// byte-identical to an uninterrupted in-process run of its spec.
 func TestKillResumeByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test")
 	}
-	wantJSONL, wantSummary := reference(t, killCampaignParams)
+	specs := []string{killCampaignParams, killCampaignParams2}
+	n := killCells(t)
 	dir := t.TempDir()
 
 	cmd := exec.Command(os.Args[0], "-test.run=^TestServeKillHelper$", "-test.v")
@@ -63,19 +99,20 @@ func TestKillResumeByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Wait for at least two journaled cells, then pull the trigger.
+	// Wait until the helper has journaled every cell it will (all of the
+	// first job's but one, two of the second's), then pull the trigger.
 	journal := filepath.Join(dir, JournalFile)
 	deadline := time.Now().Add(time.Minute)
 	for {
 		if data, err := os.ReadFile(journal); err == nil {
-			if bytes.Count(data, []byte(`"type":"cell"`)) >= 2 {
+			if bytes.Count(data, []byte(`"type":"cell"`)) >= n+1 {
 				break
 			}
 		}
 		if time.Now().After(deadline) {
 			cmd.Process.Kill()
 			cmd.Wait()
-			t.Fatalf("helper never journaled two cells; output:\n%s", out.String())
+			t.Fatalf("helper never journaled %d cells; output:\n%s", n+1, out.String())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -89,30 +126,37 @@ func TestKillResumeByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("journal after SIGKILL failed to replay: %v", err)
 	}
-	if len(rep.Jobs) != 1 {
-		t.Fatalf("journal replayed %d jobs, want 1; output:\n%s", len(rep.Jobs), out.String())
+	if len(rep.Jobs) != len(specs) {
+		t.Fatalf("journal replayed %d jobs, want %d; output:\n%s", len(rep.Jobs), len(specs), out.String())
 	}
-	if terminal(rep.Jobs[0].Status) {
-		t.Fatalf("job already %s before the kill — helper pacing too fast", rep.Jobs[0].Status)
+	for _, j := range rep.Jobs {
+		if j.Status != StatusRunning {
+			t.Fatalf("job %s was %s at the kill, want both jobs running", j.ID, j.Status)
+		}
 	}
-	preKilled := len(rep.Cells)
+	if len(rep.Cells) != n+1 {
+		t.Fatalf("%d cells journaled at the kill, want %d", len(rep.Cells), n+1)
+	}
 
 	srv := newTestServer(t, dir, nil)
 	defer srv.Close()
-	final := waitDone(t, srv, rep.Jobs[0].ID)
-	if final.Status != StatusDone {
-		t.Fatalf("resumed job status %+v, want done", final)
+	for k, params := range specs {
+		wantJSONL, wantSummary := reference(t, params)
+		final := waitDone(t, srv, rep.Jobs[k].ID)
+		if final.Status != StatusDone {
+			t.Fatalf("resumed job status %+v, want done", final)
+		}
+		if preKilled := []int{n - 1, 2}[k]; final.CacheHits != preKilled {
+			t.Errorf("resumed job %s reports %d cache hits, want %d (its journaled pre-kill cells)", final.ID, final.CacheHits, preKilled)
+		}
+		gotJSONL, gotSummary := artifacts(t, srv, final.ID)
+		if gotJSONL != wantJSONL {
+			t.Errorf("job %s: JSONL after kill-resume differs from uninterrupted run", final.ID)
+		}
+		if gotSummary != wantSummary {
+			t.Errorf("job %s: summary after kill-resume differs from uninterrupted run:\ngot:\n%s\nwant:\n%s", final.ID, gotSummary, wantSummary)
+		}
+		t.Logf("job %s: killed after %d of %d cells; resume completed the rest byte-identically",
+			final.ID, final.CacheHits, final.Cells)
 	}
-	if final.CacheHits < preKilled {
-		t.Errorf("resumed job reports %d cache hits, want >= %d (the journaled pre-kill cells)", final.CacheHits, preKilled)
-	}
-	gotJSONL, gotSummary := artifacts(t, srv, final.ID)
-	if gotJSONL != wantJSONL {
-		t.Errorf("JSONL after kill-resume differs from uninterrupted run")
-	}
-	if gotSummary != wantSummary {
-		t.Errorf("summary after kill-resume differs from uninterrupted run:\ngot:\n%s\nwant:\n%s", gotSummary, wantSummary)
-	}
-	t.Logf("killed after %d of %d cells; resume completed the remaining %d byte-identically",
-		preKilled, final.Cells, final.Cells-preKilled)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"runtime"
 	"sync"
 
 	"acasxval/internal/campaign"
@@ -21,10 +22,11 @@ type Config struct {
 	// Systems is the backend menu (default campaign.DefaultSystems(nil):
 	// every registered backend that needs no logic table).
 	Systems campaign.SystemSet
-	// Workers is the campaign cell pool's parallelism, clamped to NumCPU
-	// as sweep's campaign.parallelism is (campaign.RunCells; each served
-	// cell runs on one episode worker), and the episode workers of search
-	// jobs (0 = NumCPU, which a search divides over its islands, as
+	// Workers is the server-wide count of concurrent campaign cells, over
+	// every running job, clamped to NumCPU as sweep's
+	// campaign.parallelism is (each served cell runs on one episode
+	// worker). A search job holds every slot and runs Workers episode
+	// workers (0 = NumCPU, which a search divides over its islands, as
 	// casearch -workers 0 does).
 	Workers int
 	// Policy is the shard retry policy (zero value = defaults).
@@ -32,16 +34,19 @@ type Config struct {
 	// Clock defaults to the real clock; tests inject a fake.
 	Clock Clock
 
-	// disrupt is the supervisor fault-injection hook the package tests set.
-	disrupt func(shard, attempt int) error
+	// disrupt is the supervisor fault-injection hook the package tests
+	// set, called with the job's id.
+	disrupt func(job string, shard, attempt int) error
 }
 
 // Server is the crash-safe validation service: an HTTP front end over a
-// journaled job queue, the campaign cell pool and the shard supervisor.
-// Jobs execute one at a time in submission order (each job saturates the
-// workers itself); every completed campaign cell is journaled before it
-// becomes observable, so a killed server resumes exactly where it
-// stopped.
+// journaled job queue, one server-wide slot pool and the shard
+// supervisor. Jobs start in submission order and run concurrently: the
+// next job's cells take the slots the previous job's last cells free,
+// while that job journals its status and writes its artifacts, and a job
+// whose every cell is cached settles at once without queueing. Every
+// completed campaign cell is journaled before it becomes observable, so a
+// killed server resumes exactly where it stopped.
 type Server struct {
 	cfg     Config
 	journal *Journal
@@ -51,10 +56,16 @@ type Server struct {
 	cond          *sync.Cond
 	jobs          []*job
 	byID          map[string]*job
+	queue         []*job // jobs the run loop has not started, oldest first
+	feeding       *job   // the started job that may still start a cell
 	cells         map[CellKey]CellRecord
 	poisonedCells map[CellKey]PoisonRecord
 	closing       bool
 
+	// slots is the pool: one token per concurrent cell, each the scratch
+	// the cell runs on, reused across cells and jobs.
+	slots      chan *montecarlo.Scratch
+	running    sync.WaitGroup // job goroutines, added under mu while !closing
 	drain      chan struct{}
 	runnerDone chan struct{}
 	closeOnce  sync.Once
@@ -83,14 +94,22 @@ func NewServer(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	slots := cfg.Workers
+	if slots < 1 || slots > runtime.NumCPU() {
+		slots = runtime.NumCPU()
+	}
 	s := &Server{
 		cfg:           cfg,
 		journal:       journal,
 		byID:          make(map[string]*job),
 		cells:         rep.Cells,
 		poisonedCells: rep.Poisoned,
+		slots:         make(chan *montecarlo.Scratch, slots),
 		drain:         make(chan struct{}),
 		runnerDone:    make(chan struct{}),
+	}
+	for range slots {
+		s.slots <- new(montecarlo.Scratch)
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for _, rj := range rep.Jobs {
@@ -117,6 +136,9 @@ func NewServer(cfg Config) (*Server, error) {
 		// it and the completed-cell cache turns re-execution into resume.
 		s.jobs = append(s.jobs, j)
 		s.byID[j.id] = j
+		if j.status == StatusQueued {
+			s.queue = append(s.queue, j)
+		}
 	}
 	s.mux = http.NewServeMux()
 	s.routes()
@@ -165,8 +187,34 @@ func (s *Server) Submit(kind, params string) (JobStatus, error) {
 	}
 	s.jobs = append(s.jobs, j)
 	s.byID[j.id] = j
-	s.cond.Signal()
-	return j.Status(), nil
+	st := j.Status()
+	if s.cachedLocked(j) {
+		// It needs no slot, so it settles now instead of waiting behind
+		// the jobs ahead of it.
+		s.running.Add(1)
+		go s.runJob(j, nil)
+	} else {
+		s.queue = append(s.queue, j)
+		s.cond.Signal()
+	}
+	return st, nil
+}
+
+// cachedLocked reports whether every cell of campaign job j is in the
+// completed-cell cache or the quarantine. Callers hold s.mu.
+func (s *Server) cachedLocked(j *job) bool {
+	if j.spec.Kind != KindCampaign {
+		return false
+	}
+	for i := range j.cells {
+		key := j.cellKey(i)
+		if _, ok := s.cells[key]; !ok {
+			if _, bad := s.poisonedCells[key]; !bad {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Job returns a job's status by id.
@@ -247,14 +295,14 @@ func (s *Server) Cancel(id string) error {
 	}
 }
 
-// Close gracefully shuts the server down: start no new campaign cell,
-// let in-flight campaign cells finish and be journaled, interrupt a
-// long-running search job at its next evaluation boundary (its
-// checkpoint makes that loss-free), then close the journal. Jobs left
-// non-terminal resume when the next server opens the same state dir.
+// Close gracefully shuts the server down: start no new job and no new
+// campaign cell, let in-flight campaign cells finish and be journaled,
+// interrupt a long-running search job at its next evaluation boundary
+// (its checkpoint makes that loss-free), wait for every job goroutine,
+// then close the journal. Jobs left non-terminal resume when the next
+// server opens the same state dir.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
-		close(s.drain)
 		s.mu.Lock()
 		s.closing = true
 		for _, j := range s.jobs {
@@ -266,47 +314,120 @@ func (s *Server) Close() error {
 		}
 		s.cond.Broadcast()
 		s.mu.Unlock()
+		close(s.drain)
 		<-s.runnerDone
+		s.running.Wait()
 		s.closeErr = s.journal.Close()
 	})
 	return s.closeErr
 }
 
-// runLoop executes queued jobs one at a time in submission order.
+// runLoop starts queued jobs in submission order. It starts the oldest
+// queued job once the job started before it has started its last cell
+// and a slot is free, and hands the job that slot for its first cell. So
+// cells start in submission order, one job feeds the pool at a time, and
+// a job the pool cannot run yet stays queued, where Cancel and Close
+// leave it.
 func (s *Server) runLoop() {
 	defer close(s.runnerDone)
 	for {
 		s.mu.Lock()
-		var next *job
-		for !s.closing {
-			for _, j := range s.jobs {
-				if st := j.Status(); st.Status == StatusQueued {
-					next = j
-					break
-				}
-			}
-			if next != nil {
-				break
-			}
+		for !s.closing && (s.feeding != nil || s.headLocked() == nil) {
 			s.cond.Wait()
 		}
+		closing := s.closing
 		s.mu.Unlock()
-		if next == nil {
+		if closing {
 			return
 		}
-		s.runJob(next)
+		var slot *montecarlo.Scratch
+		select {
+		case slot = <-s.slots:
+		case <-s.drain:
+			return
+		}
+		s.mu.Lock()
+		if j := s.headLocked(); j != nil && !s.closing {
+			s.queue[0] = nil
+			s.queue = s.queue[1:]
+			s.feeding = j
+			s.running.Add(1)
+			go s.runJob(j, slot)
+			slot = nil
+		}
+		s.mu.Unlock()
+		s.release(slot)
+	}
+}
+
+// headLocked drops the jobs cancelled while queued off the front of the
+// queue and returns the oldest queued job, or nil. Callers hold s.mu.
+func (s *Server) headLocked() *job {
+	for len(s.queue) > 0 {
+		j := s.queue[0]
+		j.mu.Lock()
+		queued := j.status == StatusQueued
+		j.mu.Unlock()
+		if queued {
+			return j
+		}
+		s.queue[0] = nil
+		s.queue = s.queue[1:]
+	}
+	return nil
+}
+
+// doneFeeding records that job j will start no further cell, so the run
+// loop may start the next queued job.
+func (s *Server) doneFeeding(j *job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.feeding == j {
+		s.feeding = nil
+		s.cond.Signal()
+	}
+}
+
+// acquire returns the slot for a job's next cell: held if non-nil, else
+// the next free one. Once ctx ends or shutdown begins it returns nil and
+// puts held back: after Close no new cell starts.
+func (s *Server) acquire(ctx context.Context, held *montecarlo.Scratch) *montecarlo.Scratch {
+	if held == nil {
+		select {
+		case held = <-s.slots:
+		case <-ctx.Done():
+			return nil
+		case <-s.drain:
+			return nil
+		}
+	}
+	if ctx.Err() != nil || s.isClosing() {
+		s.release(held)
+		return nil
+	}
+	return held
+}
+
+// release returns a slot (nil is none) to the pool.
+func (s *Server) release(slot *montecarlo.Scratch) {
+	if slot != nil {
+		s.slots <- slot
 	}
 }
 
 // runJob drives one job from queued to terminal (or leaves it queued when
-// shutdown interrupted it).
-func (s *Server) runJob(j *job) {
+// shutdown interrupted it). slot is the slot the run loop took for the
+// job's first cell, nil for a fully cached job.
+func (s *Server) runJob(j *job, slot *montecarlo.Scratch) {
+	defer s.running.Done()
+	defer s.doneFeeding(j)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	j.mu.Lock()
 	if j.status != StatusQueued {
 		// Cancelled while waiting in the queue.
 		j.mu.Unlock()
+		s.release(slot)
 		return
 	}
 	j.status = StatusRunning
@@ -314,18 +435,16 @@ func (s *Server) runJob(j *job) {
 	j.publish()
 	j.mu.Unlock()
 	if err := s.journal.Append(Record{Type: "status", Job: j.id, Status: StatusRunning}); err != nil {
+		s.release(slot)
 		j.setStatus(StatusFailed, err.Error())
 		return
 	}
 
 	var status, errMsg string
-	switch j.spec.Kind {
-	case KindCampaign:
-		status, errMsg = s.runCampaign(ctx, j)
-	case KindSearch:
-		status, errMsg = s.runSearch(ctx, j)
-	default:
-		status, errMsg = StatusFailed, fmt.Sprintf("unknown kind %q", j.spec.Kind)
+	if j.spec.Kind == KindCampaign {
+		status, errMsg = s.runCampaign(ctx, j, slot)
+	} else {
+		status, errMsg = s.runSearch(ctx, j, slot)
 	}
 	j.mu.Lock()
 	j.cancel = nil
@@ -342,11 +461,10 @@ func (s *Server) runJob(j *job) {
 	j.setStatus(status, errMsg)
 }
 
-// runCampaign executes a campaign job: cache pass, then the missing
-// cells through campaign.RunCells, each under the shard supervisor.
-// Returns the terminal status, or "" when shutdown left the job
-// incomplete.
-func (s *Server) runCampaign(ctx context.Context, j *job) (string, string) {
+// runCampaign executes a campaign job: cache pass, then each missing cell
+// on a pool slot under the shard supervisor. Returns the terminal status,
+// or "" when shutdown left the job incomplete.
+func (s *Server) runCampaign(ctx context.Context, j *job, slot *montecarlo.Scratch) (string, string) {
 	keys := make([]CellKey, len(j.cells))
 	var missing []int
 	s.mu.Lock()
@@ -370,41 +488,55 @@ func (s *Server) runCampaign(ctx context.Context, j *job) (string, string) {
 		j.storePoison(i)
 	}
 
-	// Shutdown is checked before each cell starts: after Close no new
-	// cell starts, and running ones finish and journal. The supervisor
-	// never abandons an attempt (a timed-out one is awaited), so the
-	// worker's scratch is never shared by two live attempts. Each cell
-	// runs on one episode worker, ignoring the pool's spill, which keeps
-	// the served schedule as it was measured; a spill would change
-	// wall-clock only, and a backend panic on an episode goroutine
-	// reaches Do either way.
-	sup := &Supervisor{Policy: s.cfg.Policy, Clock: s.cfg.Clock, Seed: j.cspec.Seed, Disrupt: s.cfg.disrupt}
+	// The missing cells start in expansion order, each holding a slot for
+	// its Supervisor.Do and reusing the slot's scratch; the job holds no
+	// slot between cells, nor while it journals and writes artifacts.
+	// Shutdown is checked before each cell starts: after Close no new cell
+	// starts, and running ones finish and journal. The supervisor never
+	// abandons an attempt (a timed-out one is awaited), so a slot's
+	// scratch is never shared by two live attempts. Each cell runs on one
+	// episode worker.
+	sup := &Supervisor{Policy: s.cfg.Policy, Clock: s.cfg.Clock, Seed: j.cspec.Seed}
+	if s.cfg.disrupt != nil {
+		sup.Disrupt = func(shard, attempt int) error { return s.cfg.disrupt(j.id, shard, attempt) }
+	}
 	reports := make([]ShardReport, len(missing))
-	err := campaign.RunCells(ctx, len(missing), s.cfg.Workers, func(shard, _ int, scratch *montecarlo.Scratch) error {
-		if s.isClosing() {
-			return errClosing
+	var cells sync.WaitGroup
+	started := 0
+	for shard, i := range missing {
+		scratch := s.acquire(ctx, slot)
+		slot = nil
+		if scratch == nil {
+			break
 		}
-		i := missing[shard]
-		c := j.cells[i]
-		reports[shard] = sup.Do(ctx, shard, func(ctx context.Context, attempt int) error {
-			res, err := campaign.RunCellContext(ctx, j.cspec, c, s.cfg.Systems[c.System], 1, scratch)
-			if err != nil {
-				return err
-			}
-			rec := CellRecord{Hash: keys[i].Hash, Index: c.Index, Seed: keys[i].Seed, Attempts: attempt, Result: res}
-			// Journal before publish: once a client can see the cell, a
-			// crash cannot un-complete it.
-			if err := s.journal.Append(Record{Type: "cell", Cell: &rec}); err != nil {
-				return err
-			}
-			s.mu.Lock()
-			s.cells[keys[i]] = rec
-			s.mu.Unlock()
-			j.storeCell(i, res, false)
-			return nil
-		})
-		return nil
-	})
+		started++
+		cells.Add(1)
+		go func() {
+			defer cells.Done()
+			defer s.release(scratch)
+			c := j.cells[i]
+			reports[shard] = sup.Do(ctx, shard, func(ctx context.Context, attempt int) error {
+				res, err := campaign.RunCellContext(ctx, j.cspec, c, s.cfg.Systems[c.System], 1, scratch)
+				if err != nil {
+					return err
+				}
+				rec := CellRecord{Hash: keys[i].Hash, Index: c.Index, Seed: keys[i].Seed, Attempts: attempt, Result: res}
+				// Journal before publish: once a client can see the cell, a
+				// crash cannot un-complete it.
+				if err := s.journal.Append(Record{Type: "cell", Cell: &rec}); err != nil {
+					return err
+				}
+				s.mu.Lock()
+				s.cells[keys[i]] = rec
+				s.mu.Unlock()
+				j.storeCell(i, res, false)
+				return nil
+			})
+		}()
+	}
+	s.release(slot)
+	s.doneFeeding(j)
+	cells.Wait()
 
 	if ctx.Err() != nil {
 		if s.isClosing() {
@@ -412,7 +544,7 @@ func (s *Server) runCampaign(ctx context.Context, j *job) (string, string) {
 		}
 		return StatusFailed, "cancelled"
 	}
-	if err != nil {
+	if started < len(missing) {
 		// Shutdown kept some cells from starting.
 		return "", ""
 	}
@@ -451,29 +583,45 @@ func (s *Server) runCampaign(ctx context.Context, j *job) (string, string) {
 	}
 }
 
-// runSearch executes an adversarial-search job as one supervised shard on
-// the server's workers and writes its artifact set. The engine checkpoints
-// after every generation into the state dir and resumes from that
-// checkpoint, so a shutdown, crash or retry mid-search is loss-free.
-// Returns the terminal status (cancelled, or poisoned after the last
-// retry), or "" when shutdown left the job incomplete or kept it from
-// starting.
-func (s *Server) runSearch(ctx context.Context, j *job) (string, string) {
-	if s.isClosing() {
-		return "", ""
+// runSearch executes an adversarial-search job as one supervised shard
+// and writes its artifact set. It holds every slot while it runs, so its
+// Workers episode workers take the cores the cells would. The engine
+// checkpoints after every generation into the state dir and resumes from
+// that checkpoint, so a shutdown, crash or retry mid-search is
+// loss-free. Returns the terminal status (cancelled, or poisoned after
+// the last retry), or "" when shutdown left the job incomplete or kept it
+// from starting.
+func (s *Server) runSearch(ctx context.Context, j *job, slot *montecarlo.Scratch) (string, string) {
+	held := make([]*montecarlo.Scratch, 0, cap(s.slots))
+	for len(held) < cap(s.slots) {
+		if slot = s.acquire(ctx, slot); slot == nil {
+			break
+		}
+		held = append(held, slot)
+		slot = nil
 	}
-	opts := search.Options{
-		CheckpointPath: j.artifactBase(s.cfg.StateDir) + search.CheckpointSuffix,
-		EpisodeWorkers: s.cfg.Workers,
-	}
+	s.doneFeeding(j)
 	var res *search.Result
-	sup := &Supervisor{Policy: s.cfg.Policy, Clock: s.cfg.Clock, Seed: j.sspec.Seed}
-	switch rep := sup.Do(ctx, 0, func(ctx context.Context, _ int) (err error) {
-		res, err = search.RunContext(ctx, j.sspec, s.cfg.Systems[j.sspec.System], opts)
-		return err
-	}); {
+	var rep ShardReport
+	if len(held) == cap(s.slots) {
+		opts := search.Options{
+			CheckpointPath: j.artifactBase(s.cfg.StateDir) + search.CheckpointSuffix,
+			EpisodeWorkers: s.cfg.Workers,
+		}
+		sup := &Supervisor{Policy: s.cfg.Policy, Clock: s.cfg.Clock, Seed: j.sspec.Seed}
+		rep = sup.Do(ctx, 0, func(ctx context.Context, _ int) (err error) {
+			res, err = search.RunContext(ctx, j.sspec, s.cfg.Systems[j.sspec.System], opts)
+			return err
+		})
+	}
+	for _, slot := range held {
+		s.release(slot)
+	}
+	switch {
 	case ctx.Err() != nil && !s.isClosing():
 		return StatusFailed, "cancelled"
+	case len(held) < cap(s.slots):
+		return "", ""
 	case rep.Poisoned:
 		return StatusFailed, rep.Err
 	case rep.Err != "":

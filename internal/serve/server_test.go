@@ -38,7 +38,7 @@ campaign.seed = 7
 var testPolicy = RetryPolicy{MaxAttempts: 3, BackoffBase: time.Microsecond, BackoffMax: time.Millisecond}
 
 // newTestServer opens a server over dir with the fast retry policy.
-func newTestServer(t *testing.T, dir string, disrupt func(shard, attempt int) error) *Server {
+func newTestServer(t *testing.T, dir string, disrupt func(job string, shard, attempt int) error) *Server {
 	t.Helper()
 	srv, err := NewServer(Config{StateDir: dir, Workers: 2, Policy: testPolicy, disrupt: disrupt})
 	if err != nil {
@@ -199,7 +199,7 @@ func TestServerInjectedFailuresByteIdentical(t *testing.T) {
 	wantJSONL, wantSummary := reference(t, testCampaignParams)
 	var mu sync.Mutex
 	injected := 0
-	disrupt := func(shard, attempt int) error {
+	disrupt := func(_ string, shard, attempt int) error {
 		if attempt > 1 {
 			return nil
 		}
@@ -239,7 +239,7 @@ func TestServerInjectedFailuresByteIdentical(t *testing.T) {
 // failing, and the quarantine persists across a resubmit.
 func TestServerPoisonDegraded(t *testing.T) {
 	dir := t.TempDir()
-	disrupt := func(shard, attempt int) error {
+	disrupt := func(_ string, shard, attempt int) error {
 		if shard == 0 {
 			return fmt.Errorf("persistent failure")
 		}
@@ -389,7 +389,7 @@ func TestServerGracefulShutdownResume(t *testing.T) {
 	wantJSONL, wantSummary := reference(t, testCampaignParams)
 	dir := t.TempDir()
 	// Slow each first attempt a little so the close lands mid-campaign.
-	slow := func(shard, attempt int) error {
+	slow := func(string, int, int) error {
 		time.Sleep(20 * time.Millisecond)
 		return nil
 	}
@@ -446,7 +446,7 @@ func TestServerGracefulShutdownResume(t *testing.T) {
 func TestServerCancelJob(t *testing.T) {
 	block := make(chan struct{})
 	var once sync.Once
-	disrupt := func(shard, attempt int) error {
+	disrupt := func(_ string, shard, attempt int) error {
 		once.Do(func() { close(block) })
 		time.Sleep(5 * time.Millisecond)
 		return nil
@@ -477,7 +477,7 @@ func TestServerCancelQueuedJob(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	disrupt := func(shard, attempt int) error {
+	disrupt := func(_ string, shard, attempt int) error {
 		once.Do(func() { close(started) })
 		<-release
 		return nil
@@ -531,7 +531,7 @@ func TestServerCancelQueuedJobJournalFailure(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	disrupt := func(shard, attempt int) error {
+	disrupt := func(_ string, shard, attempt int) error {
 		once.Do(func() { close(started) })
 		<-release
 		return nil
@@ -921,7 +921,7 @@ func TestServerSubmitBodyLimit(t *testing.T) {
 		Systems:  systems,
 		Workers:  1,
 		Policy:   RetryPolicy{MaxAttempts: 1},
-		disrupt:  func(int, int) error { return errors.New("admission test: cells do not run") },
+		disrupt:  func(string, int, int) error { return errors.New("admission test: cells do not run") },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -87,7 +87,7 @@ type ShardReport struct {
 // server and the deterministic engine: everything below it is a pure
 // function of (spec, shard, seed); everything above it only sees
 // completed or poisoned shards. Scheduling is not its job: campaign cells
-// reach it through campaign.RunCells, search jobs directly.
+// and search jobs reach it on the server's slot pool.
 type Supervisor struct {
 	Policy RetryPolicy
 	// Clock defaults to the real clock; tests inject a fake.

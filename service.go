@@ -77,7 +77,7 @@ func EstimateMultiRareRiskContext(ctx context.Context, model MultiEncounterModel
 // The validation service: a long-running, crash-safe server around the
 // campaign engine (its rare-event estimator axis included) and the search
 // engine (see internal/serve and the caserve command). Campaign cells
-// shard across a supervised worker pool with per-cell deadlines, bounded
+// shard across a supervised slot pool with per-cell deadlines, bounded
 // retries and quarantine; every completed cell journals durably before it
 // becomes observable, so restarting a killed server on the same state
 // directory resumes mid-campaign with byte-identical artifacts.
@@ -87,8 +87,8 @@ type (
 	// and survives being killed at any instant.
 	ValidationServer = serve.Server
 	// ValidationServerConfig configures a ValidationServer: the state
-	// directory, the system backend menu, the worker-pool width and the
-	// shard retry policy.
+	// directory, the system backend menu, the server-wide count of
+	// concurrent cells and the shard retry policy.
 	ValidationServerConfig = serve.Config
 	// ValidationJobStatus is one job's observable state: queued, running,
 	// done, degraded (some cells quarantined), failed or cancelled, plus
