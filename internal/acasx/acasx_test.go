@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -664,6 +665,17 @@ func BenchmarkTableLookup(b *testing.B) {
 func BenchmarkBuildCoarseTable(b *testing.B) {
 	cfg := CoarseConfig()
 	cfg.Workers = 4
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := BuildTable(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkBuildDefaultTable(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Workers = runtime.NumCPU()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := BuildTable(cfg); err != nil {

@@ -5,6 +5,12 @@ import (
 	"acasxval/internal/mdp"
 )
 
+// stateIndex flattens (continuous vertex c, advisory ra) into an index of
+// one value-table slice, in the layout the stateSize field describes.
+func (m *model) stateIndex(c int, ra Advisory) int {
+	return int(ra)*m.contSize + c
+}
+
 // tauExpandedProblem builds the offline model as an explicit tabular MDP
 // with tau folded into the state: state (k, c, ra) transitions to states at
 // k-1, and tau = 0 states are terminal with the collision cost as their

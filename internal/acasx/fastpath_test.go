@@ -137,8 +137,10 @@ func tableChecksum(table *Table) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestTableChecksumGolden pins the offline solve bit for bit: the tiny and
-// coarse tables must hash to the checked-in digests at every worker count.
+// TestTableChecksumGolden pins the offline solve bit for bit: the tiny,
+// coarse and full (DefaultConfig) tables must hash to the checked-in
+// digests at every worker count. The full table is the one every served
+// cell and benchmark digest rests on.
 // TestBuilderMatchesGenericSolver is the independent oracle for what the
 // values mean; this test catches any change to the floating-point operation
 // order of the sweep, which would move every downstream golden.
@@ -150,6 +152,7 @@ func TestTableChecksumGolden(t *testing.T) {
 	}{
 		{"tiny", tinyConfig(), "2aa3041fbce5c5d573180771d90b0e80ac24e7127223d881f141f171857f21e7"},
 		{"coarse", CoarseConfig(), "e84e162a121e2e1929b7ac61d675f7b5ec47062dbd8e2f1fcb481489ee7296b2"},
+		{"full", DefaultConfig(), "ebaf1914ff2767ad6912952d661b25531e4401b3164d25b00b827a8f74929fbf"},
 	} {
 		for _, workers := range []int{1, 4} {
 			cfg := tc.cfg

@@ -14,7 +14,10 @@ type model struct {
 	grid *interp.Grid
 	// contSize is grid.Size(): the number of continuous-state vertices.
 	contSize int
-	// stateSize is contSize * NumAdvisories: one value-table slice.
+	// stateSize is contSize * NumAdvisories: one value-table slice,
+	// indexed ra*contSize + c for continuous vertex c and advisory ra:
+	// ra-major blocks of contSize so that one advisory's continuous table is
+	// contiguous (good locality for interpolation).
 	stateSize int
 	// sigma are the 3-point Gauss-Hermite quadrature nodes/weights used to
 	// integrate white-noise accelerations: nodes at -sqrt(3), 0, +sqrt(3)
@@ -46,13 +49,6 @@ func newModel(cfg Config) (*model, error) {
 	m.sigmaNodes = [3]float64{-root3, 0, root3}
 	m.sigmaWeights = [3]float64{1.0 / 6, 2.0 / 3, 1.0 / 6}
 	return m, nil
-}
-
-// stateIndex flattens (continuous vertex c, advisory ra) into a slice index.
-// Layout: ra-major blocks of contSize so that one advisory's continuous
-// table is contiguous (good locality for interpolation).
-func (m *model) stateIndex(c int, ra Advisory) int {
-	return int(ra)*m.contSize + c
 }
 
 // terminalValues builds V_0: the collision cost where |h| is inside the
@@ -123,18 +119,6 @@ func (m *model) intruderRateNext(dh1 float64, node float64) float64 {
 	return geom.Clamp(next, -m.cfg.Grid.RateMax, m.cfg.Grid.RateMax)
 }
 
-// successor computes the deterministic next continuous state for one joint
-// sigma outcome: trapezoidal altitude integration with the old and new
-// rates.
-func (m *model) successor(h, dh0, dh1 float64, a Advisory, ownNode, intrNode float64) (hn, dh0n, dh1n float64) {
-	dt := m.cfg.Dynamics.Dt
-	dh0n = m.ownRateNext(dh0, a, ownNode)
-	dh1n = m.intruderRateNext(dh1, intrNode)
-	hn = h + 0.5*((dh1+dh1n)-(dh0+dh0n))*dt
-	hn = geom.Clamp(hn, -m.cfg.Grid.HMax, m.cfg.Grid.HMax)
-	return hn, dh0n, dh1n
-}
-
 // numSigmaOutcomes is the number of joint (own, intruder) sigma outcomes
 // integrated per (state, action): the 3x3 Gauss-Hermite tensor grid.
 const numSigmaOutcomes = 9
@@ -151,14 +135,16 @@ const maxCorners = 8
 // computing it once turns every backward-induction sweep into a pure
 // gather/dot-product over the previous slice.
 //
-// Layout: group g = (c*NumAdvisories + a)*numSigmaOutcomes + o owns the
-// fixed-stride arena span flats[g*maxCorners : g*maxCorners+counts[g]]
-// (likewise weights); the stride wastes a few padding entries on boundary
-// states but lets one parallel pass fill disjoint ranges directly. The
-// per-outcome quadrature weight is kept separate (outcomeW) rather than
-// folded into the corner weights: the sweep sums each outcome's corner
-// gather first and then scales it, which is the operation order the
-// checked-in table checksums pin.
+// Layout: group g = (c*NumAdvisories + a)*numSigmaOutcomes + o, with
+// o = 3*(own node) + (intruder node), owns the fixed-stride arena span
+// flats[g*maxCorners : g*maxCorners+counts[g]] (likewise weights); the
+// stride wastes a few padding entries on boundary states but lets one
+// parallel pass fill disjoint ranges directly. Each span holds exactly the
+// corners and weights Grid.WeightsAppend returns for the successor point,
+// in its order. The per-outcome quadrature weight is kept separate
+// (outcomeW) rather than folded into the corner weights: the sweep sums
+// each outcome's corner gather first and then scales it, which is the
+// operation order the checked-in table checksums pin.
 type transitions struct {
 	counts   []uint8
 	flats    []int32
@@ -166,8 +152,23 @@ type transitions struct {
 	outcomeW [numSigmaOutcomes]float64
 }
 
+// located is one coordinate of a successor state placed on its grid axis:
+// the coordinate, the flat-index offset of its lower bracketing cut point
+// (index times the axis stride) and its fraction towards the next cut point,
+// as Grid.Locate gives them.
+type located struct {
+	x    float64
+	off  int32
+	frac float64
+}
+
 // buildTransitions projects every (vertex, action, sigma outcome) successor
 // onto the grid once, parallelized over vertices.
+//
+// The projection is separable per axis. The own-ship's next rate depends
+// only on (dh0 vertex, action, own node) and the intruder's only on (dh1
+// vertex, intruder node), so each is located on its axis once up front;
+// per group only the next altitude, which mixes all of them, is located.
 func (m *model) buildTransitions(workers int) *transitions {
 	groups := m.contSize * NumAdvisories * numSigmaOutcomes
 	tr := &transitions{
@@ -182,25 +183,44 @@ func (m *model) buildTransitions(workers int) *transitions {
 			o++
 		}
 	}
+	hs, rates := m.grid.Axis(0), m.grid.Axis(1)
+	nr := len(rates)
+	// Row-major strides of (h, dh0, dh1).
+	strides := [3]int32{int32(nr * nr), int32(nr), 1}
+	locate := func(d int, x float64) located {
+		lo, frac := m.grid.Locate(d, x)
+		return located{x: x, off: int32(lo) * strides[d], frac: frac}
+	}
+	own := make([]located, nr*NumAdvisories*3)
+	for i0, dh0 := range rates {
+		for a := 0; a < NumAdvisories; a++ {
+			for i, node := range m.sigmaNodes {
+				own[(i0*NumAdvisories+a)*3+i] = locate(1, m.ownRateNext(dh0, Advisory(a), node))
+			}
+		}
+	}
+	intr := make([]located, nr*3)
+	for i1, dh1 := range rates {
+		for j, node := range m.sigmaNodes {
+			intr[i1*3+j] = locate(2, m.intruderRateNext(dh1, node))
+		}
+	}
+	dt, hMax := m.cfg.Dynamics.Dt, m.cfg.Grid.HMax
 	run := func(lo, hi int) {
-		var wsBuf [16]interp.VertexWeight
-		var ptBuf, sucBuf [3]float64
 		for c := lo; c < hi; c++ {
-			pt := m.grid.PointAppend(ptBuf[:0], c)
-			h, dh0, dh1 := pt[0], pt[1], pt[2]
+			i0, i1 := c/nr%nr, c%nr
+			h, dh0, dh1 := hs[c/(nr*nr)], rates[i0], rates[i1]
 			g := c * NumAdvisories * numSigmaOutcomes
 			for a := 0; a < NumAdvisories; a++ {
 				for i := 0; i < 3; i++ {
+					dh0n := own[(i0*NumAdvisories+a)*3+i]
 					for j := 0; j < 3; j++ {
-						hn, dh0n, dh1n := m.successor(h, dh0, dh1, Advisory(a), m.sigmaNodes[i], m.sigmaNodes[j])
-						sucBuf[0], sucBuf[1], sucBuf[2] = hn, dh0n, dh1n
-						ws, _ := m.grid.WeightsAppend(wsBuf[:0], sucBuf[:])
-						at := g * maxCorners
-						for k, vw := range ws {
-							tr.flats[at+k] = int32(vw.Flat)
-							tr.weights[at+k] = vw.Weight
-						}
-						tr.counts[g] = uint8(len(ws))
+						dh1n := intr[i1*3+j]
+						// Trapezoidal altitude integration with the old and
+						// new rates.
+						hn := h + 0.5*((dh1+dh1n.x)-(dh0+dh0n.x))*dt
+						hn = geom.Clamp(hn, -hMax, hMax)
+						tr.setCorners(g, &[3]located{locate(0, hn), dh0n, dh1n}, &strides)
 						g++
 					}
 				}
@@ -209,4 +229,38 @@ func (m *model) buildTransitions(workers int) *transitions {
 	}
 	parallelRanges(m.contSize, workers, run)
 	return tr
+}
+
+// setCorners writes group g's interpolation corners from the located
+// (h, dh0, dh1) coordinates of its successor, with Grid.WeightsAppend's
+// order and products: the axes in turn, each axis with a nonzero fraction
+// doubling the corners (a lower corner keeps its slot and takes weight
+// times 1-frac, its upper twin is appended with weight times frac) and a
+// zero-fraction axis only offsetting them. An upper-clamped coordinate has
+// fraction 1, so it keeps its zero-weight lower corner as WeightsAppend
+// does.
+func (tr *transitions) setCorners(g int, pos *[3]located, strides *[3]int32) {
+	at := g * maxCorners
+	flats := tr.flats[at : at+maxCorners]
+	weights := tr.weights[at : at+maxCorners]
+	flats[0], weights[0] = 0, 1
+	k := 1
+	for d := range pos {
+		p := &pos[d]
+		if p.frac == 0 {
+			for i := 0; i < k; i++ {
+				flats[i] += p.off
+			}
+			continue
+		}
+		for i := 0; i < k; i++ {
+			w := weights[i]
+			flats[k+i] = flats[i] + p.off + strides[d]
+			weights[k+i] = w * p.frac
+			flats[i] += p.off
+			weights[i] = w * (1 - p.frac)
+		}
+		k *= 2
+	}
+	tr.counts[g] = uint8(k)
 }

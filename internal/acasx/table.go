@@ -17,7 +17,7 @@ import (
 type Table struct {
 	cfg Config
 	// q[k] has stateSize*NumAdvisories entries: Q values for slice k,
-	// indexed by (action-major) a*stateSize + stateIndex(c, ra).
+	// indexed by (action-major) a*stateSize + ra*contSize + c.
 	q [][]float64
 	// grid spans (h, dh0, dh1); kept for online interpolation.
 	grid     *interp.Grid
@@ -35,7 +35,12 @@ type Table struct {
 //
 // The successor projection (h, dh0, dh1, a) -> grid vertex weights does not
 // depend on tau, so it is computed once up front and every sweep reduces to
-// a sparse gather/dot-product over the previous slice.
+// a sparse gather/dot-product over the previous slice (see transitions for
+// the layout). The projection is built per axis: each own-ship and
+// intruder rate successor is located on its axis once, and per (vertex,
+// action, sigma outcome) only the next altitude is located; the corners
+// and weights equal Grid.WeightsAppend's for the whole successor point,
+// bit for bit. The event costs are one (ra, a) matrix per build.
 func BuildTable(cfg Config) (*Table, error) {
 	start := time.Now()
 	m, err := newModel(cfg)
@@ -67,11 +72,18 @@ func BuildTable(cfg Config) (*Table, error) {
 	}
 
 	tr := m.buildTransitions(workers)
+	// The event costs depend only on (ra, a) and the cost config.
+	var cost [NumAdvisories][NumAdvisories]float64
+	for ra := range cost {
+		for a := range cost[ra] {
+			cost[ra][a] = m.eventCost(Advisory(ra), Advisory(a))
+		}
+	}
 	prev := v
 	for k := 1; k <= horizon; k++ {
 		qk := make([]float64, m.stateSize*NumAdvisories)
 		next := make([]float64, m.stateSize)
-		sweepSlice(m, tr, prev, qk, next, workers)
+		sweepSlice(m, tr, &cost, prev, qk, next, workers)
 		t.q[k] = qk
 		prev = next
 		t.sweepCount++
@@ -106,48 +118,61 @@ func parallelRanges(n, workers int, run func(lo, hi int)) {
 // sweepSlice fills qk (Q values) and next (V values) for one tau slice from
 // the previous slice's V values, reading the successor projections from the
 // precomputed transition table: a pure gather/dot-product per (state,
-// action), no geometry or interpolation work per slice.
-func sweepSlice(m *model, tr *transitions, prev, qk, next []float64, workers int) {
+// action), no geometry or interpolation work per slice. cost[ra][a] is the
+// event cost of choosing a while ra is active.
+//
+// Each group's corner products are summed from 0.0 in corner order. The 8-
+// and 4-corner groups, nearly all of them, are summed in straight-line code
+// that keeps that order, the leading 0.0 included: it turns a -0 first
+// product into +0, as the loop does.
+func sweepSlice(m *model, tr *transitions, cost *[NumAdvisories][NumAdvisories]float64, prev, qk, next []float64, workers int) {
+	n, stateSize := m.contSize, m.stateSize
 	run := func(lo, hi int) {
 		for c := lo; c < hi; c++ {
 			var ev [NumAdvisories]float64
 			g := c * NumAdvisories * numSigmaOutcomes
 			for a := 0; a < NumAdvisories; a++ {
-				base := a * m.contSize
+				// Successors of action a carry a as the active advisory.
+				pa := prev[a*n : (a+1)*n]
 				total := 0.0
 				for o := 0; o < numSigmaOutcomes; o++ {
 					s := g * maxCorners
-					e := s + int(tr.counts[g])
-					g++
-					v := 0.0
-					for i := s; i < e; i++ {
-						v += tr.weights[i] * prev[base+int(tr.flats[i])]
+					var v float64
+					switch tr.counts[g] {
+					case 8:
+						f := tr.flats[s : s+8 : s+8]
+						w := tr.weights[s : s+8 : s+8]
+						v = 0.0 + w[0]*pa[f[0]] + w[1]*pa[f[1]] + w[2]*pa[f[2]] + w[3]*pa[f[3]] +
+							w[4]*pa[f[4]] + w[5]*pa[f[5]] + w[6]*pa[f[6]] + w[7]*pa[f[7]]
+					case 4:
+						f := tr.flats[s : s+4 : s+4]
+						w := tr.weights[s : s+4 : s+4]
+						v = 0.0 + w[0]*pa[f[0]] + w[1]*pa[f[1]] + w[2]*pa[f[2]] + w[3]*pa[f[3]]
+					default:
+						for i := s; i < s+int(tr.counts[g]); i++ {
+							v += tr.weights[i] * pa[tr.flats[i]]
+						}
 					}
 					total += tr.outcomeW[o] * v
+					g++
 				}
 				ev[a] = total
 			}
-			fillSliceState(m, c, &ev, qk, next)
-		}
-	}
-	parallelRanges(m.contSize, workers, run)
-}
-
-// fillSliceState writes the Q and V entries of one continuous vertex from
-// the per-action expected next values.
-func fillSliceState(m *model, c int, ev *[NumAdvisories]float64, qk, next []float64) {
-	for ra := 0; ra < NumAdvisories; ra++ {
-		s := m.stateIndex(c, Advisory(ra))
-		best := math.Inf(-1)
-		for a := 0; a < NumAdvisories; a++ {
-			q := m.eventCost(Advisory(ra), Advisory(a)) + ev[a]
-			qk[a*m.stateSize+s] = q
-			if q > best {
-				best = q
+			for ra := 0; ra < NumAdvisories; ra++ {
+				s := ra*n + c
+				best := math.Inf(-1)
+				for a := 0; a < NumAdvisories; a++ {
+					q := cost[ra][a] + ev[a]
+					qk[a*stateSize+s] = q
+					if q > best {
+						best = q
+					}
+				}
+				next[s] = best
 			}
 		}
-		next[s] = best
 	}
+	parallelRanges(n, workers, run)
 }
 
 // Config returns the configuration the table was built with.

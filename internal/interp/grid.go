@@ -9,8 +9,9 @@
 //   - interpolating a value table at a continuous query point, used while
 //     *executing* the generated logic online.
 //
-// Both are provided by Grid.Weights; Interpolate is the dot product of the
-// weights with a table.
+// The online lookup takes a point's corner weights from Grid.WeightsAppend
+// and dots them with a table. The offline projection locates each axis with
+// Grid.Locate, once per distinct coordinate, and expands the same corners.
 package interp
 
 import (
@@ -107,26 +108,21 @@ func (g *Grid) Index(idx []int) int {
 
 // Point returns the coordinates of the vertex at the given flat index.
 func (g *Grid) Point(flat int) []float64 {
-	return g.PointAppend(make([]float64, 0, len(g.axes)), flat)
-}
-
-// PointAppend appends the coordinates of the vertex at the given flat index
-// to dst and returns the extended slice. It performs no allocation when dst
-// has capacity, so hot loops (the offline sweep visits every vertex every
-// slice) can reuse one scratch buffer.
-func (g *Grid) PointAppend(dst []float64, flat int) []float64 {
-	for d := range g.axes {
-		i := flat / g.strides[d] % len(g.axes[d])
-		dst = append(dst, g.axes[d][i])
+	pt := make([]float64, len(g.axes))
+	for d, axis := range g.axes {
+		pt[d] = axis[flat/g.strides[d]%len(axis)]
 	}
-	return dst
+	return pt
 }
 
-// locate finds, for value x on axis d, the lower bracketing cut-point index
+// Locate finds, for value x on axis d, the lower bracketing cut-point index
 // and the fractional position within the cell. Queries outside the axis are
 // clamped to the boundary (fraction 0 or 1 at the edge cell), which matches
-// how ACAS-style tables saturate out-of-range states.
-func (g *Grid) locate(d int, x float64) (lo int, frac float64) {
+// how ACAS-style tables saturate out-of-range states. WeightsAppend locates
+// every coordinate of its point this way; callers that hold some axes fixed
+// across many points (the offline MDP projection) locate each axis once and
+// expand the corners themselves.
+func (g *Grid) Locate(d int, x float64) (lo int, frac float64) {
 	axis := g.axes[d]
 	n := len(axis)
 	if n == 1 || x <= axis[0] {
@@ -176,7 +172,7 @@ func (g *Grid) WeightsAppend(dst []VertexWeight, point []float64) ([]VertexWeigh
 	fracs := fracsBuf[:0]
 	corners := 1
 	for d, x := range point {
-		lo, frac := g.locate(d, x)
+		lo, frac := g.Locate(d, x)
 		los = append(los, lo)
 		fracs = append(fracs, frac)
 		if frac != 0 {

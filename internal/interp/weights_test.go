@@ -3,6 +3,8 @@ package interp
 import (
 	"math"
 	"testing"
+
+	"acasxval/internal/stats"
 )
 
 // TestWeightsAppendReusesStorage: appending into a buffer with capacity
@@ -143,27 +145,60 @@ func TestWeightsAppendSinglePointAxes(t *testing.T) {
 	}
 }
 
-// TestPointAppendMatchesPoint: the allocation-free vertex-coordinate path
-// agrees with Point everywhere and does not allocate with capacity.
-func TestPointAppendMatchesPoint(t *testing.T) {
-	g := MustGrid(Uniform(-3, 3, 7), Uniform(0, 1, 2), []float64{5})
-	buf := make([]float64, 0, 3)
-	for flat := 0; flat < g.Size(); flat++ {
-		want := g.Point(flat)
-		buf = g.PointAppend(buf[:0], flat)
-		if len(buf) != len(want) {
-			t.Fatalf("flat %d: len %d, want %d", flat, len(buf), len(want))
-		}
-		for d := range want {
-			if buf[d] != want[d] {
-				t.Fatalf("flat %d dim %d: %v, want %v", flat, d, buf[d], want[d])
+// TestLocateReproducesWeightsAppend: expanding the per-axis Locate results
+// corner by corner, axes in order, reproduces WeightsAppend's corners and
+// weights bit for bit: a zero-fraction axis is not split, a split axis
+// appends the upper twins after the lower corners, and an upper-clamped
+// coordinate keeps its zero-weight lower corner. The offline MDP projection
+// relies on this to locate shared coordinates once.
+func TestLocateReproducesWeightsAppend(t *testing.T) {
+	g := MustGrid(Uniform(-300, 300, 41), Uniform(-12.7, 12.7, 11), []float64{-3, -1, 0, 0.5, 4})
+	rng := stats.NewRNG(3)
+	var pts [][]float64
+	for i := 0; i < 2000; i++ {
+		pt := make([]float64, 3)
+		for d := range pt {
+			axis := g.Axis(d)
+			lo, hi := axis[0], axis[len(axis)-1]
+			switch rng.IntN(5) {
+			case 0: // exactly on a cut point, the top one included
+				pt[d] = axis[rng.IntN(len(axis))]
+			case 1: // below the axis
+				pt[d] = lo - 1 - rng.Float64()
+			case 2: // above the axis
+				pt[d] = hi + 1 + rng.Float64()
+			default:
+				pt[d] = lo + rng.Float64()*(hi-lo)
 			}
 		}
+		pts = append(pts, pt)
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		buf = g.PointAppend(buf[:0], 11)
-	})
-	if allocs != 0 {
-		t.Fatalf("PointAppend with capacity allocated %v times per run", allocs)
+	for _, pt := range pts {
+		want, err := g.Weights(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := []VertexWeight{{Flat: 0, Weight: 1}}
+		for d, x := range pt {
+			lo, frac := g.Locate(d, x)
+			k := len(got)
+			for i := 0; i < k; i++ {
+				c := got[i]
+				if frac == 0 {
+					got[i].Flat += lo * g.strides[d]
+					continue
+				}
+				got[i] = VertexWeight{Flat: c.Flat + lo*g.strides[d], Weight: c.Weight * (1 - frac)}
+				got = append(got, VertexWeight{Flat: c.Flat + (lo+1)*g.strides[d], Weight: c.Weight * frac})
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("point %v: %d corners from Locate, WeightsAppend has %d", pt, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Flat != want[i].Flat || math.Float64bits(got[i].Weight) != math.Float64bits(want[i].Weight) {
+				t.Fatalf("point %v corner %d: Locate gives %+v, WeightsAppend %+v", pt, i, got[i], want[i])
+			}
+		}
 	}
 }

@@ -8,11 +8,13 @@
 # Checks <base-ref> out into a temporary git worktree, builds the root,
 # internal/acasx and internal/montecarlo test binaries once per side, and
 # runs the four gated benchmarks (Fig5HeadOn 2000x, TableLookupHot 1000000x,
-# AllQValuesFast 10000x, and the unequipped Monte-Carlo episode
-# EvaluateSteadyState 5000x) for three rounds, alternating which side goes
+# AllQValuesFast 100000x, and the unequipped Monte-Carlo episode
+# EvaluateSteadyState 5000x) for five rounds, alternating which side goes
 # first. cmd/benchgate then compares the best run of each side: a >25% ns/op
-# regression, or any allocation, fails. CI passes the merge-base of a pull
-# request, or the previous tip of a push.
+# regression, or any allocation, fails. The lookup benchmarks run for about
+# 0.1 s each and every benchmark runs five times a side because shorter or
+# fewer runs of unchanged code spread past 25% on a shared 2-core machine.
+# CI passes the merge-base of a pull request, or the previous tip of a push.
 set -eu
 if [ $# -ne 1 ]; then
 	echo "usage: sh scripts/benchgate.sh <base-ref>" >&2
@@ -58,8 +60,8 @@ bench() {
 	cat "$TMP/run.txt" >>"$TMP/$1.txt"
 }
 
-for order in "old new" "new old" "old new"; do
-	for spec in Fig5HeadOn:2000x TableLookupHot:1000000x AllQValuesFast:10000x EvaluateSteadyState:5000x; do
+for order in "old new" "new old" "old new" "new old" "old new"; do
+	for spec in Fig5HeadOn:2000x TableLookupHot:1000000x AllQValuesFast:100000x EvaluateSteadyState:5000x; do
 		for side in $order; do
 			bench "$side" "${spec%:*}" "${spec#*:}"
 		done
