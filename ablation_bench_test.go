@@ -1,6 +1,6 @@
 package acasxval
 
-// Ablation benchmarks for the design choices DESIGN.md section 6 calls out:
+// Ablation benchmarks for the design choices of the reproduction (README):
 // coordination, track filtering, sensor noise, response delay, table lookup
 // mode, offline-model noise, and GA operator settings. Each bench reports
 // the safety-relevant metric for both arms via b.ReportMetric, so

@@ -1,8 +1,7 @@
 package acasxval
 
 // The benchmark harness regenerates every evaluation artifact of the paper
-// (see DESIGN.md section 4 and EXPERIMENTS.md for the paper-vs-measured
-// record):
+// (see EXPERIMENTS.md for the paper-vs-measured record):
 //
 //	E1  Fig. 5      BenchmarkFig5HeadOn
 //	E2  Fig. 6      BenchmarkFig6GASearch (scaled; cmd/casearch runs the

@@ -16,7 +16,7 @@
 // Usage:
 //
 //	casearch [-table table.acxt] [-coarse] [-top 10] [-params ecj.params]
-//	         [-out BASE] [-baseline] [-clusters 3]
+//	         [-out BASE] [-baseline]
 //	         [-seed-from-sweep results.jsonl] [-workers W] [key=value ...]
 //
 // The search spec is the grammar of search.FromConfig, the one a caserve
@@ -29,20 +29,20 @@
 // Two paper defaults apply when neither the file nor an argument sets
 // them: search.islands=1, the single population, and search.system=acasx.
 //
-// -out BASE writes the artifact set of a caserve search job under BASE
-// (BASE.archive.jsonl when the archive is not empty, BASE.result.json,
-// BASE.summary.txt and BASE.checkpoint.json) plus the Fig. 6 evaluation
-// log (BASE.fitness.csv) and the top encounters (BASE.found.csv). The
-// checkpoint is written after every generation; rerunning into an
-// existing one resumes bit-identically, so delete it to start fresh.
+// -out BASE writes exactly the artifact set of a caserve search job under
+// BASE: BASE.archive.jsonl when the archive is not empty, BASE.result.json,
+// BASE.summary.txt and BASE.checkpoint.json. The checkpoint is written
+// after every generation; rerunning into an existing one resumes
+// bit-identically, so delete it to start fresh.
 //
-// The reports built from the evaluation log (-top, the CSVs, -clusters)
-// list each fresh evaluation once: elites and migrants carried into a
-// later generation are not simulated again. On a resumed run the log
-// covers this invocation's generations. Encounters with more than one
-// intruder are tabulated by their first intruder block; the danger
-// archive keeps all K. -baseline runs the uniform random search over
-// exactly the GA's evaluation count.
+// The -top report and the geometry tally read the danger archive, the
+// one failure record: each entry keeps all K intruders and its co-evolved
+// fault genes, and encsim -archive BASE.archive.jsonl -rank N replays the
+// report's row N. The Fig. 6 series and -baseline read the evaluation log,
+// which lists each fresh evaluation once (elites and migrants carried into
+// a later generation are not simulated again) and, on a resumed run,
+// covers only this invocation's generations. -baseline runs the uniform
+// random search over exactly the GA's evaluation count.
 //
 // search.faults.preset fixes a surveillance degradation preset on every
 // fitness evaluation. search.faults.evolve=true instead appends the
@@ -53,7 +53,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -64,7 +63,6 @@ import (
 
 	"acasxval/internal/campaign"
 	"acasxval/internal/config"
-	"acasxval/internal/core"
 	"acasxval/internal/durable"
 	"acasxval/internal/ga"
 	"acasxval/internal/search"
@@ -83,11 +81,10 @@ func run(args []string, stdout io.Writer) error {
 	var (
 		tablePath  = flags.String("table", "", "logic table path (built on the fly when absent)")
 		coarse     = flags.Bool("coarse", false, "use the reduced-resolution table when building")
-		topK       = flags.Int("top", 10, "number of top encounters to report")
+		topK       = flags.Int("top", 10, "number of top archived encounters to report")
 		paramsFile = flags.String("params", "", "ECJ-style parameter file of the search spec (key=value arguments override it)")
-		outBase    = flags.String("out", "", "artifact base: checkpoint, archive, result, summary and CSVs go to BASE.<suffix>; an existing BASE"+search.CheckpointSuffix+" resumes")
+		outBase    = flags.String("out", "", "artifact base: checkpoint, archive, result and summary go to BASE.<suffix>; an existing BASE"+search.CheckpointSuffix+" resumes")
 		baseline   = flags.Bool("baseline", false, "also run the random-search baseline at equal budget")
-		clusters   = flags.Int("clusters", 0, "cluster the high-fitness encounters into K groups")
 		seedSweep  = flags.String("seed-from-sweep", "", "seed initial populations from this sweep JSONL")
 		workers    = flags.Int("workers", 0, "parallel episode workers per fitness evaluation (0 = NumCPU/islands; results are identical for any count)")
 	)
@@ -95,6 +92,9 @@ func run(args []string, stdout io.Writer) error {
 
 	if *workers < 0 {
 		return fmt.Errorf("-workers %d < 0", *workers)
+	}
+	if *topK < 0 {
+		return fmt.Errorf("-top %d < 0", *topK)
 	}
 	spec, err := searchSpec(*paramsFile, flags.Args())
 	if err != nil {
@@ -150,14 +150,13 @@ func run(args []string, stdout io.Writer) error {
 	if res == nil {
 		return err
 	}
-	top := core.TopEncounters(spec.Ranges, log, *topK)
 	if err != nil {
 		fmt.Fprintf(stdout, "\ninterrupted after %d generations (%d evaluations); best fitness so far %.1f\n",
 			res.GenerationsRun, res.NumEvaluations, res.Best.Fitness)
 		if *outBase != "" {
 			fmt.Fprintf(stdout, "rerun with -out %s to resume from %s\n", *outBase, opts.CheckpointPath)
 		}
-		if werr := writeArtifacts(stdout, *outBase, spec, res, log, top); werr != nil {
+		if werr := writeArtifacts(stdout, *outBase, spec, res); werr != nil {
 			return werr
 		}
 		return err
@@ -180,28 +179,15 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintln(stdout, "\nFig. 6 — fitness per encounter over the search:")
 	fmt.Fprint(stdout, viz.RenderFitnessSeries(log, 100, 18))
 
-	fmt.Fprintf(stdout, "\ntop %d challenging encounters:\n%s", len(top), core.ReportTop(top))
-	tally := core.Tally(top)
-	fmt.Fprintf(stdout, "geometry tally: %s\n", tally)
-	fmt.Fprintf(stdout, "dominant class: %s (paper: \"most of them are tail approach situations\")\n",
-		tally.Dominant())
 	fmt.Fprintf(stdout, "\ndanger archive: %d distinct encounters at fitness >= %.0f\n",
 		res.Archive.Len(), spec.ArchiveThreshold)
-	if err := writeArtifacts(stdout, *outBase, spec, res, log, top); err != nil {
+	top := res.Archive.Ranked()
+	top = top[:min(*topK, len(top))]
+	fmt.Fprintf(stdout, "top %d archived encounters:\n%s", len(top), search.ReportTop(top))
+	fmt.Fprintf(stdout, "geometry tally: %s (paper: \"most of them are tail approach situations\")\n",
+		search.Tally(top))
+	if err := writeArtifacts(stdout, *outBase, spec, res); err != nil {
 		return err
-	}
-
-	if *clusters > 0 {
-		cs, err := core.ClusterEvaluations(spec.Ranges, log, *clusters, res.Best.Fitness/2, spec.Seed)
-		if err != nil {
-			fmt.Fprintf(stdout, "clustering skipped: %v\n", err)
-		} else {
-			fmt.Fprintf(stdout, "\n%d clusters of high-fitness encounters:\n", len(cs))
-			for i, c := range cs {
-				fmt.Fprintf(stdout, "  cluster %d: %d members, mean fitness %.1f, center %s\n",
-					i+1, len(c.Members), c.MeanFitness, c.Center)
-			}
-		}
 	}
 
 	if *baseline {
@@ -242,11 +228,10 @@ func searchSpec(paramsFile string, args []string) (search.Spec, error) {
 	return config.Override(params, args, search.FromConfig)
 }
 
-// writeArtifacts writes the search job's artifact set plus the Fig. 6
-// evaluation log (".fitness.csv") and the top encounters (".found.csv")
-// under base, after a complete run or an interrupted one: partial
-// archives are as replayable as full ones. An empty base writes nothing.
-func writeArtifacts(stdout io.Writer, base string, spec search.Spec, res *search.Result, log []ga.Evaluation, top []core.Found) error {
+// writeArtifacts writes the search job's artifact set under base, after a
+// complete run or an interrupted one: partial archives are as replayable
+// as full ones. An empty base writes nothing.
+func writeArtifacts(stdout io.Writer, base string, spec search.Spec, res *search.Result) error {
 	if base == "" {
 		return nil
 	}
@@ -254,16 +239,6 @@ func writeArtifacts(stdout io.Writer, base string, spec search.Spec, res *search
 	if err != nil {
 		return err
 	}
-	var fitness, found bytes.Buffer
-	if err := viz.WriteFitnessCSV(&fitness, log); err != nil {
-		return err
-	}
-	if err := core.WriteFound(&found, top); err != nil {
-		return err
-	}
-	artifacts = append(artifacts,
-		durable.Artifact{Suffix: ".fitness.csv", Data: fitness.Bytes()},
-		durable.Artifact{Suffix: ".found.csv", Data: found.Bytes()})
 	if err := durable.WriteArtifacts(base, artifacts); err != nil {
 		return err
 	}

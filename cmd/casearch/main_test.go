@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -88,9 +89,10 @@ func TestSearchSpecShippedFiles(t *testing.T) {
 	}
 }
 
-// TestOnePathParity: each demo search run by casearch -out writes the
-// archive, result, summary and checkpoint the same spec writes as a
-// caserve job, under the same small overrides with search.system and
+// TestOnePathParity: each demo search run by casearch -out writes exactly
+// the set of files the same spec writes as a caserve job (archive, result,
+// summary and checkpoint; a file only one side writes fails), byte for
+// byte, under the same small overrides with search.system and
 // search.islands set explicitly (casearch and caserve default them
 // differently).
 func TestOnePathParity(t *testing.T) {
@@ -103,7 +105,15 @@ func TestOnePathParity(t *testing.T) {
 			t.Fatalf("%s: %v", demo, err)
 		}
 		job := serveJob(t, systems, serve.KindSearch, specText(t, file, overrides))
-		sameArtifacts(t, base, job, ".archive.jsonl", ".result.json", ".summary.txt", search.CheckpointSuffix)
+		got, want := artifactSet(t, base), artifactSet(t, job)
+		if _, ok := want[search.CheckpointSuffix]; !ok || !reflect.DeepEqual(suffixes(got), suffixes(want)) {
+			t.Fatalf("%s: casearch -out wrote %v, the served job %v", demo, suffixes(got), suffixes(want))
+		}
+		for suffix, data := range want {
+			if got[suffix] != data {
+				t.Errorf("%s: %s%s differs from %s%s:\n%s\nvs\n%s", demo, base, suffix, job, suffix, got[suffix], data)
+			}
+		}
 	}
 }
 
@@ -168,21 +178,30 @@ func serveJob(t *testing.T, systems campaign.SystemSet, kind, params string) str
 	return filepath.Join(dir, st.ID)
 }
 
-// sameArtifacts fails unless both artifact bases hold byte-identical
-// files under every suffix.
-func sameArtifacts(t *testing.T, got, want string, suffixes ...string) {
+// artifactSet reads every file named base<suffix> into a map by suffix.
+func artifactSet(t *testing.T, base string) map[string]string {
 	t.Helper()
-	for _, suffix := range suffixes {
-		a, err := os.ReadFile(got + suffix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(want + suffix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Errorf("%s%s differs from %s%s:\n%s\nvs\n%s", got, suffix, want, suffix, a, b)
-		}
+	paths, err := filepath.Glob(base + "*")
+	if err != nil {
+		t.Fatal(err)
 	}
+	set := make(map[string]string, len(paths))
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set[strings.TrimPrefix(p, base)] = string(data)
+	}
+	return set
+}
+
+// suffixes lists an artifact set's suffixes in order.
+func suffixes(set map[string]string) []string {
+	out := make([]string, 0, len(set))
+	for suffix := range set {
+		out = append(out, suffix)
+	}
+	sort.Strings(out)
+	return out
 }

@@ -10,6 +10,12 @@
 // to stress the multi-threat fusion with any classic preset. -genome takes
 // K*9 comma-separated values for an explicit K-intruder encounter.
 //
+// -archive replays a search's failure as it was found: the entry of a
+// danger archive (casearch -out BASE writes BASE.archive.jsonl) at -rank N
+// of the casearch report's fitness order, with every intruder and, for a
+// fault-co-evolving search, its archived degradation profile. -faults
+// cannot override a profile the entry carries.
+//
 // Usage:
 //
 //	encsim -preset <name> [-intruders K] [-runs 100]
@@ -17,20 +23,22 @@
 //	       [-svg out.svg] [-csv out.csv] [-plane plan|profile|time]
 //	       [-faults <preset>]
 //	encsim -genome "Gso,Vso,T,R,theta,Y,Gsi,psi,Vsi[,...]" ...
+//	encsim -archive BASE.archive.jsonl [-rank N] ...
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strconv"
 	"strings"
 
 	"acasxval/internal/campaign"
-	"acasxval/internal/core"
 	"acasxval/internal/encounter"
 	"acasxval/internal/fault"
+	"acasxval/internal/search"
 	"acasxval/internal/sim"
 	"acasxval/internal/stats"
 	"acasxval/internal/sys"
@@ -38,42 +46,53 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "encsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, stdout io.Writer) error {
+	flags := flag.NewFlagSet("encsim", flag.ExitOnError)
 	var (
-		preset = flag.String("preset", "headon", "encounter preset: "+
+		preset = flags.String("preset", "headon", "encounter preset: "+
 			strings.Join(encounter.PresetNames(), ", ")+" (pairwise) or "+
 			strings.Join(encounter.MultiPresetNames(), ", ")+" (multi-intruder)")
-		intruders = flag.Int("intruders", 0, "fan a pairwise encounter into K intruders rotated evenly around the ownship (0 keeps the scenario's own count)")
-		genome    = flag.String("genome", "", "explicit K*9-parameter encounter, comma-separated (overrides -preset)")
-		foundCSV  = flag.String("found", "", "replay an encounter from a casearch -found-csv file (overrides -preset)")
-		foundRank = flag.Int("found-rank", 1, "1-based row to replay from the -found file")
-		system    = flag.String("system", "acasx", "system under test: "+sys.NamesList())
-		tablePath = flag.String("table", "", "logic table path (built on the fly when absent)")
-		coarse    = flag.Bool("coarse", false, "use the reduced-resolution table when building")
-		runs      = flag.Int("runs", 100, "number of stochastic runs for the accident-rate estimate")
-		seed      = flag.Uint64("seed", 1, "base seed")
-		svgOut    = flag.String("svg", "", "write the (first-run) trajectory as SVG")
-		csvOut    = flag.String("csv", "", "write the (first-run) trajectory as CSV")
-		planeName = flag.String("plane", "profile", "ASCII/SVG projection: plan, profile or time")
-		faults    = flag.String("faults", "", "surveillance degradation preset: "+strings.Join(fault.PresetNames(), ", ")+" (empty = clean)")
+		intruders = flags.Int("intruders", 0, "fan a pairwise encounter into K intruders rotated evenly around the ownship (0 keeps the scenario's own count)")
+		genome    = flags.String("genome", "", "explicit K*9-parameter encounter, comma-separated (overrides -preset)")
+		archive   = flags.String("archive", "", "replay an entry of a danger archive JSONL with all its intruders and fault genes (overrides -preset and -genome)")
+		rank      = flags.Int("rank", 1, "1-based fitness rank of the -archive entry to replay")
+		system    = flags.String("system", "acasx", "system under test: "+sys.NamesList())
+		tablePath = flags.String("table", "", "logic table path (built on the fly when absent)")
+		coarse    = flags.Bool("coarse", false, "use the reduced-resolution table when building")
+		runs      = flags.Int("runs", 100, "number of stochastic runs for the accident-rate estimate")
+		seed      = flags.Uint64("seed", 1, "base seed")
+		svgOut    = flags.String("svg", "", "write the (first-run) trajectory as SVG")
+		csvOut    = flags.String("csv", "", "write the (first-run) trajectory as CSV")
+		planeName = flags.String("plane", "profile", "ASCII/SVG projection: plan, profile or time")
+		faults    = flags.String("faults", "", "surveillance degradation preset: "+strings.Join(fault.PresetNames(), ", ")+" (empty = clean)")
 	)
-	flag.Parse()
+	flags.Parse(args)
 
 	m, err := pickEncounter(*preset, *genome)
 	if err != nil {
 		return err
 	}
-	if *foundCSV != "" {
-		m, err = loadFound(*foundCSV, *foundRank)
+	var archivedFault []float64
+	if *archive != "" {
+		e, err := loadArchiveEntry(*archive, *rank)
 		if err != nil {
 			return err
 		}
+		if len(e.Fault) != 0 && *faults != "" {
+			return fmt.Errorf("-faults %s conflicts with the fault profile archived in %s rank %d", *faults, *archive, *rank)
+		}
+		if m, err = e.MultiEncounterParams(); err != nil {
+			return err
+		}
+		archivedFault = e.Fault
+		fmt.Fprintf(stdout, "replaying %s rank %d: %s (recorded fitness %.1f, island %d generation %d index %d)\n",
+			*archive, *rank, e.Name, e.Fitness, e.Island, e.Generation, e.Index)
 	}
 	if *intruders < 0 {
 		return fmt.Errorf("-intruders %d < 0", *intruders)
@@ -101,8 +120,8 @@ func run() error {
 	systems := sim.AppendSystemsFromPair(make([]sim.System, 0, k+1), menu[*system], k)
 
 	g := encounter.ClassifyMulti(m)
-	fmt.Printf("encounter: %s\n", m)
-	fmt.Printf("geometry: %s, closure %.1f m/s, vertically opposed %v (dominant of %d intruder(s))\n",
+	fmt.Fprintf(stdout, "encounter: %s\n", m)
+	fmt.Fprintf(stdout, "geometry: %s, closure %.1f m/s, vertically opposed %v (dominant of %d intruder(s))\n",
 		g.Category, g.ClosureRate, g.VerticallyOpposed, k)
 
 	// Detailed first run with trajectory recording.
@@ -112,7 +131,11 @@ func run() error {
 		return err
 	}
 	if *faults != "" {
-		fmt.Printf("degraded surveillance: %s profile\n", *faults)
+		fmt.Fprintf(stdout, "degraded surveillance: %s profile\n", *faults)
+	}
+	if len(archivedFault) != 0 {
+		cfg.Faults = fault.FromGenes(archivedFault)
+		fmt.Fprintf(stdout, "degraded surveillance: archived profile %+v (severity %.2f)\n", cfg.Faults, cfg.Faults.Severity())
 	}
 	runner, err := sim.NewRunner(cfg)
 	if err != nil {
@@ -126,27 +149,27 @@ func run() error {
 	if first.NMAC {
 		nmacAt = first.NMACTime
 	}
-	fmt.Printf("\nrun 0: NMAC=%v minSep=%.1f m (horizontal %.1f, vertical %.1f), own alerts %d, intruder alerts %d\n",
+	fmt.Fprintf(stdout, "\nrun 0: NMAC=%v minSep=%.1f m (horizontal %.1f, vertical %.1f), own alerts %d, intruder alerts %d\n",
 		first.NMAC, first.MinSeparation, first.MinHorizontal, first.MinVertical,
 		first.OwnAlerts(), first.IntruderAlerts())
 	if k > 1 {
-		fmt.Printf("(rendering intruder 1 of %d; separations and NMACs above are minima over all intruders)\n", k)
+		fmt.Fprintf(stdout, "(rendering intruder 1 of %d; separations and NMACs above are minima over all intruders)\n", k)
 	}
-	fmt.Print(viz.RenderTrajectories(first.Trajectory, plane, 100, 24, nmacAt))
-	fmt.Println()
-	fmt.Print(viz.RenderSeparationSeries(first.Trajectory, 100, 12))
+	fmt.Fprint(stdout, viz.RenderTrajectories(first.Trajectory, plane, 100, 24, nmacAt))
+	fmt.Fprintln(stdout)
+	fmt.Fprint(stdout, viz.RenderSeparationSeries(first.Trajectory, 100, 12))
 
 	if *svgOut != "" {
 		if err := writeSVG(*svgOut, first.Trajectory, plane, nmacAt); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", *svgOut)
+		fmt.Fprintf(stdout, "wrote %s\n", *svgOut)
 	}
 	if *csvOut != "" {
 		if err := writeCSV(*csvOut, first.Trajectory); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", *csvOut)
+		fmt.Fprintf(stdout, "wrote %s\n", *csvOut)
 	}
 
 	// Accident-rate estimate over stochastic runs (the section VII
@@ -173,7 +196,7 @@ func run() error {
 		sep.Add(res.MinSeparation)
 	}
 	ci := stats.WilsonCI(nmacs, *runs, 0.95)
-	fmt.Printf("\naccident rate: %d/%d NMACs (95%% CI [%.2f, %.2f]), alert rate %.2f, mean min sep %.1f m\n",
+	fmt.Fprintf(stdout, "\naccident rate: %d/%d NMACs (95%% CI [%.2f, %.2f]), alert rate %.2f, mean min sep %.1f m\n",
 		nmacs, *runs, ci.Lo, ci.Hi, float64(alerted)/float64(*runs), sep.Mean())
 	return nil
 }
@@ -212,22 +235,17 @@ func fanEncounter(p encounter.Params, k int) encounter.MultiParams {
 	return encounter.MultiOf(out...)
 }
 
-func loadFound(path string, rank int) (encounter.MultiParams, error) {
-	f, err := os.Open(path)
+// loadArchiveEntry returns the danger-archive entry at the 1-based
+// fitness rank.
+func loadArchiveEntry(path string, rank int) (search.ArchiveEntry, error) {
+	entries, err := search.LoadArchiveFile(path)
 	if err != nil {
-		return encounter.MultiParams{}, err
+		return search.ArchiveEntry{}, err
 	}
-	defer f.Close()
-	found, err := core.ReadFound(f)
-	if err != nil {
-		return encounter.MultiParams{}, err
+	if rank < 1 || rank > len(entries) {
+		return search.ArchiveEntry{}, fmt.Errorf("-rank %d outside 1..%d", rank, len(entries))
 	}
-	if rank < 1 || rank > len(found) {
-		return encounter.MultiParams{}, fmt.Errorf("found rank %d outside 1..%d", rank, len(found))
-	}
-	fmt.Printf("replaying %s rank %d (recorded fitness %.1f, generation %d)\n",
-		path, rank, found[rank-1].Fitness, found[rank-1].Generation)
-	return found[rank-1].Params.Multi(), nil
+	return search.RankEntries(entries)[rank-1], nil
 }
 
 func pickPlane(name string) (viz.Plane, error) {

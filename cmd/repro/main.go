@@ -1,5 +1,5 @@
 // Command repro runs every experiment of the reproduction (E1-E8 in
-// DESIGN.md) and prints a paper-versus-measured record for each reproduced
+// EXPERIMENTS.md) and prints a paper-versus-measured record for each reproduced
 // figure, table and quantitative claim. The output of this command is the
 // source of EXPERIMENTS.md.
 //
@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"acasxval/internal/acasx"
-	"acasxval/internal/core"
 	"acasxval/internal/encounter"
 	"acasxval/internal/ga"
 	"acasxval/internal/grid2d"
@@ -146,12 +145,13 @@ func (h *harness) e2GASearch() error {
 	fmt.Print(viz.RenderFitnessSeries(log, 100, 16))
 	history := res.Islands[0]
 	first, last := history[0], history[len(history)-1]
-	tally := core.Tally(core.TopEncounters(spec.Ranges, log, 20))
+	top := res.Archive.Ranked()
+	tally := search.Tally(top[:min(20, len(top))])
 	fmt.Printf("paper:    \"in the first generation most encounters are with low fitness, and over generations\n")
 	fmt.Printf("           more and more encounters get higher fitness\"; search took ~300 s (footnote 5)\n")
 	fmt.Printf("measured: gen0 mean %.1f -> final mean %.1f (max %.1f -> %.1f, best %.1f); %d evaluations in %v\n",
 		first.Mean, last.Mean, first.Max, last.Max, res.Best.Fitness, res.NumEvaluations, res.Elapsed.Round(10*time.Millisecond))
-	fmt.Printf("          top-%d geometry: %s; dominant: %s\n\n", tally.Total, tally, tally.Dominant())
+	fmt.Printf("          top-%d archived geometry: %s\n\n", tally.Total, tally)
 	return nil
 }
 

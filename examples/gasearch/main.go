@@ -1,7 +1,8 @@
 // Fig. 6 reproduction at example scale: run the GA-based challenging
 // situation search against the equipped system and watch the fitness climb
-// over generations; then classify the discovered encounters (the paper
-// found "most of them are tail approach situations").
+// over generations; then rank and classify the danger archive, the
+// discovered encounters (the paper found "most of them are tail approach
+// situations").
 package main
 
 import (
@@ -10,7 +11,7 @@ import (
 	"log"
 
 	"acasxval"
-	"acasxval/internal/core"
+	"acasxval/internal/search"
 	"acasxval/internal/viz"
 )
 
@@ -51,9 +52,9 @@ func main() {
 	fmt.Println()
 	fmt.Print(viz.RenderFitnessSeries(evals, 100, 16))
 
-	top := core.TopEncounters(spec.Ranges, evals, 10)
-	fmt.Printf("\ntop discoveries:\n%s", core.ReportTop(top))
-	tally := core.Tally(top)
-	fmt.Printf("geometry tally: %s\ndominant class: %s\n", tally, tally.Dominant())
+	top := res.Archive.Ranked()
+	top = top[:min(10, len(top))]
+	fmt.Printf("\ntop discoveries:\n%s", search.ReportTop(top))
+	fmt.Printf("geometry tally: %s\n", search.Tally(top))
 	fmt.Printf("search: %d evaluations in %v\n", res.NumEvaluations, res.Elapsed.Round(1e7))
 }

@@ -12,9 +12,9 @@ import (
 	"testing"
 
 	"acasxval/internal/acasx"
-	"acasxval/internal/core"
 	"acasxval/internal/encounter"
 	"acasxval/internal/grid2d"
+	"acasxval/internal/search"
 	"acasxval/internal/sim"
 )
 
@@ -102,10 +102,7 @@ func TestEndToEndSearchFindsTailApproaches(t *testing.T) {
 	spec.GA.Generations = 4
 	spec.Seed = 20
 	spec.Fitness.SimsPerEncounter = 10
-	var evals []Evaluation
-	res, err := RunSearchContext(context.Background(), spec, facadeFactory(t), SearchOptions{Observer: func(is IslandStats) {
-		evals = append(evals, is.Evaluations...)
-	}})
+	res, err := RunSearchContext(context.Background(), spec, facadeFactory(t), SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,10 +115,14 @@ func TestEndToEndSearchFindsTailApproaches(t *testing.T) {
 	if res.Best.Fitness < 2000 {
 		t.Errorf("search failed to find a challenging encounter: best %v", res.Best.Fitness)
 	}
-	// Among the top discoveries, tail approaches dominate (the paper's
-	// "most of them are tail approach situations"). The remainder are
-	// high-vertical-rate convergences, the other genuine weak spot.
-	tally := core.Tally(core.TopEncounters(spec.Ranges, evals, 10))
+	// Among the top archived discoveries, tail approaches dominate (the
+	// paper's "most of them are tail approach situations"). The remainder
+	// are high-vertical-rate convergences, the other genuine weak spot.
+	top := res.Archive.Ranked()
+	if len(top) == 0 {
+		t.Fatalf("empty danger archive at threshold %v: no discovery to classify", spec.ArchiveThreshold)
+	}
+	tally := search.Tally(top[:min(10, len(top))])
 	if tally.Dominant() != encounter.TailApproach {
 		t.Errorf("dominant discovered class = %v (%s), want tail-approach",
 			tally.Dominant(), tally)

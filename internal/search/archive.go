@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
+	"strings"
 
 	"acasxval/internal/campaign"
 	"acasxval/internal/durable"
@@ -140,6 +142,107 @@ func (a *Archive) Add(e ArchiveEntry) bool {
 
 // Len reports the number of archived encounters.
 func (a *Archive) Len() int { return len(a.entries) }
+
+// Ranked returns the archived encounters by decreasing fitness, equal
+// fitness in discovery order: the order of the top-k report and of
+// encsim -rank.
+func (a *Archive) Ranked() []ArchiveEntry { return RankEntries(a.entries) }
+
+// RankEntries returns a copy of entries sorted by decreasing fitness,
+// stable in input order, so a reloaded archive ranks as Ranked does.
+func RankEntries(entries []ArchiveEntry) []ArchiveEntry {
+	out := append([]ArchiveEntry(nil), entries...)
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Fitness > out[j].Fitness })
+	return out
+}
+
+// CategoryTally counts archived encounters by geometry class: the analysis
+// that revealed "most of them are tail approach situations" (section VII).
+type CategoryTally struct {
+	HeadOn       int
+	TailApproach int
+	Crossing     int
+	// VerticallyOpposed counts encounters where one aircraft climbs while
+	// the other descends, across all classes.
+	VerticallyOpposed int
+	Total             int
+}
+
+// Tally classifies archive entries with encounter.ClassifyMulti over all
+// their intruders: a K-intruder entry counts under its fastest-closing
+// intruder, as its Geometry label does.
+func Tally(entries []ArchiveEntry) CategoryTally {
+	var t CategoryTally
+	for _, e := range entries {
+		m, err := e.MultiEncounterParams()
+		if err != nil {
+			continue // validated entries always decode
+		}
+		g := encounter.ClassifyMulti(m)
+		t.Total++
+		switch g.Category {
+		case encounter.HeadOn:
+			t.HeadOn++
+		case encounter.TailApproach:
+			t.TailApproach++
+		default:
+			t.Crossing++
+		}
+		if g.VerticallyOpposed {
+			t.VerticallyOpposed++
+		}
+	}
+	return t
+}
+
+// Dominant returns the most common class of the tally, ties going to
+// tail-approach, then head-on. An empty tally has no dominant class: it
+// returns the zero Category.
+func (t CategoryTally) Dominant() encounter.Category {
+	switch {
+	case t.Total == 0:
+		return 0
+	case t.TailApproach >= t.HeadOn && t.TailApproach >= t.Crossing:
+		return encounter.TailApproach
+	case t.HeadOn >= t.Crossing:
+		return encounter.HeadOn
+	default:
+		return encounter.Crossing
+	}
+}
+
+// String implements fmt.Stringer; the dominant class reads "none" for an
+// empty tally.
+func (t CategoryTally) String() string {
+	dominant := "none"
+	if t.Total > 0 {
+		dominant = t.Dominant().String()
+	}
+	return fmt.Sprintf("head-on %d, tail-approach %d, crossing %d (vertically opposed %d) of %d; dominant %s",
+		t.HeadOn, t.TailApproach, t.Crossing, t.VerticallyOpposed, t.Total, dominant)
+}
+
+// ReportTop renders archive entries, in the given order, as a ranked
+// table: the geometry of the fastest-closing intruder, the severity of the
+// co-evolved fault profile ("-" for none) and the whole encounter.
+func ReportTop(entries []ArchiveEntry) string {
+	var sb strings.Builder
+	sb.WriteString("rank fitness   class          vert-opposed  fault  name         encounter\n")
+	for i, e := range entries {
+		m, err := e.MultiEncounterParams()
+		if err != nil {
+			continue // validated entries always decode
+		}
+		g := encounter.ClassifyMulti(m)
+		severity := "-"
+		if len(e.Fault) == fault.GeneCount {
+			severity = fmt.Sprintf("%.2f", fault.FromGenes(e.Fault).Severity())
+		}
+		fmt.Fprintf(&sb, "%4d %9.1f %-14s %-13v %-6s %-12s %s\n",
+			i+1, e.Fitness, g.Category, g.VerticallyOpposed, severity, e.Name, m)
+	}
+	return sb.String()
+}
 
 // WriteJSONL writes the archive as one JSON record per line, in discovery
 // order. The byte stream is identical for identical search runs.

@@ -11,6 +11,7 @@ import (
 
 	"acasxval/internal/campaign"
 	"acasxval/internal/encounter"
+	"acasxval/internal/fault"
 	"acasxval/internal/ga"
 )
 
@@ -204,6 +205,154 @@ func TestLoadArchiveRejectsMalformed(t *testing.T) {
 			t.Errorf("%s: LoadArchive accepted %q", name, text)
 		}
 	}
+}
+
+// TestRankedEntries: the archive ranks by decreasing fitness with equal
+// fitness in discovery order, keeps every intruder block and fault gene,
+// and leaves the discovery order it ranks untouched.
+func TestRankedEntries(t *testing.T) {
+	a := NewArchive(1000, 0.05, testBounds(t))
+	tail := entryAt(t, 1500, 0)
+	tail.Params = encounter.PresetTailApproach().Vector()
+	crossing := entryAt(t, 1500, 0)
+	crossing.Params = encounter.PresetCrossing().Vector()
+	for _, e := range []ArchiveEntry{entryAt(t, 1200, 0), tail, crossing} {
+		if !a.Add(e) {
+			t.Fatalf("distinct entry %v rejected", e.Params)
+		}
+	}
+	if got := entryNames(a.Ranked()); !reflect.DeepEqual(got, []string{"danger/0001", "danger/0002", "danger/0000"}) {
+		t.Errorf("ranked names %v, want the two 1500s in discovery order, then the 1200", got)
+	}
+	if got := entryNames(a.entries); !reflect.DeepEqual(got, []string{"danger/0000", "danger/0001", "danger/0002"}) {
+		t.Errorf("ranking reordered the archive: %v", got)
+	}
+
+	two := ArchiveEntry{Name: "danger/0009", Fitness: 9000,
+		Params: append(encounter.PresetHeadOn().Vector(), encounter.PresetTailApproach().Vector()...),
+		Fault:  fault.NeutralGenes()}
+	ranked := RankEntries(append(a.Ranked(), two))
+	if !reflect.DeepEqual(ranked[0], two) {
+		t.Errorf("top entry %+v, want the K=2 fault entry whole", ranked[0])
+	}
+}
+
+func entryNames(entries []ArchiveEntry) []string {
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name
+	}
+	return names
+}
+
+// tallyEntry is an archive entry of a preset geometry, with climbing
+// against descending vertical rates when opposed.
+func tallyEntry(p encounter.Params, opposed bool) ArchiveEntry {
+	p.OwnVerticalSpeed, p.IntruderVerticalSpeed = 0, 0
+	if opposed {
+		p.OwnVerticalSpeed, p.IntruderVerticalSpeed = -2.5, 2.5
+	}
+	return ArchiveEntry{Name: "x", Params: p.Vector()}
+}
+
+func TestTallyAndDominant(t *testing.T) {
+	tally := Tally([]ArchiveEntry{
+		tallyEntry(encounter.PresetTailApproach(), true),
+		tallyEntry(encounter.PresetTailApproach(), false),
+		tallyEntry(encounter.PresetHeadOn(), false),
+		tallyEntry(encounter.PresetCrossing(), false),
+	})
+	want := CategoryTally{HeadOn: 1, TailApproach: 2, Crossing: 1, VerticallyOpposed: 1, Total: 4}
+	if tally != want {
+		t.Errorf("tally = %+v, want %+v", tally, want)
+	}
+	if tally.Dominant() != encounter.TailApproach {
+		t.Errorf("dominant = %v", tally.Dominant())
+	}
+	if !strings.HasSuffix(tally.String(), "of 4; dominant tail-approach") {
+		t.Errorf("tally string %q", tally)
+	}
+	// A K=2 entry counts once, under its fastest-closing intruder.
+	two := ArchiveEntry{Name: "x", Params: append(encounter.PresetCrossing().Vector(), encounter.PresetHeadOn().Vector()...)}
+	if got := Tally([]ArchiveEntry{two}); got.HeadOn != 1 || got.Total != 1 {
+		t.Errorf("K=2 tally = %+v, want one head-on", got)
+	}
+}
+
+// TestTallyEmptyHasNoDominant: an empty archive claims no class, so a
+// search that archived nothing cannot report the paper's finding.
+func TestTallyEmptyHasNoDominant(t *testing.T) {
+	tally := Tally(nil)
+	if tally.Total != 0 || tally.Dominant() != 0 {
+		t.Errorf("empty tally %+v has dominant %v, want none", tally, tally.Dominant())
+	}
+	if !strings.HasSuffix(tally.String(), "of 0; dominant none") {
+		t.Errorf("empty tally string %q", tally)
+	}
+}
+
+// TestReportTop: one row per entry in the given order, naming the entry,
+// its class, its fault severity ("-" without fault genes) and every
+// intruder.
+func TestReportTop(t *testing.T) {
+	faulted := tallyEntry(encounter.PresetTailApproach(), true)
+	faulted.Name, faulted.Fitness = "danger/0004", 9500
+	faulted.Params = append(faulted.Params, encounter.PresetHeadOn().Vector()...)
+	faulted.Fault = fault.Genes(fault.Profile{Latency: 4})
+	clean := tallyEntry(encounter.PresetCrossing(), false)
+	clean.Name, clean.Fitness = "danger/0001", 6000
+	lines := strings.Split(strings.TrimSpace(ReportTop([]ArchiveEntry{faulted, clean})), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("report has %d lines, want a header and 2 rows:\n%s", len(lines), strings.Join(lines, "\n"))
+	}
+	severity := fmt.Sprintf("%.2f", fault.Profile{Latency: 4}.Severity())
+	for _, want := range []string{"   1    9500.0", "danger/0004", severity, "K=2"} {
+		if !strings.Contains(lines[1], want) {
+			t.Errorf("row 1 %q lacks %q", lines[1], want)
+		}
+	}
+	for _, want := range []string{"   2    6000.0 crossing", " - ", "danger/0001", "K=1"} {
+		if !strings.Contains(lines[2], want) {
+			t.Errorf("row 2 %q lacks %q", lines[2], want)
+		}
+	}
+}
+
+// FuzzLoadArchive: encsim -archive replays user files, so on arbitrary
+// bytes LoadArchive either fails or returns entries whose params decode as
+// an encounter and whose fault genes, when present, decode to a profile
+// that Validate judges, all without a panic.
+func FuzzLoadArchive(f *testing.F) {
+	line := func(e ArchiveEntry) []byte {
+		data, err := json.Marshal(e)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return append(data, '\n')
+	}
+	pair := ArchiveEntry{Name: "danger/0000", Fitness: 6000, Geometry: "head-on", Params: encounter.PresetHeadOn().Vector()}
+	two := ArchiveEntry{Name: "danger/0001", Fitness: 7000, Geometry: "tail-approach",
+		Params: append(encounter.PresetTailApproach().Vector(), encounter.PresetCrossing().Vector()...),
+		Fault:  fault.Genes(fault.Profile{BurstEnter: 0.2, BurstExit: 0.5, BurstDrop: 0.9, Latency: 2})}
+	f.Add(append(line(pair), line(two)...))
+	f.Add(line(two)[:40])
+	f.Add([]byte(`{"name":"x","fitness":1,"params":[1,2,3,4,5,6,7,8,9],"fault":[1,0,0,0,1e300,-1,0]}` + "\n"))
+	f.Add([]byte("null\n"))
+	f.Add([]byte(""))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		entries, err := LoadArchive(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for _, e := range entries {
+			if _, err := e.MultiEncounterParams(); err != nil {
+				t.Errorf("%s: loaded entry does not decode: %v", e.Name, err)
+			}
+			if len(e.Fault) != 0 {
+				_ = fault.FromGenes(e.Fault).Validate()
+			}
+		}
+	})
 }
 
 // sweepLine renders one campaign cell as a JSONL line.

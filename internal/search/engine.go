@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"acasxval/internal/core"
 	"acasxval/internal/durable"
 	"acasxval/internal/encounter"
 	"acasxval/internal/fault"
@@ -507,7 +506,7 @@ func (e *engine) score(ctx context.Context, genome []float64, seed uint64, scrat
 // seed-derived stochastic dynamics and sensor noise, scored by the paper's
 // fitness = gain * mean(1 / (1 + d_k)). episodeWorkers is the per-batch
 // episode parallelism layered on top of the island goroutines.
-func evaluateEncounter(ctx context.Context, m encounter.MultiParams, seed uint64, fit core.FitnessConfig, factory montecarlo.SystemFactory, episodeWorkers int, scratch *montecarlo.Scratch) (float64, *montecarlo.Estimate, error) {
+func evaluateEncounter(ctx context.Context, m encounter.MultiParams, seed uint64, fit FitnessConfig, factory montecarlo.SystemFactory, episodeWorkers int, scratch *montecarlo.Scratch) (float64, *montecarlo.Estimate, error) {
 	cfg := montecarlo.Config{
 		Samples:     fit.SimsPerEncounter,
 		Run:         fit.Run,

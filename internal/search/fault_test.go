@@ -3,6 +3,7 @@ package search
 import (
 	"bytes"
 	"context"
+	"math"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -11,6 +12,8 @@ import (
 	"acasxval/internal/encounter"
 	"acasxval/internal/fault"
 	"acasxval/internal/ga"
+	"acasxval/internal/montecarlo"
+	"acasxval/internal/stats"
 )
 
 // faultEvolveSpec is the shared co-evolution fixture: the small test
@@ -34,6 +37,44 @@ func TestGenomeLenWithFaults(t *testing.T) {
 	s.Intruders = 2
 	if got, want := s.GenomeLen(), 2*encounter.NumParams+fault.GeneCount; got != want {
 		t.Errorf("K=2 evolving genome length %d, want %d", got, want)
+	}
+}
+
+// TestArchiveRescoresBitForBit: the danger archive is a complete failure
+// record. Every entry of a two-intruder search that co-evolves fault
+// genes, re-scored through the engine's fitness path from its Params and
+// Fault at the seed its island, generation and index derive, reproduces
+// its archived fitness bit for bit.
+func TestArchiveRescoresBitForBit(t *testing.T) {
+	spec := faultEvolveSpec()
+	spec.Intruders = 2
+	spec.ArchiveThreshold = 500
+	res, err := RunContext(context.Background(), spec, testFactory, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Archive.Len() < 10 {
+		t.Fatalf("archive holds %d entries, want at least 10", res.Archive.Len())
+	}
+	e, err := newEngine(spec, testFactory, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scratch montecarlo.Scratch
+	for _, entry := range res.Archive.entries {
+		if len(entry.Params) != 2*encounter.NumParams || len(entry.Fault) != fault.GeneCount {
+			t.Fatalf("%s: %d params and %d fault genes, want %d and %d",
+				entry.Name, len(entry.Params), len(entry.Fault), 2*encounter.NumParams, fault.GeneCount)
+		}
+		genome := append(append([]float64(nil), entry.Params...), entry.Fault...)
+		seed := stats.DeriveSeed(stats.DeriveSeed(spec.Seed, entry.Island), entry.Generation*spec.GA.PopulationSize+entry.Index)
+		s, err := e.score(context.Background(), genome, seed, &scratch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(s.fitness) != math.Float64bits(entry.Fitness) {
+			t.Errorf("%s: re-scored fitness %v, archived %v", entry.Name, s.fitness, entry.Fitness)
+		}
 	}
 }
 

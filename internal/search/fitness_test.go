@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"acasxval/internal/acasx"
-	"acasxval/internal/core"
 	"acasxval/internal/encounter"
 	"acasxval/internal/ga"
 	"acasxval/internal/montecarlo"
@@ -58,6 +57,27 @@ func freshEvaluations(s Spec) int {
 	return s.GA.PopulationSize + (s.GA.Generations-1)*(s.GA.PopulationSize-s.GA.Elites)
 }
 
+func TestFitnessConfigValidation(t *testing.T) {
+	if err := DefaultFitnessConfig().Validate(); err != nil {
+		t.Fatal(err)
+	}
+	bad := DefaultFitnessConfig()
+	bad.SimsPerEncounter = 0
+	if err := bad.Validate(); err == nil {
+		t.Error("zero sims accepted")
+	}
+	bad2 := DefaultFitnessConfig()
+	bad2.CollisionGain = 0
+	if err := bad2.Validate(); err == nil {
+		t.Error("zero gain accepted")
+	}
+	bad3 := DefaultFitnessConfig()
+	bad3.Run.Dt = 0
+	if err := bad3.Validate(); err == nil {
+		t.Error("bad run config accepted")
+	}
+}
+
 // runLogged runs a search and assembles the Fig. 6 log from the observer.
 func runLogged(t *testing.T, spec Spec, factory montecarlo.SystemFactory, opts Options) (*Result, []ga.Evaluation) {
 	t.Helper()
@@ -73,7 +93,7 @@ func runLogged(t *testing.T, spec Spec, factory montecarlo.SystemFactory, opts O
 // fitnessOf scores one pairwise encounter through the engine's fitness path.
 func fitnessOf(t *testing.T, p encounter.Params, factory montecarlo.SystemFactory, sims int, seed uint64) (float64, *montecarlo.Estimate) {
 	t.Helper()
-	fit := core.DefaultFitnessConfig()
+	fit := DefaultFitnessConfig()
 	fit.SimsPerEncounter = sims
 	var scratch montecarlo.Scratch
 	f, est, err := evaluateEncounter(context.Background(), encounter.MultiOf(p), seed, fit, factory, 1, &scratch)
@@ -139,7 +159,7 @@ func TestEvaluateDeterministicPerSeed(t *testing.T) {
 
 // TestSearchPipeline runs a miniature one-island search against the
 // unequipped baseline (cheap and guaranteed to find collisions) and checks
-// the structure of the result and of the reports built from its log.
+// the structure of the result, its log and its ranked archive.
 func TestSearchPipeline(t *testing.T) {
 	spec := onePopSpec()
 	var gens []int
@@ -157,17 +177,17 @@ func TestSearchPipeline(t *testing.T) {
 	if !reflect.DeepEqual(gens, []int{0, 1, 2}) {
 		t.Errorf("observer generations = %v, want one call per generation", gens)
 	}
-	top := core.TopEncounters(spec.Ranges, log, 5)
-	if len(top) != 5 {
-		t.Fatalf("top list = %d, want 5", len(top))
+	top := res.Archive.Ranked()
+	if len(top) < 2 {
+		t.Fatalf("archive holds %d entries, want several", len(top))
 	}
 	for i := 1; i < len(top); i++ {
 		if top[i].Fitness > top[i-1].Fitness {
-			t.Fatal("top list not sorted")
+			t.Fatal("ranked archive not sorted")
 		}
 	}
 	if res.Best.Fitness != top[0].Fitness {
-		t.Errorf("best %v does not match top of list %v", res.Best.Fitness, top[0].Fitness)
+		t.Errorf("best %v does not match top of the archive %v", res.Best.Fitness, top[0].Fitness)
 	}
 	// Against unequipped aircraft the search space is full of collisions:
 	// the best must be near the maximum gain.

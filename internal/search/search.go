@@ -11,7 +11,15 @@
 //     their best individuals via ring migration every K generations.
 //     Fitness evaluation reuses montecarlo.EvaluateMultiWithScratchContext
 //     with a per-island scratch, so each genome is scored by the same
-//     Monte-Carlo harness the validation campaigns use. One island is the
+//     Monte-Carlo harness the validation campaigns use, under the paper's
+//     fitness
+//
+//     fitness = (1/N) * sum_n 10000 / (1 + d_n)
+//
+//     over N = FitnessConfig.SimsPerEncounter runs (d_n the minimum
+//     separation of run n; a mid-air collision gives the maximum gain
+//     10000), which steers the search toward encounters the system cannot
+//     resolve. One island is the
 //     paper's single-population GA; RandomSearch and CompareSearch score
 //     the uniform random baseline through the same fitness path.
 //
@@ -21,12 +29,15 @@
 //     (seed, island, generation), a killed run resumed from its checkpoint
 //     produces output byte-identical to an uninterrupted run.
 //
-//   - A danger archive: every encounter whose fitness crosses a risk
-//     threshold is recorded, deduplicated by normalized encounter-geometry
-//     distance (ga.DistanceScale over the search ranges), classified
-//     (encounter.Classify), and written as JSONL. Archives reload as
-//     explicit campaign scenarios, closing the loop
-//     sweep -> search -> archive -> sweep.
+//   - A danger archive, the one record of what a search found: every
+//     encounter whose fitness crosses a risk threshold is recorded with
+//     all its intruders and co-evolved fault genes, deduplicated by
+//     normalized encounter-geometry distance (ga.DistanceScale over the
+//     search ranges), classified (encounter.ClassifyMulti), and written as
+//     JSONL. Ranked by fitness it feeds the top-k report and the geometry
+//     tally of section VII (ReportTop, Tally). Archives reload as explicit
+//     campaign scenarios, closing the loop sweep -> search -> archive ->
+//     sweep.
 //
 // Populations can additionally be seeded from the worst cells of a prior
 // campaign sweep's JSONL output (SweepSeeds), so validation campaigns and
@@ -37,7 +48,6 @@ import (
 	"fmt"
 
 	"acasxval/internal/config"
-	"acasxval/internal/core"
 	"acasxval/internal/encounter"
 	"acasxval/internal/fault"
 	"acasxval/internal/ga"
@@ -78,7 +88,7 @@ type Spec struct {
 	// 100 stochastic simulations averaged into one fitness value). Its
 	// Run.Faults profile, when enabled, degrades every evaluation — a
 	// search under a fixed lossy channel.
-	Fitness core.FitnessConfig
+	Fitness FitnessConfig
 
 	// EvolveFaults appends fault.GeneCount degradation genes to every
 	// genome: the search co-evolves the surveillance-degradation profile
@@ -129,7 +139,7 @@ func DefaultSpec() Spec {
 		MigrationSize:      2,
 		Ranges:             encounter.DefaultRanges(),
 		GA:                 gaParams,
-		Fitness:            core.DefaultFitnessConfig(),
+		Fitness:            DefaultFitnessConfig(),
 		ArchiveThreshold:   5000,
 		ArchiveMinDistance: 0.05,
 		Seed:               1,

@@ -7,7 +7,6 @@ import (
 	"math"
 	"strconv"
 
-	"acasxval/internal/ga"
 	"acasxval/internal/sim"
 )
 
@@ -38,42 +37,6 @@ func WriteTrajectoryCSV(w io.Writer, traj []sim.TrajectoryPoint) error {
 			b(p.OwnAlerting), b(p.IntruderAlerting),
 			strconv.Itoa(int(p.OwnSense)), strconv.Itoa(int(p.IntruderSense)),
 			f(p.Own.Pos.DistanceTo(p.Intruder.Pos)),
-		}
-		if err := cw.Write(row); err != nil {
-			return fmt.Errorf("viz: csv: %w", err)
-		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return fmt.Errorf("viz: csv: %w", err)
-	}
-	return nil
-}
-
-// WriteFitnessCSV exports the evaluation log as CSV: evaluation index,
-// generation, fitness, then the nine genome parameters — the data behind
-// Fig. 6. Longer genomes (further intruder blocks, fault genes) continue
-// with columns named by gene position.
-func WriteFitnessCSV(w io.Writer, evals []ga.Evaluation) error {
-	cw := csv.NewWriter(w)
-	header := []string{
-		"evaluation", "generation", "fitness",
-		"own_gs", "own_vs", "t_cpa", "r", "theta", "y", "intr_gs", "intr_psi", "intr_vs",
-	}
-	if len(evals) > 0 {
-		for g := len(header) - 3; g < len(evals[0].Genome); g++ {
-			header = append(header, "gene_"+strconv.Itoa(g))
-		}
-	}
-	if err := cw.Write(header); err != nil {
-		return fmt.Errorf("viz: csv: %w", err)
-	}
-	for i, e := range evals {
-		row := make([]string, 0, len(header))
-		row = append(row, strconv.Itoa(i), strconv.Itoa(e.Generation),
-			strconv.FormatFloat(e.Fitness, 'g', 10, 64))
-		for _, g := range e.Genome {
-			row = append(row, strconv.FormatFloat(g, 'g', 10, 64))
 		}
 		if err := cw.Write(row); err != nil {
 			return fmt.Errorf("viz: csv: %w", err)

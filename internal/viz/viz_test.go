@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"acasxval/internal/encounter"
 	"acasxval/internal/ga"
 	"acasxval/internal/geom"
 	"acasxval/internal/sim"
@@ -121,42 +120,6 @@ func TestWriteTrajectoryCSV(t *testing.T) {
 	// Alert flags encoded as 0/1.
 	if records[5][7] != "1" {
 		t.Errorf("alert flag row 5 = %q, want 1", records[5][7])
-	}
-}
-
-func TestWriteFitnessCSV(t *testing.T) {
-	evals := []ga.Evaluation{
-		{Generation: 0, Index: 0, Genome: encounter.PresetHeadOn().Vector(), Fitness: 100},
-		{Generation: 1, Index: 1, Genome: encounter.PresetTailApproach().Vector(), Fitness: 9000},
-	}
-	var buf bytes.Buffer
-	if err := WriteFitnessCSV(&buf, evals); err != nil {
-		t.Fatal(err)
-	}
-	records, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(records) != 3 {
-		t.Fatalf("%d records, want 3", len(records))
-	}
-	if len(records[1]) != 12 {
-		t.Errorf("row width = %d, want 12", len(records[1]))
-	}
-
-	// A two-intruder log names its second block by gene position, so the
-	// file stays rectangular.
-	two := append(encounter.PresetHeadOn().Vector(), encounter.PresetCrossing().Vector()...)
-	buf.Reset()
-	if err := WriteFitnessCSV(&buf, []ga.Evaluation{{Genome: two, Fitness: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	records, err = csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(records[0]) != 21 || records[0][20] != "gene_17" {
-		t.Errorf("two-intruder header = %v, want 21 columns ending gene_17", records[0])
 	}
 }
 
