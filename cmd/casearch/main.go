@@ -15,8 +15,7 @@
 //
 // Usage:
 //
-//	casearch [-table table.acxt] [-coarse] [-top 10] [-params ecj.params]
-//	         [-out BASE] [-baseline]
+//	casearch [-top 10] [-params ecj.params] [-out BASE] [-baseline]
 //	         [-seed-from-sweep results.jsonl] [-workers W] [key=value ...]
 //
 // The search spec is the grammar of search.FromConfig, the one a caserve
@@ -28,6 +27,8 @@
 // key, an argument without "=", or an out-of-range value is an error.
 // Two paper defaults apply when neither the file nor an argument sets
 // them: search.islands=1, the single population, and search.system=acasx.
+// The table-backed systems (acasx, belief) run the full-resolution logic
+// table, the paper's system, built in process.
 //
 // -out BASE writes exactly the artifact set of a caserve search job under
 // BASE: BASE.archive.jsonl when the archive is not empty, BASE.result.json,
@@ -79,8 +80,6 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	flags := flag.NewFlagSet("casearch", flag.ExitOnError)
 	var (
-		tablePath  = flags.String("table", "", "logic table path (built on the fly when absent)")
-		coarse     = flags.Bool("coarse", false, "use the reduced-resolution table when building")
 		topK       = flags.Int("top", 10, "number of top archived encounters to report")
 		paramsFile = flags.String("params", "", "ECJ-style parameter file of the search spec (key=value arguments override it)")
 		outBase    = flags.String("out", "", "artifact base: checkpoint, archive, result and summary go to BASE.<suffix>; an existing BASE"+search.CheckpointSuffix+" resumes")
@@ -101,14 +100,17 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	if *seedSweep != "" {
-		seeds, err := search.SweepSeedsFile(*seedSweep, spec.Islands*spec.GA.PopulationSize)
+		seeds, truncated, err := search.SweepSeedsFile(*seedSweep, spec.Islands*spec.GA.PopulationSize)
 		if err != nil {
 			return err
+		}
+		if truncated {
+			fmt.Fprintf(os.Stderr, "warning: %s ends in a half-written line (writer killed mid-record?); skipped\n", *seedSweep)
 		}
 		spec.SeedGenomes = seeds
 		fmt.Fprintf(stdout, "seeded %d genomes from %s\n", len(seeds), *seedSweep)
 	}
-	systems, err := campaign.LoadSystems([]string{spec.System}, *tablePath, *coarse)
+	systems, err := campaign.LoadSystems([]string{spec.System})
 	if err != nil {
 		return err
 	}

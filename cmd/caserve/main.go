@@ -11,9 +11,14 @@
 // on the same -state directory resumes mid-campaign with artifacts
 // byte-identical to an uninterrupted run.
 //
+// The server builds the full-resolution logic table, the paper's system,
+// once at start-up, so every registered backend is on its menu and a
+// submission naming an unknown system is refused at submit time, never
+// mid-job.
+//
 // Usage:
 //
-//	caserve [-addr :8080] [-state caserve-state] [-table table.acxt] [-full]
+//	caserve [-addr :8080] [-state caserve-state]
 //	        [-workers 0] [-retries 3] [-cell-timeout 0] [-backoff 50ms]
 //
 // API:
@@ -48,9 +53,9 @@ import (
 	"syscall"
 	"time"
 
-	"acasxval/internal/acasx"
 	"acasxval/internal/campaign"
 	"acasxval/internal/serve"
+	"acasxval/internal/sys"
 )
 
 func main() {
@@ -64,9 +69,6 @@ func run() error {
 	var (
 		addr        = flag.String("addr", ":8080", "HTTP listen address")
 		stateDir    = flag.String("state", "caserve-state", "state directory: journal and per-job artifacts")
-		tablePath   = flag.String("table", "", "logic table path (built on the fly when a submitted job needs one)")
-		full        = flag.Bool("full", false, "build the full-resolution table instead of the coarse one")
-		withTable   = flag.Bool("with-table", false, "build/load the logic table at startup so table-backed systems are accepted")
 		workers     = flag.Int("workers", 0, "concurrent campaign cells over all jobs (clamped to NumCPU); a search job takes them all as its episode workers (0 = NumCPU)")
 		retries     = flag.Int("retries", 0, "attempts per cell before quarantine (0 = default 3)")
 		cellTimeout = flag.Duration("cell-timeout", 0, "per-attempt cell deadline (0 = none)")
@@ -74,16 +76,9 @@ func run() error {
 	)
 	flag.Parse()
 
-	// Table-backed systems (acasx, belief) are only on the menu when the
-	// table is built: a service should fail a submission loudly at submit
-	// time, not stall its queue building a table mid-job.
-	systems := campaign.DefaultSystems(nil)
-	if *withTable || *tablePath != "" {
-		table, err := acasx.LoadOrBuildTable(*tablePath, !*full)
-		if err != nil {
-			return err
-		}
-		systems = campaign.DefaultSystems(table)
+	systems, err := campaign.LoadSystems(sys.Names())
+	if err != nil {
+		return err
 	}
 
 	srv, err := serve.NewServer(serve.Config{

@@ -13,13 +13,17 @@
 // -archive replays a search's failure as it was found: the entry of a
 // danger archive (casearch -out BASE writes BASE.archive.jsonl) at -rank N
 // of the casearch report's fitness order, with every intruder and, for a
-// fault-co-evolving search, its archived degradation profile. -faults
-// cannot override a profile the entry carries.
+// fault-co-evolving search, its archived degradation profile. The entry
+// is the whole encounter, so -preset and -genome cannot be set with it,
+// -rank needs it, and -faults cannot override a profile the entry carries.
+//
+// The table-backed systems (acasx, belief) run the full-resolution logic
+// table, the paper's system, built in process.
 //
 // Usage:
 //
 //	encsim -preset <name> [-intruders K] [-runs 100]
-//	       [-system <name>] [-table table.acxt] [-seed 1]
+//	       [-system <name>] [-seed 1]
 //	       [-svg out.svg] [-csv out.csv] [-plane plan|profile|time]
 //	       [-faults <preset>]
 //	encsim -genome "Gso,Vso,T,R,theta,Y,Gsi,psi,Vsi[,...]" ...
@@ -60,11 +64,9 @@ func run(args []string, stdout io.Writer) error {
 			strings.Join(encounter.MultiPresetNames(), ", ")+" (multi-intruder)")
 		intruders = flags.Int("intruders", 0, "fan a pairwise encounter into K intruders rotated evenly around the ownship (0 keeps the scenario's own count)")
 		genome    = flags.String("genome", "", "explicit K*9-parameter encounter, comma-separated (overrides -preset)")
-		archive   = flags.String("archive", "", "replay an entry of a danger archive JSONL with all its intruders and fault genes (overrides -preset and -genome)")
-		rank      = flags.Int("rank", 1, "1-based fitness rank of the -archive entry to replay")
+		archive   = flags.String("archive", "", "replay an entry of a danger archive JSONL with all its intruders and fault genes (excludes -preset and -genome)")
+		rank      = flags.Int("rank", 1, "1-based fitness rank of the -archive entry to replay (needs -archive)")
 		system    = flags.String("system", "acasx", "system under test: "+sys.NamesList())
-		tablePath = flags.String("table", "", "logic table path (built on the fly when absent)")
-		coarse    = flags.Bool("coarse", false, "use the reduced-resolution table when building")
 		runs      = flags.Int("runs", 100, "number of stochastic runs for the accident-rate estimate")
 		seed      = flags.Uint64("seed", 1, "base seed")
 		svgOut    = flags.String("svg", "", "write the (first-run) trajectory as SVG")
@@ -74,12 +76,25 @@ func run(args []string, stdout io.Writer) error {
 	)
 	flags.Parse(args)
 
-	m, err := pickEncounter(*preset, *genome)
-	if err != nil {
-		return err
+	set := map[string]bool{}
+	flags.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if set["rank"] && *archive == "" {
+		return fmt.Errorf("-rank needs -archive")
 	}
-	var archivedFault []float64
-	if *archive != "" {
+	if *archive != "" && (set["preset"] || set["genome"]) {
+		return fmt.Errorf("-archive replays the archived encounter: it excludes -preset and -genome")
+	}
+
+	var (
+		m             encounter.MultiParams
+		archivedFault []float64
+		err           error
+	)
+	if *archive == "" {
+		if m, err = pickEncounter(*preset, *genome); err != nil {
+			return err
+		}
+	} else {
 		e, err := loadArchiveEntry(*archive, *rank)
 		if err != nil {
 			return err
@@ -111,7 +126,7 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	menu, err := campaign.LoadSystems([]string{*system}, *tablePath, *coarse)
+	menu, err := campaign.LoadSystems([]string{*system})
 	if err != nil {
 		return err
 	}
@@ -238,9 +253,12 @@ func fanEncounter(p encounter.Params, k int) encounter.MultiParams {
 // loadArchiveEntry returns the danger-archive entry at the 1-based
 // fitness rank.
 func loadArchiveEntry(path string, rank int) (search.ArchiveEntry, error) {
-	entries, err := search.LoadArchiveFile(path)
+	entries, truncated, err := search.LoadArchiveFile(path)
 	if err != nil {
 		return search.ArchiveEntry{}, err
+	}
+	if truncated {
+		fmt.Fprintf(os.Stderr, "warning: %s ends in a half-written line (writer killed mid-record?); skipped\n", path)
 	}
 	if rank < 1 || rank > len(entries) {
 		return search.ArchiveEntry{}, fmt.Errorf("-rank %d outside 1..%d", rank, len(entries))

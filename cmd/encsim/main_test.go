@@ -17,7 +17,9 @@ import (
 
 // TestArchiveReplay: -archive replays the entry at -rank in fitness order
 // with every intruder and its archived fault profile. -faults next to a
-// fault-carrying entry and a rank outside the archive are errors.
+// fault-carrying entry, a rank outside the archive, -preset or -genome
+// set next to -archive (even to the default) and -rank without -archive
+// are errors.
 func TestArchiveReplay(t *testing.T) {
 	profile := fault.Profile{BurstEnter: 0.2, BurstExit: 0.5, BurstDrop: 0.9, Latency: 2}
 	two := search.ArchiveEntry{Name: "danger/0001", Fitness: 9000,
@@ -67,5 +69,13 @@ func TestArchiveReplay(t *testing.T) {
 	}
 	if err := run([]string{"-archive", filepath.Join(t.TempDir(), "none.jsonl")}, io.Discard); err == nil {
 		t.Error("a missing archive file replayed")
+	}
+	for _, extra := range [][]string{{"-preset", "headon"}, {"-genome", "1,2,3,4,5,6,7,8,9"}} {
+		if _, err := replay(extra...); err == nil || !strings.Contains(err.Error(), "excludes -preset and -genome") {
+			t.Errorf("-archive with %v: %v, want a conflict error", extra, err)
+		}
+	}
+	if err := run([]string{"-system", "svo", "-rank", "2"}, io.Discard); err == nil || !strings.Contains(err.Error(), "-rank needs -archive") {
+		t.Errorf("-rank without -archive: %v, want an error", err)
 	}
 }

@@ -233,7 +233,8 @@ func (h *harness) e4Grid2D() error {
 	return nil
 }
 
-// e5ValueIteration reproduces footnote 2: solve time under 5 minutes.
+// e5ValueIteration reproduces footnote 2: solve time under 5 minutes. It
+// then draws the solved policy's advisory regions for level flight.
 func (h *harness) e5ValueIteration() error {
 	fmt.Println("--- E5 / footnote 2: full value iteration solve time ---")
 	cfg := acasx.DefaultConfig()
@@ -251,6 +252,8 @@ func (h *harness) e5ValueIteration() error {
 	fmt.Printf("paper:    \"Value Iteration takes several minutes (less than 5 minutes) on an ordinary laptop PC\"\n")
 	fmt.Printf("measured: %v with %d workers, %v serial (%d Q entries)\n\n",
 		t.BuildTime().Round(time.Millisecond), cfg.Workers, ts.BuildTime().Round(time.Millisecond), t.NumEntries())
+	fmt.Print(t.RenderPolicySlice(0, 0, 21))
+	fmt.Println()
 	return nil
 }
 

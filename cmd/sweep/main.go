@@ -9,8 +9,7 @@
 //
 // Usage:
 //
-//	sweep [-spec params/sweep-demo.params] [-out BASE]
-//	      [-table table.acxt] [-full] [-extra danger.jsonl]
+//	sweep [-spec params/sweep-demo.params] [-out BASE] [-extra danger.jsonl]
 //	      [-archive-proposal danger.jsonl] [key=value ...]
 //
 // The campaign spec is the grammar of campaign.FromConfig: the -spec file,
@@ -33,13 +32,16 @@
 // campaign's scenario axis, closing the sweep -> search -> archive ->
 // sweep loop.
 //
+// The table-backed systems (acasx, belief) run the full-resolution logic
+// table, the paper's system, built in process when the spec names one.
+//
 // campaign.estimator.methods sets the rare-event estimator axis: each
 // listed method re-estimates P(NMAC) under the statistical encounter model
 // for every system, variant and fault point, reported in a dedicated
 // summary section with effective sample size, variance-reduction factor
 // and risk ratio against the unequipped baseline. A spec of
 // estimator cells alone, params/montecarlo.params, is the section IV
-// model-level estimate (add -full for the full-resolution table).
+// model-level estimate.
 // -archive-proposal feeds a danger archive's genomes to the
 // importance-sampling estimators as proposal kernels — the search's
 // failure region steers the estimator.
@@ -71,12 +73,10 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	flags := flag.NewFlagSet("sweep", flag.ExitOnError)
 	var (
-		specPath  = flags.String("spec", "params/sweep-demo.params", "campaign spec file (ECJ-style params; key=value arguments override it)")
-		outBase   = flags.String("out", "", "artifact base: write BASE.jsonl and BASE.summary.txt (default: JSONL on stdout)")
-		tablePath = flags.String("table", "", "logic table path (built on the fly when absent)")
-		full      = flags.Bool("full", false, "build the full-resolution table instead of the coarse one")
-		extra     = flags.String("extra", "", "danger-archive JSONL whose entries join the scenario axis")
-		archive   = flags.String("archive-proposal", "", "danger-archive JSONL whose genomes steer the importance-sampling estimators")
+		specPath = flags.String("spec", "params/sweep-demo.params", "campaign spec file (ECJ-style params; key=value arguments override it)")
+		outBase  = flags.String("out", "", "artifact base: write BASE.jsonl and BASE.summary.txt (default: JSONL on stdout)")
+		extra    = flags.String("extra", "", "danger-archive JSONL whose entries join the scenario axis")
+		archive  = flags.String("archive-proposal", "", "danger-archive JSONL whose genomes steer the importance-sampling estimators")
 	)
 	flags.Parse(args)
 
@@ -85,7 +85,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	if *extra != "" {
-		entries, err := search.LoadArchiveFile(*extra)
+		entries, err := loadArchive(*extra)
 		if err != nil {
 			return err
 		}
@@ -97,7 +97,7 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(os.Stderr, "added %d archive scenarios from %s\n", len(scenarios), *extra)
 	}
 	if *archive != "" {
-		entries, err := search.LoadArchiveFile(*archive)
+		entries, err := loadArchive(*archive)
 		if err != nil {
 			return err
 		}
@@ -108,7 +108,7 @@ func run(args []string, stdout io.Writer) error {
 		spec.EstimatorSpec.Kernels = kernels
 		fmt.Fprintf(os.Stderr, "steering the estimator proposal with %d archive genomes from %s\n", len(kernels), *archive)
 	}
-	systems, err := campaign.LoadSystems(spec.Systems, *tablePath, !*full)
+	systems, err := campaign.LoadSystems(spec.Systems)
 	if err != nil {
 		return err
 	}
@@ -152,6 +152,16 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprint(stdout, res.SummaryTable())
 	fmt.Fprintf(os.Stderr, "\n%d simulations in %v\n", res.TotalRuns, elapsed.Round(time.Millisecond))
 	return nil
+}
+
+// loadArchive reads a danger archive, warning on stderr when its last
+// line was half-written and skipped.
+func loadArchive(path string) ([]search.ArchiveEntry, error) {
+	entries, truncated, err := search.LoadArchiveFile(path)
+	if truncated {
+		fmt.Fprintf(os.Stderr, "warning: %s ends in a half-written line (writer killed mid-record?); skipped\n", path)
+	}
+	return entries, err
 }
 
 // campaignSpec parses the campaign spec from the file at path overridden

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -102,11 +103,14 @@ func TestCampaignSpecShippedFiles(t *testing.T) {
 
 // TestOnePathParity: each demo campaign, and the model-level estimate of
 // params/montecarlo.params, run by sweep -out writes the bytes the same
-// spec writes as a caserve job, under the same small overrides. The table-driven backends run on one coarse table both
-// sides share.
+// spec writes as a caserve job, under the same small overrides. Both sides
+// run the table-backed systems on the full-resolution table: sweep builds
+// its own, and the served side runs one built here from
+// acasx.DefaultConfig(), so a sweep on any other table fails.
 func TestOnePathParity(t *testing.T) {
-	tablePath := filepath.Join(t.TempDir(), "coarse.acxt")
-	table, err := acasx.LoadOrBuildTable(tablePath, true)
+	cfg := acasx.DefaultConfig()
+	cfg.Workers = runtime.NumCPU()
+	table, err := acasx.BuildTable(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +125,7 @@ func TestOnePathParity(t *testing.T) {
 	} {
 		file := filepath.Join("..", "..", "params", name+".params")
 		base := filepath.Join(t.TempDir(), name)
-		if err := run(append([]string{"-spec", file, "-table", tablePath, "-out", base}, overrides...), io.Discard); err != nil {
+		if err := run(append([]string{"-spec", file, "-out", base}, overrides...), io.Discard); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		job := serveJob(t, systems, serve.KindCampaign, specText(t, file, overrides))

@@ -100,7 +100,7 @@ func TestCrossProductSimulatesCleanly(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					loaded, err := search.LoadArchive(bytes.NewReader(append(line, '\n')))
+					loaded, _, err := search.LoadArchive(bytes.NewReader(append(line, '\n')))
 					if err != nil {
 						t.Fatal(err)
 					}

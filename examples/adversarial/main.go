@@ -61,8 +61,10 @@ func run() error {
 		return err
 	}
 
-	// 2. Island search seeded from the sweep's worst cells.
-	seeds, err := acasxval.SweepSeedGenomes(sweepPath, 16)
+	// 2. Island search seeded from the sweep's worst cells. This example
+	// writes both files it reads in full, so neither load can report a
+	// half-written last line.
+	seeds, _, err := acasxval.SweepSeedGenomes(sweepPath, 16)
 	if err != nil {
 		return err
 	}
@@ -107,7 +109,7 @@ func run() error {
 
 	// 3. Replay the archive as a campaign: the discovered encounters
 	// become explicit scenarios of a fresh sweep.
-	entries, err := acasxval.LoadDangerArchive(archivePath)
+	entries, _, err := acasxval.LoadDangerArchive(archivePath)
 	if err != nil {
 		return err
 	}

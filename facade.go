@@ -259,8 +259,10 @@ func DefaultCampaignSystems(table *Table) CampaignSystems { return campaign.Defa
 // individuals (the paper's total population of 200) for 5 generations.
 func DefaultSearchSpec() SearchSpec { return search.DefaultSpec() }
 
-// LoadDangerArchive reads a danger-archive JSONL file written by a search.
-func LoadDangerArchive(path string) ([]DangerArchiveEntry, error) {
+// LoadDangerArchive reads a danger-archive JSONL file written by a
+// search. truncated reports a half-written trailing line, which is
+// skipped.
+func LoadDangerArchive(path string) (entries []DangerArchiveEntry, truncated bool, err error) {
 	return search.LoadArchiveFile(path)
 }
 
@@ -271,8 +273,9 @@ func ArchiveCampaignScenarios(entries []DangerArchiveEntry) ([]CampaignScenario,
 }
 
 // SweepSeedGenomes extracts worst-first seed genomes from a campaign
-// sweep's JSONL output file, for SearchSpec.SeedGenomes.
-func SweepSeedGenomes(path string, limit int) ([][]float64, error) {
+// sweep's JSONL output file, for SearchSpec.SeedGenomes. truncated
+// reports a half-written trailing line, which is skipped.
+func SweepSeedGenomes(path string, limit int) (seeds [][]float64, truncated bool, err error) {
 	return search.SweepSeedsFile(path, limit)
 }
 

@@ -6,12 +6,10 @@ package acasxval
 
 import (
 	"context"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 
-	"acasxval/internal/acasx"
 	"acasxval/internal/encounter"
 	"acasxval/internal/grid2d"
 	"acasxval/internal/search"
@@ -55,36 +53,6 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 	if !res.Alerted() {
 		t.Error("quickstart head-on never alerted")
-	}
-}
-
-func TestTableSaveLoadThroughFacade(t *testing.T) {
-	cfg := CoarseTableConfig()
-	cfg.Workers = 4
-	table, err := BuildLogicTable(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "logic.acxt")
-	if err := table.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := acasx.LoadTable(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A loaded table must drive the logic identically.
-	p := PresetHeadOn()
-	a, err := RunEncounter(p, sim.NewACASXU(table), sim.NewACASXU(table), DefaultRunConfig(), 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunEncounter(p, sim.NewACASXU(loaded), sim.NewACASXU(loaded), DefaultRunConfig(), 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.MinSeparation != b.MinSeparation || a.NMAC != b.NMAC {
-		t.Error("loaded table behaves differently from built table")
 	}
 }
 

@@ -1,10 +1,7 @@
 package acasx
 
 import (
-	"bytes"
 	"math"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -406,149 +403,6 @@ func TestQValueClampsTauAndInvalidAdvisories(t *testing.T) {
 	}
 	if got := table.QValue(5, 0, 0, 0, Advisory(17), COC); !math.IsInf(got, -1) {
 		t.Error("invalid ra should yield -inf")
-	}
-}
-
-func TestSerializationRoundTrip(t *testing.T) {
-	cfg := tinyConfig()
-	table, err := BuildTable(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := table.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadTable(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Horizon() != table.Horizon() {
-		t.Fatalf("horizon %d != %d", loaded.Horizon(), table.Horizon())
-	}
-	for k := range table.q {
-		for i := range table.q[k] {
-			if table.q[k][i] != loaded.q[k][i] {
-				t.Fatalf("slice %d entry %d differs after round trip", k, i)
-			}
-		}
-	}
-	// Lookups must agree too (grid reconstruction).
-	if got, want := loaded.QValue(3.5, 40, 1, -2, COC, Climb1500),
-		table.QValue(3.5, 40, 1, -2, COC, Climb1500); got != want {
-		t.Errorf("lookup after round trip: %v != %v", got, want)
-	}
-}
-
-func TestSerializationRejectsCorruption(t *testing.T) {
-	table, err := BuildTable(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := table.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-
-	// Flip a byte in the data section.
-	corrupt := append([]byte(nil), good...)
-	corrupt[len(corrupt)/2] ^= 0xFF
-	if _, err := ReadTable(bytes.NewReader(corrupt)); err == nil {
-		t.Error("corrupted table accepted")
-	}
-
-	// Truncate.
-	if _, err := ReadTable(bytes.NewReader(good[:len(good)/2])); err == nil {
-		t.Error("truncated table accepted")
-	}
-
-	// Bad magic.
-	bad := append([]byte(nil), good...)
-	copy(bad, "NOPE")
-	if _, err := ReadTable(bytes.NewReader(bad)); err == nil {
-		t.Error("bad magic accepted")
-	}
-
-	// Empty.
-	if _, err := ReadTable(bytes.NewReader(nil)); err == nil {
-		t.Error("empty file accepted")
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	table, err := BuildTable(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/table.acxt"
-	if err := table.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadTable(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.NumEntries() != table.NumEntries() {
-		t.Error("entry count mismatch after file round trip")
-	}
-	if _, err := LoadTable(path + ".missing"); err == nil {
-		t.Error("missing file accepted")
-	}
-}
-
-func TestLoadOrBuildTableBuildsAndCaches(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "t.acxt")
-	// First call: builds coarse and saves.
-	table, err := LoadOrBuildTable(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if table.BuildTime() <= 0 {
-		t.Error("fresh build should record build time")
-	}
-	// Second call: loads from disk (no build time).
-	loaded, err := LoadOrBuildTable(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.BuildTime() != 0 {
-		t.Error("expected a loaded table (zero build time)")
-	}
-	if loaded.NumEntries() != table.NumEntries() {
-		t.Error("loaded table differs from built table")
-	}
-}
-
-func TestLoadOrBuildTableEmptyPath(t *testing.T) {
-	table, err := LoadOrBuildTable("", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if table == nil {
-		t.Fatal("nil table")
-	}
-}
-
-func TestLoadOrBuildTableRejectsCorrupt(t *testing.T) {
-	table, err := BuildTable(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Save a valid table, then cut it to half its size.
-	path := filepath.Join(t.TempDir(), "bad.acxt")
-	if err := table.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	info, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(path, info.Size()/2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadOrBuildTable(path, true); err == nil {
-		t.Error("corrupt table file accepted")
 	}
 }
 

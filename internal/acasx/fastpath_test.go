@@ -1,11 +1,9 @@
 package acasx
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash/crc32"
 	"math"
 	"sync"
 	"testing"
@@ -165,45 +163,6 @@ func TestTableChecksumGolden(t *testing.T) {
 				t.Errorf("%s workers=%d: checksum %s, want %s", tc.name, workers, got, tc.want)
 			}
 		}
-	}
-}
-
-// TestReadTableLegacyFlagBit2: files written by older builds with an int16
-// compressed copy set flag bit 2 and carry the full float64 payload. They
-// must load as plain tables, and re-serializing must clear the bit.
-func TestReadTableLegacyFlagBit2(t *testing.T) {
-	table, err := BuildTable(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := table.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	clean := buf.Bytes()
-	legacy := append([]byte(nil), clean...)
-	var cfg Config
-	flagsAt := len(tableMagic) + 4 + 8*len(configFields(&cfg)) + 8*len(configInts(&cfg))
-	if legacy[flagsAt]&2 != 0 {
-		t.Fatal("WriteTo set flag bit 2")
-	}
-	legacy[flagsAt] |= 2
-	body := len(legacy) - 4
-	binary.LittleEndian.PutUint32(legacy[body:], crc32.ChecksumIEEE(legacy[:body]))
-
-	loaded, err := ReadTable(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("legacy file rejected: %v", err)
-	}
-	if got, want := tableChecksum(loaded), tableChecksum(table); got != want {
-		t.Fatalf("legacy file loaded different Q values: %s != %s", got, want)
-	}
-	var again bytes.Buffer
-	if _, err := loaded.WriteTo(&again); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again.Bytes(), clean) {
-		t.Fatal("re-serialized legacy table differs from the original file")
 	}
 }
 

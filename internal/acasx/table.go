@@ -1,7 +1,6 @@
 package acasx
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -181,8 +180,7 @@ func (t *Table) Config() Config { return t.cfg }
 // Horizon returns the number of tau slices (excluding slice 0).
 func (t *Table) Horizon() int { return len(t.q) - 1 }
 
-// BuildTime returns how long the offline solve took (zero for loaded
-// tables).
+// BuildTime returns how long the offline solve took.
 func (t *Table) BuildTime() time.Duration { return t.buildTime }
 
 // NumEntries returns the total number of stored Q values.
@@ -304,24 +302,4 @@ func (t *Table) Value(tau, h, dh0, dh1 float64, ra Advisory) float64 {
 		}
 	}
 	return best
-}
-
-// validateLoaded re-derives internal geometry after deserialization.
-func (t *Table) validateLoaded() error {
-	m, err := newModel(t.cfg)
-	if err != nil {
-		return fmt.Errorf("acasx: loaded table has invalid config: %w", err)
-	}
-	if len(t.q) != t.cfg.Grid.Horizon+1 {
-		return fmt.Errorf("acasx: loaded table has %d slices, config wants %d", len(t.q), t.cfg.Grid.Horizon+1)
-	}
-	want := m.stateSize * NumAdvisories
-	for k, slice := range t.q {
-		if len(slice) != want {
-			return fmt.Errorf("acasx: slice %d has %d entries, want %d", k, len(slice), want)
-		}
-	}
-	t.grid = m.grid
-	t.contSize = m.contSize
-	return nil
 }

@@ -113,27 +113,3 @@ func TestVerticalTauRevisionAlertsOnTailGeometry(t *testing.T) {
 		t.Errorf("revised advisory %v; intruder below climbing, expected climb sense", d.Advisory)
 	}
 }
-
-func TestVerticalTauSerializationRoundTrip(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.UseVerticalTau = true
-	cfg.DMOD = 500
-	table, err := BuildTable(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/vt.acxt"
-	if err := table.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadTable(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !loaded.Config().UseVerticalTau {
-		t.Error("UseVerticalTau flag lost in serialization")
-	}
-	if loaded.Config().DMOD != 500 {
-		t.Error("DMOD lost in serialization")
-	}
-}

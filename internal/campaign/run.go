@@ -25,6 +25,15 @@ import (
 // BaselineSystem is the system name risk ratios are computed against.
 const BaselineSystem = "none"
 
+// ResultsVersion names the numbers this code computes: its logic table and
+// its episode, estimator and search trajectories. The caserve cache keys
+// (serve.SpecHash, serve.CellHash) and the search checkpoint
+// (search.Spec.Fingerprint) include it, so a state directory or checkpoint
+// written by a build that computes other numbers is recomputed, never
+// served. Bump it whenever a golden file or the logic-table checksum
+// moves; TestResultsVersionPinsGoldens fails until it is.
+const ResultsVersion = 1
+
 // modelDrawSalt decorrelates scenario-draw seeds from cell-sampling seeds.
 const modelDrawSalt = 0x5CEA12105A17
 
@@ -66,13 +75,16 @@ func DefaultSystems(table *acasx.Table) SystemSet {
 }
 
 // LoadSystems returns the default system menu for a run of the named
-// systems, loading or building the logic table (acasx.LoadOrBuildTable)
-// only when one of them needs it. Every name must be on the menu.
-func LoadSystems(names []string, tablePath string, coarse bool) (SystemSet, error) {
+// systems, building the full-resolution logic table (acasx.DefaultConfig,
+// the paper's system) on every CPU only when one of them needs it. Every
+// name must be on the menu.
+func LoadSystems(names []string) (SystemSet, error) {
 	var table *acasx.Table
 	if slices.ContainsFunc(names, NeedsTable) {
+		cfg := acasx.DefaultConfig()
+		cfg.Workers = runtime.NumCPU()
 		var err error
-		if table, err = acasx.LoadOrBuildTable(tablePath, coarse); err != nil {
+		if table, err = acasx.BuildTable(cfg); err != nil {
 			return nil, err
 		}
 	}

@@ -257,27 +257,12 @@ func (a *Archive) WriteJSONL(w io.Writer) error {
 	return nil
 }
 
-// readJSONL scans r line by line, handing every non-empty line (with its
-// 1-based line number) to decode. Shared by the archive and sweep-seed
-// loaders so tail handling and error wording cannot drift. A half-written
-// trailing line — the signature of a writer killed mid-record — is skipped
-// with a warning on stderr instead of failing the whole load; corrupt
-// interior lines stay fatal (see durable.ScanJSONL).
-func readJSONL(r io.Reader, what string, decode func(line int, data []byte) error) error {
-	truncated, err := durable.ScanJSONL(r, decode)
-	if err != nil {
-		return err
-	}
-	if truncated {
-		fmt.Fprintf(os.Stderr, "warning: %s ends in a half-written line (writer killed mid-record?); skipped\n", what)
-	}
-	return nil
-}
-
-// LoadArchive parses a JSONL archive stream produced by WriteJSONL.
-func LoadArchive(r io.Reader) ([]ArchiveEntry, error) {
-	var out []ArchiveEntry
-	err := readJSONL(r, "archive", func(line int, data []byte) error {
+// LoadArchive parses a JSONL archive stream produced by WriteJSONL. A
+// half-written trailing line — the signature of a writer killed
+// mid-record — is skipped and reported as truncated, for the caller to
+// warn about; a corrupt interior line is an error (see durable.ScanJSONL).
+func LoadArchive(r io.Reader) (entries []ArchiveEntry, truncated bool, err error) {
+	truncated, err = durable.ScanJSONL(r, func(line int, data []byte) error {
 		var e ArchiveEntry
 		if err := json.Unmarshal(data, &e); err != nil {
 			return fmt.Errorf("search: archive line %d: %w", line, err)
@@ -285,23 +270,23 @@ func LoadArchive(r io.Reader) ([]ArchiveEntry, error) {
 		if err := e.validate(); err != nil {
 			return fmt.Errorf("search: archive line %d: %w", line, err)
 		}
-		out = append(out, e)
+		entries = append(entries, e)
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("search: archive is empty")
+	if len(entries) == 0 {
+		return nil, false, fmt.Errorf("search: archive is empty")
 	}
-	return out, nil
+	return entries, truncated, nil
 }
 
-// LoadArchiveFile reads a JSONL archive from disk.
-func LoadArchiveFile(path string) ([]ArchiveEntry, error) {
+// LoadArchiveFile reads a JSONL archive from disk (see LoadArchive).
+func LoadArchiveFile(path string) ([]ArchiveEntry, bool, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("search: %w", err)
+		return nil, false, fmt.Errorf("search: %w", err)
 	}
 	defer f.Close()
 	return LoadArchive(f)

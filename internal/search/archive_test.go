@@ -129,9 +129,9 @@ func TestArchiveJSONLRoundTrip(t *testing.T) {
 	if err := a.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadArchive(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	loaded, truncated, err := LoadArchive(bytes.NewReader(buf.Bytes()))
+	if err != nil || truncated {
+		t.Fatalf("LoadArchive: truncated %v, %v", truncated, err)
 	}
 	if !reflect.DeepEqual(loaded, a.entries) {
 		t.Errorf("round trip mismatch:\ngot  %+v\nwant %+v", loaded, a.entries)
@@ -163,7 +163,8 @@ func TestArchiveJSONLRoundTrip(t *testing.T) {
 
 // TestLoadArchiveCrashTail simulates a writer killed mid-record: the JSONL
 // stream ends in a half-written line with no trailing newline. The complete
-// prefix must load; the torn tail is skipped, not treated as corruption.
+// prefix must load; the torn tail is skipped and reported to the caller,
+// not treated as corruption.
 func TestLoadArchiveCrashTail(t *testing.T) {
 	a := NewArchive(1000, 0.05, testBounds(t))
 	a.Add(entryAt(t, 1500, 0))
@@ -183,9 +184,9 @@ func TestLoadArchiveCrashTail(t *testing.T) {
 	last := lines[len(lines)-2] // SplitAfter leaves a trailing empty slice
 	torn := full[:len(full)-len(last)+len(last)/2]
 
-	loaded, err := LoadArchive(bytes.NewReader(torn))
-	if err != nil {
-		t.Fatalf("LoadArchive on crash-tail stream: %v", err)
+	loaded, truncated, err := LoadArchive(bytes.NewReader(torn))
+	if err != nil || !truncated {
+		t.Fatalf("LoadArchive on crash-tail stream: truncated %v, %v", truncated, err)
 	}
 	if want := a.entries[:1]; !reflect.DeepEqual(loaded, want) {
 		t.Errorf("crash-tail load:\ngot  %+v\nwant %+v", loaded, want)
@@ -201,7 +202,7 @@ func TestLoadArchiveRejectsMalformed(t *testing.T) {
 		"empty name":   `{"name":"","fitness":1,"params":[1,2,3,4,5,6,7,8,9]}` + "\n",
 	}
 	for name, text := range cases {
-		if _, err := LoadArchive(strings.NewReader(text)); err == nil {
+		if _, _, err := LoadArchive(strings.NewReader(text)); err == nil {
 			t.Errorf("%s: LoadArchive accepted %q", name, text)
 		}
 	}
@@ -340,7 +341,7 @@ func FuzzLoadArchive(f *testing.F) {
 	f.Add([]byte("null\n"))
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		entries, err := LoadArchive(bytes.NewReader(data))
+		entries, _, err := LoadArchive(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -385,7 +386,7 @@ func TestSweepSeeds(t *testing.T) {
 		`{"cell":4,"p_nmac":1.0}`, // pre-params record: skipped
 	}, "\n") + "\n"
 
-	seeds, err := SweepSeeds(strings.NewReader(lines), 0)
+	seeds, _, err := SweepSeeds(strings.NewReader(lines), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,18 +395,22 @@ func TestSweepSeeds(t *testing.T) {
 		t.Errorf("seeds = %v, want %v", seeds, want)
 	}
 
-	limited, err := SweepSeeds(strings.NewReader(lines), 2)
+	limited, _, err := SweepSeeds(strings.NewReader(lines), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(limited) != 2 || !reflect.DeepEqual(limited[0], p2) {
 		t.Errorf("limited seeds = %v", limited)
 	}
+	torn, truncated, err := SweepSeeds(strings.NewReader(lines+`{"cell":5,"p_nm`), 0)
+	if err != nil || !truncated || !reflect.DeepEqual(torn, want) {
+		t.Errorf("crash-tail stream: seeds %v, truncated %v, %v", torn, truncated, err)
+	}
 
-	if _, err := SweepSeeds(strings.NewReader(`{"cell":0}`+"\n"), 0); err == nil {
+	if _, _, err := SweepSeeds(strings.NewReader(`{"cell":0}`+"\n"), 0); err == nil {
 		t.Error("SweepSeeds accepted a stream with no usable cells")
 	}
-	if _, err := SweepSeeds(strings.NewReader("garbage\n"), 0); err == nil {
+	if _, _, err := SweepSeeds(strings.NewReader("garbage\n"), 0); err == nil {
 		t.Error("SweepSeeds accepted malformed JSON")
 	}
 }
@@ -421,7 +426,7 @@ func TestSweepSeedsFromRealCampaign(t *testing.T) {
 	if _, err := campaign.RunContext(context.Background(), spec, campaign.DefaultSystems(nil), &buf); err != nil {
 		t.Fatal(err)
 	}
-	seeds, err := SweepSeeds(bytes.NewReader(buf.Bytes()), 0)
+	seeds, _, err := SweepSeeds(bytes.NewReader(buf.Bytes()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"os"
 
+	"acasxval/internal/campaign"
 	"acasxval/internal/durable"
 	"acasxval/internal/encounter"
 	"acasxval/internal/fault"
@@ -29,6 +30,9 @@ const (
 type Checkpoint struct {
 	Magic   string `json:"magic"`
 	Version int    `json:"version"`
+	// ResultsVersion is the campaign.ResultsVersion of the build that
+	// wrote the checkpoint: a build computing other numbers refuses it.
+	ResultsVersion int `json:"results_version"`
 	// SpecFingerprint guards against resuming under a different search
 	// definition (see Spec.Fingerprint).
 	SpecFingerprint string `json:"spec_fingerprint"`
@@ -67,13 +71,14 @@ type CheckpointGeneration struct {
 	Best       CheckpointIndividual `json:"best"`
 }
 
-// Fingerprint hashes the spec fields that define the search trajectory, so
-// a checkpoint refuses to resume under a different search definition. The
+// Fingerprint hashes the results version and the spec fields that define
+// the search trajectory, so a checkpoint refuses to resume under a
+// different search definition or a build that computes other numbers. The
 // system under test is one of them: its decisions shape every fitness.
 func (s Spec) Fingerprint() string {
 	lo, hi := s.Ranges.Bounds()
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|system=%s|islands=%d|k=%d|m=%d|seed=%d", s.Name, s.System, s.Islands, s.MigrationInterval, s.MigrationSize, s.Seed)
+	fmt.Fprintf(h, "results=%d|%s|system=%s|islands=%d|k=%d|m=%d|seed=%d", campaign.ResultsVersion, s.Name, s.System, s.Islands, s.MigrationInterval, s.MigrationSize, s.Seed)
 	// The intruder count reshapes the whole genome; fingerprint it only when
 	// multi-intruder so every pre-existing pairwise checkpoint still resumes.
 	if s.NumIntruders() > 1 {
@@ -237,6 +242,7 @@ func (e *engine) snapshot() *Checkpoint {
 	c := &Checkpoint{
 		Magic:           checkpointMagic,
 		Version:         checkpointVersion,
+		ResultsVersion:  campaign.ResultsVersion,
 		SpecFingerprint: e.spec.Fingerprint(),
 		NextGeneration:  e.nextGen,
 		Evaluations:     e.evals,
@@ -276,6 +282,10 @@ func (e *engine) snapshot() *Checkpoint {
 // restore loads a checkpoint into the engine, verifying it belongs to the
 // engine's spec.
 func (e *engine) restore(c *Checkpoint) error {
+	if c.ResultsVersion != campaign.ResultsVersion {
+		return fmt.Errorf("search: checkpoint written under results version %d, this build computes version %d: delete it to start fresh",
+			c.ResultsVersion, campaign.ResultsVersion)
+	}
 	want := e.spec.Fingerprint()
 	if c.SpecFingerprint != want {
 		return fmt.Errorf("search: checkpoint belongs to a different spec (fingerprint %s, want %s)",

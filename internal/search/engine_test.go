@@ -3,11 +3,13 @@ package search
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"acasxval/internal/campaign"
 	"acasxval/internal/config"
 	"acasxval/internal/encounter"
 	"acasxval/internal/ga"
@@ -193,6 +195,29 @@ func TestResumeRejectsDifferentSpec(t *testing.T) {
 	other.System = spec.System + "-other"
 	if _, err := RunContext(context.Background(), other, testFactory, Options{CheckpointPath: ckpt}); err == nil || !strings.Contains(err.Error(), "different spec") {
 		t.Errorf("resuming under a different system: %v, want fingerprint error", err)
+	}
+}
+
+// TestResumeRejectsOtherResultsVersion: a checkpoint written by a build
+// under the previous results version is refused, and the error names that
+// version.
+func TestResumeRejectsOtherResultsVersion(t *testing.T) {
+	spec := testSpec()
+	ckpt := filepath.Join(t.TempDir(), "search.ckpt")
+	if _, err := RunContext(context.Background(), spec, testFactory, Options{CheckpointPath: ckpt, StopAfter: 1}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := LoadCheckpointFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.ResultsVersion = campaign.ResultsVersion - 1
+	if err := SaveCheckpointFile(ckpt, c); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("results version %d", campaign.ResultsVersion-1)
+	if _, err := RunContext(context.Background(), spec, testFactory, Options{CheckpointPath: ckpt}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("resuming a previous-version checkpoint: %v, want an error naming %q", err, want)
 	}
 }
 

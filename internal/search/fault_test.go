@@ -145,7 +145,7 @@ func TestFaultEvolutionArchiveCarriesGenes(t *testing.T) {
 		}
 	}
 	// Round-trip through JSONL.
-	loaded, err := LoadArchive(bytes.NewReader(archiveJSONL(t, evolved)))
+	loaded, _, err := LoadArchive(bytes.NewReader(archiveJSONL(t, evolved)))
 	if err != nil {
 		t.Fatal(err)
 	}

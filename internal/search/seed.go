@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"acasxval/internal/campaign"
+	"acasxval/internal/durable"
 	"acasxval/internal/encounter"
 	"acasxval/internal/stats"
 )
@@ -24,9 +25,11 @@ import (
 //
 // This closes the campaign -> search loop: a sweep's worst scenarios become
 // the adversarial search's starting population instead of random genomes.
-func SweepSeeds(r io.Reader, limit int) ([][]float64, error) {
+// truncated reports a skipped half-written trailing line, as LoadArchive
+// does.
+func SweepSeeds(r io.Reader, limit int) (seeds [][]float64, truncated bool, err error) {
 	var cells []campaign.CellResult
-	err := readJSONL(r, "sweep", func(line int, data []byte) error {
+	truncated, err = durable.ScanJSONL(r, func(line int, data []byte) error {
 		var c campaign.CellResult
 		if err := json.Unmarshal(data, &c); err != nil {
 			return fmt.Errorf("search: sweep line %d: %w", line, err)
@@ -38,10 +41,10 @@ func SweepSeeds(r io.Reader, limit int) ([][]float64, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if len(cells) == 0 {
-		return nil, fmt.Errorf("search: sweep stream has no cells with encounter parameters")
+		return nil, false, fmt.Errorf("search: sweep stream has no cells with encounter parameters")
 	}
 	sort.SliceStable(cells, func(i, j int) bool {
 		a, b := cells[i], cells[j]
@@ -53,7 +56,6 @@ func SweepSeeds(r io.Reader, limit int) ([][]float64, error) {
 		}
 		return a.Index < b.Index
 	})
-	var out [][]float64
 	seen := make(map[string]bool, len(cells))
 	for _, c := range cells {
 		// Genomes vary in length across K, so the exact-dedup key is the
@@ -64,19 +66,19 @@ func SweepSeeds(r io.Reader, limit int) ([][]float64, error) {
 			continue
 		}
 		seen[key] = true
-		out = append(out, append([]float64(nil), c.Params...))
-		if limit > 0 && len(out) >= limit {
+		seeds = append(seeds, append([]float64(nil), c.Params...))
+		if limit > 0 && len(seeds) >= limit {
 			break
 		}
 	}
-	return out, nil
+	return seeds, truncated, nil
 }
 
 // SweepSeedsFile reads SweepSeeds from a JSONL file on disk.
-func SweepSeedsFile(path string, limit int) ([][]float64, error) {
+func SweepSeedsFile(path string, limit int) ([][]float64, bool, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("search: %w", err)
+		return nil, false, fmt.Errorf("search: %w", err)
 	}
 	defer f.Close()
 	return SweepSeeds(f, limit)

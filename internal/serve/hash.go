@@ -15,32 +15,34 @@ import (
 )
 
 // SpecHash returns the canonical content hash of a campaign spec: the
-// SHA-256 (hex) of a normal-form encoding of spec.Canonical(). Two specs
-// describing the same campaign — one spelling defaults implicitly, the
-// other explicitly; different Parallelism — hash identically, so a
-// resubmitted or overlapping sweep hits the completed-cell cache. Any
-// semantic change (a sample count, a fault threshold, a kernel
-// coordinate) changes the hash.
+// SHA-256 (hex) of the results version and a normal-form encoding of
+// spec.Canonical(). Two specs describing the same campaign — one spelling
+// defaults implicitly, the other explicitly; different Parallelism — hash
+// identically, so a resubmitted or overlapping sweep hits the
+// completed-cell cache. Any semantic change (a sample count, a fault
+// threshold, a kernel coordinate) changes the hash.
 func SpecHash(spec campaign.Spec) (string, error) {
-	var b strings.Builder
-	if err := canonicalEncode(&b, reflect.ValueOf(spec.Canonical())); err != nil {
-		return "", fmt.Errorf("serve: hash spec: %w", err)
-	}
-	sum := sha256.Sum256([]byte(b.String()))
-	return hex.EncodeToString(sum[:]), nil
+	return contentHash(campaign.ResultsVersion, "spec", spec.Canonical())
 }
 
-// CellHash identifies one campaign cell's full computation: the shared
-// spec knobs that enter the cell's record (name, sample count, base run
-// configuration, seed — and, for estimator cells, the statistical model
-// and estimator tuning) plus the cell's own axis point. Everything
-// axis-shaped in the spec is dropped — the cell carries its own scenario
-// parameters, system, variant and fault point — so the SAME cell
-// appearing in two overlapping campaigns (one more system, one more
-// preset) hashes identically and hits the completed-cell cache. The cell
-// index is excluded: it is a position, not an identity, and the server
-// rewrites it per job when replaying a cached record.
+// CellHash identifies one campaign cell's full computation: the results
+// version of this build, the shared spec knobs that enter the cell's
+// record (name, sample count, base run configuration, seed — and, for
+// estimator cells, the statistical model and estimator tuning) plus the
+// cell's own axis point. Everything axis-shaped in the spec is dropped —
+// the cell carries its own scenario parameters, system, variant and fault
+// point — so the SAME cell appearing in two overlapping campaigns (one
+// more system, one more preset) hashes identically and hits the
+// completed-cell cache, while a cell journaled by a build under another
+// results version never does. The cell index is excluded: it is a
+// position, not an identity, and the server rewrites it per job when
+// replaying a cached record.
 func CellHash(spec campaign.Spec, c campaign.Cell) (string, error) {
+	return cellHash(campaign.ResultsVersion, spec, c)
+}
+
+// cellHash is CellHash under the given results version.
+func cellHash(version int, spec campaign.Spec, c campaign.Cell) (string, error) {
 	shared := spec.Canonical()
 	shared.Presets = nil
 	shared.Scenarios = nil
@@ -57,14 +59,19 @@ func CellHash(spec campaign.Spec, c campaign.Cell) (string, error) {
 		shared.EstimatorSpec = montecarlo.RareEventSpec{}
 	}
 	c.Index = 0
+	return contentHash(version, "cell", shared, c)
+}
+
+// contentHash is the SHA-256 (hex) of kind, the results version and the
+// canonical encodings of parts.
+func contentHash(version int, kind string, parts ...any) (string, error) {
 	var b strings.Builder
-	b.WriteString("cell|")
-	if err := canonicalEncode(&b, reflect.ValueOf(shared)); err != nil {
-		return "", fmt.Errorf("serve: hash cell: %w", err)
-	}
-	b.WriteByte('|')
-	if err := canonicalEncode(&b, reflect.ValueOf(c)); err != nil {
-		return "", fmt.Errorf("serve: hash cell: %w", err)
+	fmt.Fprintf(&b, "%s|results=%d", kind, version)
+	for _, p := range parts {
+		b.WriteByte('|')
+		if err := canonicalEncode(&b, reflect.ValueOf(p)); err != nil {
+			return "", fmt.Errorf("serve: hash %s: %w", kind, err)
+		}
 	}
 	sum := sha256.Sum256([]byte(b.String()))
 	return hex.EncodeToString(sum[:]), nil

@@ -112,14 +112,15 @@ func TestSpecHashSensitivity(t *testing.T) {
 }
 
 // TestHashGolden pins the spec hash and one cell hash of the reference
-// spec. Every cache key is a hash of the canonical spec encoding, so a
-// schema edit (adding, removing or renaming a Spec field) moves all of them
-// at once and a state directory from an older build recomputes its cells
-// instead of hitting the cache. This test makes such an edit deliberate:
-// update the digests in the same change and say so in its description.
+// spec. Every cache key is a hash of campaign.ResultsVersion and the
+// canonical spec encoding, so a version bump or a schema edit (adding,
+// removing or renaming a Spec field) moves all of them at once and a
+// state directory from an older build recomputes its cells instead of
+// hitting the cache. This test makes such an edit deliberate: update the
+// digests in the same change and say so in its description.
 func TestHashGolden(t *testing.T) {
 	spec := baseSpec()
-	if got, want := mustHash(t, spec), "db500b93d780b9b5e77b32d79e79715c848d47d8e87f7b716a8de6392688108e"; got != want {
+	if got, want := mustHash(t, spec), "ab3b3eca8ef53209d544ba579b2e003b9d3e5b0809142e3e2a180efbce92a5ee"; got != want {
 		t.Errorf("SpecHash = %s, want %s", got, want)
 	}
 	cells, err := spec.Cells()
@@ -130,7 +131,7 @@ func TestHashGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "894276826f3a289816af5b648081eefd95b439694196475c7f40da556bf357c5"; got != want {
+	if want := "cba225fc77c72cb17a82bcd2a500ef665de406e8cac0c368942ff54b2a9796d8"; got != want {
 		t.Errorf("CellHash(last cell) = %s, want %s", got, want)
 	}
 }

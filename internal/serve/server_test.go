@@ -381,6 +381,68 @@ func TestServerCacheHitsOnResubmit(t *testing.T) {
 	}
 }
 
+// TestServerIgnoresOtherResultsVersion: a state directory journaled by a
+// build under the previous results version, whose table or code computed
+// other numbers, serves none of its cells: the resubmitted campaign gets 0
+// cache hits and the bytes of a fresh run. The same records under the
+// current version are all served, so the journal alone decides.
+func TestServerIgnoresOtherResultsVersion(t *testing.T) {
+	wantJSONL, wantSummary := reference(t, testCampaignParams)
+	c, err := config.Parse(testCampaignParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := campaign.FromConfig(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := spec.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ version, hits int }{
+		{campaign.ResultsVersion - 1, 0},
+		{campaign.ResultsVersion, len(cells)},
+	} {
+		dir := t.TempDir()
+		journal, err := OpenJournal(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, cell := range cells {
+			hash, err := cellHash(tc.version, spec, cell)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A result no fresh run gives: served, it would show.
+			stale := campaign.CellResult{Index: i, Campaign: spec.Name, System: cell.System, Samples: spec.Samples, MeanMinSep: 345.6}
+			rec := CellRecord{Hash: hash, Index: i, Seed: campaign.CellSeed(spec.Seed, cell), Attempts: 1, Result: stale}
+			if err := journal.Append(Record{Type: "cell", Cell: &rec}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := journal.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		srv := newTestServer(t, dir, nil)
+		st, err := srv.Submit(KindCampaign, testCampaignParams)
+		if err != nil {
+			t.Fatal(err)
+		}
+		final := waitDone(t, srv, st.ID)
+		if final.Status != StatusDone || final.CacheHits != tc.hits {
+			t.Errorf("version %d journal: status %+v, want done with %d cache hits", tc.version, final, tc.hits)
+		}
+		if tc.hits == 0 {
+			if gotJSONL, gotSummary := artifacts(t, srv, st.ID); gotJSONL != wantJSONL || gotSummary != wantSummary {
+				t.Errorf("version %d journal: artifacts differ from a fresh run:\n%s", tc.version, gotJSONL)
+			}
+		}
+		srv.Close()
+	}
+}
+
 // TestServerGracefulShutdownResume: a server closed mid-campaign starts
 // no new cell, lets the running one finish and journal, and leaves the
 // job non-terminal; a new server over the same state dir finishes it

@@ -156,7 +156,7 @@ func TestMultiDemoEndToEnd(t *testing.T) {
 	if err := sres.Archive.WriteJSONL(&archive); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := search.LoadArchive(&archive)
+	entries, _, err := search.LoadArchive(&archive)
 	if err != nil {
 		t.Fatal(err)
 	}
